@@ -17,7 +17,6 @@ import click
 from .corpus import (
     CorruptGraphFile,
     LayoutError,
-    UpgradeAnalysis,
     analyze_corpus,
     build_graph,
     condition_table,
@@ -72,22 +71,18 @@ def _module_path_of(module_dir: str) -> str:
     manifest_path = Path(module_dir) / MANIFEST_NAME
     if not manifest_path.is_file():
         raise click.UsageError(f"{module_dir} has no {MANIFEST_NAME}")
-    return parse_manifest(manifest_path.read_text(encoding="utf-8")).module_path
+    try:
+        text = manifest_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedManifest(f"{manifest_path} is not valid UTF-8: {exc.reason} at byte {exc.start}") from exc
+    return parse_manifest(text).module_path
 
 
-def _extract_dir(
-    module_dir: str,
-    version: SemanticVersion | None,
-    jobs: int,
-    exclude_dirs: tuple[str, ...],
-):
+def _extract_dir(module_dir: str, version: SemanticVersion | None, exclude_dirs: tuple[str, ...]):
     module_path = _module_path_of(module_dir)
-    return extract_surface(
-        module_dir, module_path, version, jobs=jobs, extra_excluded_dirs=exclude_dirs
-    )
+    return extract_surface(module_dir, module_path, version, extra_excluded_dirs=exclude_dirs)
 
 
-_jobs_option = click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 _output_option = click.option("--output", "-o", "output", type=click.Path(dir_okay=False), default=None)
 _exclude_option = click.option(
     "--exclude-dir",
@@ -107,22 +102,21 @@ def cli() -> None:
 @click.option("--module-version", "version_tag", default=None, help="Version tag for the surface document.")
 @click.option("--format", "fmt", type=click.Choice(["json"]), default="json", show_default=True)
 @_output_option
-@_jobs_option
 @_exclude_option
-def extract_cmd(module_dir, version_tag, fmt, output, jobs, exclude_dirs) -> int:
+def extract_cmd(module_dir, version_tag, fmt, output, exclude_dirs) -> int:
     """Emit the exported API surface of one module checkout."""
     version = parse_version(version_tag) if version_tag else None
-    surface = _extract_dir(module_dir, version, jobs, exclude_dirs)
+    surface = _extract_dir(module_dir, version, exclude_dirs)
     _emit(surface_to_json(surface), output)
     return 0
 
 
-def _diff_dirs(old_dir, new_dir, from_tag, to_tag, jobs, exclude_dirs):
+def _diff_dirs(old_dir, new_dir, from_tag, to_tag, exclude_dirs):
     from_version = parse_version(from_tag) if from_tag else None
     to_version = parse_version(to_tag) if to_tag else None
-    old = _extract_dir(old_dir, from_version, jobs, exclude_dirs)
-    new = _extract_dir(new_dir, to_version, jobs, exclude_dirs)
-    return diff_surfaces(old, new, jobs=jobs), old
+    old = _extract_dir(old_dir, from_version, exclude_dirs)
+    new = _extract_dir(new_dir, to_version, exclude_dirs)
+    return diff_surfaces(old, new)
 
 
 @cli.command("diff")
@@ -132,11 +126,10 @@ def _diff_dirs(old_dir, new_dir, from_tag, to_tag, jobs, exclude_dirs):
 @click.option("--to", "to_tag", default=None, help="New version tag.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
 @_output_option
-@_jobs_option
 @_exclude_option
-def diff_cmd(old_dir, new_dir, from_tag, to_tag, fmt, output, jobs, exclude_dirs) -> int:
+def diff_cmd(old_dir, new_dir, from_tag, to_tag, fmt, output, exclude_dirs) -> int:
     """Emit classified change records between two checkouts of one module."""
-    records, _ = _diff_dirs(old_dir, new_dir, from_tag, to_tag, jobs, exclude_dirs)
+    records = _diff_dirs(old_dir, new_dir, from_tag, to_tag, exclude_dirs)
     if fmt == "json":
         _emit(records_to_ndjson(records), output)
     else:
@@ -152,11 +145,10 @@ def diff_cmd(old_dir, new_dir, from_tag, to_tag, fmt, output, jobs, exclude_dirs
 @click.option("--to", "to_tag", required=True, help="New version tag.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
 @_output_option
-@_jobs_option
 @_exclude_option
-def check_cmd(old_dir, new_dir, from_tag, to_tag, fmt, output, jobs, exclude_dirs) -> int:
+def check_cmd(old_dir, new_dir, from_tag, to_tag, fmt, output, exclude_dirs) -> int:
     """Judge SemVer compliance of an upgrade between two checkouts."""
-    records, _ = _diff_dirs(old_dir, new_dir, from_tag, to_tag, jobs, exclude_dirs)
+    records = _diff_dirs(old_dir, new_dir, from_tag, to_tag, exclude_dirs)
     level = classify_upgrade(parse_version(from_tag), parse_version(to_tag))
     verdict = check_compliance(level, records)
     if fmt == "json":
@@ -180,11 +172,10 @@ def check_cmd(old_dir, new_dir, from_tag, to_tag, fmt, output, jobs, exclude_dir
 @cli.command("graph")
 @click.argument("corpus_dir", type=click.Path(exists=True, file_okay=False))
 @click.option("--output", "-o", "output", type=click.Path(dir_okay=False), default="graph.json", show_default=True)
-@_jobs_option
-def graph_cmd(corpus_dir, output, jobs) -> int:
+def graph_cmd(corpus_dir, output) -> int:
     """Build and persist the corpus dependency graph."""
     entries = ingest_corpus(corpus_dir)
-    validate_corpus(entries, jobs=jobs)
+    validate_corpus(entries)
     graph = build_graph(entries)
     persist_graph(graph, output)
     summary = {"nodes": len(graph.nodes), "edges": len(graph.edges), "path": str(output)}
@@ -198,9 +189,8 @@ def graph_cmd(corpus_dir, output, jobs) -> int:
 @click.option("--clients", "client_dirs", multiple=True, required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]), default="json", show_default=True)
 @_output_option
-@_jobs_option
 @_exclude_option
-def impact_cmd(library_dir, upgrade_spec, client_dirs, fmt, output, jobs, exclude_dirs) -> int:
+def impact_cmd(library_dir, upgrade_spec, client_dirs, fmt, output, exclude_dirs) -> int:
     """Find client code elements affected by a library upgrade."""
     if ".." not in upgrade_spec:
         raise click.UsageError("--upgrade must look like V1..V2")
@@ -213,9 +203,9 @@ def impact_cmd(library_dir, upgrade_spec, client_dirs, fmt, output, jobs, exclud
             raise click.UsageError(f"missing version checkout: {d}")
 
     module_path = _module_path_of(str(old_dir))
-    old = extract_surface(old_dir, module_path, from_version, jobs=jobs, extra_excluded_dirs=exclude_dirs)
-    new = extract_surface(new_dir, module_path, to_version, jobs=jobs, extra_excluded_dirs=exclude_dirs)
-    records = diff_surfaces(old, new, jobs=jobs)
+    old = extract_surface(old_dir, module_path, from_version, extra_excluded_dirs=exclude_dirs)
+    new = extract_surface(new_dir, module_path, to_version, extra_excluded_dirs=exclude_dirs)
+    records = diff_surfaces(old, new)
     result = analyze_impact(records, list(client_dirs), old_surface=old)
 
     if fmt == "json":
@@ -223,17 +213,8 @@ def impact_cmd(library_dir, upgrade_spec, client_dirs, fmt, output, jobs, exclud
     elif fmt == "csv":
         import io
 
-        level = classify_upgrade(from_version, to_version)
-        shim = UpgradeAnalysis(
-            module_path=module_path,
-            from_entry=None,  # type: ignore[arg-type]
-            to_entry=None,  # type: ignore[arg-type]
-            level=level,
-            records=records,
-            usages=result.usages,
-        )
         buf = io.StringIO()
-        write_condition_stats_csv(condition_table([shim]), buf)
+        write_condition_stats_csv(condition_table([(records, result.usages)]), buf)
         _emit(buf.getvalue(), output)
     else:
         lines = [
@@ -248,10 +229,9 @@ def impact_cmd(library_dir, upgrade_spec, client_dirs, fmt, output, jobs, exclud
 @click.argument("corpus_dir", type=click.Path(exists=True, file_okay=False))
 @click.option("--output", "-o", "out_dir", type=click.Path(file_okay=False), default="reports", show_default=True)
 @click.option("--include-prerelease", is_flag=True, default=False, help="Also analyze pre-release/build upgrades.")
-@_jobs_option
-def report_cmd(corpus_dir, out_dir, include_prerelease, jobs) -> int:
+def report_cmd(corpus_dir, out_dir, include_prerelease) -> int:
     """Emit upgrade, condition, and time-series CSVs for a corpus."""
-    analysis = analyze_corpus(corpus_dir, jobs=jobs, include_prerelease=include_prerelease)
+    analysis = analyze_corpus(corpus_dir, include_prerelease=include_prerelease)
     paths = write_reports(analysis, out_dir)
     summary = {
         "entries": len(analysis.entries),

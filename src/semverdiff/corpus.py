@@ -153,17 +153,7 @@ def _dedup_module_paths(entries: list[CorpusEntry]) -> None:
                     e.invalid_reason = "duplicate module path"
 
 
-def validate_entry(entry: CorpusEntry, *, jobs: int = 1) -> str | None:
-    """Per-entry cleaning checks. Returns the invalid reason, or None.
-
-    The module-granularity rule (fewer than two valid versions) is applied
-    by validate_corpus on top of this.
-    """
-    reason, _ = _validate_and_extract(entry, jobs=jobs)
-    return reason
-
-
-def _validate_and_extract(entry: CorpusEntry, *, jobs: int = 1) -> tuple[str | None, ApiSurface | None]:
+def _validate_and_extract(entry: CorpusEntry) -> tuple[str | None, ApiSurface | None]:
     if entry.invalid_reason is not None:
         return entry.invalid_reason, None
     root = entry.checkout_dir
@@ -179,17 +169,17 @@ def _validate_and_extract(entry: CorpusEntry, *, jobs: int = 1) -> tuple[str | N
     if manifest.module_path != entry.module_path:
         return "module path mismatch", None
     try:
-        surface = extract_surface(root, entry.module_path, entry.version, jobs=jobs)
+        surface = extract_surface(root, entry.module_path, entry.version)
     except SurfaceEmpty:
         return "empty surface", None
     return None, surface
 
 
-def validate_corpus(entries: list[CorpusEntry], *, jobs: int = 1) -> dict[tuple[str, str], ApiSurface]:
+def validate_corpus(entries: list[CorpusEntry]) -> dict[tuple[str, str], ApiSurface]:
     """Apply all cleaning rules in place and return the extracted surfaces."""
     surfaces: dict[tuple[str, str], ApiSurface] = {}
     for entry in entries:
-        reason, surface = _validate_and_extract(entry, jobs=jobs)
+        reason, surface = _validate_and_extract(entry)
         entry.invalid_reason = reason
         if surface is not None:
             surfaces[entry.node_key] = surface
@@ -329,9 +319,7 @@ class CorpusAnalysis:
     include_prerelease: bool = False
 
 
-def analyze_corpus(
-    root: str | Path, *, jobs: int = 1, include_prerelease: bool = False
-) -> CorpusAnalysis:
+def analyze_corpus(root: str | Path, *, include_prerelease: bool = False) -> CorpusAnalysis:
     """Run the full pipeline: ingest, clean, graph, diff upgrades, impact.
 
     Upgrades are the consecutive valid version pairs of every TPL module.
@@ -340,7 +328,7 @@ def analyze_corpus(
     that require the exact pre-upgrade version.
     """
     entries = ingest_corpus(root)
-    surfaces = validate_corpus(entries, jobs=jobs)
+    surfaces = validate_corpus(entries)
     graph = build_graph(entries)
 
     tpl_modules = {m for (m, _v), role in graph.roles.items() if role["tpl"]}
@@ -371,7 +359,7 @@ def analyze_corpus(
             to_entry = versioned[v_to._precedence_key()]
             old_surface = surfaces[from_entry.node_key]
             new_surface = surfaces[to_entry.node_key]
-            records = diff_surfaces(old_surface, new_surface, jobs=jobs)
+            records = diff_surfaces(old_surface, new_surface)
 
             usages: list[ClientUsage] = []
             if level in NON_MAJOR_LEVELS and any(r.breaking for r in records):
@@ -422,9 +410,6 @@ class UpgradeStats:
     levels: dict[str, LevelStats]
     grand_total: int
 
-    def row(self, label: str) -> LevelStats:
-        return self.levels[label]
-
 
 _LEVEL_ORDER = ("Major", "Minor", "Patch", "Development")
 
@@ -459,25 +444,26 @@ def aggregate_upgrade_stats(upgrades: list[UpgradeAnalysis], include_prerelease:
     return UpgradeStats(levels=levels, grand_total=grand_total)
 
 
-def condition_table(upgrades: list[UpgradeAnalysis]) -> list[dict]:
+def condition_table(upgrades: list[tuple[list[ChangeRecord], list[ClientUsage]]]) -> list[dict]:
     """Per-condition distribution with client-usage columns.
 
-    B counts breaking records; U counts breaking records whose node is used
-    by at least one client; the affected column counts distinct
-    (client, node) pairs reaching records of the condition.
+    Takes one (records, usages) pair per upgrade. B counts breaking
+    records; U counts breaking records whose node is used by at least one
+    client; the affected column counts distinct (client, node) pairs
+    reaching records of the condition.
     """
     b_counts: dict[tuple[str, str], int] = {key: 0 for key in CATALOGUE}
     u_counts: dict[tuple[str, str], int] = {key: 0 for key in CATALOGUE}
     pair_sets: dict[tuple[str, str], set] = {key: set() for key in CATALOGUE}
 
-    for upgrade in upgrades:
+    for records, usages in upgrades:
         used_keys: set[tuple[str, str]] = set()
         used_pairs: set[tuple[tuple, str, str]] = set()
-        for usage in upgrade.usages:
+        for usage in usages:
             used_keys.add((usage.node.package, usage.node.key))
             used_pairs.add((usage.client_id, usage.node.package, usage.node.key))
 
-        for record in upgrade.records:
+        for record in records:
             if not record.breaking:
                 continue
             cond = (record.category, record.condition)
@@ -653,7 +639,7 @@ def write_reports(analysis: CorpusAnalysis, out_dir: str | Path) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stats = aggregate_upgrade_stats(analysis.upgrades, analysis.include_prerelease)
-    conditions = condition_table(analysis.upgrades)
+    conditions = condition_table([(u.records, u.usages) for u in analysis.upgrades])
     points = time_series(analysis.upgrades)
 
     paths = []

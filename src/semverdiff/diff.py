@@ -8,7 +8,6 @@ condition) pairs; compatible additions are reported with the pseudo-condition
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .gotypes import (
@@ -370,12 +369,12 @@ def diff_package(
     return _PackageDiffer(old, new, ctx).run()
 
 
-def diff_surfaces(old: ApiSurface, new: ApiSurface, *, jobs: int = 1) -> list[ChangeRecord]:
+def diff_surfaces(old: ApiSurface, new: ApiSurface) -> list[ChangeRecord]:
     """Compare two surfaces of the same module, package by package.
 
     A package present only in the old surface produces one Package/Remove
     record; one present only in the new surface produces a compatible
-    package-level Add. Output is sorted and independent of the jobs count.
+    package-level Add. Output is sorted.
     """
     if old.module_path != new.module_path:
         raise ModuleMismatch(f"module paths differ: {old.module_path} vs {new.module_path}")
@@ -415,18 +414,8 @@ def diff_surfaces(old: ApiSurface, new: ApiSurface, *, jobs: int = 1) -> list[Ch
             )
         )
 
-    shared = sorted(old_paths & new_paths)
-
-    def diff_one(path: str) -> list[ChangeRecord]:
-        return _PackageDiffer(old.packages[path], new.packages[path], ctx).run()
-
-    if jobs > 1 and len(shared) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(diff_one, shared):
-                records.extend(chunk)
-    else:
-        for path in shared:
-            records.extend(diff_one(path))
+    for path in sorted(old_paths & new_paths):
+        records.extend(_PackageDiffer(old.packages[path], new.packages[path], ctx).run())
 
     records.sort(key=_record_sort_key)
     return records

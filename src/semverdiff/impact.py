@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import os
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -74,12 +73,6 @@ class ImpactResult:
     usages: list[ClientUsage]
     nodes: list[BreakingNode]
     reports: list[ScanReport] = field(default_factory=list)
-
-    def condition_usage_counts(self) -> Counter:
-        counts: Counter = Counter()
-        for u in self.usages:
-            counts[(u.node.category, u.node.condition)] += 1
-        return counts
 
 
 def collect_breaking_nodes(

@@ -173,6 +173,13 @@ class GoFile:
     funcs: list[FuncDecl] = field(default_factory=list)
 
 
+# Deepest type nesting (pointers, slices, maps, funcs, structs, generic
+# arguments, ...) a file may use. Parsing, rendering and the structural form
+# each recurse a few frames per level; the bound keeps all of them well inside
+# Python's default recursion limit, so a hostile file is a syntax error rather
+# than a RecursionError.
+MAX_TYPE_NESTING = 50
+
 _TYPE_START_KEYWORDS = frozenset({"chan", "map", "func", "struct", "interface"})
 _TYPE_START_OPS = frozenset({"(", "[", "*", "<-"})
 
@@ -198,6 +205,7 @@ class _Parser:
         self.i = 0
         self.package_path = package_path
         self.import_map: dict[str, str] = import_map if import_map is not None else {}
+        self.depth = 0  # type nesting of the type being parsed, sub-parsers included
 
     # -- cursor helpers ----------------------------------------------------
 
@@ -236,7 +244,14 @@ class _Parser:
 
     def _sub(self, tokens: list[Token]) -> "_Parser":
         sub = _Parser(tokens + [Token("eof", "", tokens[-1].line if tokens else 0)], self.package_path, self.import_map)
+        sub.depth = self.depth
         return sub
+
+    def _nest(self) -> None:
+        """Count one more level of type nesting; the caller undoes it."""
+        if self.depth >= MAX_TYPE_NESTING:
+            raise GoSyntaxError(f"type nested deeper than {MAX_TYPE_NESTING} levels", self.cur().line)
+        self.depth += 1
 
     def _parse_type_full(self, tokens: list[Token], tparams: frozenset[str]) -> TypeExpr:
         if not tokens:
@@ -408,7 +423,11 @@ class _Parser:
             return _literal_type(first) or Basic("untyped")
         try:
             if first.kind == "op" and first.text == "&":
-                inner = self._infer_var_type(value[1:])
+                self._nest()
+                try:
+                    inner = self._infer_var_type(value[1:])
+                finally:
+                    self.depth -= 1
                 return inner if isinstance(inner, Basic) else Pointer(inner)
             if first.kind == "keyword" and first.text == "func":
                 sub = self._sub(value[1:])
@@ -673,6 +692,13 @@ class _Parser:
         return Named(self.package_path, name)
 
     def _parse_type(self, tparams: frozenset[str]) -> TypeExpr:
+        self._nest()
+        try:
+            return self._parse_type_at_depth(tparams)
+        finally:
+            self.depth -= 1
+
+    def _parse_type_at_depth(self, tparams: frozenset[str]) -> TypeExpr:
         tok = self.cur()
         if tok.kind == "op":
             if tok.text == "*":

@@ -12,7 +12,6 @@ import json
 import logging
 import os
 import unicodedata
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -109,14 +108,13 @@ def extract_surface(
     module_path: str,
     version: SemanticVersion | None = None,
     *,
-    jobs: int = 1,
     extra_excluded_dirs: tuple[str, ...] = (),
 ) -> ApiSurface:
     """Extract the exported API surface of the module rooted at module_root.
 
     Files that fail to parse are recorded and skipped; raises SurfaceEmpty
     when nothing parses at all. Two walks of the same tree yield identical
-    surfaces regardless of the jobs count.
+    surfaces.
     """
     root = Path(module_root)
     banned = set(extra_excluded_dirs)
@@ -136,31 +134,18 @@ def extract_surface(
             if fn.endswith(".go") and not fn.endswith("_test.go"):
                 files.append((rel, Path(dirpath) / fn))
 
-    def parse_one(entry: tuple[str, Path]) -> tuple[str, str, GoFile | None, str | None]:
-        rel_dir, path = entry
-        pkg_path = _package_path(module_path, rel_dir)
-        try:
-            text = path.read_text(encoding="utf-8")
-            return rel_dir, path.name, parse_go_file(text, pkg_path), None
-        except (OSError, UnicodeDecodeError, GoSyntaxError) as exc:
-            return rel_dir, path.name, None, str(exc)
-
-    if jobs > 1 and len(files) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(parse_one, files))
-    else:
-        results = [parse_one(f) for f in files]
-
     surface = ApiSurface(module_path=module_path, version=version)
     parsed_count = 0
-    for rel_dir, filename, gofile, error in results:
-        rel_file = filename if rel_dir == "." else f"{rel_dir}/{filename}"
-        if gofile is None:
-            logger.warning("parse failure in %s: %s", rel_file, error)
-            surface.parse_failures.append((rel_file, error or "parse failure"))
+    for rel_dir, path in files:
+        rel_file = path.name if rel_dir == "." else f"{rel_dir}/{path.name}"
+        pkg_path = _package_path(module_path, rel_dir)
+        try:
+            gofile = parse_go_file(path.read_text(encoding="utf-8"), pkg_path)
+        except (OSError, UnicodeDecodeError, GoSyntaxError) as exc:
+            logger.warning("parse failure in %s: %s", rel_file, exc)
+            surface.parse_failures.append((rel_file, str(exc) or "parse failure"))
             continue
         parsed_count += 1
-        pkg_path = _package_path(module_path, rel_dir)
         pkg = surface.packages.setdefault(pkg_path, PackageSurface(import_path=pkg_path))
         for obj in _objects_from_file(gofile):
             pkg.objects.setdefault(obj.key, obj)

@@ -78,6 +78,34 @@ class TestExtract:
         code, _, err = run_cli(["extract", str(tmp_path)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["extract", "diff", "check", "impact"])
+    def test_non_utf8_manifest_is_input_error(self, tmp_path, capsys, command):
+        lib = tmp_path / "lib"
+        for version in ("v1.0.0", "v1.1.0"):
+            write_tree(lib / version, {"lib.go": "package lib\n\nfunc F() {}\n"})
+            (lib / version / "go.mod").write_bytes(b"module example.com/lib\xff\n\ngo 1.19\n")
+        old, new = lib / "v1.0.0", lib / "v1.1.0"
+        args = {
+            "extract": ["extract", str(old)],
+            "diff": ["diff", str(old), str(new)],
+            "check": ["check", str(old), str(new), "--from", "v1.0.0", "--to", "v1.1.0"],
+            "impact": ["impact", "--library", str(lib), "--upgrade", "v1.0.0..v1.1.0", "--clients", str(tmp_path)],
+        }[command]
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(old / "go.mod") in err
+
+    def test_deeply_nested_type_is_a_parse_failure(self, tmp_path, capsys):
+        root = write_module(
+            tmp_path / "m",
+            "example.com/m",
+            {"deep.go": "package m\n\ntype Deep " + "*" * 5000 + "int\n", "ok.go": "package m\n\nfunc Keep() {}\n"},
+        )
+        code, out, _ = run_cli(["extract", str(root)], capsys)
+        assert code == 0
+        keys = [o["key"] for p in json.loads(out)["packages"] for o in p["objects"]]
+        assert keys == ["Keep"]
+
 
 class TestDiff:
     def test_identical_checkouts_exit_zero(self, identical_pair, capsys):
@@ -108,12 +136,12 @@ class TestDiff:
         assert len(records) == len(blocks) == 1
         assert f"Change Message: {records[0]['message']}" in blocks[0]
 
-    def test_jobs_do_not_change_output(self, fig2_pair, capsys):
+    def test_output_is_deterministic(self, fig2_pair, capsys):
         old, new = fig2_pair
         args = ["diff", str(old), str(new), "--format", "json"]
-        _, out1, _ = run_cli(args + ["--jobs", "1"], capsys)
-        _, out4, _ = run_cli(args + ["--jobs", "4"], capsys)
-        assert out1 == out4
+        _, first, _ = run_cli(args, capsys)
+        _, second, _ = run_cli(args, capsys)
+        assert first and first == second
 
     def test_exclude_dir_extends_filter(self, tmp_path, capsys):
         mod = "example.com/lib"
@@ -348,6 +376,11 @@ class TestUsageErrors:
         old, new = identical_pair
         code, _, _ = run_cli(["diff", str(old), str(new), "--format", "yaml"], capsys)
         assert code == 2
+
+    def test_removed_jobs_option(self, tmp_path, capsys):
+        code, out, err = run_cli(["report", str(tmp_path), "--jobs", "2"], capsys)
+        assert code == 2 and out == ""
+        assert "No such option" in err and "--jobs" in err
 
     def test_invalid_version_flag(self, identical_pair, capsys):
         old, new = identical_pair

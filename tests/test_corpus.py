@@ -24,7 +24,6 @@ from semverdiff.corpus import (
     time_series,
     upgrade_stats_rows,
     validate_corpus,
-    validate_entry,
     write_condition_stats_csv,
     write_upgrade_stats_csv,
 )
@@ -122,29 +121,33 @@ class TestValidate:
         root = _mini_corpus(tmp_path)
         (root / "mod-a" / "v1.0.0" / "go.mod").unlink()
         entries = ingest_corpus(root)
+        validate_corpus(entries)
         entry = next(e for e in entries if e.module_dir_id == "mod-a" and e.version_raw == "v1.0.0")
-        assert validate_entry(entry) == "missing manifest"
+        assert entry.invalid_reason == "missing manifest"
 
     def test_no_go_files(self, tmp_path):
         root = _mini_corpus(tmp_path)
         (root / "mod-a" / "v1.0.0" / "lib.go").unlink()
         entries = ingest_corpus(root)
+        validate_corpus(entries)
         entry = next(e for e in entries if e.module_dir_id == "mod-a" and e.version_raw == "v1.0.0")
-        assert validate_entry(entry) == "no go files"
+        assert entry.invalid_reason == "no go files"
 
     def test_malformed_manifest(self, tmp_path):
         root = _mini_corpus(tmp_path)
         (root / "mod-a" / "v1.0.0" / "go.mod").write_text("module example.com/a\nrequire (\n")
         entries = ingest_corpus(root)
+        validate_corpus(entries)
         entry = next(e for e in entries if e.module_dir_id == "mod-a" and e.version_raw == "v1.0.0")
-        assert (validate_entry(entry) or "").startswith("malformed manifest")
+        assert (entry.invalid_reason or "").startswith("malformed manifest")
 
     def test_module_path_mismatch(self, tmp_path):
         root = _mini_corpus(tmp_path)
         (root / "mod-a" / "v1.0.0" / "go.mod").write_text("module example.com/other\n")
         entries = ingest_corpus(root)
+        validate_corpus(entries)
         entry = next(e for e in entries if e.module_dir_id == "mod-a" and e.version_raw == "v1.0.0")
-        assert validate_entry(entry) == "module path mismatch"
+        assert entry.invalid_reason == "module path mismatch"
 
     def test_well_formed_module_is_valid(self, tmp_path):
         root = _mini_corpus(tmp_path)
@@ -259,16 +262,16 @@ class TestPlantedCorpusPipeline:
             breaking[v.level] += int(v.breaking)
         stats = aggregate_upgrade_stats(planted_analysis.upgrades)
         for label in ("Major", "Minor", "Patch", "Development"):
-            assert stats.row(label).total == totals[label], label
-            assert stats.row(label).breaking == breaking[label], label
-        assert stats.row("Non-Major").total == totals["Minor"] + totals["Patch"]
-        assert stats.row("Non-Major").breaking == breaking["Minor"] + breaking["Patch"]
-        assert stats.row("Total").total == sum(totals.values())
-        assert stats.row("Total").breaking == sum(breaking.values())
+            assert stats.levels[label].total == totals[label], label
+            assert stats.levels[label].breaking == breaking[label], label
+        assert stats.levels["Non-Major"].total == totals["Minor"] + totals["Patch"]
+        assert stats.levels["Non-Major"].breaking == breaking["Minor"] + breaking["Patch"]
+        assert stats.levels["Total"].total == sum(totals.values())
+        assert stats.levels["Total"].breaking == sum(breaking.values())
 
     def test_minor_breaking_rate_is_thirty_percent(self, planted_analysis):
         stats = aggregate_upgrade_stats(planted_analysis.upgrades)
-        minor = stats.row("Minor")
+        minor = stats.levels["Minor"]
         assert (minor.total, minor.breaking) == (10, 3)
         assert percent_display(minor.breaking, minor.total) == "30.0"
 
@@ -303,7 +306,8 @@ class TestPlantedCorpusPipeline:
             used_expected[(category, condition)] += 1
             pairs_expected[(category, condition)] += 1
 
-        rows = {(r["category"], r["condition"]): r for r in condition_table(planted_analysis.upgrades)}
+        pairs = [(u.records, u.usages) for u in planted_analysis.upgrades]
+        rows = {(r["category"], r["condition"]): r for r in condition_table(pairs)}
         for key in CATALOGUE:
             row = rows[key]
             assert row["breaking"] == b_expected[key], key
@@ -314,7 +318,7 @@ class TestPlantedCorpusPipeline:
         assert total_row["usage"] == len(pc.EXPECTED_USED)
 
     def test_condition_percentages_match_recount(self, planted_analysis):
-        rows = condition_table(planted_analysis.upgrades)
+        rows = condition_table([(u.records, u.usages) for u in planted_analysis.upgrades])
         total_b = sum(r["breaking"] for r in rows if r["category"] != "Total")
         for row in rows:
             if row["category"] == "Total":
@@ -354,7 +358,7 @@ class TestPlantedCorpusPipeline:
         for p in points:
             sums[p.level] += p.total
         for label in ("Major", "Minor", "Patch", "Development", "Non-Major"):
-            assert sums[label] == stats.row(label).total, label
+            assert sums[label] == stats.levels[label].total, label
 
     def test_prerelease_upgrades_excluded_by_default(self, planted_analysis):
         assert all(u.level.label != "Pre-release/Build" for u in planted_analysis.upgrades)
@@ -365,8 +369,8 @@ class TestPlantedCorpusPipeline:
         assert len(prb) == 1
         assert prb[0].to_entry.version_raw == "v1.2.1-rc.1"
         stats = aggregate_upgrade_stats(analysis.upgrades, include_prerelease=True)
-        assert stats.row("Pre-release/Build").total == 1
-        assert stats.row("Total").total == 41
+        assert stats.levels["Pre-release/Build"].total == 1
+        assert stats.levels["Total"].total == 41
 
     def test_cleaning_monotonicity(self, planted_root, tmp_path):
         copy = tmp_path / "corpus"
@@ -387,7 +391,8 @@ class TestPlantedCorpusPipeline:
             analysis = analyze_corpus(root)
             stats_buf, cond_buf = io.StringIO(), io.StringIO()
             write_upgrade_stats_csv(aggregate_upgrade_stats(analysis.upgrades), stats_buf)
-            write_condition_stats_csv(condition_table(analysis.upgrades), cond_buf)
+            pairs = [(u.records, u.usages) for u in analysis.upgrades]
+            write_condition_stats_csv(condition_table(pairs), cond_buf)
             return stats_buf.getvalue(), cond_buf.getvalue()
 
         assert csv_reports(copy) == csv_reports(planted_root)
@@ -395,7 +400,7 @@ class TestPlantedCorpusPipeline:
 
 def test_empty_level_has_undefined_rate_flag():
     stats = aggregate_upgrade_stats([])
-    row = stats.row("Major")
+    row = stats.levels["Major"]
     assert row.total == 0
     assert row.rate_defined is False
     assert percent_display(row.breaking, row.total) == "0.0"

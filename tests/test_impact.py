@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 import impact_fixtures as fx
@@ -217,6 +219,6 @@ class TestAnalyzeImpact:
         old, new = library_pair
         records = diff_surfaces(old, new)
         result = analyze_impact(records, [client_roots[n] for n in sorted(fx.CLIENTS)], old_surface=old)
-        counts = result.condition_usage_counts()
+        counts = Counter((u.node.category, u.node.condition) for u in result.usages)
         assert counts[("Function", "Remove")] == 2  # default + dot clients
         assert counts[("Function", "Param Change")] == 1

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from semverdiff.gotypes import (
@@ -10,8 +12,9 @@ from semverdiff.gotypes import (
     Struct,
     is_comparable,
     render_type_expr,
+    type_to_structure,
 )
-from semverdiff.parser import GoSyntaxError, parse_go_file, tokenize
+from semverdiff.parser import MAX_TYPE_NESTING, GoSyntaxError, parse_go_file, tokenize
 
 PKG = "example.com/lib"
 
@@ -290,3 +293,45 @@ class TestComparability:
 
         assert is_comparable(types["T"], resolve) is False
         assert is_comparable(types["T"]) is True
+
+
+# (prefix, suffix) that wrap a type in one more level of nesting.
+_NESTINGS = {
+    "pointer": ("*", ""),
+    "slice": ("[]", ""),
+    "array": ("[3]", ""),
+    "map": ("map[int]", ""),
+    "chan": ("chan ", ""),
+    "paren": ("(", ")"),
+    "func-result": ("func() ", ""),
+    "func-param": ("func(x ", ")"),
+    "generic-arg": ("List[", "]"),
+    "struct": ("struct{ X ", " }"),
+    "interface": ("interface{ M() ", " }"),
+}
+
+
+def _nested(shape: str, levels: int) -> str:
+    """Source of a type nested `levels` deep, counting the innermost `int`."""
+    prefix, suffix = _NESTINGS[shape]
+    return prefix * (levels - 1) + "int" + suffix * (levels - 1)
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("shape", sorted(_NESTINGS))
+    def test_type_at_the_limit_parses(self, shape):
+        t = _first_type(f"package lib\n\ntype T {_nested(shape, MAX_TYPE_NESTING)}\n")
+        assert _first_type(f"package lib\n\ntype T {render_type_expr(t, PKG)}\n") == t
+        json.dumps(type_to_structure(t), indent=2)
+        is_comparable(t)
+
+    @pytest.mark.parametrize("shape", sorted(_NESTINGS))
+    def test_one_level_past_the_limit_is_a_syntax_error(self, shape):
+        with pytest.raises(GoSyntaxError, match="nested deeper than"):
+            parse_go_file(f"package lib\n\ntype T {_nested(shape, MAX_TYPE_NESTING + 1)}\n", PKG)
+
+    def test_address_of_chain_in_var_initializer(self):
+        shallow = parse_go_file("package lib\n\nvar V = & T{}\n", PKG).vars[0].type
+        assert shallow == Pointer(Named(PKG, "T"))
+        deep = parse_go_file("package lib\n\nvar V = " + "& " * 5000 + "T{}\n", PKG).vars[0].type
+        assert deep == Basic("untyped")

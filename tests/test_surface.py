@@ -155,6 +155,21 @@ class TestExtractSurface:
         assert list(surface.packages[MOD].objects) == ["Keep"]
         assert [path for path, _ in surface.parse_failures] == ["bad.go"]
 
+    @pytest.mark.parametrize("nesting", ["*", "[]", "map[int]", "func() "])
+    def test_hostile_type_nesting_is_a_parse_failure(self, tmp_path, nesting):
+        write_module(
+            tmp_path,
+            MOD,
+            {
+                "deep.go": f"package lib\n\ntype Deep {nesting * 5000}int\n",
+                "good.go": "package lib\n\nfunc Keep() {}\n",
+            },
+        )
+        surface = extract_surface(tmp_path, MOD)
+        assert list(surface.packages[MOD].objects) == ["Keep"]
+        ((path, reason),) = surface.parse_failures
+        assert path == "deep.go" and "nested deeper than" in reason
+
     def test_subpackage_import_paths(self, tmp_path):
         write_module(
             tmp_path,
@@ -167,16 +182,13 @@ class TestExtractSurface:
         surface = extract_surface(tmp_path, MOD)
         assert set(surface.packages) == {MOD, f"{MOD}/api/v2"}
 
-    def test_deterministic_and_jobs_independent(self, tmp_path):
+    def test_deterministic(self, tmp_path):
         files = {"lib.go": "package lib\n\nfunc A() {}\n"}
         for i in range(6):
             files[f"p{i}/p.go"] = f"package p{i}\n\nfunc P{i}() {{}}\n"
         write_module(tmp_path, MOD, files)
-        docs = [
-            surface_to_json(extract_surface(tmp_path, MOD, parse_version("v1.0.0"), jobs=j))
-            for j in (1, 1, 4)
-        ]
-        assert docs[0] == docs[1] == docs[2]
+        docs = [surface_to_json(extract_surface(tmp_path, MOD, parse_version("v1.0.0"))) for _ in range(2)]
+        assert docs[0] == docs[1]
 
 
 class TestSerialization:
