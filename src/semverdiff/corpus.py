@@ -67,6 +67,8 @@ class CorpusEntry:
     released_at: date | None
     module_dir_id: str
     invalid_reason: str | None = None
+    # The parsed go.mod, kept by validate_corpus for build_graph.
+    manifest: ModuleManifest | None = None
 
     @property
     def is_valid(self) -> bool:
@@ -154,6 +156,7 @@ def _dedup_module_paths(entries: list[CorpusEntry]) -> None:
 
 
 def _validate_and_extract(entry: CorpusEntry) -> tuple[str | None, ApiSurface | None]:
+    """Return the invalid reason or the surface, keeping the parsed go.mod on the entry."""
     if entry.invalid_reason is not None:
         return entry.invalid_reason, None
     root = entry.checkout_dir
@@ -168,6 +171,7 @@ def _validate_and_extract(entry: CorpusEntry) -> tuple[str | None, ApiSurface | 
         return f"malformed manifest: {exc}", None
     if manifest.module_path != entry.module_path:
         return "module path mismatch", None
+    entry.manifest = manifest
     try:
         surface = extract_surface(root, entry.module_path, entry.version)
     except SurfaceEmpty:
@@ -204,25 +208,21 @@ class DependencyGraph:
     roles: dict[tuple[str, str], dict] = field(default_factory=dict)
 
 
-def _manifest_for(entry: CorpusEntry) -> ModuleManifest | None:
-    path = entry.checkout_dir / MANIFEST_NAME
-    try:
-        return parse_manifest(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, MalformedManifest):
-        return None
-
-
 def build_graph(entries: list[CorpusEntry]) -> DependencyGraph:
-    """Graph over valid entries; edge targets outside the corpus become stubs."""
+    """Graph over valid entries; edge targets outside the corpus become stubs.
+
+    Edges come from the manifests validate_corpus stored on the entries, so
+    the entries must have been validated first; a valid entry without one
+    raises ValueError.
+    """
     g = DependencyGraph()
     valid = [e for e in entries if e.is_valid and e.version is not None]
     for entry in valid:
         g.nodes[entry.node_key] = {"stub": False, "unparsed_version": False}
     for entry in valid:
-        manifest = _manifest_for(entry)
-        if manifest is None:
-            continue
-        for edge in extract_edges(manifest, entry.version):
+        if entry.manifest is None:
+            raise ValueError(f"{entry.checkout_dir}: entry has no manifest; run validate_corpus first")
+        for edge in extract_edges(entry.manifest, entry.version):
             if edge.target_version is not None:
                 target = (edge.target_path, edge.target_version.render())
                 unparsed = False

@@ -112,10 +112,12 @@ def bind_imports(source_file: str, file: str = "") -> ImportBinding:
     """Extract the import bindings of one source file.
 
     The default alias is the last path segment; explicit aliases are honored;
-    "." imports land in dot_imports and "_" imports in blank_imports.
+    "." imports land in dot_imports and "_" imports in blank_imports. The
+    whole file is lexed, function bodies without tokens, so a lexical error
+    anywhere in it is a ParseFailure.
     """
     try:
-        tokens = _goparser.tokenize(source_file)
+        tokens = _goparser.tokenize(source_file, skip_bodies=True)
         p = _goparser._Parser(tokens, "")
         p.skip_semis()
         if not p.at_keyword("package"):

@@ -1,10 +1,14 @@
 """Declaration-level parser for Go source files.
 
 The tokenizer understands full Go lexing (strings, runes, comments, automatic
-semicolon insertion) so that balanced-brace skipping of function bodies is
-string- and comment-aware for free. The parser itself only covers what an API
-surface needs: the package clause, imports, and top-level const/var/type/func
-declarations, including generic type parameters.
+semicolon insertion). Declaration parsing and import binding call it with
+skip_bodies, which keeps the braces of each top-level function body and builds
+no tokens between them: a small regex scans to the matching brace, string-,
+rune- and comment-aware, and raises the same lexical errors the full lexer
+would. A file whose brackets do not nest is lexed in full instead, because
+there the lexer cannot tell what is top level. The parser itself only covers
+what an API surface needs: the package clause, imports, and top-level
+const/var/type/func declarations, including generic type parameters.
 """
 
 from __future__ import annotations
@@ -59,26 +63,47 @@ PREDECLARED_TYPES = frozenset(
     "rune string uint uint8 uint16 uint32 uint64 uintptr any comparable".split()
 )
 
+# Sub-patterns the token regex and the body regex share: inside them a brace
+# is text, not a bracket.
+_COMMENT_LINE = r"//[^\n]*"
+_COMMENT_BLOCK = r"/\*(?s:.*?)\*/"
+_RAW_STRING = r"`[^`]*`"
+_STRING = r'"(?:[^"\\\n]|\\.)*"'
+_RUNE = r"'(?:[^'\\\n]|\\.)*'"
+
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
       (?P<ws>[ \t\r]+)
     | (?P<newline>\n)
-    | (?P<comment_line>//[^\n]*)
-    | (?P<comment_block>/\*(?s:.*?)\*/)
-    | (?P<raw_string>`[^`]*`)
-    | (?P<string>"(?:[^"\\\n]|\\.)*")
-    | (?P<rune>'(?:[^'\\\n]|\\.)*')
+    | (?P<comment_line>{_COMMENT_LINE})
+    | (?P<comment_block>{_COMMENT_BLOCK})
+    | (?P<raw_string>{_RAW_STRING})
+    | (?P<string>{_STRING})
+    | (?P<rune>{_RUNE})
     | (?P<float>(?:\d[\d_]*\.[\d_]*(?:[eE][+-]?\d[\d_]*)?
         |\.\d[\d_]*(?:[eE][+-]?\d[\d_]*)?
         |\d[\d_]*[eE][+-]?\d[\d_]*
         |0[xX][\da-fA-F_]*(?:\.[\da-fA-F_]*)?[pP][+-]?\d[\d_]*)i?)
     | (?P<int>(?:0[xX][\da-fA-F_]+|0[bB][01_]+|0[oO][0-7_]+|\d[\d_]*)i?)
     | (?P<ident>[^\W\d]\w*)
-    | (?P<op><<=|>>=|&\^=|\.\.\.|&&|\|\||<-|\+\+|--|==|!=|<=|>=|:=|\+=|-=|\*=|/=|%=|&=|\|=|\^=|<<|>>|&\^|[+\-*/%&|^<>=!:;,.()\[\]{}~])
+    | (?P<open>[(\[{{])
+    | (?P<close>[)\]}}])
+    | (?P<op><<=|>>=|&\^=|\.\.\.|&&|\|\||<-|\+\+|--|==|!=|<=|>=|:=|\+=|-=|\*=|/=|%=|&=|\|=|\^=|<<|>>|&\^|[+\-*/%&|^<>=!:;,.~])
     """,
     re.VERBOSE,
 )
 
+# A function body scanned without tokens: runs of characters that can start
+# no string, comment or brace, then each string, rune, comment, lone "/" and
+# brace. It accepts exactly the text _TOKEN_RE accepts.
+_BODY_RE = re.compile(
+    rf"[\w \t\r\n+\-*%&|^<>=!:;,.()\[\]~]+|{_COMMENT_LINE}|{_COMMENT_BLOCK}"
+    rf"|{_RAW_STRING}|{_STRING}|{_RUNE}|/|(?P<open>\{{)|(?P<close>\}})"
+)
+
+_CLOSERS = {"(": ")", "[": "]", "{": "}"}
+# Keywords that start a top-level declaration other than a function.
+_DECL_KEYWORDS = frozenset({"const", "import", "package", "type", "var"})
 _SEMI_AFTER_OPS = frozenset({")", "]", "}", "++", "--"})
 _SEMI_AFTER_KEYWORDS = frozenset({"break", "continue", "fallthrough", "return"})
 _LITERAL_KINDS = frozenset({"int", "float", "string", "raw_string", "rune"})
@@ -92,16 +117,42 @@ def _inserts_semi(tok: Token) -> bool:
     return tok.kind == "op" and tok.text in _SEMI_AFTER_OPS
 
 
-def tokenize(text: str) -> list[Token]:
-    """Lex Go source into tokens, applying the semicolon-insertion rule."""
+class _Misnested(Exception):
+    """Brackets do not nest, so the lexer cannot tell what is top level."""
+
+
+def tokenize(text: str, *, skip_bodies: bool = False) -> list[Token]:
+    """Lex Go source into tokens, applying the semicolon-insertion rule.
+
+    With skip_bodies, the braces of each top-level function body are kept
+    and the tokens between them are not built; the text in between is still
+    checked for lexical errors. A file whose brackets do not nest is lexed
+    in full.
+    """
     if text.startswith("﻿"):
         text = text[1:]
+    if skip_bodies:
+        try:
+            return _lex(text, True)
+        except _Misnested:
+            pass
+    return _lex(text, False)
+
+
+def _lex(text: str, skip_bodies: bool) -> list[Token]:
     tokens: list[Token] = []
+    append = tokens.append
+    match = _TOKEN_RE.match
     pos = 0
     line = 1
     size = len(text)
+    closers: list[str] = []  # expected closing brackets, innermost last
+    # Index of the first token of the current top-level declaration: the token
+    # after a ";" at bracket depth 0, or a const/import/package/type/var
+    # keyword at depth 0, since the parser needs no ";" between declarations.
+    decl_start = 0
     while pos < size:
-        m = _TOKEN_RE.match(text, pos)
+        m = match(text, pos)
         if m is None:
             raise GoSyntaxError(f"unexpected character {text[pos]!r}", line)
         kind = m.lastgroup or ""
@@ -111,20 +162,73 @@ def tokenize(text: str) -> list[Token]:
             continue
         if kind == "newline" or (kind == "comment_block" and "\n" in value):
             if tokens and _inserts_semi(tokens[-1]):
-                tokens.append(Token("op", ";", line))
+                if not closers:
+                    decl_start = len(tokens) + 1
+                append(Token("op", ";", line))
             line += value.count("\n")
             continue
         if kind == "comment_block":
             continue
-        if kind == "ident" and value in GO_KEYWORDS:
-            kind = "keyword"
-        tokens.append(Token(kind, value, line))
+        if kind == "ident":
+            if value in GO_KEYWORDS:
+                kind = "keyword"
+                if skip_bodies and not closers and value in _DECL_KEYWORDS:
+                    decl_start = len(tokens)
+        elif kind == "open":
+            kind = "op"
+            if (
+                skip_bodies
+                and value == "{"
+                and not closers
+                and decl_start < len(tokens)
+                and tokens[decl_start].text == "func"
+                and tokens[-1].text not in ("struct", "interface")
+            ):
+                append(Token("op", "{", line))
+                start = pos
+                pos = _skip_body(text, pos, line)
+                line += text.count("\n", start, pos)
+                append(Token("op", "}", line))
+                continue
+            if skip_bodies:
+                closers.append(_CLOSERS[value])
+        elif kind == "close":
+            kind = "op"
+            if skip_bodies and (not closers or closers.pop() != value):
+                raise _Misnested
+        elif kind == "op" and value == ";" and not closers:
+            decl_start = len(tokens) + 1
+        append(Token(kind, value, line))
         if "\n" in value:  # raw strings may span lines
             line += value.count("\n")
+    if closers:
+        raise _Misnested
     if tokens and _inserts_semi(tokens[-1]):
-        tokens.append(Token("op", ";", line))
-    tokens.append(Token("eof", "", line))
+        append(Token("op", ";", line))
+    append(Token("eof", "", line))
     return tokens
+
+
+def _skip_body(text: str, pos: int, line: int) -> int:
+    """Return the offset just past the "}" that closes the body whose "{" ends at pos."""
+    match = _BODY_RE.match
+    start = pos
+    depth = 1
+    while True:
+        m = match(text, pos)
+        if m is None:
+            if pos >= len(text):
+                raise _Misnested  # unterminated body
+            line += text.count("\n", start, pos)
+            raise GoSyntaxError(f"unexpected character {text[pos]!r}", line)
+        pos = m.end()
+        kind = m.lastgroup
+        if kind == "open":
+            depth += 1
+        elif kind == "close":
+            depth -= 1
+            if depth == 0:
+                return pos
 
 
 @dataclass(frozen=True)
@@ -1011,5 +1115,5 @@ def _embedded_name(t: TypeExpr) -> str:
 
 def parse_go_file(text: str, package_path: str = "") -> GoFile:
     """Parse one source file at declaration level."""
-    parser = _Parser(tokenize(text), package_path)
+    parser = _Parser(tokenize(text, skip_bodies=True), package_path)
     return parser.parse_file()

@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 import planted_corpus as pc
+import semverdiff.corpus as corpus_module
 from conftest import write_tree
 from semverdiff.corpus import (
     CorruptGraphFile,
@@ -167,6 +168,20 @@ class TestGraph:
         assert g.roles[("example.com/b", "1.0.0")] == {"tpl": True, "client": False}
         assert g.roles[("example.com/a", "1.0.0")] == {"tpl": False, "client": True}
         assert g.roles[("example.com/b", "1.1.0")] == {"tpl": False, "client": False}
+
+    def test_reads_the_manifests_validation_parsed(self, tmp_path, monkeypatch):
+        entries = ingest_corpus(_mini_corpus(tmp_path))
+        validate_corpus(entries)
+        calls = []
+        monkeypatch.setattr(corpus_module, "parse_manifest", calls.append)
+        g = build_graph(entries)
+        assert calls == []
+        assert (("example.com/a", "1.0.0"), ("example.com/b", "1.0.0")) in g.edges
+
+    def test_requires_validated_entries(self, tmp_path):
+        entries = ingest_corpus(_mini_corpus(tmp_path))
+        with pytest.raises(ValueError, match="run validate_corpus first"):
+            build_graph(entries)
 
     def test_external_requirement_becomes_stub(self, tmp_path):
         root = _mini_corpus(tmp_path)

@@ -80,6 +80,16 @@ class TestCollectNodes:
         assert all(n.record is record for n in nodes)
 
 
+# A valid import header and, inside a function body, a character that starts no Go token.
+_BODY_LEXING_ERROR = (
+    "package main\n\n"
+    'import "example.com/brklib"\n\n'
+    "func main() {\n"
+    "\tbrklib.OldThing() @\n"
+    "}\n"
+)
+
+
 class TestBindImports:
     def test_explicit_alias(self):
         b = bind_imports('package main\n\nimport pb "example.com/lib/protobuf"\n')
@@ -99,6 +109,10 @@ class TestBindImports:
     def test_parse_failure(self):
         with pytest.raises(ParseFailure):
             bind_imports("not a go file at all ???")
+
+    def test_lexing_error_in_a_function_body(self):
+        with pytest.raises(ParseFailure, match=r"^main.go: line 6: unexpected character '@'$"):
+            bind_imports(_BODY_LEXING_ERROR, "main.go")
 
 
 class TestScanClient:
@@ -143,6 +157,19 @@ class TestScanClient:
         assert calls == []
         scan_client(client_roots["client-default"], nodes)
         assert len(calls) == 1
+
+    def test_file_with_lexing_error_is_neither_scanned_nor_skipped(self, tmp_path, library_pair):
+        old, new = library_pair
+        nodes = collect_breaking_nodes(diff_surfaces(old, new), old_surface=old)
+        root = write_tree(
+            tmp_path / "client",
+            {"bad.go": _BODY_LEXING_ERROR, "good.go": fx.CLIENTS["client-default"]["main.go"]},
+        )
+        report = ScanReport()
+        usages = scan_client(root, nodes, report=report)
+        assert report.scanned == ["good.go"]
+        assert report.skipped == []
+        assert {u.file for u in usages} == {"good.go"}
 
     def test_unaffected_importing_client(self, library_pair, client_roots):
         old, new = library_pair

@@ -3,7 +3,11 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import catalogue_fixtures
+import impact_fixtures
+import planted_corpus
 from semverdiff.gotypes import (
     Basic,
     Interface,
@@ -14,7 +18,7 @@ from semverdiff.gotypes import (
     render_type_expr,
     type_to_structure,
 )
-from semverdiff.parser import MAX_TYPE_NESTING, GoSyntaxError, parse_go_file, tokenize
+from semverdiff.parser import MAX_TYPE_NESTING, GoSyntaxError, _Parser, parse_go_file, tokenize
 
 PKG = "example.com/lib"
 
@@ -335,3 +339,123 @@ class TestNestingLimit:
         assert shallow == Pointer(Named(PKG, "T"))
         deep = parse_go_file("package lib\n\nvar V = " + "& " * 5000 + "T{}\n", PKG).vars[0].type
         assert deep == Basic("untyped")
+
+
+def _fixture_sources() -> list[str]:
+    """Every Go source of the catalogue, impact and planted-corpus fixtures."""
+    trees: list[dict[str, str]] = []
+    for fixture in catalogue_fixtures.FIXTURES:
+        trees += [fixture.old, fixture.new]
+    trees += [impact_fixtures.LIBRARY_OLD, impact_fixtures.LIBRARY_NEW, *impact_fixtures.CLIENTS.values()]
+    for module in planted_corpus.MODULES:
+        trees += [version.files for version in module.versions]
+    return [text for tree in trees for rel, text in sorted(tree.items()) if rel.endswith(".go")]
+
+
+_SOURCES = _fixture_sources()
+
+_HOSTILE = (
+    "@", "$", "\\", '"', "'", "`", "/*", "*/", "//", "{", "}", "(", ")", "[", "]",
+    "﻿", "func ", "struct", "interface", "\n", ";", "var V = func() { ", "const C = ",
+)
+
+
+def _parse_outcome(src: str, skip_bodies: bool):
+    try:
+        return _Parser(tokenize(src, skip_bodies=skip_bodies), PKG).parse_file()
+    except GoSyntaxError as exc:
+        return f"GoSyntaxError: {exc}"
+
+
+def _assert_skipping_is_invisible(src: str) -> None:
+    assert _parse_outcome(src, True) == _parse_outcome(src, False), src
+
+
+@st.composite
+def _mutants(draw) -> str:
+    """A fixture source with a few hostile fragments inserted anywhere."""
+    src = draw(st.sampled_from(_SOURCES))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(src)))
+        src = src[:at] + draw(st.sampled_from(_HOSTILE)) + src[at:]
+    return src
+
+
+# Named shapes where the body skip could go wrong.
+_SHAPES = {
+    "brace-in-string": 'package p\n\nfunc F() string { return "}" }\n\nfunc G() {}\n',
+    "brace-in-rune": "package p\n\nfunc F() rune { return '}' }\n\nfunc G() {}\n",
+    "brace-in-raw-string": "package p\n\nfunc F() string {\n\treturn `}\n{`\n}\n\nfunc G() {}\n",
+    "brace-in-block-comment": "package p\n\nfunc F() { /* } */ }\n\nfunc G() {}\n",
+    "brace-in-line-comment": "package p\n\nfunc F() { // }\n}\n\nfunc G() {}\n",
+    "brace-pair-in-string": 'package p\n\nfunc F() { s := "} {" }\n',
+    "brace-pair-in-line-comment": "package p\n\nfunc F() { // } {\n}\n",
+    "brace-pair-in-block-comment": "package p\n\nfunc F() { /* } { */ }\n",
+    "quotes-in-comment": "package p\n\nfunc F() {\n\t// it's \"quoted\" `raw\n}\n",
+    "unterminated-block-comment": "package p\n\nfunc F() { x /* }\n\nfunc G() {}\n",
+    "struct-result": "package p\n\nfunc F() struct{X int} { return struct{X int}{} }\n",
+    "interface-result": "package p\n\nfunc F() interface{ M() } { return nil }\n",
+    "map-of-struct-result": "package p\n\nfunc F() map[string]struct{} { return nil }\n",
+    "func-result": "package p\n\nfunc F() func() int { return func() int { return 1 } }\n",
+    "method": "package p\n\ntype T struct{}\n\nfunc (t *T) M(x []int) (n int) { for range x { n++ }; return }\n",
+    "array-length-literal": "package p\n\nfunc F(x [len(T{1, 2})]int) {}\n",
+    "func-literal-var": "package p\n\nvar F = func() { x() }\n",
+    "func-literal-const": "package p\n\nconst C = func() { x }\n",
+    "decl-after-body": "package p\n\nfunc F() {} const C = func() { a }\n",
+    "decl-after-bodiless-func": "package p\n\nfunc F() int const C = func() { a }\n",
+    "two-bodies-one-line": "package p\n\nfunc F() { a } func G() { b }\n",
+    "extra-block-after-body": "package p\n\nfunc F() {} { x }\n",
+    "body-on-next-line": "package p\n\nfunc F()\n{\n}\n",
+    "unterminated-body": "package p\n\nfunc F() {\n\tx := 1\n",
+    "unterminated-string-in-body": 'package p\n\nfunc F() {\n\ts := "}\n}\n',
+    "body-lexing-error": "package p\n\nfunc F() {\n\tx := 1\n\ty := @\n}\n",
+    "misnested-paren": "package p\n\nfunc F() ) { x }\n",
+    "misnested-bracket": "package p\n\nfunc F(] { x }\n",
+    "misnested-brace": "package p\n\nfunc F() }{ x }\n",
+    "unclosed-paren": "package p\n\nvar x = (\n\nfunc F() { y }\n",
+    "bom": "﻿package p\n\nfunc F() { ﻿ }\n",
+}
+
+
+class TestSkipBodies:
+    def test_fixture_sources(self):
+        assert len(_SOURCES) > 100
+        for src in _SOURCES:
+            _assert_skipping_is_invisible(src)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_mutants())
+    def test_hostile_mutants(self, src):
+        _assert_skipping_is_invisible(src)
+
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_named_shapes(self, shape):
+        _assert_skipping_is_invisible(_SHAPES[shape])
+
+    def test_body_tokens_are_not_built(self):
+        src = "package p\n\nfunc F() {\n\tx := `a\nb`\n}\n\nvar V int\n"
+        toks = tokenize(src, skip_bodies=True)
+        assert [(t.text, t.line) for t in toks] == [
+            ("package", 1), ("p", 1), (";", 1),
+            ("func", 3), ("F", 3), ("(", 3), (")", 3), ("{", 3), ("}", 6), (";", 6),
+            ("var", 8), ("V", 8), ("int", 8), (";", 8), ("", 9),
+        ]
+        full = tokenize(src)
+        assert [t for t in full if t.line >= 6] == [t for t in toks if t.line >= 6]
+
+    def test_function_literals_keep_their_tokens(self):
+        src = "package p\n\nvar F = func() { x() }\n"
+        assert tokenize(src, skip_bodies=True) == tokenize(src)
+
+    def test_body_lexing_error_names_its_line(self):
+        with pytest.raises(GoSyntaxError, match=r"^line 5: unexpected character '@'$"):
+            tokenize(_SHAPES["body-lexing-error"], skip_bodies=True)
+
+    @pytest.mark.parametrize(
+        "shape", ["misnested-paren", "misnested-bracket", "misnested-brace", "unclosed-paren", "unterminated-body"]
+    )
+    def test_misnested_files_are_lexed_in_full(self, shape):
+        assert tokenize(_SHAPES[shape], skip_bodies=True) == tokenize(_SHAPES[shape])
+
+    def test_brackets_are_ops(self):
+        assert {t.kind for t in tokenize("f(a[0], T{})") if t.text and t.text in "()[]{}"} == {"op"}

@@ -5,6 +5,9 @@ from __future__ import annotations
 import importlib
 from pathlib import Path
 
+import impact_fixtures as fx
+from semverdiff import impact, parser
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -18,3 +21,30 @@ def test_every_traced_entry_point_exists(monkeypatch):
         if not callable(getattr(namespace, attr, None))
     ]
     assert missing == []
+
+
+def test_lexing_goes_through_the_traced_names(monkeypatch):
+    """Declaration parsing and import binding lex through `parser.tokenize`
+    with bodies skipped, and matching through `impact.tokenize` in full, so
+    the traced run reports lexing as lexing and not as parse time."""
+    calls = []
+
+    def spy_on(real):
+        def spy(*args, **kwargs):
+            calls.append((len(args), kwargs))
+            return real(*args, **kwargs)
+
+        return spy
+
+    monkeypatch.setattr(parser, "tokenize", spy_on(parser.tokenize))
+    monkeypatch.setattr(impact, "tokenize", spy_on(impact.tokenize))
+    src = fx.CLIENTS["client-default"]["main.go"]
+
+    parser.parse_go_file(src, "example.com/client")
+    assert calls == [(1, {"skip_bodies": True})]
+    calls.clear()
+    binding = impact.bind_imports(src, "main.go")
+    assert calls == [(1, {"skip_bodies": True})]
+    calls.clear()
+    impact._match_file("main.go", src, binding, {}, "example.com/client", None)
+    assert calls == [(1, {})]
