@@ -3,26 +3,29 @@
 Every breaking condition comes from a fixed 40-row catalogue of (category,
 condition) pairs; compatible additions are reported with the pseudo-condition
 "Add" outside the catalogue.
+
+Each change is decided by comparing types with `==`; most categories are
+decided by the rule table `_RULES`, Struct and Interface by methods of their
+own. A type is rendered only to build the message of a record being emitted.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
+from typing import Callable
 
 from .gotypes import (
-    Array,
-    Basic,
-    Chan,
-    Func,
+    FieldDef,
     Interface,
-    Map,
     Named,
-    Pointer,
-    Slice,
     Struct,
+    TypeExpr,
     TypeParamDef,
     is_comparable,
+    is_exported,
     normalized_params,
     render_field,
     render_method,
@@ -30,7 +33,7 @@ from .gotypes import (
     render_type_params,
     variant_category,
 )
-from .surface import ApiSurface, ExportedObject, PackageSurface, is_exported
+from .surface import ApiSurface, ExportedObject, PackageSurface
 from .versions import (
     InvalidVersion,
     NotAnUpgrade,
@@ -124,38 +127,63 @@ def _record_sort_key(r: ChangeRecord) -> tuple:
     return (r.package, r.node, r.category, r.condition, r.message)
 
 
+def _identity(t: TypeExpr) -> TypeExpr:
+    return t
+
+
+_elem = attrgetter("elem")
+
+# Per category, the conditions decided by comparing one projection of the old
+# and the new type with `==`. Struct and Interface have their own methods; a
+# constant's value and the type parameters are compared in `_diff_object`.
+_RULES: dict[str, tuple[tuple[str, Callable[[TypeExpr], object]], ...]] = {
+    "Basic (Const)": (("Type Change", _identity),),
+    "Basic": (("Type Change", _identity),),
+    "Array": (("Element Change", _elem), ("Length Change", attrgetter("length"))),
+    "Slice": (("Element Change", _elem),),
+    "Map": (("Key Change", attrgetter("key")), ("Value Change", attrgetter("value"))),
+    "Pointer": (("Base Change", attrgetter("base")),),
+    "Channel": (("Element Change", _elem), ("Direction Change", attrgetter("direction"))),
+    "Function": (
+        ("Param Change", normalized_params),
+        ("Return Change", attrgetter("results")),
+        ("Variadic Change", attrgetter("variadic")),
+    ),
+    "Named": (("Element Change", _identity),),
+}
+
+# The same for a struct field kept under its name.
+_FIELD_RULES: tuple[tuple[str, Callable[[FieldDef], object]], ...] = (
+    ("Field Type Change", attrgetter("type")),
+    ("Field Anonymous Change", attrgetter("anonymous")),
+    ("Field Tag Change", lambda f: f.tag or ""),
+)
+
+
 class _PackageDiffer:
-    def __init__(self, old: PackageSurface, new: PackageSurface, context: "_DiffContext"):
+    def __init__(self, old: PackageSurface, new: PackageSurface, record: Callable[..., ChangeRecord]):
         self.old = old
         self.new = new
-        self.ctx = context
+        self.pkg = old.import_path
+        self.record = record
         self.records: list[ChangeRecord] = []
 
     def emit(self, node: str, category: str, condition: str, message: str, breaking: bool = True) -> None:
-        self.records.append(
-            ChangeRecord(
-                module=self.ctx.module,
-                from_version=self.ctx.from_version,
-                to_version=self.ctx.to_version,
-                package=self.old.import_path,
-                node=node,
-                category=category,
-                condition=condition,
-                breaking=breaking,
-                message=message,
-            )
-        )
+        self.records.append(self.record(self.pkg, node, category, condition, breaking, message))
+
+    def change(self, render: Callable, old, new) -> str:
+        """The message `old -> new`; built only for an emitted record."""
+        return f"{render(old, self.pkg)} -> {render(new, self.pkg)}"
 
     def run(self) -> list[ChangeRecord]:
         old_keys = set(self.old.objects)
         new_keys = set(self.new.objects)
-        pkg = self.old.import_path
         for key in sorted(old_keys - new_keys):
             obj = self.old.objects[key]
-            self.emit(key, category_of(obj), "Remove", render_type_expr(obj.type, pkg))
+            self.emit(key, category_of(obj), "Remove", render_type_expr(obj.type, self.pkg))
         for key in sorted(new_keys - old_keys):
             obj = self.new.objects[key]
-            self.emit(key, category_of(obj), ADD_CONDITION, render_type_expr(obj.type, pkg), breaking=False)
+            self.emit(key, category_of(obj), ADD_CONDITION, render_type_expr(obj.type, self.pkg), breaking=False)
         for key in sorted(old_keys & new_keys):
             self._diff_object(key, self.old.objects[key], self.new.objects[key])
         return self.records
@@ -163,136 +191,60 @@ class _PackageDiffer:
     # -- object-level rules -------------------------------------------------
 
     def _diff_object(self, key: str, old: ExportedObject, new: ExportedObject) -> None:
-        pkg = self.old.import_path
-        old_cat = category_of(old)
-        new_cat = category_of(new)
-        if old_cat != new_cat:
-            self.emit(
-                key,
-                "Category Change",
-                "Data Type Change",
-                f"{render_type_expr(old.type, pkg)} -> {render_type_expr(new.type, pkg)}",
-            )
+        category = category_of(old)
+        if category != category_of(new):
+            self.emit(key, "Category Change", "Data Type Change", self.change(render_type_expr, old.type, new.type))
             return
+        self._diff_type_params(key, old.type_params, new.type_params)
+        if category == "Struct":
+            self._diff_struct(key, old.type, new.type)
+        elif category == "Interface":
+            self._diff_interface(key, old.type, new.type)
+        else:
+            for condition, project in _RULES[category]:
+                if project(old.type) != project(new.type):
+                    self.emit(key, category, condition, self.change(render_type_expr, old.type, new.type))
+        if category == "Function":
+            # A generic type keeps its type parameters on the object, a
+            # generic function on its signature.
+            self._diff_type_params(key, old.type.type_params, new.type.type_params)
+        elif category == "Basic (Const)" and (old.const_value or "") != (new.const_value or ""):
+            self.emit(key, category, "Value Change", f"{old.const_value} -> {new.const_value}")
 
-        self._diff_object_type_params(key, old.type_params, new.type_params)
-
-        whole = f"{render_type_expr(old.type, pkg)} -> {render_type_expr(new.type, pkg)}"
-        t_old, t_new = old.type, new.type
-
-        if old_cat == "Basic (Const)":
-            if render_type_expr(t_old) != render_type_expr(t_new):
-                self.emit(key, old_cat, "Type Change", whole)
-            if (old.const_value or "") != (new.const_value or ""):
-                self.emit(key, old_cat, "Value Change", f"{old.const_value} -> {new.const_value}")
-        elif old_cat == "Basic":
-            if render_type_expr(t_old) != render_type_expr(t_new):
-                self.emit(key, old_cat, "Type Change", whole)
-        elif old_cat == "Array":
-            assert isinstance(t_old, Array) and isinstance(t_new, Array)
-            if render_type_expr(t_old.elem) != render_type_expr(t_new.elem):
-                self.emit(key, old_cat, "Element Change", whole)
-            if str(t_old.length) != str(t_new.length):
-                self.emit(key, old_cat, "Length Change", whole)
-        elif old_cat == "Slice":
-            assert isinstance(t_old, Slice) and isinstance(t_new, Slice)
-            if render_type_expr(t_old.elem) != render_type_expr(t_new.elem):
-                self.emit(key, old_cat, "Element Change", whole)
-        elif old_cat == "Map":
-            assert isinstance(t_old, Map) and isinstance(t_new, Map)
-            if render_type_expr(t_old.key) != render_type_expr(t_new.key):
-                self.emit(key, old_cat, "Key Change", whole)
-            if render_type_expr(t_old.value) != render_type_expr(t_new.value):
-                self.emit(key, old_cat, "Value Change", whole)
-        elif old_cat == "Struct":
-            assert isinstance(t_old, Struct) and isinstance(t_new, Struct)
-            self._diff_struct(key, t_old, t_new)
-        elif old_cat == "Interface":
-            assert isinstance(t_old, Interface) and isinstance(t_new, Interface)
-            self._diff_interface(key, t_old, t_new)
-        elif old_cat == "Pointer":
-            assert isinstance(t_old, Pointer) and isinstance(t_new, Pointer)
-            if render_type_expr(t_old.base) != render_type_expr(t_new.base):
-                self.emit(key, old_cat, "Base Change", whole)
-        elif old_cat == "Channel":
-            assert isinstance(t_old, Chan) and isinstance(t_new, Chan)
-            if render_type_expr(t_old.elem) != render_type_expr(t_new.elem):
-                self.emit(key, old_cat, "Element Change", whole)
-            if t_old.direction != t_new.direction:
-                self.emit(key, old_cat, "Direction Change", whole)
-        elif old_cat == "Function":
-            assert isinstance(t_old, Func) and isinstance(t_new, Func)
-            self._diff_func(key, t_old, t_new)
-        elif old_cat == "Named":
-            if render_type_expr(t_old) != render_type_expr(t_new):
-                self.emit(key, old_cat, "Element Change", whole)
-
-    def _diff_func(self, key: str, old: Func, new: Func) -> None:
-        pkg = self.old.import_path
-        whole = f"{render_type_expr(old, pkg)} -> {render_type_expr(new, pkg)}"
-        if normalized_params(old) != normalized_params(new):
-            self.emit(key, "Function", "Param Change", whole)
-        if tuple(render_type_expr(r) for r in old.results) != tuple(render_type_expr(r) for r in new.results):
-            self.emit(key, "Function", "Return Change", whole)
-        if old.variadic != new.variadic:
-            self.emit(key, "Function", "Variadic Change", whole)
-        self._diff_object_type_params(key, old.type_params, new.type_params)
-
-    def _diff_object_type_params(
-        self, key: str, old: tuple[TypeParamDef, ...], new: tuple[TypeParamDef, ...]
-    ) -> None:
-        if not old and not new:
-            return
-        pkg = self.old.import_path
-        message = f"{render_type_params(old, pkg)} -> {render_type_params(new, pkg)}"
+    def _diff_type_params(self, key: str, old: tuple[TypeParamDef, ...], new: tuple[TypeParamDef, ...]) -> None:
         if len(new) < len(old):
-            self.emit(key, "TypeParam", "Remove", message)
-            return
-        if len(new) > len(old):
-            self.emit(key, "TypeParam", "Type Change", message + " (type parameter added)")
-            return
-        if any(
-            render_type_expr(o.constraint) != render_type_expr(n.constraint)
-            for o, n in zip(old, new)
-        ):
+            self.emit(key, "TypeParam", "Remove", self.change(render_type_params, old, new))
+        elif len(new) > len(old):
+            message = self.change(render_type_params, old, new) + " (type parameter added)"
             self.emit(key, "TypeParam", "Type Change", message)
+        elif any(o.constraint != n.constraint for o, n in zip(old, new)):
+            self.emit(key, "TypeParam", "Type Change", self.change(render_type_params, old, new))
 
     def _diff_struct(self, key: str, old: Struct, new: Struct) -> None:
-        pkg = self.old.import_path
-        new_by_name = {}
-        for i, f in enumerate(new.fields):
-            new_by_name.setdefault(f.name, (i, f))
+        new_by_name: dict[str, FieldDef] = {}
+        for f in new.fields:
+            new_by_name.setdefault(f.name, f)
         old_names = {f.name for f in old.fields}
 
         for i, of in enumerate(old.fields):
             if not of.exported:
                 continue
-            hit = new_by_name.get(of.name)
-            if hit is None:
-                candidate = new.fields[i] if i < len(new.fields) else None
-                if (
-                    candidate is not None
-                    and candidate.exported
-                    and candidate.name not in old_names
-                    and render_type_expr(candidate.type) == render_type_expr(of.type)
-                ):
-                    self.emit(
-                        key,
-                        "Struct",
-                        "Field Name Change",
-                        f"{render_field(of, pkg)} -> {render_field(candidate, pkg)}",
-                    )
-                else:
-                    self.emit(key, "Struct", "Field Number Change", render_field(of, pkg))
+            nf = new_by_name.get(of.name)
+            if nf is not None:
+                for condition, project in _FIELD_RULES:
+                    if project(of) != project(nf):
+                        self.emit(key, "Struct", condition, self.change(render_field, of, nf))
                 continue
-            _, nf = hit
-            field_msg = f"{render_field(of, pkg)} -> {render_field(nf, pkg)}"
-            if render_type_expr(of.type) != render_type_expr(nf.type):
-                self.emit(key, "Struct", "Field Type Change", field_msg)
-            if of.anonymous != nf.anonymous:
-                self.emit(key, "Struct", "Field Anonymous Change", field_msg)
-            if (of.tag or "") != (nf.tag or ""):
-                self.emit(key, "Struct", "Field Tag Change", field_msg)
+            candidate = new.fields[i] if i < len(new.fields) else None
+            if (
+                candidate is not None
+                and candidate.exported
+                and candidate.name not in old_names
+                and candidate.type == of.type
+            ):
+                self.emit(key, "Struct", "Field Name Change", self.change(render_field, of, candidate))
+            else:
+                self.emit(key, "Struct", "Field Number Change", render_field(of, self.pkg))
 
         old_cmp = is_comparable(old, self._resolver(self.old))
         new_cmp = is_comparable(new, self._resolver(self.new))
@@ -312,7 +264,6 @@ class _PackageDiffer:
         return resolve
 
     def _diff_interface(self, key: str, old: Interface, new: Interface) -> None:
-        pkg = self.old.import_path
         old_exported = {m.name: m for m in old.methods if is_exported(m.name)}
         new_exported = {m.name: m for m in new.methods if is_exported(m.name)}
         old_has_unexported = old.has_unexported_method
@@ -321,14 +272,9 @@ class _PackageDiffer:
             om = old_exported[name]
             nm = new_exported.get(name)
             if nm is None:
-                self.emit(key, "Interface", "Method Number Change", render_method(om, pkg))
-            elif render_type_expr(om.sig) != render_type_expr(nm.sig):
-                self.emit(
-                    key,
-                    "Interface",
-                    "Method ID Change",
-                    f"{render_method(om, pkg)} -> {render_method(nm, pkg)}",
-                )
+                self.emit(key, "Interface", "Method Number Change", render_method(om, self.pkg))
+            elif om.sig != nm.sig:
+                self.emit(key, "Interface", "Method ID Change", self.change(render_method, om, nm))
 
         for name in sorted(new_exported):
             if name in old_exported:
@@ -336,37 +282,15 @@ class _PackageDiffer:
             if old_has_unexported:
                 # Clients cannot implement a sealed interface, so additions
                 # stay compatible.
-                self.emit(key, "Interface", ADD_CONDITION, render_method(new_exported[name], pkg), breaking=False)
+                self.emit(key, "Interface", ADD_CONDITION, render_method(new_exported[name], self.pkg), breaking=False)
             else:
-                self.emit(key, "Interface", "Add Interface Method", render_method(new_exported[name], pkg))
+                self.emit(key, "Interface", "Add Interface Method", render_method(new_exported[name], self.pkg))
 
         old_unexported = {m.name for m in old.methods if not is_exported(m.name)}
         new_unexported = {m.name: m for m in new.methods if not is_exported(m.name)}
         if not old_has_unexported:
             for name in sorted(set(new_unexported) - old_unexported):
-                self.emit(key, "Interface", "Add Unexported Method", render_method(new_unexported[name], pkg))
-
-
-@dataclass(frozen=True)
-class _DiffContext:
-    module: str
-    from_version: str | None
-    to_version: str | None
-
-
-def diff_package(
-    old: PackageSurface,
-    new: PackageSurface,
-    *,
-    module: str = "",
-    from_version: str | None = None,
-    to_version: str | None = None,
-) -> list[ChangeRecord]:
-    """Compare two package surfaces with equal import paths."""
-    if old.import_path != new.import_path:
-        raise ModuleMismatch(f"package paths differ: {old.import_path} vs {new.import_path}")
-    ctx = _DiffContext(module=module, from_version=from_version, to_version=to_version)
-    return _PackageDiffer(old, new, ctx).run()
+                self.emit(key, "Interface", "Add Unexported Method", render_method(new_unexported[name], self.pkg))
 
 
 def diff_surfaces(old: ApiSurface, new: ApiSurface) -> list[ChangeRecord]:
@@ -378,44 +302,18 @@ def diff_surfaces(old: ApiSurface, new: ApiSurface) -> list[ChangeRecord]:
     """
     if old.module_path != new.module_path:
         raise ModuleMismatch(f"module paths differ: {old.module_path} vs {new.module_path}")
+
     from_version = str(old.version) if old.version is not None else None
     to_version = str(new.version) if new.version is not None else None
-    ctx = _DiffContext(module=old.module_path, from_version=from_version, to_version=to_version)
+    # (package, node, category, condition, breaking, message) -> ChangeRecord
+    record = partial(ChangeRecord, old.module_path, from_version, to_version)
 
-    records: list[ChangeRecord] = []
     old_paths = set(old.packages)
     new_paths = set(new.packages)
-    for path in sorted(old_paths - new_paths):
-        records.append(
-            ChangeRecord(
-                module=ctx.module,
-                from_version=ctx.from_version,
-                to_version=ctx.to_version,
-                package=path,
-                node="",
-                category="Package",
-                condition="Remove",
-                breaking=True,
-                message=path,
-            )
-        )
-    for path in sorted(new_paths - old_paths):
-        records.append(
-            ChangeRecord(
-                module=ctx.module,
-                from_version=ctx.from_version,
-                to_version=ctx.to_version,
-                package=path,
-                node="",
-                category="Package",
-                condition=ADD_CONDITION,
-                breaking=False,
-                message=path,
-            )
-        )
-
+    records = [record(path, "", "Package", "Remove", True, path) for path in sorted(old_paths - new_paths)]
+    records += [record(path, "", "Package", ADD_CONDITION, False, path) for path in sorted(new_paths - old_paths)]
     for path in sorted(old_paths & new_paths):
-        records.extend(_PackageDiffer(old.packages[path], new.packages[path], ctx).run())
+        records.extend(_PackageDiffer(old.packages[path], new.packages[path], record).run())
 
     records.sort(key=_record_sort_key)
     return records

@@ -1,15 +1,32 @@
-"""Structural model of Go type expressions with canonical rendering.
+"""Structural model of Go type expressions, and their rendering for messages.
 
-Renderings are deterministic and fully qualified (named types carry their
-package import path), so render equality coincides with structural equality.
+Types are frozen dataclasses; two types are the same type iff they are `==`,
+and the differ decides every change that way. Renderings are deterministic
+and fully qualified (named types carry their package import path); they make
+up change messages and the surface document, and decide nothing.
+
+On the types the parser builds, render equality coincides with structural
+equality, with a single exception: a type parameter that shadows a
+predeclared type, as in `func F[int any](x int)`, renders like the basic type
+it shadows (`TypeParamRef("int")` and `Basic("int")` both render as `int`).
+The parser guarantees the rest: a literal array length is an int (`[0x10]`
+and `[(16)]` are both 16), so a spelled length is never a decimal literal,
+and a named type always carries its package.
+
 A current-package context may be supplied to render same-package names bare,
 matching how change messages are reported.
 """
 
 from __future__ import annotations
 
+import unicodedata
 from dataclasses import dataclass
 from typing import Callable, Union
+
+
+def is_exported(identifier: str) -> bool:
+    """True iff the identifier starts with an uppercase letter."""
+    return bool(identifier) and unicodedata.category(identifier[0]) == "Lu"
 
 
 @dataclass(frozen=True)
@@ -68,8 +85,6 @@ class Interface:
 
     @property
     def has_unexported_method(self) -> bool:
-        from .surface import is_exported
-
         return any(not is_exported(m.name) for m in self.methods)
 
 
@@ -144,7 +159,9 @@ def render_type_params(type_params: tuple[TypeParamDef, ...], current_package: s
 def render_field(f: FieldDef, current_package: str | None = None) -> str:
     out = render_type_expr(f.type, current_package) if f.anonymous else f"{f.name} {render_type_expr(f.type, current_package)}"
     if f.tag is not None:
-        out += f" `{f.tag}`"
+        # Only an interpreted string literal can hold a backquote; quote it
+        # the same way so that the rendering stays unambiguous.
+        out += f' "{f.tag}"' if "`" in f.tag else f" `{f.tag}`"
     return out
 
 
@@ -205,16 +222,15 @@ def render_type_expr(t: TypeExpr, current_package: str | None = None) -> str:
     raise TypeError(f"unknown type expression: {t!r}")
 
 
-def normalized_params(f: Func) -> tuple[str, ...]:
-    """Parameter renderings with a variadic final parameter in slice form.
+def normalized_params(f: Func) -> tuple[TypeExpr, ...]:
+    """Parameter types with a variadic final parameter in slice form.
 
     Used so that a pure variadic flip (...T <-> []T) is reported once as a
     variadic change rather than doubling as a parameter change.
     """
-    params = list(f.params)
-    if f.variadic and params:
-        params[-1] = Slice(params[-1])
-    return tuple(render_type_expr(p) for p in params)
+    if f.variadic and f.params:
+        return f.params[:-1] + (Slice(f.params[-1]),)
+    return f.params
 
 
 def is_comparable(

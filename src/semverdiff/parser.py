@@ -34,6 +34,7 @@ from .gotypes import (
     TypeParamDef,
     TypeParamRef,
     UnionTerm,
+    is_exported,
     render_type_expr,
 )
 
@@ -887,13 +888,15 @@ class _Parser:
                 elif tok.text in ")]}":
                     depth -= 1
             tokens.append(self.advance())
-        if len(tokens) == 1 and tokens[0].kind == "int":
-            return int(tokens[0].text.replace("_", ""), 0)
+        # A literal length is a number however it is spelled: [0x10], [(16)].
+        inner = tokens
+        while len(inner) > 2 and inner[0].text == "(" and inner[-1].text == ")":
+            inner = inner[1:-1]
+        if len(inner) == 1 and inner[0].kind == "int":
+            return int(inner[0].text.replace("_", ""), 0)
         return _spell(tokens)
 
     def _parse_struct_body(self, tparams: frozenset[str]) -> Struct:
-        from .surface import is_exported
-
         self.expect_op("{")
         fields: list[FieldDef] = []
         while True:

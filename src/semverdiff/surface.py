@@ -11,11 +11,17 @@ from __future__ import annotations
 import json
 import logging
 import os
-import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .gotypes import TypeExpr, TypeParamDef, render_type_expr, render_type_params, type_to_structure
+from .gotypes import (
+    TypeExpr,
+    TypeParamDef,
+    is_exported,
+    render_type_expr,
+    render_type_params,
+    type_to_structure,
+)
 from .parser import GoFile, GoSyntaxError, parse_go_file
 from .versions import SemanticVersion
 
@@ -33,11 +39,6 @@ class ParseFailure(ValueError):
 
 class SurfaceEmpty(ValueError):
     """No source file parsed; the module version is invalid."""
-
-
-def is_exported(identifier: str) -> bool:
-    """True iff the identifier starts with an uppercase letter."""
-    return bool(identifier) and unicodedata.category(identifier[0]) == "Lu"
 
 
 def filter_layout(package_dir_relative: str, extra: frozenset[str] | set[str] = frozenset()) -> bool:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from catalogue_fixtures import FIXTURES
@@ -9,10 +11,13 @@ from semverdiff.diff import (
     CATALOGUE,
     CATALOGUE_SET,
     ChangeRecord,
+    _FIELD_RULES,
+    _RULES,
     ModuleMismatch,
     check_compliance,
     diff_surfaces,
     record_to_dict,
+    records_to_ndjson,
     records_to_text,
 )
 from semverdiff.surface import extract_surface
@@ -47,6 +52,28 @@ def test_catalogue_fixture_exact_records(fixture, catalogue_corpus):
     assert got == sorted(fixture.expected, key=lambda e: (e[2], e[0], e[1]))
     assert all(r.breaking for r in records)
     assert all((r.category, r.condition) in CATALOGUE_SET for r in records)
+
+
+GOLDEN_RECORDS = Path(__file__).resolve().parent / "golden" / "catalogue_records.ndjson"
+
+
+def test_catalogue_records_match_the_golden_file(catalogue_corpus):
+    """Every record of the 40 fixtures, messages included, as NDJSON."""
+    out = []
+    for fixture, old_dir, new_dir in sorted(catalogue_corpus.values(), key=lambda c: c[0].index):
+        old = extract_surface(old_dir, fixture.module_path, parse_version("v1.0.0"))
+        new = extract_surface(new_dir, fixture.module_path, parse_version("v1.1.0"))
+        out.append(records_to_ndjson(diff_surfaces(old, new)))
+    assert "".join(out) == GOLDEN_RECORDS.read_text(encoding="utf-8")
+
+
+def test_rule_tables_use_catalogue_conditions():
+    pairs = {(category, condition) for category, rules in _RULES.items() for condition, _ in rules}
+    pairs |= {("Struct", condition) for condition, _ in _FIELD_RULES}
+    assert pairs <= CATALOGUE_SET
+    # Every object category has rules: in the table or in a method of its own.
+    covered = set(_RULES) | {"Struct", "Interface", "Package", "TypeParam", "Category Change"}
+    assert covered == {category for category, _ in CATALOGUE}
 
 
 def test_fixture_corpus_covers_all_conditions():
@@ -183,6 +210,42 @@ def test_type_param_count_increase_reports_detail(tmp_path):
     (record,) = diff_surfaces(old, new)
     assert (record.category, record.condition) == ("TypeParam", "Type Change")
     assert "type parameter added" in record.message
+
+
+def test_type_param_shadowing_a_predeclared_type_is_a_param_change(tmp_path):
+    # `int` in the new signature is the type parameter, not the basic type,
+    # though both render as `int`.
+    old, new = _surfaces(
+        tmp_path,
+        {"lib.go": "package lib\n\nfunc F(x int) {}\n"},
+        {"lib.go": "package lib\n\nfunc F[int any](x int) {}\n"},
+    )
+    records = diff_surfaces(old, new)
+    assert [(r.category, r.condition, r.message) for r in records] == [
+        ("Function", "Param Change", "func(int) -> func[int any](int)"),
+        ("TypeParam", "Type Change", "[] -> [int any] (type parameter added)"),
+    ]
+
+
+def test_tag_holding_a_backquote_is_not_mistaken_for_two_tags(tmp_path):
+    old, new = _surfaces(
+        tmp_path,
+        {"lib.go": 'package lib\n\nvar V *struct{ A int "x`; B int `y" }\n'},
+        {"lib.go": "package lib\n\nvar V *struct{ A int `x`; B int `y` }\n"},
+    )
+    (record,) = diff_surfaces(old, new)
+    assert (record.category, record.condition) == ("Pointer", "Base Change")
+    assert record.message == '*struct{A int "x`; B int `y"} -> *struct{A int `x`; B int `y`}'
+
+
+@pytest.mark.parametrize("length", ["(16)", "((16))", "0x10"])
+def test_same_array_length_spelled_differently_is_no_change(tmp_path, length):
+    old, new = _surfaces(
+        tmp_path,
+        {"lib.go": "package lib\n\ntype A [16]byte\n"},
+        {"lib.go": f"package lib\n\ntype A [{length}]byte\n"},
+    )
+    assert diff_surfaces(old, new) == []
 
 
 def test_fig2_style_message(tmp_path):

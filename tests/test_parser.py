@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,16 +10,34 @@ import catalogue_fixtures
 import impact_fixtures
 import planted_corpus
 from semverdiff.gotypes import (
+    Array,
     Basic,
+    Chan,
+    FieldDef,
+    Func,
     Interface,
+    Map,
+    MethodSig,
     Named,
     Pointer,
+    Slice,
     Struct,
+    TypeParamDef,
+    TypeParamRef,
+    UnionTerm,
     is_comparable,
+    is_exported,
     render_type_expr,
     type_to_structure,
 )
-from semverdiff.parser import MAX_TYPE_NESTING, GoSyntaxError, _Parser, parse_go_file, tokenize
+from semverdiff.parser import (
+    MAX_TYPE_NESTING,
+    PREDECLARED_TYPES,
+    GoSyntaxError,
+    _Parser,
+    parse_go_file,
+    tokenize,
+)
 
 PKG = "example.com/lib"
 
@@ -241,6 +260,14 @@ class TestTypeExpressions:
         t = _first_type("package lib\n\ntype T (int)\n")
         assert t == Basic("int")
 
+    @pytest.mark.parametrize("length", ["16", "0x10", "1_6", "(16)", "((16))", "( 0x10 )"])
+    def test_literal_array_length_is_a_number(self, length):
+        assert _first_type(f"package lib\n\ntype T [{length}]byte\n") == Array(16, Basic("byte"))
+
+    @pytest.mark.parametrize("length,spelled", [("(N)", "(N)"), ("(1)+(2)", "(1) + (2)"), ("N * 2", "N * 2")])
+    def test_other_array_lengths_are_kept_as_spelled(self, length, spelled):
+        assert _first_type(f"package lib\n\ntype T [{length}]byte\n") == Array(spelled, Basic("byte"))
+
 
 class TestRenderDirect:
     def test_pointer_to_qualified_named(self):
@@ -268,6 +295,220 @@ class TestRenderDirect:
         b = _first_type("package lib\n\ntype T struct {\n\tA int\n\tB []string\n}\n")
         assert a == b
         assert render_type_expr(a) == render_type_expr(b)
+
+
+# -- render equality <=> structural equality ----------------------------------
+#
+# Types drawn from the parser's domain (see the gotypes docstring): an array
+# length is an int or a spelled string that is not a decimal literal, a named
+# type always has a package, and a type parameter never shadows a predeclared
+# type. Small alphabets make equal renderings of unequal types likely to be
+# drawn if they exist.
+
+_PACKAGES = ("example.com/a", "example.com/b")
+_NAMES = ("A", "B", "b")
+_TYPE_PARAM_NAMES = ("T", "U")
+_LENGTHS = st.one_of(st.integers(0, 2), st.sampled_from(["N", "N + 1", "(N)", "len(x)"]))
+_TAGS = st.sampled_from([None, "", "x", 'json:"a"', "x`y"])
+_TYPE_DEPTH = 4  # composite levels; with the method signatures inside interfaces, far below MAX_TYPE_NESTING
+
+assert not PREDECLARED_TYPES & set(_TYPE_PARAM_NAMES)
+assert 2 * _TYPE_DEPTH + 2 <= MAX_TYPE_NESTING
+
+
+def _sorted_embeds(embeds) -> tuple:
+    return tuple(sorted(embeds, key=lambda e: (render_type_expr(e.type), e.tilde)))
+
+
+def _field(name: str, t, tag, anonymous: bool) -> FieldDef:
+    return FieldDef(name, t, tag, anonymous, is_exported(name))
+
+
+def _tuples(inner, max_size=2):
+    return st.lists(inner, max_size=max_size).map(tuple)
+
+
+@st.composite
+def _funcs(draw, inner, generic=True):
+    params = draw(_tuples(inner))
+    variadic = bool(params) and draw(st.booleans())
+    names = draw(st.lists(st.sampled_from(_TYPE_PARAM_NAMES), max_size=2, unique=True)) if generic else []
+    type_params = tuple(TypeParamDef(name, draw(inner)) for name in names)
+    return Func(params, draw(_tuples(inner)), variadic, type_params)
+
+
+@st.composite
+def _fields(draw, inner):
+    tag = draw(_TAGS)
+    if draw(st.booleans()):
+        return _field(draw(st.sampled_from(_NAMES)), draw(inner), tag, False)
+    named = Named(draw(st.sampled_from(_PACKAGES)), draw(st.sampled_from(_NAMES)))
+    return _field(named.name, Pointer(named) if draw(st.booleans()) else named, tag, True)
+
+
+@st.composite
+def _interfaces(draw, inner):
+    names = draw(st.lists(st.sampled_from(_NAMES), max_size=2, unique=True))
+    methods = tuple(MethodSig(name, draw(_funcs(inner, generic=False))) for name in sorted(names))
+    embeds = draw(st.lists(st.builds(UnionTerm, inner, st.booleans()), max_size=2))
+    return Interface(methods, _sorted_embeds(embeds))
+
+
+def _types(depth: int):
+    leaves = st.one_of(
+        st.sampled_from(["int", "string", "any"]).map(Basic),
+        st.sampled_from(_TYPE_PARAM_NAMES).map(TypeParamRef),
+        st.builds(Named, st.sampled_from(_PACKAGES), st.sampled_from(_NAMES)),
+    )
+    if depth == 0:
+        return leaves
+    inner = _types(depth - 1)
+    return st.one_of(
+        leaves,
+        st.builds(Named, st.sampled_from(_PACKAGES), st.sampled_from(_NAMES), _tuples(inner)),
+        inner.map(Pointer),
+        inner.map(Slice),
+        st.builds(Array, _LENGTHS, inner),
+        st.builds(Map, inner, inner),
+        st.builds(Chan, st.sampled_from(["send", "recv", "both"]), inner),
+        _funcs(inner),
+        _tuples(_fields(inner)).map(Struct),
+        _interfaces(inner),
+    )
+
+
+def _replace_at(items: tuple, i: int, item) -> tuple:
+    return items[:i] + (item,) + items[i + 1 :]
+
+
+def _children(t) -> list:
+    """(rebuild, child) for every type directly inside t."""
+    out = []
+    if isinstance(t, (Pointer, Slice, Array, Chan)):
+        attr = "base" if isinstance(t, Pointer) else "elem"
+        out.append((lambda c, a=attr: replace(t, **{a: c}), getattr(t, attr)))
+    elif isinstance(t, Map):
+        out += [(lambda c: Map(c, t.value), t.key), (lambda c: Map(t.key, c), t.value)]
+    elif isinstance(t, Named):
+        out += [(lambda c, i=i: replace(t, args=_replace_at(t.args, i, c)), a) for i, a in enumerate(t.args)]
+    elif isinstance(t, Func):
+        out += [(lambda c, i=i: replace(t, params=_replace_at(t.params, i, c)), p) for i, p in enumerate(t.params)]
+        out += [(lambda c, i=i: replace(t, results=_replace_at(t.results, i, c)), r) for i, r in enumerate(t.results)]
+        out += [
+            (lambda c, i=i: replace(t, type_params=_replace_at(t.type_params, i, TypeParamDef(tp.name, c))), tp.constraint)
+            for i, tp in enumerate(t.type_params)
+        ]
+    elif isinstance(t, Struct):
+        out += [
+            (lambda c, i=i: Struct(_replace_at(t.fields, i, replace(f, type=c))), f.type)
+            for i, f in enumerate(t.fields)
+            if not f.anonymous
+        ]
+    elif isinstance(t, Interface):
+        out += [
+            (lambda c, i=i: replace(t, methods=_replace_at(t.methods, i, MethodSig(m.name, c))), m.sig)
+            for i, m in enumerate(t.methods)
+        ]
+        out += [
+            (lambda c, i=i: replace(t, embeds=_sorted_embeds(_replace_at(t.embeds, i, UnionTerm(c, e.tilde)))), e.type)
+            for i, e in enumerate(t.embeds)
+        ]
+    return out
+
+
+def _edits(t) -> list:
+    """Types in the domain that differ from t in one small way; none for most leaves."""
+    out = []
+    if isinstance(t, Named):
+        out += [replace(t, package=p) for p in _PACKAGES] + [replace(t, name=n) for n in _NAMES]
+        out += [replace(t, args=t.args[:-1])]
+    elif isinstance(t, Pointer):
+        out += [t.base]
+    elif isinstance(t, Slice):
+        out += [Array(0, t.elem), Func((t.elem,), (), True)]
+    elif isinstance(t, Array):
+        out += [Array(length, t.elem) for length in (0, 1, "N", "(N)")] + [Slice(t.elem)]
+    elif isinstance(t, Map):
+        out += [Map(t.value, t.key)]
+    elif isinstance(t, Chan):
+        out += [Chan(d, t.elem) for d in ("send", "recv", "both")]
+    elif isinstance(t, Func):
+        out += [replace(t, variadic=not t.variadic)] if t.params else []
+        out += [replace(t, params=t.params[:-1], variadic=False), replace(t, type_params=())]
+        out += [replace(t, params=t.params[:-1], results=t.params[-1:] + t.results, variadic=False)] if t.params else []
+        out += [replace(t, params=t.params[:-1] + (Slice(p),), variadic=False) for p in t.params[-1:]]
+    elif isinstance(t, Struct):
+        for i, f in enumerate(t.fields):
+            out.append(Struct(t.fields[:i] + t.fields[i + 1 :]))
+            out += [Struct(_replace_at(t.fields, i, replace(f, tag=tag))) for tag in (None, "", "x", "x`y")]
+            if f.anonymous:
+                out.append(Struct(_replace_at(t.fields, i, _field(f.name, f.type, f.tag, False))))
+            elif isinstance(f.type, Named):
+                out.append(Struct(_replace_at(t.fields, i, _field(f.type.name, f.type, f.tag, True))))
+            else:
+                out.append(Struct(_replace_at(t.fields, i, _field("B" if f.name != "B" else "b", f.type, f.tag, False))))
+    elif isinstance(t, Interface):
+        out += [replace(t, methods=t.methods[:i] + t.methods[i + 1 :]) for i in range(len(t.methods))]
+        out += [replace(t, embeds=t.embeds[:i] + t.embeds[i + 1 :]) for i in range(len(t.embeds))]
+        out += [
+            replace(t, embeds=_sorted_embeds(_replace_at(t.embeds, i, UnionTerm(e.type, not e.tilde))))
+            for i, e in enumerate(t.embeds)
+        ]
+        out += [Interface(embeds=_sorted_embeds(t.embeds + (UnionTerm(m.sig),))) for m in t.methods[:1]]
+    return out
+
+
+_TYPES = _types(_TYPE_DEPTH)
+
+
+def _nodes(t, path=()):
+    """(path of rebuilds from the root, node) for t and every type inside it."""
+    yield path, t
+    for rebuild, child in _children(t):
+        yield from _nodes(child, path + (rebuild,))
+
+
+@st.composite
+def _near_pairs(draw):
+    """A type and a copy of it with one node somewhere inside changed a little."""
+    a = draw(_TYPES)
+    # Pick a kind of node first, so that kinds the strategy draws rarely still get edited.
+    sites: dict[type, list] = {}
+    for path, node in _nodes(a):
+        if _edits(node):
+            sites.setdefault(type(node), []).append((path, node))
+    path, node = draw(st.sampled_from(draw(st.sampled_from(list(sites.values()) or [[((), a)]]))))
+    b = draw(st.sampled_from(_edits(node) or [Pointer(node)]))
+    if draw(st.integers(0, 9)) == 0:
+        b = draw(st.sampled_from([Basic("int"), TypeParamRef("T"), Named(_PACKAGES[0], "A"), Pointer(node), Slice(node)]))
+    for rebuild in reversed(path):
+        b = rebuild(b)
+    return a, b
+
+
+class TestRenderIdentity:
+    @settings(max_examples=600, deadline=None)
+    @given(_TYPES, _TYPES)
+    def test_render_equality_iff_structural_equality(self, a, b):
+        assert (a == b) == (render_type_expr(a) == render_type_expr(b))
+
+    @settings(max_examples=1500, deadline=None)
+    @given(_near_pairs())
+    def test_render_equality_iff_structural_equality_for_near_types(self, pair):
+        a, b = pair
+        assert (a == b) == (render_type_expr(a) == render_type_expr(b))
+
+    def test_tag_holding_a_backquote_renders_quoted(self):
+        one = _first_type('package lib\n\ntype T struct{ A int "x`; B int `y" }\n')
+        two = _first_type("package lib\n\ntype T struct{ A int `x`; B int `y` }\n")
+        assert one != two
+        assert render_type_expr(one) == 'struct{A int "x`; B int `y"}'
+        assert render_type_expr(two) == "struct{A int `x`; B int `y`}"
+
+    def test_shadowing_type_parameter_is_the_exception(self):
+        # Outside the domain: both render as `int`, yet they differ.
+        assert TypeParamRef("int") != Basic("int")
+        assert render_type_expr(TypeParamRef("int")) == render_type_expr(Basic("int"))
 
 
 class TestComparability:
