@@ -15,7 +15,6 @@ from pathlib import Path
 import click
 
 from .corpus import (
-    CorruptGraphFile,
     LayoutError,
     analyze_corpus,
     build_graph,
@@ -56,7 +55,6 @@ _INPUT_ERRORS = (
     ModuleMismatch,
     SurfaceEmpty,
     LayoutError,
-    CorruptGraphFile,
 )
 
 

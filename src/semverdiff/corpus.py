@@ -46,10 +46,6 @@ class LayoutError(ValueError):
     """The corpus tree does not follow the expected layout."""
 
 
-class CorruptGraphFile(ValueError):
-    """The persisted graph document cannot be loaded."""
-
-
 def percent_display(part: int, whole: int) -> str:
     """One-decimal percentage with half-up rounding, as printed in reports."""
     if whole == 0:
@@ -264,34 +260,6 @@ def persist_graph(g: DependencyGraph, path: str | Path) -> None:
         ],
     }
     Path(path).write_text(json.dumps(doc, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
-
-
-def load_graph(path: str | Path) -> DependencyGraph:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        g = DependencyGraph()
-        for node in doc["nodes"]:
-            g.nodes[(node["module"], node["version"])] = {
-                "stub": bool(node["stub"]),
-                "unparsed_version": bool(node["unparsed_version"]),
-            }
-        for edge in doc["edges"]:
-            src = (edge["from"][0], edge["from"][1])
-            dst = (edge["to"][0], edge["to"][1])
-            if src not in g.nodes or dst not in g.nodes:
-                raise CorruptGraphFile(f"edge references unknown node in {path}")
-            g.edges.append((src, dst))
-        g.edges.sort()
-        for role in doc["roles"]:
-            g.roles[(role["module"], role["version"])] = {
-                "tpl": bool(role["tpl"]),
-                "client": bool(role["client"]),
-            }
-    except CorruptGraphFile:
-        raise
-    except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
-        raise CorruptGraphFile(f"cannot load graph from {path}: {exc}") from exc
-    return g
 
 
 # -- corpus-wide analysis -----------------------------------------------------

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import parser as _goparser
 from .diff import ChangeRecord
 from .manifest import MANIFEST_NAME, MalformedManifest, parse_manifest
-from .parser import GoFile, GoSyntaxError, Token
+from .parser import GoSyntaxError, Token
 from .surface import ApiSurface, ParseFailure
 
 logger = logging.getLogger(__name__)
@@ -117,25 +117,12 @@ def bind_imports(source_file: str, file: str = "") -> ImportBinding:
     anywhere in it is a ParseFailure.
     """
     try:
-        tokens = _goparser.tokenize(source_file, skip_bodies=True)
-        p = _goparser._Parser(tokens, "")
-        p.skip_semis()
-        if not p.at_keyword("package"):
-            raise GoSyntaxError("missing package clause", p.cur().line)
-        p.advance()
-        p.expect_ident()
-        shell = GoFile(package_name="")
-        while True:
-            p.skip_semis()
-            if p.at_keyword("import"):
-                p._parse_import_decl(shell)
-            else:
-                break
+        imports = _goparser.parse_imports(source_file)
     except GoSyntaxError as exc:
         raise ParseFailure(f"{file or '<source>'}: {exc}") from exc
 
     binding = ImportBinding(file=file)
-    for spec in shell.imports:
+    for spec in imports:
         if spec.blank:
             binding.blank_imports.add(spec.path)
         elif spec.dot:

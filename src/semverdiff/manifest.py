@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .versions import InvalidVersion, SemanticVersion, parse_version
-
-logger = logging.getLogger(__name__)
 
 MANIFEST_NAME = "go.mod"
 
@@ -161,24 +157,3 @@ def extract_edges(manifest: ModuleManifest, version: SemanticVersion) -> list[De
             )
         )
     return edges
-
-
-def discover_modules(repo_root: str | Path) -> list[tuple[str, ModuleManifest]]:
-    """Find every manifest under repo_root, one entry per module directory.
-
-    Returns (relative directory, manifest) pairs sorted by directory.
-    Unreadable or malformed manifests are skipped with a diagnostic.
-    """
-    root = Path(repo_root)
-    found: list[tuple[str, ModuleManifest]] = []
-    for path in sorted(root.rglob(MANIFEST_NAME)):
-        if not path.is_file():
-            continue
-        rel = path.parent.relative_to(root).as_posix()
-        try:
-            manifest = parse_manifest(path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, MalformedManifest) as exc:
-            logger.warning("skipping manifest %s: %s", path, exc)
-            continue
-        found.append((rel, manifest))
-    return found

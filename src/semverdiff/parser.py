@@ -8,7 +8,10 @@ rune- and comment-aware, and raises the same lexical errors the full lexer
 would. A file whose brackets do not nest is lexed in full instead, because
 there the lexer cannot tell what is top level. The parser itself only covers
 what an API surface needs: the package clause, imports, and top-level
-const/var/type/func declarations, including generic type parameters.
+const/var/type/func declarations, including generic type parameters. One
+parser with one cursor reads each file: parameter, type-argument and
+type-parameter lists are parsed item by item where they stand, looking ahead
+only to tell a name from a type.
 """
 
 from __future__ import annotations
@@ -287,6 +290,10 @@ MAX_TYPE_NESTING = 50
 
 _TYPE_START_KEYWORDS = frozenset({"chan", "map", "func", "struct", "interface"})
 _TYPE_START_OPS = frozenset({"(", "[", "*", "<-"})
+# What follows the "[...]" of a generic type that makes up a whole parameter,
+# or a whole struct field: op texts, and token kinds for a tag.
+_PARAM_ENDERS = frozenset({",", ")"})
+_FIELD_ENDERS = frozenset({";", "}", "string", "raw_string"})
 
 
 def _starts_type(tok: Token) -> bool:
@@ -305,17 +312,21 @@ def _make_interface(methods: list[MethodSig], embeds: list[UnionTerm]) -> Interf
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], package_path: str, import_map: dict[str, str] | None = None):
+    def __init__(self, tokens: list[Token], package_path: str):
         self.toks = tokens
         self.i = 0
         self.package_path = package_path
-        self.import_map: dict[str, str] = import_map if import_map is not None else {}
-        self.depth = 0  # type nesting of the type being parsed, sub-parsers included
+        self.import_map: dict[str, str] = {}
+        self.depth = 0  # type nesting of the type being parsed
 
     # -- cursor helpers ----------------------------------------------------
 
     def cur(self) -> Token:
         return self.toks[self.i]
+
+    def peek(self) -> Token:
+        """The token after the current one; at the end, the final eof."""
+        return self.toks[min(self.i + 1, len(self.toks) - 1)]
 
     def advance(self) -> Token:
         tok = self.toks[self.i]
@@ -347,37 +358,56 @@ class _Parser:
         while self.at_op(";"):
             self.advance()
 
-    def _sub(self, tokens: list[Token]) -> "_Parser":
-        sub = _Parser(tokens + [Token("eof", "", tokens[-1].line if tokens else 0)], self.package_path, self.import_map)
-        sub.depth = self.depth
-        return sub
-
     def _nest(self) -> None:
         """Count one more level of type nesting; the caller undoes it."""
         if self.depth >= MAX_TYPE_NESTING:
             raise GoSyntaxError(f"type nested deeper than {MAX_TYPE_NESTING} levels", self.cur().line)
         self.depth += 1
 
-    def _parse_type_full(self, tokens: list[Token], tparams: frozenset[str]) -> TypeExpr:
-        if not tokens:
-            raise GoSyntaxError("expected type")
-        sub = self._sub(tokens)
-        expr = sub._parse_type(tparams)
-        if sub.cur().kind != "eof":
-            raise GoSyntaxError(f"trailing tokens after type: {sub.cur().text!r}", sub.cur().line)
-        return expr
+    def _scan_list(self, j: int) -> list[int]:
+        """Look ahead over the bracketed list that opens at j, without moving.
+
+        Returns the indices of its top-level commas, then of its closing
+        bracket (of the final eof if it never closes).
+        """
+        marks: list[int] = []
+        depth = 0
+        for k in range(j, len(self.toks)):
+            tok = self.toks[k]
+            if tok.kind == "op":
+                if tok.text in "([{":
+                    depth += 1
+                elif tok.text in ")]}":
+                    depth -= 1
+                    if depth == 0:
+                        marks.append(k)
+                        return marks
+                elif tok.text == "," and depth == 1:
+                    marks.append(k)
+        marks.append(len(self.toks) - 1)
+        return marks
+
+    def _bracket_ends(self, j: int, enders: frozenset[str]) -> bool:
+        """Whether the "[" at j closes right before an op whose text, or a
+        token whose kind, is in enders.
+
+        Tells a generic instantiation that makes up a whole field or parameter
+        (List[T]) from a name followed by an array or slice type (Name [3]T).
+        """
+        after = self.toks[min(self._scan_list(j)[-1] + 1, len(self.toks) - 1)]
+        return after.kind in enders or (after.kind == "op" and after.text in enders)
 
     # -- file --------------------------------------------------------------
 
-    def parse_file(self) -> GoFile:
+    def _parse_package_clause(self) -> GoFile:
         self.skip_semis()
-        tok = self.cur()
         if not self.at_keyword("package"):
-            raise GoSyntaxError("missing package clause", tok.line)
+            raise GoSyntaxError("missing package clause", self.cur().line)
         self.advance()
-        name = self.expect_ident().text
-        gofile = GoFile(package_name=name)
-        self.skip_semis()
+        return GoFile(package_name=self.expect_ident().text)
+
+    def parse_file(self) -> GoFile:
+        gofile = self._parse_package_clause()
         while True:
             self.skip_semis()
             tok = self.cur()
@@ -472,7 +502,7 @@ class _Parser:
         declared: TypeExpr | None = None
         if not self.at_op("=") and not self.at_op(";") and not self.at_op(")") and self.cur().kind != "eof":
             declared = self._parse_type(frozenset())
-        values: list[list[Token]] = []
+        values: list[tuple[int, int]] = []
         if self.at_op("="):
             self.advance()
             values = self._collect_expr_list(in_block)
@@ -480,23 +510,24 @@ class _Parser:
             declared, spelled = prev
             spelled_values = list(spelled)
         else:
-            spelled_values = [_spell(ts) for ts in values]
+            spelled_values = [_spell(self.toks[start:end]) for start, end in values]
 
         for idx, name in enumerate(names):
-            value_tokens = values[idx] if idx < len(values) else None
+            start, end = values[idx] if idx < len(values) else (self.i, self.i)
             spelled = spelled_values[idx] if idx < len(spelled_values) else None
             if kw == "const":
-                ctype = declared if declared is not None else _infer_const_type(value_tokens)
+                ctype = declared if declared is not None else _infer_const_type(self.toks[start:end])
                 gofile.consts.append(ConstSpec(name=name, type=ctype, value=spelled))
             else:
-                vtype = declared if declared is not None else self._infer_var_type(value_tokens)
+                vtype = declared if declared is not None else self._infer_var_type(start, end)
                 gofile.vars.append(VarSpec(name=name, type=vtype))
         return (declared, spelled_values) if kw == "const" else None
 
-    def _collect_expr_list(self, in_block: bool) -> list[list[Token]]:
-        """Capture an expression list up to the end of the spec, split at
-        top-level commas. Expressions are kept as spelled tokens only."""
-        items: list[list[Token]] = [[]]
+    def _collect_expr_list(self, in_block: bool) -> list[tuple[int, int]]:
+        """Skip an expression list up to the end of the spec, returning the
+        token index range of each expression between top-level commas."""
+        ranges: list[tuple[int, int]] = []
+        start = self.i
         depth = 0
         while True:
             tok = self.cur()
@@ -508,58 +539,67 @@ class _Parser:
                 if tok.text == ")" and in_block:
                     break
                 if tok.text == ",":
+                    ranges.append((start, self.i))
                     self.advance()
-                    items.append([])
+                    start = self.i
                     continue
             if tok.kind == "op":
                 if tok.text in "([{":
                     depth += 1
                 elif tok.text in ")]}":
                     depth -= 1
-            items[-1].append(self.advance())
-        return [it for it in items if it]
+            self.advance()
+        ranges.append((start, self.i))
+        return [(start, end) for start, end in ranges if start < end]
 
-    def _infer_var_type(self, value: list[Token] | None) -> TypeExpr:
-        """Light, literal-level type inference for untyped var declarations."""
-        if not value:
+    def _infer_var_type(self, start: int, end: int) -> TypeExpr:
+        """Light, literal-level type inference for untyped var declarations,
+        from the value's tokens start:end. A func literal's signature and a
+        composite literal's type are parsed where the value stands, and the
+        cursor is put back."""
+        if start == end:
             return Basic("untyped")
-        first = value[0]
-        if len(value) == 1:
+        first = self.toks[start]
+        if end - start == 1:
             return _literal_type(first) or Basic("untyped")
+        second = self.toks[start + 1]
+        saved = self.i
         try:
             if first.kind == "op" and first.text == "&":
                 self._nest()
                 try:
-                    inner = self._infer_var_type(value[1:])
+                    inner = self._infer_var_type(start + 1, end)
                 finally:
                     self.depth -= 1
                 return inner if isinstance(inner, Basic) else Pointer(inner)
             if first.kind == "keyword" and first.text == "func":
-                sub = self._sub(value[1:])
-                params, variadic, results = sub._parse_signature_tail(frozenset())
+                self.i = start + 1
+                params, variadic, results = self._parse_signature_tail(frozenset())
                 return Func(params=params, results=results, variadic=variadic)
             if first.kind == "ident":
                 # Composite literal T{...} or pkg.T{...}.
-                if value[1].kind == "op" and value[1].text == "{":
+                if second.kind == "op" and second.text == "{":
                     return self._resolve_name(first.text, frozenset())
                 if (
-                    len(value) >= 4
-                    and value[1].kind == "op"
-                    and value[1].text == "."
-                    and value[2].kind == "ident"
-                    and value[3].kind == "op"
-                    and value[3].text == "{"
+                    end - start >= 4
+                    and second.kind == "op"
+                    and second.text == "."
+                    and self.toks[start + 2].kind == "ident"
+                    and self.toks[start + 3].kind == "op"
+                    and self.toks[start + 3].text == "{"
                 ):
-                    return Named(self.import_map.get(first.text, first.text), value[2].text)
+                    return Named(self.import_map.get(first.text, first.text), self.toks[start + 2].text)
             if (first.kind == "op" and first.text == "[") or (
                 first.kind == "keyword" and first.text in ("map", "chan")
             ):
-                sub = self._sub(value)
-                expr = sub._parse_type(frozenset())
-                if sub.at_op("{"):
+                self.i = start
+                expr = self._parse_type(frozenset())
+                if self.at_op("{"):
                     return expr
         except GoSyntaxError:
             pass
+        finally:
+            self.i = saved
         return Basic("untyped")
 
     def _parse_type_spec(self, gofile: GoFile) -> None:
@@ -576,18 +616,25 @@ class _Parser:
         gofile.types.append(TypeSpec(name=name, type=expr, type_params=type_params, alias=alias))
 
     def _looks_like_type_params(self) -> bool:
-        # Disambiguates `type A[T any] ...` from `type A [N]Elem`: a type
-        # parameter list starts with an identifier followed by the beginning
-        # of a constraint, never by "]" or an arithmetic continuation.
-        nxt = self.toks[self.i + 1] if self.i + 1 < len(self.toks) else Token("eof", "", 0)
-        after = self.toks[self.i + 2] if self.i + 2 < len(self.toks) else Token("eof", "", 0)
+        # Disambiguates `type A[T any] ...` from `type A [N]Elem`, as go/parser
+        # does: a type parameter list starts with an identifier followed by
+        # the beginning of a constraint, never by "]". An index expression is
+        # never a constant length, so "[" starts a constraint too. After "*"
+        # or "(" the list could still be a length (N * M, f(N)), unless a
+        # top-level comma follows, as in [T *int,].
+        nxt = self.peek()
         if nxt.kind != "ident":
             return False
+        after = self.toks[self.i + 2]
         if after.kind == "ident":
             return True
         if after.kind == "keyword" and after.text in _TYPE_START_KEYWORDS:
             return True
-        return after.kind == "op" and after.text in (",", "~")
+        if after.kind != "op":
+            return False
+        if after.text in (",", "~", "["):
+            return True
+        return after.text in ("*", "(") and len(self._scan_list(self.i)) > 1
 
     # -- functions ----------------------------------------------------------
 
@@ -609,22 +656,30 @@ class _Parser:
         gofile.funcs.append(FuncDecl(name=name, sig=sig, receiver=receiver))
 
     def _parse_receiver(self) -> tuple[str, list[str]]:
-        items = self._collect_group("(", ")")
-        if len(items) != 1 or not items[0]:
-            raise GoSyntaxError("malformed receiver", self.cur().line)
-        ts = items[0]
-        idx = 0
-        if ts[0].kind == "ident" and len(ts) > 1 and not (ts[1].kind == "op" and ts[1].text in (".", "[")):
-            idx = 1  # receiver variable name
-        if idx < len(ts) and ts[idx].kind == "op" and ts[idx].text == "*":
-            idx += 1
-        if idx >= len(ts) or ts[idx].kind != "ident":
-            raise GoSyntaxError("malformed receiver type", ts[0].line)
-        base = ts[idx].text
+        """Parse (name *Base[P, Q]), returning the base type name and the
+        names of its type parameters."""
+        self.expect_op("(")
+        nxt = self.peek()
+        if self.cur().kind == "ident" and not (nxt.kind == "op" and nxt.text in (".", "[", ",", ")")):
+            self.advance()  # receiver variable name
+        if self.at_op("*"):
+            self.advance()
+        tok = self.cur()
+        if tok.kind != "ident":
+            raise GoSyntaxError("malformed receiver type", tok.line)
+        self.advance()
         tparams: list[str] = []
-        if idx + 1 < len(ts) and ts[idx + 1].kind == "op" and ts[idx + 1].text == "[":
-            tparams = [t.text for t in ts[idx + 2 : -1] if t.kind == "ident"]
-        return base, tparams
+        if self.at_op("["):
+            self.advance()
+            while not self.at_op("]"):
+                tparams.append(self.expect_ident().text)
+                if not self.at_op("]"):
+                    self.expect_op(",")
+            self.advance()
+        if self.at_op(","):
+            self.advance()
+        self.expect_op(")")
+        return tok.text, tparams
 
     def _skip_balanced_braces(self) -> None:
         start = self.expect_op("{")
@@ -642,150 +697,101 @@ class _Parser:
     # -- signatures and parameter lists --------------------------------------
 
     def _parse_signature_tail(self, tparams: frozenset[str]) -> tuple[tuple[TypeExpr, ...], bool, tuple[TypeExpr, ...]]:
-        items = self._collect_group("(", ")")
-        params, variadic = self._resolve_param_items(items, tparams)
+        params, variadic = self._parse_params(tparams)
         results: tuple[TypeExpr, ...] = ()
-        tok = self.cur()
         if self.at_op("("):
-            result_items = self._collect_group("(", ")")
-            result_types, _ = self._resolve_param_items(result_items, tparams)
-            results = result_types
-        elif _starts_type(tok) and not self.at_op("{"):
+            results, _ = self._parse_params(tparams)
+        elif _starts_type(self.cur()):
             results = (self._parse_type(tparams),)
         return params, variadic, results
 
-    def _collect_group(self, open_op: str, close_op: str) -> list[list[Token]]:
-        """Consume a bracketed group, returning token runs split at top-level
-        commas. Stray semicolons at top level are dropped."""
-        self.expect_op(open_op)
-        items: list[list[Token]] = [[]]
-        depth = 0
-        while True:
-            tok = self.cur()
-            if tok.kind == "eof":
-                raise GoSyntaxError(f"unterminated {open_op}...{close_op} group", tok.line)
-            if depth == 0 and tok.kind == "op":
-                if tok.text == close_op:
-                    self.advance()
-                    break
-                if tok.text == ",":
-                    self.advance()
-                    items.append([])
-                    continue
-                if tok.text == ";":
-                    self.advance()
-                    continue
-            if tok.kind == "op":
-                if tok.text in "([{":
-                    depth += 1
-                elif tok.text in ")]}":
-                    depth -= 1
-            items[-1].append(self.advance())
-        return [it for it in items if it]
+    def _parse_params(self, tparams: frozenset[str]) -> tuple[tuple[TypeExpr, ...], bool]:
+        """Parse a parenthesised parameter or result list, each item once.
 
-    def _resolve_param_items(
-        self, items: list[list[Token]], tparams: frozenset[str]
-    ) -> tuple[tuple[TypeExpr, ...], bool]:
-        """Resolve the named/unnamed parameter ambiguity for one group.
-
-        Within a group either every parameter is named or none is; bare
-        identifiers take the type of the next declaration that carries one.
+        An item is a bare identifier, `name Type` or `Type`. Within a list
+        either every parameter is named or none is: a bare identifier is a
+        name when some item is `name Type`, and then takes the type of the
+        next item that carries one (a, b int); otherwise it is a type.
         """
-        parsed: list[dict] = []
-        for ts in items:
-            parsed.append(self._classify_param_item(ts, tparams))
-        named_mode = any(p["form"] == "named" for p in parsed)
-
-        types: list[TypeExpr | None] = []
-        variadic = False
-        for p in parsed:
-            if p["form"] == "named":
-                types.append(p["type"])
-            elif p["form"] == "type":
-                types.append(p["type"])
-            else:  # bare identifier: a name in named mode, a type otherwise
-                if named_mode:
-                    types.append(None)
-                else:
-                    types.append(self._resolve_name(p["ident"], tparams))
-            if p["variadic"]:
-                variadic = True
-
-        # Backward pass: grouped names (a, b int) share the next type.
-        carry: TypeExpr | None = None
-        for idx in range(len(types) - 1, -1, -1):
-            if types[idx] is not None:
-                carry = types[idx]
-            elif carry is not None:
-                types[idx] = carry
+        self.expect_op("(")
+        items: list[tuple[str, TypeExpr | None]] = []  # (bare identifier, None) or ("", type)
+        named = variadic = False
+        while not self.at_op(")"):
+            tok = self.cur()
+            nxt = self.peek()
+            if tok.kind == "ident" and nxt.kind == "op" and nxt.text in (",", ")"):
+                self.advance()
+                items.append((tok.text, None))
             else:
-                types[idx] = self._resolve_name(parsed[idx]["ident"], tparams)
-        return tuple(t for t in types if t is not None), variadic
+                if tok.kind == "ident" and not (
+                    nxt.kind == "op"
+                    and (nxt.text == "." or (nxt.text == "[" and self._bracket_ends(self.i + 1, _PARAM_ENDERS)))
+                ):
+                    self.advance()  # the parameter's name
+                    named = True
+                if self.at_op("..."):
+                    self.advance()
+                    variadic = True
+                items.append(("", self._parse_type(tparams)))
+            if not self.at_op(")"):
+                self.expect_op(",")
+        self.advance()
 
-    def _classify_param_item(self, ts: list[Token], tparams: frozenset[str]) -> dict:
-        if ts[0].kind == "op" and ts[0].text == "...":
-            return {"form": "type", "type": self._parse_type_full(ts[1:], tparams), "variadic": True}
-        if ts[0].kind == "ident":
-            if len(ts) == 1:
-                return {"form": "bare", "ident": ts[0].text, "variadic": False}
-            nxt = ts[1]
-            if nxt.kind == "op" and nxt.text == ".":
-                return {"form": "type", "type": self._parse_type_full(ts, tparams), "variadic": False}
-            if nxt.kind == "op" and nxt.text == "...":
-                return {"form": "named", "type": self._parse_type_full(ts[2:], tparams), "variadic": True}
-            if nxt.kind == "op" and nxt.text == "[":
-                end = _matching_bracket(ts, 1)
-                if end == len(ts) - 1:
-                    # Generic instantiation used as an unnamed parameter type.
-                    return {"form": "type", "type": self._parse_type_full(ts, tparams), "variadic": False}
-                return {"form": "named", "type": self._parse_type_full(ts[1:], tparams), "variadic": False}
-            return {"form": "named", "type": self._parse_type_full(ts[1:], tparams), "variadic": False}
-        return {"form": "type", "type": self._parse_type_full(ts, tparams), "variadic": False}
+        types: list[TypeExpr] = []
+        carry: TypeExpr | None = None
+        for ident, t in reversed(items):
+            if t is not None:
+                carry = t
+            elif named and carry is not None:
+                t = carry
+            else:
+                t = self._resolve_name(ident, tparams)
+            types.append(t)
+        types.reverse()
+        return tuple(types), variadic
 
     # -- type parameters ------------------------------------------------------
 
     def _parse_type_param_group(self, outer: frozenset[str]) -> tuple[TypeParamDef, ...]:
-        items = self._collect_group("[", "]")
-        # First pass gathers the parameter names so constraints may refer to them.
-        names: list[str] = []
-        for ts in items:
-            if ts and ts[0].kind == "ident":
-                names.append(ts[0].text)
-        scope = outer | frozenset(names)
-
+        # A constraint may refer to any parameter of the group, so the names
+        # come first: each is the token after the "[" or a top-level comma.
+        starts = [self.i] + self._scan_list(self.i)[:-1]
+        scope = outer | {self.toks[j + 1].text for j in starts if self.toks[j + 1].kind == "ident"}
+        self.expect_op("[")
         defs: list[tuple[str, TypeExpr | None]] = []
-        for ts in items:
-            if ts[0].kind != "ident":
-                raise GoSyntaxError("malformed type parameter", ts[0].line)
-            if len(ts) == 1:
-                defs.append((ts[0].text, None))
-            else:
-                defs.append((ts[0].text, self._parse_constraint(ts[1:], scope)))
+        while not self.at_op("]"):
+            name = self.expect_ident().text
+            constraint: TypeExpr | None = None
+            if not (self.at_op(",") or self.at_op("]")):
+                terms = self._parse_union(scope)
+                constraint = terms[0].type if len(terms) == 1 and not terms[0].tilde else _make_interface([], terms)
+            defs.append((name, constraint))
+            if not self.at_op("]"):
+                self.expect_op(",")
+        self.advance()
 
         carry: TypeExpr | None = None
         out: list[TypeParamDef] = []
         for name, constraint in reversed(defs):
             if constraint is not None:
                 carry = constraint
-            resolved = constraint if constraint is not None else carry
-            if resolved is None:
-                raise GoSyntaxError("type parameter without constraint")
-            out.append(TypeParamDef(name=name, constraint=resolved))
+            if carry is None:
+                raise GoSyntaxError("type parameter without constraint", self.toks[self.i - 1].line)
+            out.append(TypeParamDef(name=name, constraint=carry))
         out.reverse()
         return tuple(out)
 
-    def _parse_constraint(self, ts: list[Token], tparams: frozenset[str]) -> TypeExpr:
-        terms = _split_top_level(ts, "|")
-        union: list[UnionTerm] = []
-        for term in terms:
-            tilde = False
-            if term and term[0].kind == "op" and term[0].text == "~":
-                tilde = True
-                term = term[1:]
-            union.append(UnionTerm(type=self._parse_type_full(term, tparams), tilde=tilde))
-        if len(union) == 1 and not union[0].tilde:
-            return union[0].type
-        return _make_interface([], union)
+    def _parse_union(self, tparams: frozenset[str]) -> list[UnionTerm]:
+        """Parse ~T | U, the terms of a constraint or an interface embed."""
+        terms: list[UnionTerm] = []
+        while True:
+            tilde = self.at_op("~")
+            if tilde:
+                self.advance()
+            terms.append(UnionTerm(type=self._parse_type(tparams), tilde=tilde))
+            if not self.at_op("|"):
+                return terms
+            self.advance()
 
     # -- types ------------------------------------------------------------------
 
@@ -855,39 +861,44 @@ class _Parser:
             self.advance()
             name = tok.text
             package: str | None = None
-            if self.at_op(".") and self.toks[self.i + 1].kind == "ident":
+            if self.at_op(".") and self.peek().kind == "ident":
                 self.advance()
                 member = self.expect_ident().text
                 package = self.import_map.get(name, name)
                 name = member
-            args: tuple[TypeExpr, ...] = ()
+            args: list[TypeExpr] = []
             if self.at_op("["):
-                arg_items = self._collect_group("[", "]")
-                args = tuple(self._parse_type_full(ts, tparams) for ts in arg_items)
+                self.advance()
+                while not self.at_op("]"):
+                    args.append(self._parse_type(tparams))
+                    if not self.at_op("]"):
+                        self.expect_op(",")
+                self.advance()
             if package is not None:
-                return Named(package, name, args)
+                return Named(package, name, tuple(args))
             base = self._resolve_name(name, tparams)
             if args and isinstance(base, Named):
-                return Named(base.package, base.name, args)
+                return Named(base.package, base.name, tuple(args))
             return base
         raise GoSyntaxError(f"expected type, found {tok.text!r}", tok.line)
 
     def _parse_array_length(self) -> int | str:
-        tokens: list[Token] = []
+        start = self.i
         depth = 0
         while True:
             tok = self.cur()
             if tok.kind == "eof":
                 raise GoSyntaxError("unterminated array length", tok.line)
             if depth == 0 and tok.kind == "op" and tok.text == "]":
-                self.advance()
                 break
             if tok.kind == "op":
                 if tok.text in "([{":
                     depth += 1
                 elif tok.text in ")]}":
                     depth -= 1
-            tokens.append(self.advance())
+            self.advance()
+        tokens = self.toks[start : self.i]
+        self.advance()
         # A literal length is a number however it is spelled: [0x10], [(16)].
         inner = tokens
         while len(inner) > 2 and inner[0].text == "(" and inner[-1].text == ")":
@@ -920,7 +931,7 @@ class _Parser:
                 if len(names) == 1 and (
                     nxt.kind in ("string", "raw_string")
                     or (nxt.kind == "op" and nxt.text in (";", "}", "."))
-                    or (nxt.kind == "op" and nxt.text == "[" and self._bracket_ends_field())
+                    or (nxt.kind == "op" and nxt.text == "[" and self._bracket_ends(self.i, _FIELD_ENDERS))
                 ):
                     embedded = True
                     self.i = start
@@ -944,26 +955,6 @@ class _Parser:
                 )
         return Struct(fields=tuple(fields))
 
-    def _bracket_ends_field(self) -> bool:
-        # Distinguishes an embedded generic (List[T] followed by the end of the
-        # field) from a named field of array/slice type (Name [3]T / Name []T).
-        depth = 0
-        j = self.i
-        while j < len(self.toks):
-            tok = self.toks[j]
-            if tok.kind == "op":
-                if tok.text == "[":
-                    depth += 1
-                elif tok.text == "]":
-                    depth -= 1
-                    if depth == 0:
-                        after = self.toks[j + 1] if j + 1 < len(self.toks) else Token("eof", "", 0)
-                        return after.kind in ("string", "raw_string") or (
-                            after.kind == "op" and after.text in (";", "}")
-                        )
-            j += 1
-        return False
-
     def _parse_tag(self) -> str | None:
         tok = self.cur()
         if tok.kind == "raw_string":
@@ -986,7 +977,7 @@ class _Parser:
             tok = self.cur()
             if tok.kind == "eof":
                 raise GoSyntaxError("unterminated interface body", tok.line)
-            nxt = self.toks[self.i + 1] if self.i + 1 < len(self.toks) else Token("eof", "", 0)
+            nxt = self.peek()
             if tok.kind == "ident" and nxt.kind == "op" and nxt.text == "(":
                 self.advance()
                 params, variadic, results = self._parse_signature_tail(tparams)
@@ -994,74 +985,10 @@ class _Parser:
                     MethodSig(name=tok.text, sig=Func(params=params, results=results, variadic=variadic))
                 )
             else:
-                terms = self._collect_union_terms()
-                for term_tokens, tilde in terms:
-                    embeds.append(
-                        UnionTerm(type=self._parse_type_full(term_tokens, tparams), tilde=tilde)
-                    )
+                embeds += self._parse_union(tparams)
+                if not (self.at_op(";") or self.at_op("}")):
+                    raise GoSyntaxError(f"unexpected {self.cur().text!r} after interface element", self.cur().line)
         return _make_interface(methods, embeds)
-
-    def _collect_union_terms(self) -> list[tuple[list[Token], bool]]:
-        terms: list[tuple[list[Token], bool]] = []
-        current: list[Token] = []
-        tilde = False
-        if self.at_op("~"):
-            tilde = True
-            self.advance()
-        depth = 0
-        while True:
-            tok = self.cur()
-            if tok.kind == "eof":
-                break
-            if depth == 0 and tok.kind == "op" and tok.text in (";", "}"):
-                break
-            if depth == 0 and tok.kind == "op" and tok.text == "|":
-                self.advance()
-                terms.append((current, tilde))
-                current = []
-                tilde = False
-                if self.at_op("~"):
-                    tilde = True
-                    self.advance()
-                continue
-            if tok.kind == "op":
-                if tok.text in "([{":
-                    depth += 1
-                elif tok.text in ")]}":
-                    depth -= 1
-            current.append(self.advance())
-        terms.append((current, tilde))
-        return terms
-
-
-def _matching_bracket(ts: list[Token], start: int) -> int:
-    depth = 0
-    for j in range(start, len(ts)):
-        tok = ts[j]
-        if tok.kind == "op":
-            if tok.text == "[":
-                depth += 1
-            elif tok.text == "]":
-                depth -= 1
-                if depth == 0:
-                    return j
-    return len(ts)
-
-
-def _split_top_level(ts: list[Token], sep: str) -> list[list[Token]]:
-    items: list[list[Token]] = [[]]
-    depth = 0
-    for tok in ts:
-        if tok.kind == "op":
-            if tok.text in "([{":
-                depth += 1
-            elif tok.text in ")]}":
-                depth -= 1
-            elif tok.text == sep and depth == 0:
-                items.append([])
-                continue
-        items[-1].append(tok)
-    return [it for it in items if it]
 
 
 _NO_SPACE_BEFORE = frozenset({".", ",", ")", "]", "}", "{", ";"})
@@ -1096,8 +1023,8 @@ def _literal_type(tok: Token) -> Basic | None:
     return None
 
 
-def _infer_const_type(value: list[Token] | None) -> Basic:
-    if value and len(value) == 1:
+def _infer_const_type(value: list[Token]) -> Basic:
+    if len(value) == 1:
         lit = _literal_type(value[0])
         if lit is not None:
             return Basic("untyped " + {"float64": "float", "complex128": "complex"}.get(lit.name, lit.name))
@@ -1120,3 +1047,15 @@ def parse_go_file(text: str, package_path: str = "") -> GoFile:
     """Parse one source file at declaration level."""
     parser = _Parser(tokenize(text, skip_bodies=True), package_path)
     return parser.parse_file()
+
+
+def parse_imports(text: str) -> list[ImportSpec]:
+    """The imports of one source file. The whole file is lexed, function
+    bodies without tokens, so a lexical error anywhere in it is a GoSyntaxError."""
+    parser = _Parser(tokenize(text, skip_bodies=True), "")
+    gofile = parser._parse_package_clause()
+    while True:
+        parser.skip_semis()
+        if not parser.at_keyword("import"):
+            return gofile.imports
+        parser._parse_import_decl(gofile)

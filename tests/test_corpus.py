@@ -11,7 +11,6 @@ import planted_corpus as pc
 import semverdiff.corpus as corpus_module
 from conftest import write_tree
 from semverdiff.corpus import (
-    CorruptGraphFile,
     LayoutError,
     aggregate_upgrade_stats,
     analyze_corpus,
@@ -19,7 +18,6 @@ from semverdiff.corpus import (
     condition_table,
     identify_roles,
     ingest_corpus,
-    load_graph,
     percent_display,
     persist_graph,
     time_series,
@@ -223,26 +221,21 @@ class TestGraph:
         identify_roles(g)
         assert g.roles == before
 
-    def test_persist_load_round_trip(self, tmp_path):
+    def test_persisted_graph_holds_every_node_edge_and_role(self, tmp_path):
         root = _mini_corpus(tmp_path)
         entries = ingest_corpus(root)
         validate_corpus(entries)
         g = build_graph(entries)
+        assert g.edges and g.roles
         path = tmp_path / "graph.json"
         persist_graph(g, path)
-        loaded = load_graph(path)
-        assert loaded == g
-        identify_roles(loaded)
-        assert loaded.roles == g.roles
-
-    def test_corrupt_graph_file(self, tmp_path):
-        path = tmp_path / "graph.json"
-        path.write_text('{"nodes": [{"module": "x"')
-        with pytest.raises(CorruptGraphFile):
-            load_graph(path)
-        path.write_text('{"nodes": []}')
-        with pytest.raises(CorruptGraphFile):
-            load_graph(path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        nodes = {(n.pop("module"), n.pop("version")): n for n in doc["nodes"]}
+        assert len(nodes) == len(doc["nodes"]) and nodes == g.nodes
+        edges = [(tuple(e["from"]), tuple(e["to"])) for e in doc["edges"]]
+        assert edges == sorted(set(g.edges))
+        roles = {(r.pop("module"), r.pop("version")): r for r in doc["roles"]}
+        assert len(roles) == len(doc["roles"]) and roles == g.roles
 
 
 class TestPlantedCorpusPipeline:

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,8 +39,10 @@ from semverdiff.parser import (
     GoSyntaxError,
     _Parser,
     parse_go_file,
+    parse_imports,
     tokenize,
 )
+from semverdiff import parser as parser_module
 
 PKG = "example.com/lib"
 
@@ -251,6 +256,20 @@ class TestTypeExpressions:
         f = parse_go_file("package lib\n\ntype List[T any] struct{}\n\nfunc F(l List[int]) {}\n", PKG)
         fn = f.funcs[0]
         assert render_type_expr(fn.sig, PKG) == "func(List[int])"
+
+    def test_type_param_with_slice_constraint_is_generic(self):
+        spec = parse_go_file("package lib\n\ntype A[T []int] struct{ X T }\n", PKG).types[0]
+        assert spec.type_params == (TypeParamDef("T", Slice(Basic("int"))),)
+        assert spec.type == Struct((FieldDef("X", TypeParamRef("T"), None, False, True),))
+
+    def test_type_param_with_pointer_constraint_and_trailing_comma_is_generic(self):
+        spec = parse_go_file("package lib\n\ntype A[T *int,] struct{}\n", PKG).types[0]
+        assert spec.type_params == (TypeParamDef("T", Pointer(Basic("int"))),)
+        assert spec.type == Struct(())
+
+    @pytest.mark.parametrize("length,spelled", [("N * M", "N * M"), ("f(1, 2)", "f (1, 2)"), ("N*(M)", "N * (M)")])
+    def test_length_expression_without_top_level_comma_is_an_array(self, length, spelled):
+        assert _first_type(f"package lib\n\ntype A [{length}]int\n") == Array(spelled, Basic("int"))
 
     def test_array_of_named_length(self):
         t = _first_type("package lib\n\ntype T [Size]byte\n")
@@ -656,6 +675,71 @@ _SHAPES = {
     "unclosed-paren": "package p\n\nvar x = (\n\nfunc F() { y }\n",
     "bom": "﻿package p\n\nfunc F() { ﻿ }\n",
 }
+
+
+# One [sha256(input), sha256(repr(GoFile))] row per input the parser accepts.
+GOLDEN_PARSES = Path(__file__).resolve().parent / "golden" / "parse_outcomes.ndjson"
+
+
+def _golden_inputs() -> list[str]:
+    """Every fixture source and named shape, then 2,000 seeded hostile mutants."""
+    rng = random.Random(0)
+    mutants = []
+    for _ in range(2000):
+        src = rng.choice(_SOURCES)
+        for _ in range(rng.randint(1, 4)):
+            at = rng.randint(0, len(src))
+            src = src[:at] + rng.choice(_HOSTILE) + src[at:]
+        mutants.append(src)
+    return _SOURCES + [_SHAPES[shape] for shape in sorted(_SHAPES)] + mutants
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _parse_rows() -> dict[str, str]:
+    """sha256 of each accepted input -> sha256 of the repr of its GoFile."""
+    rows = {}
+    for src in _golden_inputs():
+        try:
+            gofile = parse_go_file(src, PKG)
+        except GoSyntaxError:
+            continue
+        rows[_sha256(src)] = _sha256(repr(gofile))
+    return rows
+
+
+class TestParseGolden:
+    def test_parses_match_the_golden_file(self):
+        golden = dict(json.loads(line) for line in GOLDEN_PARSES.read_text(encoding="utf-8").splitlines())
+        rows = _parse_rows()
+        assert sorted(rows.keys() - golden.keys()) == [], "accepted, but rejected when the file was written"
+        assert sorted(golden.keys() - rows.keys()) == [], "rejected, but accepted when the file was written"
+        assert {key for key in rows if rows[key] != golden[key]} == set(), "parsed to a different GoFile"
+
+
+class TestOnePass:
+    def test_a_file_is_parsed_by_one_parser(self, monkeypatch):
+        made = []
+
+        class CountingParser(_Parser):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(parser_module, "_Parser", CountingParser)
+        for src in _SOURCES:
+            parse_go_file(src, PKG)
+        assert len(made) == len(_SOURCES)
+
+    def test_parse_imports_gives_the_imports_of_the_file(self):
+        for src in _SOURCES:
+            assert parse_imports(src) == parse_go_file(src, PKG).imports
+
+    def test_parse_imports_lexes_the_whole_file(self):
+        with pytest.raises(GoSyntaxError, match=r"^line 5: unexpected character '@'$"):
+            parse_imports(_SHAPES["body-lexing-error"])
 
 
 class TestSkipBodies:
