@@ -1,29 +1,44 @@
 """Client-side impact analysis for a library's breaking changes.
 
 Files whose imports are disjoint from the breaking packages are skipped
-without being scanned; surviving files are tokenized (string- and
-comment-aware) and selector occurrences are matched against breaking nodes
-through each file's import bindings.
+without being scanned. In each surviving file, comments, strings, runes and
+numbers are blanked by one regex, and selectors (alias.Name, x.Method) are
+found by a regex over the blanked text, with the semicolon-insertion rule
+kept; bare identifiers are collected only when a breaking package is
+dot-imported. Matches are resolved to breaking nodes through the file's
+import bindings. No tokens are built.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import parser as _goparser
 from .diff import ChangeRecord
 from .manifest import MANIFEST_NAME, MalformedManifest, parse_manifest
-from .parser import GoSyntaxError, Token
+from .parser import _IDENT, GO_KEYWORDS, GoSyntaxError
 from .surface import ApiSurface, ParseFailure
 
 logger = logging.getLogger(__name__)
 
 # Matching entry point, kept as a module global so the short-circuit is
-# observable: skipped files must never reach it.
-tokenize = _goparser.tokenize
+# observable: skipped files must never reach it. It blanks comments and
+# literals; selectors and identifiers are then found in the text it returns.
+tokenize = _goparser.blank_literals
+
+# In blanked text every "." is a "." token, and a word never starts with a
+# digit, since numbers are blanked. A selector is base.member where only
+# spaces fall between base and ".", because a newline there would insert a
+# ";"; a newline may follow the ".".
+_DOT_MEMBER_RE = re.compile(rf"\.(?=[ \t\r\n]*({_IDENT}))")
+# Matched in the reversed text just before a ".": the base, spelled backwards.
+_BASE_BEFORE_RE = re.compile(r"[ \t\r]*(\w+)")
+# An identifier, with the "." before it when it is a member.
+_IDENT_RE = re.compile(rf"(\.[ \t\r\n]*)?(?<!\w)({_IDENT})")
 
 
 @dataclass(frozen=True)
@@ -133,21 +148,42 @@ def bind_imports(source_file: str, file: str = "") -> ImportBinding:
     return binding
 
 
-def _selector_occurrences(tokens: list[Token]) -> tuple[list[tuple[str, str, int]], list[tuple[str, int]]]:
-    """Collect (base, member, line) selector pairs and bare identifier uses."""
+def _selectors(blanked: str) -> list[tuple[str, str, int]]:
+    """(base, member, line of member) for each selector in text blanked by tokenize."""
+    backwards = blanked[::-1]
+    end = len(blanked)
     selectors: list[tuple[str, str, int]] = []
-    bares: list[tuple[str, int]] = []
-    n = len(tokens)
-    for i, tok in enumerate(tokens):
-        if tok.kind != "ident":
+    line = 1
+    pos = 0
+    for m in _DOT_MEMBER_RE.finditer(blanked):
+        before = _BASE_BEFORE_RE.match(backwards, end - m.start())
+        if before is None:
             continue
-        prev_is_dot = i > 0 and tokens[i - 1].kind == "op" and tokens[i - 1].text == "."
-        next_is_dot = i + 2 < n and tokens[i + 1].kind == "op" and tokens[i + 1].text == "." and tokens[i + 2].kind == "ident"
-        if next_is_dot:
-            selectors.append((tok.text, tokens[i + 2].text, tokens[i + 2].line))
-        if not prev_is_dot:
-            bares.append((tok.text, tok.line))
-    return selectors, bares
+        base = before.group(1)[::-1]
+        member = m.group(1)
+        if base in GO_KEYWORDS or member in GO_KEYWORDS:
+            continue
+        at = m.start(1)
+        line += blanked.count("\n", pos, at)
+        pos = at
+        selectors.append((base, member, line))
+    return selectors
+
+
+def _bare_identifiers(blanked: str) -> list[tuple[str, int]]:
+    """(name, line) for each identifier in text blanked by tokenize that is not a member."""
+    bares: list[tuple[str, int]] = []
+    line = 1
+    pos = 0
+    for m in _IDENT_RE.finditer(blanked):
+        dot, name = m.groups()
+        if dot is not None or name in GO_KEYWORDS:
+            continue
+        at = m.start(2)
+        line += blanked.count("\n", pos, at)
+        pos = at
+        bares.append((name, line))
+    return bares
 
 
 def _match_file(
@@ -158,8 +194,8 @@ def _match_file(
     client_module: str,
     client_version: str | None,
 ) -> list[ClientUsage]:
-    tokens = tokenize(text)
-    selectors, bares = _selector_occurrences(tokens)
+    blanked = tokenize(text)
+    selectors = _selectors(blanked)
 
     alias_packages = {
         alias: pkg for alias, pkg in binding.bindings.items() if pkg in nodes_by_package
@@ -172,6 +208,7 @@ def _match_file(
         pkg = alias_packages.get(base)
         if pkg is not None:
             qualified_uses.add((pkg, member))
+    bares = _bare_identifiers(blanked) if dot_packages else []
     for pkg in dot_packages:
         for name, _line in bares:
             qualified_uses.add((pkg, name))
@@ -235,7 +272,7 @@ def scan_client(
     """Find usages of breaking nodes in one client checkout.
 
     Stage 1 skips every file whose imported package paths are disjoint from
-    the breaking packages; only surviving files are tokenized and matched.
+    the breaking packages; only surviving files are scanned and matched.
     """
     root = Path(client_root)
     nodes_by_package: dict[str, dict[str, BreakingNode]] = {}

@@ -6,7 +6,9 @@ skip_bodies, which keeps the braces of each top-level function body and builds
 no tokens between them: a small regex scans to the matching brace, string-,
 rune- and comment-aware, and raises the same lexical errors the full lexer
 would. A file whose brackets do not nest is lexed in full instead, because
-there the lexer cannot tell what is top level. The parser itself only covers
+there the lexer cannot tell what is top level. blank_literals blanks the
+comments and literals of a file with one regex built from the lexer's
+sub-patterns, for scans that need no tokens. The parser itself only covers
 what an API surface needs: the package clause, imports, and top-level
 const/var/type/func declarations, including generic type parameters. One
 parser with one cursor reads each file: parameter, type-argument and
@@ -67,13 +69,20 @@ PREDECLARED_TYPES = frozenset(
     "rune string uint uint8 uint16 uint32 uint64 uintptr any comparable".split()
 )
 
-# Sub-patterns the token regex and the body regex share: inside them a brace
-# is text, not a bracket.
+# Sub-patterns the token, body and blanking regexes share: inside the first
+# five a brace is text, not a bracket.
 _COMMENT_LINE = r"//[^\n]*"
 _COMMENT_BLOCK = r"/\*(?s:.*?)\*/"
 _RAW_STRING = r"`[^`]*`"
 _STRING = r'"(?:[^"\\\n]|\\.)*"'
 _RUNE = r"'(?:[^'\\\n]|\\.)*'"
+_FLOAT = (
+    r"(?:\d[\d_]*\.[\d_]*(?:[eE][+-]?\d[\d_]*)?|\.\d[\d_]*(?:[eE][+-]?\d[\d_]*)?"
+    r"|\d[\d_]*[eE][+-]?\d[\d_]*|0[xX][\da-fA-F_]*(?:\.[\da-fA-F_]*)?[pP][+-]?\d[\d_]*)i?"
+)
+_INT = r"(?:0[xX][\da-fA-F_]+|0[bB][01_]+|0[oO][0-7_]+|\d[\d_]*)i?"
+_NUMBER = rf"(?:{_FLOAT}|{_INT})"
+_IDENT = r"[^\W\d]\w*"
 
 _TOKEN_RE = re.compile(
     rf"""
@@ -84,12 +93,9 @@ _TOKEN_RE = re.compile(
     | (?P<raw_string>{_RAW_STRING})
     | (?P<string>{_STRING})
     | (?P<rune>{_RUNE})
-    | (?P<float>(?:\d[\d_]*\.[\d_]*(?:[eE][+-]?\d[\d_]*)?
-        |\.\d[\d_]*(?:[eE][+-]?\d[\d_]*)?
-        |\d[\d_]*[eE][+-]?\d[\d_]*
-        |0[xX][\da-fA-F_]*(?:\.[\da-fA-F_]*)?[pP][+-]?\d[\d_]*)i?)
-    | (?P<int>(?:0[xX][\da-fA-F_]+|0[bB][01_]+|0[oO][0-7_]+|\d[\d_]*)i?)
-    | (?P<ident>[^\W\d]\w*)
+    | (?P<float>{_FLOAT})
+    | (?P<int>{_INT})
+    | (?P<ident>{_IDENT})
     | (?P<open>[(\[{{])
     | (?P<close>[)\]}}])
     | (?P<op><<=|>>=|&\^=|\.\.\.|&&|\|\||<-|\+\+|--|==|!=|<=|>=|:=|\+=|-=|\*=|/=|%=|&=|\|=|\^=|<<|>>|&\^|[+\-*/%&|^<>=!:;,.~])
@@ -233,6 +239,37 @@ def _skip_body(text: str, pos: int, line: int) -> int:
             depth -= 1
             if depth == 0:
                 return pos
+
+
+# Each comment, string, rune, number and "..." token, split as the lexer
+# splits them: a number starts outside an identifier, or at a "." followed by
+# a digit, and a number right after a number (0b12 lexes as 0b1 and 2) is
+# part of the match. The lookahead lets the regex skip other text quickly.
+_BLANK_RE = re.compile(
+    rf"(?=[/\"'`\d.])(?:{_COMMENT_LINE}|{_COMMENT_BLOCK}|{_RAW_STRING}|{_STRING}|{_RUNE}"
+    rf"|(?:(?<!\w)|(?=\.\d)){_NUMBER}(?:(?=\d){_NUMBER})*|\.\.\.)"
+)
+
+
+def _blank(m: re.Match) -> str:
+    text = m.group()
+    newlines = text.count("\n")
+    if text[0] == "/":
+        return "\n" * newlines or " "
+    return "#" + "\n" * newlines
+
+
+def blank_literals(text: str) -> str:
+    """Go source with its comments, literals and "..." tokens blanked.
+
+    A comment becomes whitespace and every other blanked token a "#", each
+    keeping its newlines, so identifiers stay on their lines and every "."
+    left is a "." token. The text must be one the lexer accepts; a leading
+    byte order mark is dropped, as tokenize drops it.
+    """
+    if text.startswith("﻿"):
+        text = text[1:]
+    return _BLANK_RE.sub(_blank, text)
 
 
 @dataclass(frozen=True)
@@ -620,8 +657,11 @@ class _Parser:
         # does: a type parameter list starts with an identifier followed by
         # the beginning of a constraint, never by "]". An index expression is
         # never a constant length, so "[" starts a constraint too. After "*"
-        # or "(" the list could still be a length (N * M, f(N)), unless a
-        # top-level comma follows, as in [T *int,].
+        # or "(" the list could still be a length (N * M, f(N)). It is a type
+        # parameter list when a top-level comma follows, as in [T *int,], or,
+        # by go/parser's isTypeElem, when the operand after the "*" or "(",
+        # or a term of a top-level union, is a type element: [T *[]int],
+        # [T *E | ~int].
         nxt = self.peek()
         if nxt.kind != "ident":
             return False
@@ -634,7 +674,39 @@ class _Parser:
             return False
         if after.text in (",", "~", "["):
             return True
-        return after.text in ("*", "(") and len(self._scan_list(self.i)) > 1
+        if after.text not in ("*", "("):
+            return False
+        marks = self._scan_list(self.i)
+        if len(marks) > 1:
+            return True
+        operands = [self.i + 3]
+        depth = 0
+        for k in range(self.i + 2, marks[-1]):
+            tok = self.toks[k]
+            if tok.kind != "op":
+                continue
+            if tok.text in ("(", "[", "{"):
+                depth += 1
+            elif tok.text in (")", "]", "}"):
+                depth -= 1
+            elif tok.text == "|" and depth == 0:
+                operands.append(k + 1)
+        return any(self._starts_type_elem(j) for j in operands)
+
+    def _starts_type_elem(self, j: int) -> bool:
+        """Whether the expression at j can only be a type element: an array,
+        slice, struct, func, interface, map or chan type, or a ~ term,
+        possibly in parentheses."""
+        while self.toks[j].kind == "op" and self.toks[j].text == "(":
+            j += 1
+        tok = self.toks[j]
+        if tok.kind == "keyword":
+            return tok.text in _TYPE_START_KEYWORDS
+        if tok.kind != "op":
+            return False
+        if tok.text == "<-":
+            return self.toks[j + 1].text == "chan"
+        return tok.text in ("[", "~")
 
     # -- functions ----------------------------------------------------------
 
@@ -711,31 +783,37 @@ class _Parser:
         An item is a bare identifier, `name Type` or `Type`. Within a list
         either every parameter is named or none is: a bare identifier is a
         name when some item is `name Type`, and then takes the type of the
-        next item that carries one (a, b int); otherwise it is a type.
+        next item that carries one (a, b int); otherwise it is a type. Only
+        the final parameter may be variadic.
         """
         self.expect_op("(")
-        items: list[tuple[str, TypeExpr | None]] = []  # (bare identifier, None) or ("", type)
-        named = variadic = False
+        items: list[tuple[str, TypeExpr | None]] = []  # (name or "", type) or (bare identifier, None)
+        variadic = False
         while not self.at_op(")"):
             tok = self.cur()
+            if variadic:
+                raise GoSyntaxError("can only use ... with final parameter in list", tok.line)
             nxt = self.peek()
             if tok.kind == "ident" and nxt.kind == "op" and nxt.text in (",", ")"):
                 self.advance()
                 items.append((tok.text, None))
             else:
+                name = ""
                 if tok.kind == "ident" and not (
                     nxt.kind == "op"
                     and (nxt.text == "." or (nxt.text == "[" and self._bracket_ends(self.i + 1, _PARAM_ENDERS)))
                 ):
-                    self.advance()  # the parameter's name
-                    named = True
+                    name = self.advance().text
                 if self.at_op("..."):
                     self.advance()
                     variadic = True
-                items.append(("", self._parse_type(tparams)))
+                items.append((name, self._parse_type(tparams)))
             if not self.at_op(")"):
                 self.expect_op(",")
-        self.advance()
+        close = self.advance()
+        named = any(name and t is not None for name, t in items)
+        if named and (items[-1][1] is None or any(not name for name, _ in items)):
+            raise GoSyntaxError("mixed named and unnamed parameters", close.line)
 
         types: list[TypeExpr] = []
         carry: TypeExpr | None = None
@@ -942,7 +1020,6 @@ class _Parser:
                         fields.append(
                             FieldDef(name=n, type=ftype, tag=tag, anonymous=False, exported=is_exported(n))
                         )
-                    continue
             else:
                 raise GoSyntaxError(f"unexpected token {self.cur().text!r} in struct", self.cur().line)
 
@@ -953,6 +1030,8 @@ class _Parser:
                 fields.append(
                     FieldDef(name=name, type=ftype, tag=tag, anonymous=True, exported=is_exported(name))
                 )
+            if not (self.at_op(";") or self.at_op("}")):
+                raise GoSyntaxError(f"unexpected {self.cur().text!r} after struct field", self.cur().line)
         return Struct(fields=tuple(fields))
 
     def _parse_tag(self) -> str | None:

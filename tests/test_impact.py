@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import importlib
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import impact_fixtures as fx
 import semverdiff.impact as impact_module
 from oracles import textual_search_oracle
 from conftest import write_module, write_tree
+from semverdiff.parser import GoSyntaxError, tokenize
+from test_parser import _HOSTILE, _SOURCES, _mutants
 from semverdiff.diff import ChangeRecord, diff_surfaces
 from semverdiff.impact import (
     ScanReport,
@@ -249,3 +254,131 @@ class TestAnalyzeImpact:
         counts = Counter((u.node.category, u.node.condition) for u in result.usages)
         assert counts[("Function", "Remove")] == 2  # default + dot clients
         assert counts[("Function", "Param Change")] == 1
+
+
+# -- the selector scanner against the lexer ------------------------------------
+
+
+def _reference_occurrences(text: str) -> tuple[list[tuple[str, str, int]], list[tuple[str, int]]]:
+    """(base, member, line) selector pairs and bare identifier uses, from tokens.
+
+    The reference the scanner must agree with: a selector is ident "."
+    ident in the lexer's token stream, with the member's line, and a bare
+    use is an identifier whose previous token is not ".".
+    """
+    tokens = tokenize(text)
+    selectors: list[tuple[str, str, int]] = []
+    bares: list[tuple[str, int]] = []
+    n = len(tokens)
+    for i, tok in enumerate(tokens):
+        if tok.kind != "ident":
+            continue
+        prev_is_dot = i > 0 and tokens[i - 1].kind == "op" and tokens[i - 1].text == "."
+        next_is_dot = i + 2 < n and tokens[i + 1].kind == "op" and tokens[i + 1].text == "." and tokens[i + 2].kind == "ident"
+        if next_is_dot:
+            selectors.append((tok.text, tokens[i + 2].text, tokens[i + 2].line))
+        if not prev_is_dot:
+            bares.append((tok.text, tok.line))
+    return selectors, bares
+
+
+def _scanned(text: str) -> tuple[list[tuple[str, str, int]], list[tuple[str, int]]]:
+    blanked = impact_module.tokenize(text)
+    return impact_module._selectors(blanked), impact_module._bare_identifiers(blanked)
+
+
+def _scan(text: str) -> list[tuple[str, str, int]]:
+    """The scanner's selectors, after checking that it agrees with the tokens."""
+    scanned = _scanned(text)
+    assert scanned == _reference_occurrences(text), text
+    return scanned[0]
+
+
+def _assert_scan_agrees(text: str) -> None:
+    try:
+        reference = _reference_occurrences(text)
+    except GoSyntaxError:
+        assume(False)
+    assert _scanned(text) == reference, text
+
+
+# Fragments that stress the scanner's rules: dots, numbers, newlines, comments.
+_SCAN_FRAGMENTS = (
+    ".", "...", "x.", ".Y", "\n", " ", "\t", "x", "_", "9", "0b12", "0x1p-2", "1.e5", ".5", "1_0i",
+    "/* c */", "/*\n*/", "// c\n", "`a\nb`", '"s"', "'r'", "type", "func", "return",
+)
+
+
+@st.composite
+def _scan_mutants(draw) -> str:
+    """A fixture source with a few scanner-stressing fragments inserted anywhere."""
+    src = draw(st.sampled_from(_SOURCES))
+    for _ in range(draw(st.integers(1, 6))):
+        at = draw(st.integers(0, len(src)))
+        src = src[:at] + draw(st.sampled_from(_SCAN_FRAGMENTS + _HOSTILE)) + src[at:]
+    return src
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+class TestSelectorScan:
+    def test_fixture_sources(self):
+        for src in _SOURCES:
+            _scan(src)
+
+    def test_generated_client_files(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        gen = importlib.import_module("gen")
+        gen.generate("impact-clients", 1, tmp_path)
+        files = sorted(tmp_path.rglob("*.go"))
+        assert len(files) > 100
+        for path in files:
+            _scan(path.read_text(encoding="utf-8"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mutants())
+    def test_hostile_mutants(self, src):
+        _assert_scan_agrees(src)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_scan_mutants())
+    def test_scanner_mutants(self, src):
+        _assert_scan_agrees(src)
+
+    def test_newline_after_the_dot_keeps_the_selector(self):
+        assert _scan("x.\nY") == [("x", "Y", 2)]
+
+    @pytest.mark.parametrize("src", ["x\n.Y", "x // c\n.Y", "x /*\n*/ .Y"])
+    def test_semicolon_before_the_dot_ends_the_selector(self, src):
+        assert _scan(src) == []
+
+    def test_comment_without_newline_is_space(self):
+        assert _scan("x /* c */ .Y") == [("x", "Y", 1)]
+
+    def test_keywords_are_neither_base_nor_member(self):
+        assert _scan("x.type\ntype.Y\nfunc.Z") == []
+
+    def test_chained_selector_gives_both_pairs(self):
+        assert _scan("a.b.c") == [("a", "b", 1), ("b", "c", 1)]
+
+    @pytest.mark.parametrize("src", ["a...b", "f(a...)\ng(x ...Y)", "x....Y"])
+    def test_ellipsis_is_not_a_selector(self, src):
+        assert _scan(src) == []
+
+    @pytest.mark.parametrize("src", ["1.e5.Foo", "0x1p-2", "x.5.Y", "0b12.Y", "...0x1p2"])
+    def test_numbers_give_no_selectors(self, src):
+        assert _scan(src) == []
+
+    def test_digits_at_the_end_of_an_identifier_belong_to_it(self):
+        assert _scan("x1.Y2\nv12e5.F") == [("x1", "Y2", 1), ("v12e5", "F", 2)]
+
+    def test_literals_break_a_selector(self):
+        assert _scan('x "s".Y\nx `a\nb`.Y\nx \'r\'.Y\nx 1.Y') == []
+
+    def test_leading_byte_order_mark_is_dropped(self):
+        assert impact_module.tokenize("\ufeffx.Y") == "x.Y"
+        assert _scan("\ufeffx.Y") == [("x", "Y", 1)]
+
+    def test_selector_reports_the_line_of_its_member(self):
+        assert _scan("`\n`\n/*\n\n*/ a.\n\nb.\n// c\nc") == [("a", "b", 7), ("b", "c", 9)]

@@ -202,6 +202,23 @@ class TestTypeExpressions:
         assert fn.sig.variadic
         assert render_type_expr(fn.sig) == "func(string, ...[]byte)"
 
+    def test_variadic_only_on_the_final_parameter(self):
+        with pytest.raises(GoSyntaxError, match="can only use ... with final parameter"):
+            parse_go_file("package lib\n\nfunc F(...int, string) {}\n", PKG)
+        fn = _first_func("package lib\n\nfunc F(a string, b ...int,) {}\n")
+        assert render_type_expr(fn.sig) == "func(string, ...int)"
+
+    @pytest.mark.parametrize("params", ["a, b int, c", "a int, string", "a int, []string", "io.Reader, r int"])
+    def test_mixed_named_and_unnamed_parameters_are_rejected(self, params):
+        with pytest.raises(GoSyntaxError, match="mixed named and unnamed parameters"):
+            parse_go_file(f"package lib\n\nfunc K({params}) {{}}\n", PKG)
+
+    def test_struct_fields_need_a_separator(self):
+        with pytest.raises(GoSyntaxError, match="after struct field"):
+            parse_go_file("package lib\n\ntype T struct{ A int B int }\n", PKG)
+        t = _first_type("package lib\n\ntype T struct{ A int; B int `t` }\n")
+        assert [f.name for f in t.fields] == ["A", "B"]
+
     def test_struct_fields_record_export_and_order(self):
         t = _first_type("package lib\n\ntype T struct {\n\tA int\n\tb int\n}\n")
         assert isinstance(t, Struct)
@@ -265,6 +282,20 @@ class TestTypeExpressions:
     def test_type_param_with_pointer_constraint_and_trailing_comma_is_generic(self):
         spec = parse_go_file("package lib\n\ntype A[T *int,] struct{}\n", PKG).types[0]
         assert spec.type_params == (TypeParamDef("T", Pointer(Basic("int"))),)
+        assert spec.type == Struct(())
+
+    @pytest.mark.parametrize(
+        "constraint,expect",
+        [
+            ("*[]int", Pointer(Slice(Basic("int")))),
+            ("*struct{}", Pointer(Struct(()))),
+            ("([]int)", Slice(Basic("int"))),
+            ("*E | ~int", Interface((), (UnionTerm(Pointer(Named(PKG, "E"))), UnionTerm(Basic("int"), True)))),
+        ],
+    )
+    def test_type_param_with_a_type_element_after_star_or_paren_is_generic(self, constraint, expect):
+        spec = parse_go_file(f"package lib\n\ntype A[T {constraint}] struct{{}}\n", PKG).types[0]
+        assert spec.type_params == (TypeParamDef("T", expect),)
         assert spec.type == Struct(())
 
     @pytest.mark.parametrize("length,spelled", [("N * M", "N * M"), ("f(1, 2)", "f (1, 2)"), ("N*(M)", "N * (M)")])

@@ -25,8 +25,9 @@ def test_every_traced_entry_point_exists(monkeypatch):
 
 def test_lexing_goes_through_the_traced_names(monkeypatch):
     """Declaration parsing and import binding lex through `parser.tokenize`
-    with bodies skipped, and matching through `impact.tokenize` in full, so
-    the traced run reports lexing as lexing and not as parse time."""
+    with bodies skipped, and matching blanks literals through
+    `impact.tokenize`, so the traced run reports lexing and scanning as
+    lexing and not as parse or match time."""
     calls = []
 
     def spy_on(real):
