@@ -128,8 +128,8 @@ def bind_imports(source_file: str, file: str = "") -> ImportBinding:
 
     The default alias is the last path segment; explicit aliases are honored;
     "." imports land in dot_imports and "_" imports in blank_imports. The
-    whole file is lexed, function bodies without tokens, so a lexical error
-    anywhere in it is a ParseFailure.
+    whole file is checked for lexical errors, so one anywhere in it is a
+    ParseFailure; only the import header is lexed.
     """
     try:
         imports = _goparser.parse_imports(source_file)

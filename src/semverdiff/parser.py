@@ -1,19 +1,21 @@
 """Declaration-level parser for Go source files.
 
 The tokenizer understands full Go lexing (strings, runes, comments, automatic
-semicolon insertion). Declaration parsing and import binding call it with
-skip_bodies, which keeps the braces of each top-level function body and builds
-no tokens between them: a small regex scans to the matching brace, string-,
-rune- and comment-aware, and raises the same lexical errors the full lexer
-would. A file whose brackets do not nest is lexed in full instead, because
-there the lexer cannot tell what is top level. blank_literals blanks the
-comments and literals of a file with one regex built from the lexer's
-sub-patterns, for scans that need no tokens. The parser itself only covers
-what an API surface needs: the package clause, imports, and top-level
-const/var/type/func declarations, including generic type parameters. One
-parser with one cursor reads each file: parameter, type-argument and
-type-parameter lists are parsed item by item where they stand, looking ahead
-only to tell a name from a type.
+semicolon insertion). Declaration parsing calls it with skip_bodies, which
+keeps the braces of each top-level function body and builds no tokens between
+them: a small regex scans to the matching brace, string-, rune- and
+comment-aware, and raises the same lexical errors the full lexer would. A file
+whose brackets do not nest is lexed in full instead, because there the lexer
+cannot tell what is top level. Import binding calls it with imports_only: the
+whole file is checked for lexical errors by one bounded regex, without tokens,
+and only the header up to the first const, func, type or var keyword is lexed.
+blank_literals blanks the comments and literals of a file with one regex built
+from the lexer's sub-patterns, for scans that need no tokens. The parser
+itself only covers what an API surface needs: the package clause, imports, and
+top-level const/var/type/func declarations, including generic type
+parameters. One parser with one cursor reads each file: parameter,
+type-argument and type-parameter lists are parsed item by item where they
+stand, looking ahead only to tell a name from a type.
 """
 
 from __future__ import annotations
@@ -111,9 +113,20 @@ _BODY_RE = re.compile(
     rf"|{_RAW_STRING}|{_STRING}|{_RUNE}|/|(?P<open>\{{)|(?P<close>\}})"
 )
 
+# _BODY_RE's alternatives with the braces in the run class, repeated: a match
+# stops where the lexer would fail. The repeat is bounded because sre keeps
+# backtracking state for every iteration of a repeated group, so an unbounded
+# one would grow with the file; _check_lexable calls match again where it ends.
+_LEXABLE_RE = re.compile(
+    rf"(?:[\w \t\r\n+\-*%&|^<>=!:;,.()\[\]{{}}~]+|{_COMMENT_LINE}|{_COMMENT_BLOCK}"
+    rf"|{_RAW_STRING}|{_STRING}|{_RUNE}|/){{1,1024}}"
+)
+
 _CLOSERS = {"(": ")", "[": "]", "{": "}"}
 # Keywords that start a top-level declaration other than a function.
 _DECL_KEYWORDS = frozenset({"const", "import", "package", "type", "var"})
+# Keywords that end the import header of a file.
+_HEADER_END_KEYWORDS = frozenset({"const", "func", "type", "var"})
 _SEMI_AFTER_OPS = frozenset({")", "]", "}", "++", "--"})
 _SEMI_AFTER_KEYWORDS = frozenset({"break", "continue", "fallthrough", "return"})
 _LITERAL_KINDS = frozenset({"int", "float", "string", "raw_string", "rune"})
@@ -131,16 +144,24 @@ class _Misnested(Exception):
     """Brackets do not nest, so the lexer cannot tell what is top level."""
 
 
-def tokenize(text: str, *, skip_bodies: bool = False) -> list[Token]:
+def tokenize(text: str, *, skip_bodies: bool = False, imports_only: bool = False) -> list[Token]:
     """Lex Go source into tokens, applying the semicolon-insertion rule.
 
     With skip_bodies, the braces of each top-level function body are kept
     and the tokens between them are not built; the text in between is still
     checked for lexical errors. A file whose brackets do not nest is lexed
     in full.
+
+    With imports_only, the whole file is checked for lexical errors without
+    building tokens, and tokens are built only up to and including the first
+    const, func, type or var keyword, then the final eof: all that the
+    package clause and the imports can be parsed from.
     """
     if text.startswith("﻿"):
         text = text[1:]
+    if imports_only:
+        _check_lexable(text)
+        return _lex(text, False, True)
     if skip_bodies:
         try:
             return _lex(text, True)
@@ -149,7 +170,19 @@ def tokenize(text: str, *, skip_bodies: bool = False) -> list[Token]:
     return _lex(text, False)
 
 
-def _lex(text: str, skip_bodies: bool) -> list[Token]:
+def _check_lexable(text: str) -> None:
+    """Raise the lexer's GoSyntaxError if the lexer would fail on text."""
+    match = _LEXABLE_RE.match
+    pos = 0
+    size = len(text)
+    while pos < size:
+        m = match(text, pos)
+        if m is None:
+            raise GoSyntaxError(f"unexpected character {text[pos]!r}", text.count("\n", 0, pos) + 1)
+        pos = m.end()
+
+
+def _lex(text: str, skip_bodies: bool, header_only: bool = False) -> list[Token]:
     tokens: list[Token] = []
     append = tokens.append
     match = _TOKEN_RE.match
@@ -182,6 +215,9 @@ def _lex(text: str, skip_bodies: bool) -> list[Token]:
         if kind == "ident":
             if value in GO_KEYWORDS:
                 kind = "keyword"
+                if header_only and value in _HEADER_END_KEYWORDS:
+                    append(Token(kind, value, line))
+                    break
                 if skip_bodies and not closers and value in _DECL_KEYWORDS:
                     decl_start = len(tokens)
         elif kind == "open":
@@ -772,19 +808,19 @@ class _Parser:
         params, variadic = self._parse_params(tparams)
         results: tuple[TypeExpr, ...] = ()
         if self.at_op("("):
-            results, _ = self._parse_params(tparams)
+            results, _ = self._parse_params(tparams, results=True)
         elif _starts_type(self.cur()):
             results = (self._parse_type(tparams),)
         return params, variadic, results
 
-    def _parse_params(self, tparams: frozenset[str]) -> tuple[tuple[TypeExpr, ...], bool]:
+    def _parse_params(self, tparams: frozenset[str], results: bool = False) -> tuple[tuple[TypeExpr, ...], bool]:
         """Parse a parenthesised parameter or result list, each item once.
 
         An item is a bare identifier, `name Type` or `Type`. Within a list
         either every parameter is named or none is: a bare identifier is a
         name when some item is `name Type`, and then takes the type of the
         next item that carries one (a, b int); otherwise it is a type. Only
-        the final parameter may be variadic.
+        the final parameter may be variadic, and no result.
         """
         self.expect_op("(")
         items: list[tuple[str, TypeExpr | None]] = []  # (name or "", type) or (bare identifier, None)
@@ -805,6 +841,8 @@ class _Parser:
                 ):
                     name = self.advance().text
                 if self.at_op("..."):
+                    if results:
+                        raise GoSyntaxError("cannot use ... in result list", self.cur().line)
                     self.advance()
                     variadic = True
                 items.append((name, self._parse_type(tparams)))
@@ -1065,8 +1103,8 @@ class _Parser:
                 )
             else:
                 embeds += self._parse_union(tparams)
-                if not (self.at_op(";") or self.at_op("}")):
-                    raise GoSyntaxError(f"unexpected {self.cur().text!r} after interface element", self.cur().line)
+            if not (self.at_op(";") or self.at_op("}")):
+                raise GoSyntaxError(f"unexpected {self.cur().text!r} after interface element", self.cur().line)
         return _make_interface(methods, embeds)
 
 
@@ -1129,9 +1167,9 @@ def parse_go_file(text: str, package_path: str = "") -> GoFile:
 
 
 def parse_imports(text: str) -> list[ImportSpec]:
-    """The imports of one source file. The whole file is lexed, function
-    bodies without tokens, so a lexical error anywhere in it is a GoSyntaxError."""
-    parser = _Parser(tokenize(text, skip_bodies=True), "")
+    """The imports of one source file. The whole file is checked for lexical
+    errors, so one anywhere in it is a GoSyntaxError; only the header is lexed."""
+    parser = _Parser(tokenize(text, imports_only=True), "")
     gofile = parser._parse_package_clause()
     while True:
         parser.skip_semis()

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from dataclasses import replace
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,8 @@ from semverdiff.parser import (
     MAX_TYPE_NESTING,
     PREDECLARED_TYPES,
     GoSyntaxError,
+    ImportSpec,
+    _check_lexable,
     _Parser,
     parse_go_file,
     parse_imports,
@@ -218,6 +221,20 @@ class TestTypeExpressions:
             parse_go_file("package lib\n\ntype T struct{ A int B int }\n", PKG)
         t = _first_type("package lib\n\ntype T struct{ A int; B int `t` }\n")
         assert [f.name for f in t.fields] == ["A", "B"]
+
+    def test_variadic_result_is_rejected(self):
+        for results in ("(...int)", "(n ...int)", "(int, ...int)"):
+            with pytest.raises(GoSyntaxError, match=r"^line 3: cannot use \.\.\. in result list$"):
+                parse_go_file(f"package lib\n\nfunc F() {results}\n", PKG)
+        fn = _first_func("package lib\n\nfunc F(a ...int) (b []int) { return }\n")
+        assert render_type_expr(fn.sig) == "func(...int) []int"
+
+    def test_interface_methods_need_a_separator(self):
+        with pytest.raises(GoSyntaxError, match=r"^line 3: unexpected 'B' after interface element$"):
+            parse_go_file("package lib\n\ntype I interface{ A() int B() }\n", PKG)
+        one_line = _first_type("package lib\n\ntype I interface{ A() int; B() }\n")
+        assert one_line == _first_type("package lib\n\ntype I interface {\n\tA() int\n\tB()\n}\n")
+        assert [m.name for m in one_line.methods] == ["A", "B"]
 
     def test_struct_fields_record_export_and_order(self):
         t = _first_type("package lib\n\ntype T struct {\n\tA int\n\tb int\n}\n")
@@ -815,3 +832,144 @@ class TestSkipBodies:
 
     def test_brackets_are_ops(self):
         assert {t.kind for t in tokenize("f(a[0], T{})") if t.text and t.text in "()[]{}"} == {"op"}
+
+
+def _reference_imports(text: str):
+    """parse_imports as it was before only the header was lexed: the whole
+    file lexed, function bodies without tokens."""
+    parser = _Parser(tokenize(text, skip_bodies=True), "")
+    gofile = parser._parse_package_clause()
+    while True:
+        parser.skip_semis()
+        if not parser.at_keyword("import"):
+            return gofile.imports
+        parser._parse_import_decl(gofile)
+
+
+def _outcome(fn, src: str):
+    try:
+        return fn(src)
+    except GoSyntaxError as exc:
+        return f"GoSyntaxError: {exc}"
+
+
+def _assert_imports_as_before(src: str) -> None:
+    assert _outcome(parse_imports, src) == _outcome(_reference_imports, src), src
+
+
+def _assert_check_agrees_with_lexer(src: str) -> None:
+    checked = _outcome(_check_lexable, src.removeprefix("\ufeff"))
+    lexed = _outcome(tokenize, src)
+    assert checked == (lexed if isinstance(lexed, str) else None), src
+
+
+_HEADER_FRAGMENTS = _HOSTILE + (
+    "import ", "package ", "func", "type ", "var ", "const ", '"a/b"', "\ufeff", "\x00", "\u00e9",
+)
+
+
+@st.composite
+def _header_mutants(draw) -> str:
+    """A fixture source with a few hostile or header fragments inserted,
+    half of them within its first 300 characters, where the imports are."""
+    src = draw(st.sampled_from(_SOURCES))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, min(len(src), 300)) | st.integers(0, len(src)))
+        src = src[:at] + draw(st.sampled_from(_HEADER_FRAGMENTS)) + src[at:]
+    return src
+
+
+def _string_heavy_file(size: int) -> str:
+    """A file whose bytes past its imports are nearly all literals and comments."""
+    line = '\t"a string \\"with\\" escapes", `raw {}`, \'x\', /* c */ // {{ }}\n'
+    lines = [line] * (size // len(line))
+    return 'package p\n\nimport "a/b"\n\nvar S = []string{\n' + "".join(lines) + "}\n"
+
+
+class TestImportsOnly:
+    def test_fixture_sources_and_shapes(self):
+        for src in _SOURCES + [_SHAPES[shape] for shape in sorted(_SHAPES)]:
+            _assert_imports_as_before(src)
+            _assert_check_agrees_with_lexer(src)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_mutants())
+    def test_hostile_mutants(self, src):
+        _assert_imports_as_before(src)
+        _assert_check_agrees_with_lexer(src)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_header_mutants())
+    def test_header_mutants(self, src):
+        _assert_imports_as_before(src)
+        _assert_check_agrees_with_lexer(src)
+
+    def test_only_the_header_is_lexed(self):
+        src = 'package p\n\nimport (\n\t"a/b"\n\tc "c/d"\n)\n\nfunc F() { x() }\n\nvar V = 1\n'
+        header = tokenize(src, imports_only=True)
+        full = tokenize(src)
+        end = next(i for i, t in enumerate(full) if t.text == "func") + 1
+        assert header[:-1] == full[:end]
+        assert (header[-1].kind, header[-1].line) == ("eof", 8)
+
+    def test_lexical_error_after_the_imports_at_top_level(self):
+        src = 'package p\n\nimport "a/b"\n\nvar x = 1\nvar y = $\n'
+        with pytest.raises(GoSyntaxError, match=r"^line 6: unexpected character '\$'$"):
+            parse_imports(src)
+        _assert_imports_as_before(src)
+
+    def test_lexical_error_in_a_body_names_its_line(self):
+        src = 'package p\n\nimport "a/b"\n\nfunc F() {\n\tx := "}"\n}\n\nfunc G() {\n\ty := 1 @ 2\n}\n'
+        with pytest.raises(GoSyntaxError, match=r"^line 10: unexpected character '@'$"):
+            parse_imports(src)
+        _assert_imports_as_before(src)
+
+    def test_import_block_holding_func(self):
+        src = 'package p\n\nimport (\n\t"a/b"\n\tfunc\n)\n'
+        with pytest.raises(GoSyntaxError, match=r"^line 5: expected import path string, found 'func'$"):
+            parse_imports(src)
+        _assert_imports_as_before("package p\n\nimport ( func )\n")
+
+    def test_file_of_imports_only(self):
+        src = 'package p\n\nimport (\n\t"a/b"\n\tc "c/d"\n)\nimport . "e"\nimport _ `f`\n'
+        assert parse_imports(src) == [
+            ImportSpec("a/b"), ImportSpec("c/d", alias="c"), ImportSpec("e", dot=True), ImportSpec("f", blank=True),
+        ]
+        assert tokenize(src, imports_only=True) == tokenize(src)
+        with pytest.raises(GoSyntaxError, match=r"^line 5: unterminated import block$"):
+            parse_imports('package p\n\nimport (\n\t"a/b"\n')
+
+    def test_byte_order_mark(self):
+        assert parse_imports('\ufeffpackage p\n\nimport "a/b"\n') == [ImportSpec("a/b")]
+        src = '\ufeffpackage p\n\nimport "a/b"\n\nfunc F() { \ufeff }\n'
+        with pytest.raises(GoSyntaxError, match=r"^line 5: unexpected character '\\ufeff'$"):
+            parse_imports(src)
+        _assert_imports_as_before(src)
+
+    def test_unterminated_block_comment_after_the_imports(self):
+        # The lexer reads an unclosed "/*" as the ops "/" and "*".
+        src = 'package p\n\nimport "a/b"\n\n/* never closed\nfunc F() {}\n'
+        assert parse_imports(src) == [ImportSpec("a/b")]
+        with pytest.raises(GoSyntaxError, match=r"^line 7: unexpected character '#'$"):
+            parse_imports(src + "# x\n")
+        _assert_imports_as_before(src)
+
+    def test_multi_line_raw_string_before_the_error_line(self):
+        src = 'package p\n\nimport "a/b"\n\nvar s = `one\ntwo\nthree`\nvar t = ?\n'
+        with pytest.raises(GoSyntaxError, match=r"^line 8: unexpected character '\?'$"):
+            parse_imports(src)
+        _assert_imports_as_before(src)
+
+    def test_string_heavy_file_keeps_memory_bounded(self):
+        src = _string_heavy_file(2_000_000)
+        assert len(src) > 1_900_000
+        tracemalloc.start()
+        try:
+            imports = parse_imports(src)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert imports == [ImportSpec("a/b")]
+        assert peak < 8_000_000
+        with pytest.raises(GoSyntaxError, match=r"^line \d+: unexpected character '@'$"):
+            parse_imports(src[:-2] + "@}\n")

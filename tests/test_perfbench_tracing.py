@@ -24,8 +24,9 @@ def test_every_traced_entry_point_exists(monkeypatch):
 
 
 def test_lexing_goes_through_the_traced_names(monkeypatch):
-    """Declaration parsing and import binding lex through `parser.tokenize`
-    with bodies skipped, and matching blanks literals through
+    """Declaration parsing lexes through `parser.tokenize` with bodies
+    skipped, import binding checks the file and lexes its header through
+    `parser.tokenize` with imports_only, and matching blanks literals through
     `impact.tokenize`, so the traced run reports lexing and scanning as
     lexing and not as parse or match time."""
     calls = []
@@ -45,7 +46,7 @@ def test_lexing_goes_through_the_traced_names(monkeypatch):
     assert calls == [(1, {"skip_bodies": True})]
     calls.clear()
     binding = impact.bind_imports(src, "main.go")
-    assert calls == [(1, {"skip_bodies": True})]
+    assert calls == [(1, {"imports_only": True})]
     calls.clear()
     impact._match_file("main.go", src, binding, {}, "example.com/client", None)
     assert calls == [(1, {})]
