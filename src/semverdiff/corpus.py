@@ -29,7 +29,6 @@ from .surface import ApiSurface, SurfaceEmpty, extract_surface
 from .versions import (
     NON_MAJOR_LEVELS,
     InvalidVersion,
-    NotAnUpgrade,
     SemanticVersion,
     UpgradeLevel,
     classify_upgrade,
@@ -306,25 +305,22 @@ def analyze_corpus(root: str | Path, *, include_prerelease: bool = False) -> Cor
         if src in entry_by_key:
             clients_of.setdefault(dst, []).append(entry_by_key[src])
 
-    by_module: dict[str, dict[tuple, CorpusEntry]] = {}
+    by_module: dict[str, dict[SemanticVersion, CorpusEntry]] = {}
     for e in entries:
         if e.is_valid and e.version is not None:
-            by_module.setdefault(e.module_path, {}).setdefault(e.version._precedence_key(), e)
+            by_module.setdefault(e.module_path, {}).setdefault(e.version, e)
 
     upgrades: list[UpgradeAnalysis] = []
     for module_path in sorted(by_module):
         if module_path not in tpl_modules:
             continue
         versioned = by_module[module_path]
-        for v_from, v_to in sort_and_pair([e.version for e in versioned.values()]):
-            try:
-                level = classify_upgrade(v_from, v_to)
-            except NotAnUpgrade:  # pragma: no cover - pairs are strictly ascending
-                continue
+        for v_from, v_to in sort_and_pair(list(versioned)):
+            level = classify_upgrade(v_from, v_to)
             if level is UpgradeLevel.PRERELEASE_BUILD and not include_prerelease:
                 continue
-            from_entry = versioned[v_from._precedence_key()]
-            to_entry = versioned[v_to._precedence_key()]
+            from_entry = versioned[v_from]
+            to_entry = versioned[v_to]
             old_surface = surfaces[from_entry.node_key]
             new_surface = surfaces[to_entry.node_key]
             records = diff_surfaces(old_surface, new_surface)
@@ -367,10 +363,6 @@ class LevelStats:
     label: str
     total: int
     breaking: int
-
-    @property
-    def rate_defined(self) -> bool:
-        return self.total > 0
 
 
 @dataclass

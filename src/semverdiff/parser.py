@@ -1,14 +1,14 @@
 """Declaration-level parser for Go source files.
 
 The tokenizer understands full Go lexing (strings, runes, comments, automatic
-semicolon insertion). Declaration parsing calls it with skip_bodies, which
-keeps the braces of each top-level function body and builds no tokens between
-them: a small regex scans to the matching brace, string-, rune- and
-comment-aware, and raises the same lexical errors the full lexer would. A file
-whose brackets do not nest is lexed in full instead, because there the lexer
-cannot tell what is top level. Import binding calls it with imports_only: the
-whole file is checked for lexical errors by one bounded regex, without tokens,
-and only the header up to the first const, func, type or var keyword is lexed.
+semicolon insertion). It first checks the whole file for lexical errors with
+one bounded regex, without building tokens; that check is the one place a
+lexical error is raised. Then it lexes the file, keeping the braces of each
+top-level function body and building no tokens between them: a small regex,
+string-, rune- and comment-aware, scans to the matching brace. A file whose
+brackets do not nest is lexed again in full, because there the lexer cannot
+tell what is top level. Import binding asks for the header only: tokens up to
+the first const, func, type or var keyword.
 blank_literals blanks the comments and literals of a file with one regex built
 from the lexer's sub-patterns, for scans that need no tokens. The parser
 itself only covers what an API surface needs: the package clause, imports, and
@@ -72,12 +72,14 @@ PREDECLARED_TYPES = frozenset(
 )
 
 # Sub-patterns the token, body and blanking regexes share: inside the first
-# five a brace is text, not a bracket.
+# five a brace is text, not a bracket. A string or rune is unrolled, so sre
+# keeps no backtracking state for the characters between escapes.
 _COMMENT_LINE = r"//[^\n]*"
 _COMMENT_BLOCK = r"/\*(?s:.*?)\*/"
 _RAW_STRING = r"`[^`]*`"
-_STRING = r'"(?:[^"\\\n]|\\.)*"'
-_RUNE = r"'(?:[^'\\\n]|\\.)*'"
+_STRING = r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"'
+_RUNE = r"'[^'\\\n]*(?:\\.[^'\\\n]*)*'"
+_LITERAL = f"{_COMMENT_LINE}|{_COMMENT_BLOCK}|{_RAW_STRING}|{_STRING}|{_RUNE}"
 _FLOAT = (
     r"(?:\d[\d_]*\.[\d_]*(?:[eE][+-]?\d[\d_]*)?|\.\d[\d_]*(?:[eE][+-]?\d[\d_]*)?"
     r"|\d[\d_]*[eE][+-]?\d[\d_]*|0[xX][\da-fA-F_]*(?:\.[\da-fA-F_]*)?[pP][+-]?\d[\d_]*)i?"
@@ -105,22 +107,18 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-# A function body scanned without tokens: runs of characters that can start
-# no string, comment or brace, then each string, rune, comment, lone "/" and
-# brace. It accepts exactly the text _TOKEN_RE accepts.
-_BODY_RE = re.compile(
-    rf"[\w \t\r\n+\-*%&|^<>=!:;,.()\[\]~]+|{_COMMENT_LINE}|{_COMMENT_BLOCK}"
-    rf"|{_RAW_STRING}|{_STRING}|{_RUNE}|/|(?P<open>\{{)|(?P<close>\}})"
-)
+# Function-body text up to the next brace: runs of characters that can start
+# no string, comment or brace, each string, rune and comment, and a lone "/".
+# It scans only text _check_lexable accepted, so it validates nothing: a match
+# ends at a brace, at the end of the text or at the repeat bound.
+_BODY_RE = re.compile(rf"(?:[^{{}}\"'`/]+|{_LITERAL}|/){{0,1024}}")
 
-# _BODY_RE's alternatives with the braces in the run class, repeated: a match
-# stops where the lexer would fail. The repeat is bounded because sre keeps
-# backtracking state for every iteration of a repeated group, so an unbounded
-# one would grow with the file; _check_lexable calls match again where it ends.
-_LEXABLE_RE = re.compile(
-    rf"(?:[\w \t\r\n+\-*%&|^<>=!:;,.()\[\]{{}}~]+|{_COMMENT_LINE}|{_COMMENT_BLOCK}"
-    rf"|{_RAW_STRING}|{_STRING}|{_RUNE}|/){{1,1024}}"
-)
+# The text _TOKEN_RE accepts: the same alternatives, with every character the
+# lexer accepts outside a literal in the run class. A match ends where the
+# lexer would fail. Both repeats are bounded because sre keeps backtracking
+# state for every iteration of a repeated group, so an unbounded one would
+# grow with the file; the callers match again where a match ends.
+_LEXABLE_RE = re.compile(rf"(?:[\w \t\r\n+\-*%&|^<>=!:;,.()\[\]{{}}~]+|{_LITERAL}|/){{1,1024}}")
 
 _CLOSERS = {"(": ")", "[": "]", "{": "}"}
 # Keywords that start a top-level declaration other than a function.
@@ -144,30 +142,26 @@ class _Misnested(Exception):
     """Brackets do not nest, so the lexer cannot tell what is top level."""
 
 
-def tokenize(text: str, *, skip_bodies: bool = False, imports_only: bool = False) -> list[Token]:
+def tokenize(text: str, *, imports_only: bool = False) -> list[Token]:
     """Lex Go source into tokens, applying the semicolon-insertion rule.
 
-    With skip_bodies, the braces of each top-level function body are kept
-    and the tokens between them are not built; the text in between is still
-    checked for lexical errors. A file whose brackets do not nest is lexed
-    in full.
+    The whole file is first checked for lexical errors without building
+    tokens. Then the braces of each top-level function body are kept and the
+    tokens between them are not built. A file whose brackets do not nest is
+    lexed again in full, because there the lexer cannot tell what is top
+    level.
 
-    With imports_only, the whole file is checked for lexical errors without
-    building tokens, and tokens are built only up to and including the first
+    With imports_only, tokens are built only up to and including the first
     const, func, type or var keyword, then the final eof: all that the
     package clause and the imports can be parsed from.
     """
-    if text.startswith("﻿"):
+    if text.startswith("\ufeff"):
         text = text[1:]
-    if imports_only:
-        _check_lexable(text)
-        return _lex(text, False, True)
-    if skip_bodies:
-        try:
-            return _lex(text, True)
-        except _Misnested:
-            pass
-    return _lex(text, False)
+    _check_lexable(text)
+    try:
+        return _lex(text, True, imports_only)
+    except _Misnested:
+        return _lex(text, False, imports_only)
 
 
 def _check_lexable(text: str) -> None:
@@ -183,6 +177,9 @@ def _check_lexable(text: str) -> None:
 
 
 def _lex(text: str, skip_bodies: bool, header_only: bool = False) -> list[Token]:
+    """The tokens of text. With skip_bodies, text must be one _check_lexable
+    accepts. Without it this is the full lexer, which raises its own lexical
+    errors; the tests use it as the reference the other paths are held to."""
     tokens: list[Token] = []
     append = tokens.append
     match = _TOKEN_RE.match
@@ -232,7 +229,7 @@ def _lex(text: str, skip_bodies: bool, header_only: bool = False) -> list[Token]
             ):
                 append(Token("op", "{", line))
                 start = pos
-                pos = _skip_body(text, pos, line)
+                pos = _skip_body(text, pos)
                 line += text.count("\n", start, pos)
                 append(Token("op", "}", line))
                 continue
@@ -255,26 +252,24 @@ def _lex(text: str, skip_bodies: bool, header_only: bool = False) -> list[Token]
     return tokens
 
 
-def _skip_body(text: str, pos: int, line: int) -> int:
+def _skip_body(text: str, pos: int) -> int:
     """Return the offset just past the "}" that closes the body whose "{" ends at pos."""
     match = _BODY_RE.match
-    start = pos
     depth = 1
     while True:
-        m = match(text, pos)
-        if m is None:
-            if pos >= len(text):
-                raise _Misnested  # unterminated body
-            line += text.count("\n", start, pos)
-            raise GoSyntaxError(f"unexpected character {text[pos]!r}", line)
-        pos = m.end()
-        kind = m.lastgroup
-        if kind == "open":
+        pos = match(text, pos).end()
+        char = text[pos : pos + 1]
+        if char == "{":
             depth += 1
-        elif kind == "close":
+        elif char == "}":
             depth -= 1
             if depth == 0:
-                return pos
+                return pos + 1
+        elif not char:
+            raise _Misnested  # unterminated body
+        else:
+            continue  # the scan stopped at its bound
+        pos += 1
 
 
 # Each comment, string, rune, number and "..." token, split as the lexer
@@ -282,8 +277,7 @@ def _skip_body(text: str, pos: int, line: int) -> int:
 # a digit, and a number right after a number (0b12 lexes as 0b1 and 2) is
 # part of the match. The lookahead lets the regex skip other text quickly.
 _BLANK_RE = re.compile(
-    rf"(?=[/\"'`\d.])(?:{_COMMENT_LINE}|{_COMMENT_BLOCK}|{_RAW_STRING}|{_STRING}|{_RUNE}"
-    rf"|(?:(?<!\w)|(?=\.\d)){_NUMBER}(?:(?=\d){_NUMBER})*|\.\.\.)"
+    rf"(?=[/\"'`\d.])(?:{_LITERAL}|(?:(?<!\w)|(?=\.\d)){_NUMBER}(?:(?=\d){_NUMBER})*|\.\.\.)"
 )
 
 
@@ -1162,7 +1156,7 @@ def _embedded_name(t: TypeExpr) -> str:
 
 def parse_go_file(text: str, package_path: str = "") -> GoFile:
     """Parse one source file at declaration level."""
-    parser = _Parser(tokenize(text, skip_bodies=True), package_path)
+    parser = _Parser(tokenize(text), package_path)
     return parser.parse_file()
 
 

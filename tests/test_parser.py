@@ -41,6 +41,7 @@ from semverdiff.parser import (
     ImportSpec,
     _check_lexable,
     _Parser,
+    blank_literals,
     parse_go_file,
     parse_imports,
     tokenize,
@@ -668,15 +669,21 @@ _HOSTILE = (
 )
 
 
-def _parse_outcome(src: str, skip_bodies: bool):
+def _full_tokens(src: str):
+    """The reference: every token of the file, from the full lexer, which
+    raises its own lexical errors."""
+    return parser_module._lex(src.removeprefix("\ufeff"), False)
+
+
+def _parse_outcome(src: str, lex):
     try:
-        return _Parser(tokenize(src, skip_bodies=skip_bodies), PKG).parse_file()
+        return _Parser(lex(src), PKG).parse_file()
     except GoSyntaxError as exc:
         return f"GoSyntaxError: {exc}"
 
 
 def _assert_skipping_is_invisible(src: str) -> None:
-    assert _parse_outcome(src, True) == _parse_outcome(src, False), src
+    assert _parse_outcome(src, tokenize) == _parse_outcome(src, _full_tokens), src
 
 
 @st.composite
@@ -722,6 +729,7 @@ _SHAPES = {
     "misnested-brace": "package p\n\nfunc F() }{ x }\n",
     "unclosed-paren": "package p\n\nvar x = (\n\nfunc F() { y }\n",
     "bom": "﻿package p\n\nfunc F() { ﻿ }\n",
+    "misnested-before-body-lexing-error": "package p\n\nfunc F() ) {\n\tx := 1\n\ty := @\n}\n",
 }
 
 
@@ -807,28 +815,33 @@ class TestSkipBodies:
 
     def test_body_tokens_are_not_built(self):
         src = "package p\n\nfunc F() {\n\tx := `a\nb`\n}\n\nvar V int\n"
-        toks = tokenize(src, skip_bodies=True)
+        toks = tokenize(src)
         assert [(t.text, t.line) for t in toks] == [
             ("package", 1), ("p", 1), (";", 1),
             ("func", 3), ("F", 3), ("(", 3), (")", 3), ("{", 3), ("}", 6), (";", 6),
             ("var", 8), ("V", 8), ("int", 8), (";", 8), ("", 9),
         ]
-        full = tokenize(src)
+        full = _full_tokens(src)
         assert [t for t in full if t.line >= 6] == [t for t in toks if t.line >= 6]
 
     def test_function_literals_keep_their_tokens(self):
         src = "package p\n\nvar F = func() { x() }\n"
-        assert tokenize(src, skip_bodies=True) == tokenize(src)
+        assert tokenize(src) == _full_tokens(src)
 
     def test_body_lexing_error_names_its_line(self):
         with pytest.raises(GoSyntaxError, match=r"^line 5: unexpected character '@'$"):
-            tokenize(_SHAPES["body-lexing-error"], skip_bodies=True)
+            tokenize(_SHAPES["body-lexing-error"])
 
     @pytest.mark.parametrize(
         "shape", ["misnested-paren", "misnested-bracket", "misnested-brace", "unclosed-paren", "unterminated-body"]
     )
     def test_misnested_files_are_lexed_in_full(self, shape):
-        assert tokenize(_SHAPES[shape], skip_bodies=True) == tokenize(_SHAPES[shape])
+        assert tokenize(_SHAPES[shape]) == _full_tokens(_SHAPES[shape])
+
+    def test_misnested_file_with_a_body_lexing_error_names_its_line(self):
+        # The ")" makes the file misnested, so the body is never skipped.
+        with pytest.raises(GoSyntaxError, match=r"^line 5: unexpected character '@'$"):
+            parse_go_file(_SHAPES["misnested-before-body-lexing-error"], PKG)
 
     def test_brackets_are_ops(self):
         assert {t.kind for t in tokenize("f(a[0], T{})") if t.text and t.text in "()[]{}"} == {"op"}
@@ -836,8 +849,8 @@ class TestSkipBodies:
 
 def _reference_imports(text: str):
     """parse_imports as it was before only the header was lexed: the whole
-    file lexed, function bodies without tokens."""
-    parser = _Parser(tokenize(text, skip_bodies=True), "")
+    file lexed, here by the full lexer."""
+    parser = _Parser(_full_tokens(text), "")
     gofile = parser._parse_package_clause()
     while True:
         parser.skip_semis()
@@ -859,7 +872,7 @@ def _assert_imports_as_before(src: str) -> None:
 
 def _assert_check_agrees_with_lexer(src: str) -> None:
     checked = _outcome(_check_lexable, src.removeprefix("\ufeff"))
-    lexed = _outcome(tokenize, src)
+    lexed = _outcome(_full_tokens, src)
     assert checked == (lexed if isinstance(lexed, str) else None), src
 
 
@@ -907,7 +920,7 @@ class TestImportsOnly:
     def test_only_the_header_is_lexed(self):
         src = 'package p\n\nimport (\n\t"a/b"\n\tc "c/d"\n)\n\nfunc F() { x() }\n\nvar V = 1\n'
         header = tokenize(src, imports_only=True)
-        full = tokenize(src)
+        full = _full_tokens(src)
         end = next(i for i, t in enumerate(full) if t.text == "func") + 1
         assert header[:-1] == full[:end]
         assert (header[-1].kind, header[-1].line) == ("eof", 8)
@@ -935,7 +948,7 @@ class TestImportsOnly:
         assert parse_imports(src) == [
             ImportSpec("a/b"), ImportSpec("c/d", alias="c"), ImportSpec("e", dot=True), ImportSpec("f", blank=True),
         ]
-        assert tokenize(src, imports_only=True) == tokenize(src)
+        assert tokenize(src, imports_only=True) == _full_tokens(src)
         with pytest.raises(GoSyntaxError, match=r"^line 5: unterminated import block$"):
             parse_imports('package p\n\nimport (\n\t"a/b"\n')
 
@@ -973,3 +986,23 @@ class TestImportsOnly:
         assert peak < 8_000_000
         with pytest.raises(GoSyntaxError, match=r"^line \d+: unexpected character '@'$"):
             parse_imports(src[:-2] + "@}\n")
+
+
+_LONG_LITERALS = {
+    "string": 'package p\n\nimport "a/b"\n\nvar S = "' + "x" * 2_000_000 + '"\n',
+    "raw-string": 'package p\n\nimport "a/b"\n\nvar R = `' + ("x" * 99 + "\n") * 20_000 + '`\n',
+}
+
+
+class TestLongLiterals:
+    @pytest.mark.parametrize("fn", [parse_go_file, parse_imports, blank_literals], ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("kind", sorted(_LONG_LITERALS))
+    def test_one_long_literal_keeps_memory_bounded(self, kind, fn):
+        src = _LONG_LITERALS[kind]
+        tracemalloc.start()
+        try:
+            fn(src)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000

@@ -24,11 +24,10 @@ def test_every_traced_entry_point_exists(monkeypatch):
 
 
 def test_lexing_goes_through_the_traced_names(monkeypatch):
-    """Declaration parsing lexes through `parser.tokenize` with bodies
-    skipped, import binding checks the file and lexes its header through
-    `parser.tokenize` with imports_only, and matching blanks literals through
-    `impact.tokenize`, so the traced run reports lexing and scanning as
-    lexing and not as parse or match time."""
+    """Declaration parsing lexes through `parser.tokenize`, import binding
+    lexes the header through `parser.tokenize` with imports_only, and
+    matching blanks literals through `impact.tokenize`, so the traced run
+    reports lexing and scanning as lexing and not as parse or match time."""
     calls = []
 
     def spy_on(real):
@@ -43,7 +42,7 @@ def test_lexing_goes_through_the_traced_names(monkeypatch):
     src = fx.CLIENTS["client-default"]["main.go"]
 
     parser.parse_go_file(src, "example.com/client")
-    assert calls == [(1, {"skip_bodies": True})]
+    assert calls == [(1, {})]
     calls.clear()
     binding = impact.bind_imports(src, "main.go")
     assert calls == [(1, {"imports_only": True})]
