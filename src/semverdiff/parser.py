@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .gotypes import (
     Array,
@@ -121,8 +121,10 @@ _BODY_RE = re.compile(rf"(?:[^{{}}\"'`/]+|{_LITERAL}|/){{0,1024}}")
 _LEXABLE_RE = re.compile(rf"(?:[\w \t\r\n+\-*%&|^<>=!:;,.()\[\]{{}}~]+|{_LITERAL}|/){{1,1024}}")
 
 _CLOSERS = {"(": ")", "[": "]", "{": "}"}
+# Keywords of the declarations that are one spec or a group of specs.
+_GEN_DECL_KEYWORDS = frozenset({"const", "import", "type", "var"})
 # Keywords that start a top-level declaration other than a function.
-_DECL_KEYWORDS = frozenset({"const", "import", "package", "type", "var"})
+_DECL_KEYWORDS = _GEN_DECL_KEYWORDS | {"package"}
 # Keywords that end the import header of a file.
 _HEADER_END_KEYWORDS = frozenset({"const", "func", "type", "var"})
 _SEMI_AFTER_OPS = frozenset({")", "]", "}", "++", "--"})
@@ -425,6 +427,41 @@ class _Parser:
         while self.at_op(";"):
             self.advance()
 
+    def _elements(self, open_: str, block: str, element: str) -> Iterator[Token]:
+        """Yield at the first token of each element of the ";"-separated group
+        or body that opens at the cursor, and consume its closing bracket.
+
+        Empty elements are skipped. After each element the caller parsed, a
+        ";" or the closing bracket must follow, as in Go; at the end of the
+        tokens the group is unterminated.
+        """
+        self.expect_op(open_)
+        close = _CLOSERS[open_]
+        while True:
+            self.skip_semis()
+            tok = self.cur()
+            if tok.kind == "op" and tok.text == close:
+                self.advance()
+                return
+            if tok.kind == "eof":
+                raise GoSyntaxError(f"unterminated {block}", tok.line)
+            yield tok
+            tok = self.cur()
+            if not (tok.kind == "eof" or (tok.kind == "op" and tok.text in (";", close))):
+                raise GoSyntaxError(f"unexpected {tok.text!r} after {element}", tok.line)
+
+    def _items(self, open_: str) -> Iterator[Token]:
+        """Yield at the first token of each item of the ","-separated list
+        that opens at the cursor, and consume its closing bracket. A trailing
+        comma is allowed."""
+        self.expect_op(open_)
+        close = _CLOSERS[open_]
+        while not self.at_op(close):
+            yield self.cur()
+            if not self.at_op(close):
+                self.expect_op(",")
+        self.advance()
+
     def _nest(self) -> None:
         """Count one more level of type nesting; the caller undoes it."""
         if self.depth >= MAX_TYPE_NESTING:
@@ -480,14 +517,8 @@ class _Parser:
             tok = self.cur()
             if tok.kind == "eof":
                 break
-            if self.at_keyword("import"):
-                self._parse_import_decl(gofile)
-            elif self.at_keyword("const"):
-                self._parse_gen_decl("const", gofile)
-            elif self.at_keyword("var"):
-                self._parse_gen_decl("var", gofile)
-            elif self.at_keyword("type"):
-                self._parse_gen_decl("type", gofile)
+            if tok.kind == "keyword" and tok.text in _GEN_DECL_KEYWORDS:
+                self._parse_gen_decl(tok.text, gofile)
             elif self.at_keyword("func"):
                 self._parse_func_decl(gofile)
             else:
@@ -519,35 +550,13 @@ class _Parser:
             local = alias if alias else path.rsplit("/", 1)[-1]
             self.import_map[local] = path
 
-    def _parse_import_decl(self, gofile: GoFile) -> None:
-        self.advance()
-        if self.at_op("("):
-            self.advance()
-            while True:
-                self.skip_semis()
-                if self.at_op(")"):
-                    self.advance()
-                    break
-                if self.cur().kind == "eof":
-                    raise GoSyntaxError("unterminated import block", self.cur().line)
-                self._parse_one_import(gofile)
-        else:
-            self._parse_one_import(gofile)
-
-    # -- const/var/type ----------------------------------------------------
+    # -- import/const/var/type ---------------------------------------------
 
     def _parse_gen_decl(self, kw: str, gofile: GoFile) -> None:
         self.advance()
         if self.at_op("("):
-            self.advance()
             prev: tuple[TypeExpr | None, list[str]] | None = None
-            while True:
-                self.skip_semis()
-                if self.at_op(")"):
-                    self.advance()
-                    break
-                if self.cur().kind == "eof":
-                    raise GoSyntaxError(f"unterminated {kw} block", self.cur().line)
+            for _ in self._elements("(", f"{kw} block", f"{kw} spec"):
                 prev = self._parse_spec(kw, gofile, prev, in_block=True)
         else:
             self._parse_spec(kw, gofile, None, in_block=False)
@@ -559,6 +568,9 @@ class _Parser:
         prev: tuple[TypeExpr | None, list[str]] | None,
         in_block: bool,
     ) -> tuple[TypeExpr | None, list[str]] | None:
+        if kw == "import":
+            self._parse_one_import(gofile)
+            return None
         if kw == "type":
             self._parse_type_spec(gofile)
             return None
@@ -772,12 +784,8 @@ class _Parser:
         self.advance()
         tparams: list[str] = []
         if self.at_op("["):
-            self.advance()
-            while not self.at_op("]"):
+            for _ in self._items("["):
                 tparams.append(self.expect_ident().text)
-                if not self.at_op("]"):
-                    self.expect_op(",")
-            self.advance()
         if self.at_op(","):
             self.advance()
         self.expect_op(")")
@@ -816,11 +824,9 @@ class _Parser:
         next item that carries one (a, b int); otherwise it is a type. Only
         the final parameter may be variadic, and no result.
         """
-        self.expect_op("(")
         items: list[tuple[str, TypeExpr | None]] = []  # (name or "", type) or (bare identifier, None)
         variadic = False
-        while not self.at_op(")"):
-            tok = self.cur()
+        for tok in self._items("("):
             if variadic:
                 raise GoSyntaxError("can only use ... with final parameter in list", tok.line)
             nxt = self.peek()
@@ -840,12 +846,9 @@ class _Parser:
                     self.advance()
                     variadic = True
                 items.append((name, self._parse_type(tparams)))
-            if not self.at_op(")"):
-                self.expect_op(",")
-        close = self.advance()
         named = any(name and t is not None for name, t in items)
         if named and (items[-1][1] is None or any(not name for name, _ in items)):
-            raise GoSyntaxError("mixed named and unnamed parameters", close.line)
+            raise GoSyntaxError("mixed named and unnamed parameters", self.toks[self.i - 1].line)
 
         types: list[TypeExpr] = []
         carry: TypeExpr | None = None
@@ -867,18 +870,14 @@ class _Parser:
         # come first: each is the token after the "[" or a top-level comma.
         starts = [self.i] + self._scan_list(self.i)[:-1]
         scope = outer | {self.toks[j + 1].text for j in starts if self.toks[j + 1].kind == "ident"}
-        self.expect_op("[")
         defs: list[tuple[str, TypeExpr | None]] = []
-        while not self.at_op("]"):
+        for _ in self._items("["):
             name = self.expect_ident().text
             constraint: TypeExpr | None = None
             if not (self.at_op(",") or self.at_op("]")):
                 terms = self._parse_union(scope)
                 constraint = terms[0].type if len(terms) == 1 and not terms[0].tilde else _make_interface([], terms)
             defs.append((name, constraint))
-            if not self.at_op("]"):
-                self.expect_op(",")
-        self.advance()
 
         carry: TypeExpr | None = None
         out: list[TypeParamDef] = []
@@ -978,12 +977,8 @@ class _Parser:
                 name = member
             args: list[TypeExpr] = []
             if self.at_op("["):
-                self.advance()
-                while not self.at_op("]"):
+                for _ in self._items("["):
                     args.append(self._parse_type(tparams))
-                    if not self.at_op("]"):
-                        self.expect_op(",")
-                self.advance()
             if package is not None:
                 return Named(package, name, tuple(args))
             base = self._resolve_name(name, tparams)
@@ -1007,32 +1002,31 @@ class _Parser:
                 elif tok.text in ")]}":
                     depth -= 1
             self.advance()
-        tokens = self.toks[start : self.i]
+        end = self.i
         self.advance()
-        # A literal length is a number however it is spelled: [0x10], [(16)].
-        inner = tokens
-        while len(inner) > 2 and inner[0].text == "(" and inner[-1].text == ")":
-            inner = inner[1:-1]
-        if len(inner) == 1 and inner[0].kind == "int":
-            return int(inner[0].text.replace("_", ""), 0)
+        # Parentheses around the whole length do not change it: [(N)] is [N],
+        # and a literal length is a number however it is spelled: [0x10], [(16)].
+        while (
+            end - start > 2
+            and self.toks[start].text == "("
+            and self.toks[end - 1].text == ")"
+            and self._scan_list(start)[-1] == end - 1
+        ):
+            start += 1
+            end -= 1
+        tokens = self.toks[start:end]
+        if len(tokens) == 1 and tokens[0].kind == "int":
+            return int(tokens[0].text.replace("_", ""), 0)
         return _spell(tokens)
 
     def _parse_struct_body(self, tparams: frozenset[str]) -> Struct:
-        self.expect_op("{")
         fields: list[FieldDef] = []
-        while True:
-            self.skip_semis()
-            if self.at_op("}"):
-                self.advance()
-                break
-            if self.cur().kind == "eof":
-                raise GoSyntaxError("unterminated struct body", self.cur().line)
-
+        for tok in self._elements("{", "struct body", "struct field"):
             start = self.i
             embedded = False
-            if self.at_op("*"):
+            if tok.kind == "op" and tok.text == "*":
                 embedded = True
-            elif self.cur().kind == "ident":
+            elif tok.kind == "ident":
                 names = [self.advance().text]
                 while self.at_op(","):
                     self.advance()
@@ -1053,7 +1047,7 @@ class _Parser:
                             FieldDef(name=n, type=ftype, tag=tag, anonymous=False, exported=is_exported(n))
                         )
             else:
-                raise GoSyntaxError(f"unexpected token {self.cur().text!r} in struct", self.cur().line)
+                raise GoSyntaxError(f"unexpected token {tok.text!r} in struct", tok.line)
 
             if embedded:
                 ftype = self._parse_type(tparams)
@@ -1062,8 +1056,6 @@ class _Parser:
                 fields.append(
                     FieldDef(name=name, type=ftype, tag=tag, anonymous=True, exported=is_exported(name))
                 )
-            if not (self.at_op(";") or self.at_op("}")):
-                raise GoSyntaxError(f"unexpected {self.cur().text!r} after struct field", self.cur().line)
         return Struct(fields=tuple(fields))
 
     def _parse_tag(self) -> str | None:
@@ -1077,17 +1069,9 @@ class _Parser:
         return None
 
     def _parse_interface_body(self, tparams: frozenset[str]) -> Interface:
-        self.expect_op("{")
         methods: list[MethodSig] = []
         embeds: list[UnionTerm] = []
-        while True:
-            self.skip_semis()
-            if self.at_op("}"):
-                self.advance()
-                break
-            tok = self.cur()
-            if tok.kind == "eof":
-                raise GoSyntaxError("unterminated interface body", tok.line)
+        for tok in self._elements("{", "interface body", "interface element"):
             nxt = self.peek()
             if tok.kind == "ident" and nxt.kind == "op" and nxt.text == "(":
                 self.advance()
@@ -1097,8 +1081,6 @@ class _Parser:
                 )
             else:
                 embeds += self._parse_union(tparams)
-            if not (self.at_op(";") or self.at_op("}")):
-                raise GoSyntaxError(f"unexpected {self.cur().text!r} after interface element", self.cur().line)
         return _make_interface(methods, embeds)
 
 
@@ -1169,4 +1151,4 @@ def parse_imports(text: str) -> list[ImportSpec]:
         parser.skip_semis()
         if not parser.at_keyword("import"):
             return gofile.imports
-        parser._parse_import_decl(gofile)
+        parser._parse_gen_decl("import", gofile)

@@ -95,6 +95,19 @@ class TestExtract:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and str(old / "go.mod") in err
 
+    def test_method_receiver_and_type_params(self, tmp_path, capsys):
+        root = write_module(
+            tmp_path / "g",
+            "example.com/g",
+            {"g.go": "package g\n\ntype Box[T any] struct{ v T }\n\nfunc (b *Box[T]) Get() T { return b.v }\n"},
+        )
+        code, out, _ = run_cli(["extract", str(root)], capsys)
+        assert code == 0
+        (package,) = json.loads(out)["packages"]
+        box, get = package["objects"]
+        assert (box["key"], box["type_params"], "receiver" in box) == ("Box", "[T any]", False)
+        assert (get["key"], get["receiver"], "type_params" in get) == ("Box.Get", "Box", False)
+
     def test_deeply_nested_type_is_a_parse_failure(self, tmp_path, capsys):
         root = write_module(
             tmp_path / "m",
@@ -280,6 +293,20 @@ class TestImpact:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0][:3] == ["Index", "Category", "Condition"]
         assert len(rows) == 42  # header + 40 conditions + total
+
+    def test_text_format_lists_each_usage(self, impact_layout, capsys):
+        lib_root, clients = impact_layout
+        args = ["impact", "--library", str(lib_root), "--upgrade", "v1.0.0..v1.1.0", "--format", "text"]
+        code, out, _ = run_cli(args + ["--clients", str(clients["client-default"])], capsys)
+        assert code == 1
+        assert out == "example.com/client-default main.go:6 brklib.OldThing (Function/Remove)\n"
+
+    def test_missing_version_checkout_is_usage_error(self, impact_layout, capsys):
+        lib_root, clients = impact_layout
+        args = ["impact", "--library", str(lib_root), "--upgrade", "v1.0.0..v1.2.0"]
+        code, out, err = run_cli(args + ["--clients", str(clients["client-default"])], capsys)
+        assert code == 2 and out == ""
+        assert f"missing version checkout: {lib_root / 'v1.2.0'}" in err
 
     def test_bad_upgrade_spec(self, impact_layout, capsys):
         lib_root, clients = impact_layout

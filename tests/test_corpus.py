@@ -26,7 +26,8 @@ from semverdiff.corpus import (
     write_condition_stats_csv,
     write_upgrade_stats_csv,
 )
-from semverdiff.diff import CATALOGUE
+from semverdiff.diff import CATALOGUE, ChangeRecord
+from semverdiff.impact import BreakingNode, ClientUsage
 
 
 def _pct(part: int, whole: int) -> str:
@@ -190,6 +191,16 @@ class TestGraph:
         g = build_graph(entries)
         assert g.nodes[("example.com/external", "3.0.0")]["stub"] is True
         assert g.roles[("example.com/external", "3.0.0")] == {"tpl": True, "client": False}
+
+    def test_unparsed_requirement_version_becomes_marked_stub(self, tmp_path):
+        root = _mini_corpus(tmp_path)
+        gomod = root / "mod-a" / "v1.0.0" / "go.mod"
+        gomod.write_text("module example.com/a\n\nrequire example.com/external master\n")
+        entries = ingest_corpus(root)
+        validate_corpus(entries)
+        g = build_graph(entries)
+        assert g.nodes[("example.com/external", "master")] == {"stub": True, "unparsed_version": True}
+        assert (("example.com/a", "1.0.0"), ("example.com/external", "master")) in g.edges
 
     def test_chain_gives_both_roles(self, tmp_path):
         root = tmp_path / "corpus"
@@ -411,6 +422,29 @@ def test_empty_level_has_undefined_rate_flag():
     row = stats.levels["Major"]
     assert row.total == 0
     assert percent_display(row.breaking, row.total) == "0.0"
+
+
+def test_condition_table_counts_clients_of_a_removed_package():
+    def record(package, node, category, condition):
+        return ChangeRecord("example.com/lib", "v1.0.0", "v2.0.0", package, node, category, condition, True, "")
+
+    def usage(client, key, rec):
+        node = BreakingNode(rec.package, key, rec.category, rec.condition, rec)
+        return ClientUsage(client, None, "main.go", 1, f"x.{key}", node)
+
+    removed = record("example.com/lib/old", "", "Package", "Remove")
+    gone = record("example.com/lib", "F", "Function", "Remove")
+    usages = [
+        usage("example.com/c1", "A", removed),
+        usage("example.com/c1", "A", removed),
+        usage("example.com/c1", "B", removed),
+        usage("example.com/c2", "A", removed),
+        usage("example.com/c2", "F", gone),
+    ]
+    rows = {(r["category"], r["condition"]): r for r in condition_table([([removed, gone], usages)])}
+    assert [rows[("Package", "Remove")][k] for k in ("breaking", "usage", "affected")] == [1, 1, 3]
+    assert [rows[("Function", "Remove")][k] for k in ("breaking", "usage", "affected")] == [1, 1, 1]
+    assert [rows[("Total", "")][k] for k in ("breaking", "usage", "affected")] == [2, 2, 4]
 
 
 class TestPercentDisplay:

@@ -227,6 +227,19 @@ def test_type_param_shadowing_a_predeclared_type_is_a_param_change(tmp_path):
     ]
 
 
+def test_struct_comparability_follows_an_in_package_field_type(tmp_path):
+    old, new = _surfaces(
+        tmp_path,
+        {"lib.go": "package lib\n\ntype Inner struct{ A int }\n\ntype T struct{ F Inner }\n"},
+        {"lib.go": "package lib\n\ntype Inner struct {\n\tA int\n\tB []int\n}\n\ntype T struct{ F Inner }\n"},
+    )
+    records = diff_surfaces(old, new)
+    assert [(r.node, r.category, r.condition, r.message) for r in records] == [
+        ("Inner", "Struct", "Comparability Change", "comparable -> non-comparable"),
+        ("T", "Struct", "Comparability Change", "comparable -> non-comparable"),
+    ]
+
+
 def test_tag_holding_a_backquote_is_not_mistaken_for_two_tags(tmp_path):
     old, new = _surfaces(
         tmp_path,
@@ -238,12 +251,16 @@ def test_tag_holding_a_backquote_is_not_mistaken_for_two_tags(tmp_path):
     assert record.message == '*struct{A int "x`; B int `y"} -> *struct{A int `x`; B int `y`}'
 
 
-@pytest.mark.parametrize("length", ["(16)", "((16))", "0x10"])
-def test_same_array_length_spelled_differently_is_no_change(tmp_path, length):
+@pytest.mark.parametrize(
+    "old_length,length",
+    [("16", "(16)"), ("16", "((16))"), ("16", "0x10"), ("N", "(N)")],
+    ids=["(16)", "((16))", "0x10", "(N)"],
+)
+def test_same_array_length_spelled_differently_is_no_change(tmp_path, old_length, length):
     old, new = _surfaces(
         tmp_path,
-        {"lib.go": "package lib\n\ntype A [16]byte\n"},
-        {"lib.go": f"package lib\n\ntype A [{length}]byte\n"},
+        {"lib.go": f"package lib\n\nconst N = 16\n\ntype A [{old_length}]byte\n"},
+        {"lib.go": f"package lib\n\nconst N = 16\n\ntype A [{length}]byte\n"},
     )
     assert diff_surfaces(old, new) == []
 

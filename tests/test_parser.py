@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 from dataclasses import replace
 import tracemalloc
 from pathlib import Path
@@ -146,6 +147,43 @@ class TestDeclarations:
         f = parse_go_file("package lib\n\nvar P = Point{1, 2}\nvar Q = &Point{}\n", PKG)
         assert f.vars[0].type == Named(PKG, "Point")
         assert f.vars[1].type == Pointer(Named(PKG, "Point"))
+
+    @pytest.mark.parametrize(
+        "value,expect",
+        [
+            ("pkg.T{}", Named("example.com/pkg", "T")),
+            ("[]int{1}", Slice(Basic("int"))),
+            ("map[string]int{}", Map(Basic("string"), Basic("int"))),
+            ("'a'", Basic("rune")),
+            ("true", Basic("bool")),
+        ],
+    )
+    def test_var_type_inference(self, value, expect):
+        src = f'package lib\n\nimport "example.com/pkg"\n\nvar X = {value}\n'
+        assert parse_go_file(src, PKG).vars[0].type == expect
+
+    @pytest.mark.parametrize(
+        "group,kw,token",
+        [('import ( "a" "b" )', "import", '"b"'), ("var ( A int B string )", "var", "B"), ("type ( A int B string )", "type", "B")],
+    )
+    def test_group_specs_need_a_separator(self, group, kw, token):
+        with pytest.raises(GoSyntaxError, match=rf"^line 3: unexpected {re.escape(repr(token))} after {kw} spec$"):
+            parse_go_file(f"package lib\n\n{group}\n", PKG)
+        one_line = parse_go_file(f"package lib\n\n{group.replace(' ' + token, '; ' + token)}\n", PKG)
+        assert one_line == parse_go_file(f"package lib\n\n{group.replace(' ' + token, chr(10) + token)}\n", PKG)
+
+    @pytest.mark.parametrize(
+        "src,error",
+        [
+            ('import (\n\t"a"\n', "unterminated import block"),
+            ("const (\n\tA = 1\n", "unterminated const block"),
+            ("type T struct {\n\tA int\n", "unterminated struct body"),
+            ("type I interface {\n\tM()\n", "unterminated interface body"),
+        ],
+    )
+    def test_unterminated_groups_and_bodies(self, src, error):
+        with pytest.raises(GoSyntaxError, match=f"^line 5: {error}$"):
+            parse_go_file(f"package lib\n\n{src}", PKG)
 
     def test_type_alias(self):
         f = parse_go_file('package lib\n\nimport "io"\n\ntype R = io.Reader\n', PKG)
@@ -332,7 +370,7 @@ class TestTypeExpressions:
     def test_literal_array_length_is_a_number(self, length):
         assert _first_type(f"package lib\n\ntype T [{length}]byte\n") == Array(16, Basic("byte"))
 
-    @pytest.mark.parametrize("length,spelled", [("(N)", "(N)"), ("(1)+(2)", "(1) + (2)"), ("N * 2", "N * 2")])
+    @pytest.mark.parametrize("length,spelled", [("(N)", "N"), ("(1)+(2)", "(1) + (2)"), ("N * 2", "N * 2")])
     def test_other_array_lengths_are_kept_as_spelled(self, length, spelled):
         assert _first_type(f"package lib\n\ntype T [{length}]byte\n") == Array(spelled, Basic("byte"))
 
@@ -856,7 +894,7 @@ def _reference_imports(text: str):
         parser.skip_semis()
         if not parser.at_keyword("import"):
             return gofile.imports
-        parser._parse_import_decl(gofile)
+        parser._parse_gen_decl("import", gofile)
 
 
 def _outcome(fn, src: str):
@@ -942,6 +980,10 @@ class TestImportsOnly:
         with pytest.raises(GoSyntaxError, match=r"^line 5: expected import path string, found 'func'$"):
             parse_imports(src)
         _assert_imports_as_before("package p\n\nimport ( func )\n")
+
+    def test_import_specs_need_a_separator(self):
+        with pytest.raises(GoSyntaxError, match=r"""^line 3: unexpected '"b"' after import spec$"""):
+            parse_imports('package lib\n\nimport ( "a" "b" )\n')
 
     def test_file_of_imports_only(self):
         src = 'package p\n\nimport (\n\t"a/b"\n\tc "c/d"\n)\nimport . "e"\nimport _ `f`\n'
