@@ -19,6 +19,7 @@ matching how change messages are reported.
 
 from __future__ import annotations
 
+import json
 import unicodedata
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -159,9 +160,10 @@ def render_type_params(type_params: tuple[TypeParamDef, ...], current_package: s
 def render_field(f: FieldDef, current_package: str | None = None) -> str:
     out = render_type_expr(f.type, current_package) if f.anonymous else f"{f.name} {render_type_expr(f.type, current_package)}"
     if f.tag is not None:
-        # Only an interpreted string literal can hold a backquote; quote it
-        # the same way so that the rendering stays unambiguous.
-        out += f' "{f.tag}"' if "`" in f.tag else f" `{f.tag}`"
+        # A raw string literal holds a printable tag without a backquote. Any
+        # other tag is quoted with escapes, so that the rendering stays one
+        # unambiguous line.
+        out += f" `{f.tag}`" if f.tag.isprintable() and "`" not in f.tag else " " + json.dumps(f.tag)
     return out
 
 

@@ -1,14 +1,16 @@
 """Declaration-level parser for Go source files.
 
 The tokenizer understands full Go lexing (strings, runes, comments, automatic
-semicolon insertion). It first checks the whole file for lexical errors with
-one bounded regex, without building tokens; that check is the one place a
-lexical error is raised. Then it lexes the file, keeping the braces of each
-top-level function body and building no tokens between them: a small regex,
-string-, rune- and comment-aware, scans to the matching brace. A file whose
-brackets do not nest is lexed again in full, because there the lexer cannot
-tell what is top level. Import binding asks for the header only: tokens up to
-the first const, func, type or var keyword.
+semicolon insertion). A token is its text, which implies its kind; the last
+token, the end of the file, is "". The tokenizer first checks the whole file
+for lexical errors with one bounded regex; that check is the one place a
+lexical error is raised. Then it lexes the text up to each brace outside a
+literal with one findall call, and one pass over those strings inserts
+semicolons, drops comments and tracks brackets, so that the body of each
+top-level function is skipped to its closing brace without building tokens. A
+closing bracket that does not match outside function bodies is a syntax error,
+as in Go. Lines are kept only for error messages. Import binding asks for the
+header only: tokens up to the first const, func, type or var keyword.
 blank_literals blanks the comments and literals of a file with one regex built
 from the lexer's sub-patterns, for scans that need no tokens. The parser
 itself only covers what an API surface needs: the package clause, imports, and
@@ -21,8 +23,9 @@ stand, looking ahead only to tell a name from a type.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .gotypes import (
     Array,
@@ -54,12 +57,6 @@ class GoSyntaxError(ValueError):
         self.line = line
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-
-
 GO_KEYWORDS = frozenset(
     "break case chan const continue default defer else fallthrough for func go goto "
     "if import interface map package range return select struct switch type var".split()
@@ -87,25 +84,23 @@ _FLOAT = (
 _INT = r"(?:0[xX][\da-fA-F_]+|0[bB][01_]+|0[oO][0-7_]+|\d[\d_]*)i?"
 _NUMBER = rf"(?:{_FLOAT}|{_INT})"
 _IDENT = r"[^\W\d]\w*"
+# Go's operators and punctuation, longest first, so that the lexer takes the
+# longest one that matches.
+_OPERATORS = (
+    "<<= >>= &^= ... && || <- ++ -- == != <= >= := += -= *= /= %= &= |= ^= << >> &^ "
+    "+ - * / % & | ^ < > = ! : ; , . ~ ( ) [ ] { }"
+).split()
 
+# One token after blanks and at most one line comment: an identifier, a
+# newline, a block comment, a literal, a number or an operator; a comment is
+# tried before "/" and a number before ".". Where only blanks or a line
+# comment are left before the end of the text scanned, the group matches "".
 _TOKEN_RE = re.compile(
-    rf"""
-      (?P<ws>[ \t\r]+)
-    | (?P<newline>\n)
-    | (?P<comment_line>{_COMMENT_LINE})
-    | (?P<comment_block>{_COMMENT_BLOCK})
-    | (?P<raw_string>{_RAW_STRING})
-    | (?P<string>{_STRING})
-    | (?P<rune>{_RUNE})
-    | (?P<float>{_FLOAT})
-    | (?P<int>{_INT})
-    | (?P<ident>{_IDENT})
-    | (?P<open>[(\[{{])
-    | (?P<close>[)\]}}])
-    | (?P<op><<=|>>=|&\^=|\.\.\.|&&|\|\||<-|\+\+|--|==|!=|<=|>=|:=|\+=|-=|\*=|/=|%=|&=|\|=|\^=|<<|>>|&\^|[+\-*/%&|^<>=!:;,.~])
-    """,
-    re.VERBOSE,
+    rf"[ \t\r]*(?:{_COMMENT_LINE})?({_IDENT}|\n|{_COMMENT_BLOCK}|{_RAW_STRING}|{_STRING}|{_RUNE}|{_NUMBER}"
+    rf"|{'|'.join(map(re.escape, _OPERATORS))}|\Z)"
 )
+_IDENT_RE = re.compile(_IDENT)
+_INT_RE = re.compile(_INT)
 
 # Function-body text up to the next brace: runs of characters that can start
 # no string, comment or brace, each string, rune and comment, and a lone "/".
@@ -113,7 +108,7 @@ _TOKEN_RE = re.compile(
 # ends at a brace, at the end of the text or at the repeat bound.
 _BODY_RE = re.compile(rf"(?:[^{{}}\"'`/]+|{_LITERAL}|/){{0,1024}}")
 
-# The text _TOKEN_RE accepts: the same alternatives, with every character the
+# The text the lexer accepts: the same alternatives, with every character the
 # lexer accepts outside a literal in the run class. A match ends where the
 # lexer would fail. Both repeats are bounded because sre keeps backtracking
 # state for every iteration of a repeated group, so an unbounded one would
@@ -121,49 +116,140 @@ _BODY_RE = re.compile(rf"(?:[^{{}}\"'`/]+|{_LITERAL}|/){{0,1024}}")
 _LEXABLE_RE = re.compile(rf"(?:[\w \t\r\n+\-*%&|^<>=!:;,.()\[\]{{}}~]+|{_LITERAL}|/){{1,1024}}")
 
 _CLOSERS = {"(": ")", "[": "]", "{": "}"}
+_OPENING = frozenset(_CLOSERS)
+_CLOSING = frozenset(_CLOSERS.values())
 # Keywords of the declarations that are one spec or a group of specs.
 _GEN_DECL_KEYWORDS = frozenset({"const", "import", "type", "var"})
 # Keywords that start a top-level declaration other than a function.
 _DECL_KEYWORDS = _GEN_DECL_KEYWORDS | {"package"}
 # Keywords that end the import header of a file.
 _HEADER_END_KEYWORDS = frozenset({"const", "func", "type", "var"})
-_SEMI_AFTER_OPS = frozenset({")", "]", "}", "++", "--"})
-_SEMI_AFTER_KEYWORDS = frozenset({"break", "continue", "fallthrough", "return"})
-_LITERAL_KINDS = frozenset({"int", "float", "string", "raw_string", "rune"})
+# The tokens after which a newline inserts no semicolon: all operators and
+# keywords but these. After an identifier or a literal, it does.
+_SEMI_AFTER = frozenset({")", "]", "}", "++", "--", "break", "continue", "fallthrough", "return"})
+_NO_SEMI_AFTER = (frozenset(_OPERATORS) | GO_KEYWORDS) - _SEMI_AFTER
+# The tokens the lexer's pass acts on, besides comments and raw strings: a
+# newline, the "" that ends a run, brackets, ";" and declaration keywords.
+_LEXER_ACTS = frozenset({"\n", "", "(", "[", ")", "]", ";"}) | _DECL_KEYWORDS
+# The header is lexed as one run, braces included: no function body precedes
+# its end.
+_HEADER_LEXER_ACTS = _LEXER_ACTS | _HEADER_END_KEYWORDS | {"{", "}"}
+# The keywords before a brace that opens a type's body, not a function's.
+_BODYLESS = frozenset({"struct", "interface"})
 
 
-def _inserts_semi(tok: Token) -> bool:
-    if tok.kind == "ident" or tok.kind in _LITERAL_KINDS:
-        return True
-    if tok.kind == "keyword":
-        return tok.text in _SEMI_AFTER_KEYWORDS
-    return tok.kind == "op" and tok.text in _SEMI_AFTER_OPS
+class _Tokens(list):
+    """Tokens, with lines: the index of the first token on each line after the first."""
+
+    __slots__ = ("lines",)
 
 
-class _Misnested(Exception):
-    """Brackets do not nest, so the lexer cannot tell what is top level."""
-
-
-def tokenize(text: str, *, imports_only: bool = False) -> list[Token]:
+def tokenize(text: str, *, imports_only: bool = False) -> list[str]:
     """Lex Go source into tokens, applying the semicolon-insertion rule.
 
-    The whole file is first checked for lexical errors without building
-    tokens. Then the braces of each top-level function body are kept and the
-    tokens between them are not built. A file whose brackets do not nest is
-    lexed again in full, because there the lexer cannot tell what is top
-    level.
+    The whole file is first checked for lexical errors. The text up to each
+    brace outside a literal is lexed with one findall call. The braces of
+    each top-level function body are kept and no token between them is
+    built. A closing bracket that does not match is a GoSyntaxError; one
+    left open at the end is left for the parser to report.
 
-    With imports_only, tokens are built only up to and including the first
-    const, func, type or var keyword, then the final eof: all that the
-    package clause and the imports can be parsed from.
+    With imports_only, tokens are built one at a time, and only up to and
+    including the first const, func, type or var keyword, then the final "":
+    all that the package clause and the imports can be parsed from.
     """
     if text.startswith("\ufeff"):
         text = text[1:]
     _check_lexable(text)
-    try:
-        return _lex(text, True, imports_only)
-    except _Misnested:
-        return _lex(text, False, imports_only)
+    tokens = _Tokens()
+    lines = tokens.lines = []
+    append = tokens.append
+    findall = _TOKEN_RE.findall
+    scan = _BODY_RE.match
+    acts = _HEADER_LEXER_ACTS if imports_only else _LEXER_ACTS
+    closers: list[str] = []  # expected closing brackets, innermost last
+    # Index of the first token of the current top-level declaration: the token
+    # after a ";" at bracket depth 0, or a const/import/package/type/var
+    # keyword at depth 0, since the parser needs no ";" between declarations.
+    decl_start = 0
+    size = len(text)
+    pos = 0
+    while True:
+        if imports_only:
+            brace = size
+            run = (m[1] for m in _TOKEN_RE.finditer(text))
+        else:
+            brace = pos
+            while True:
+                brace = scan(text, brace).end()
+                if brace == size or text[brace] in "{}":
+                    break
+            run = findall(text, pos, brace)
+        for tok in run:
+            if tok in acts:
+                if tok == "\n":
+                    newlines = 1
+                elif not tok:  # the end of the run
+                    continue
+                else:
+                    if tok in _CLOSERS:
+                        closers.append(_CLOSERS[tok])
+                    elif tok in _CLOSING:
+                        expected = closers.pop() if closers else ""
+                        if expected != tok:
+                            raise _bracket_error(expected, tok, len(lines) + 1)
+                    elif not closers:  # ";" or a keyword at depth 0
+                        if tok == ";":
+                            decl_start = len(tokens) + 1
+                        elif tok in _DECL_KEYWORDS:
+                            decl_start = len(tokens)
+                    append(tok)
+                    if imports_only and tok in _HEADER_END_KEYWORDS:
+                        append("")
+                        return tokens
+                    continue
+            elif tok[0] not in "/`":
+                append(tok)
+                continue
+            elif tok[:2] != "/*":  # "/", "/=" or a raw string, which may span lines
+                append(tok)
+                lines += [len(tokens)] * tok.count("\n")
+                continue
+            elif "\n" in tok:  # a block comment that spans lines is a newline
+                newlines = tok.count("\n")
+            else:
+                continue
+            if tokens and tokens[-1] not in _NO_SEMI_AFTER:
+                if not closers:
+                    decl_start = len(tokens) + 1
+                append(";")
+            lines += [len(tokens)] * newlines
+        if brace == size:
+            break
+        char = text[brace]
+        if char == "}":
+            expected = closers.pop() if closers else ""
+            if expected != "}":
+                raise _bracket_error(expected, "}", len(lines) + 1)
+        elif closers or decl_start == len(tokens) or tokens[decl_start] != "func" or tokens[-1] in _BODYLESS:
+            closers.append("}")
+        else:  # the body of a top-level function
+            append("{")
+            pos = _skip_body(text, brace + 1)
+            if pos < 0:
+                raise GoSyntaxError("unterminated function body", len(lines) + 1)
+            lines += [len(tokens)] * text.count("\n", brace, pos)
+            append("}")
+            continue
+        append(char)
+        pos = brace + 1
+    if tokens and tokens[-1] not in _NO_SEMI_AFTER:
+        append(";")
+    append("")
+    return tokens
+
+
+def _bracket_error(expected: str, tok: str, line: int) -> GoSyntaxError:
+    return GoSyntaxError(f"expected {expected!r}, found {tok!r}" if expected else f"unmatched {tok!r}", line)
 
 
 def _check_lexable(text: str) -> None:
@@ -178,84 +264,9 @@ def _check_lexable(text: str) -> None:
         pos = m.end()
 
 
-def _lex(text: str, skip_bodies: bool, header_only: bool = False) -> list[Token]:
-    """The tokens of text. With skip_bodies, text must be one _check_lexable
-    accepts. Without it this is the full lexer, which raises its own lexical
-    errors; the tests use it as the reference the other paths are held to."""
-    tokens: list[Token] = []
-    append = tokens.append
-    match = _TOKEN_RE.match
-    pos = 0
-    line = 1
-    size = len(text)
-    closers: list[str] = []  # expected closing brackets, innermost last
-    # Index of the first token of the current top-level declaration: the token
-    # after a ";" at bracket depth 0, or a const/import/package/type/var
-    # keyword at depth 0, since the parser needs no ";" between declarations.
-    decl_start = 0
-    while pos < size:
-        m = match(text, pos)
-        if m is None:
-            raise GoSyntaxError(f"unexpected character {text[pos]!r}", line)
-        kind = m.lastgroup or ""
-        value = m.group()
-        pos = m.end()
-        if kind == "ws" or kind == "comment_line":
-            continue
-        if kind == "newline" or (kind == "comment_block" and "\n" in value):
-            if tokens and _inserts_semi(tokens[-1]):
-                if not closers:
-                    decl_start = len(tokens) + 1
-                append(Token("op", ";", line))
-            line += value.count("\n")
-            continue
-        if kind == "comment_block":
-            continue
-        if kind == "ident":
-            if value in GO_KEYWORDS:
-                kind = "keyword"
-                if header_only and value in _HEADER_END_KEYWORDS:
-                    append(Token(kind, value, line))
-                    break
-                if skip_bodies and not closers and value in _DECL_KEYWORDS:
-                    decl_start = len(tokens)
-        elif kind == "open":
-            kind = "op"
-            if (
-                skip_bodies
-                and value == "{"
-                and not closers
-                and decl_start < len(tokens)
-                and tokens[decl_start].text == "func"
-                and tokens[-1].text not in ("struct", "interface")
-            ):
-                append(Token("op", "{", line))
-                start = pos
-                pos = _skip_body(text, pos)
-                line += text.count("\n", start, pos)
-                append(Token("op", "}", line))
-                continue
-            if skip_bodies:
-                closers.append(_CLOSERS[value])
-        elif kind == "close":
-            kind = "op"
-            if skip_bodies and (not closers or closers.pop() != value):
-                raise _Misnested
-        elif kind == "op" and value == ";" and not closers:
-            decl_start = len(tokens) + 1
-        append(Token(kind, value, line))
-        if "\n" in value:  # raw strings may span lines
-            line += value.count("\n")
-    if closers:
-        raise _Misnested
-    if tokens and _inserts_semi(tokens[-1]):
-        append(Token("op", ";", line))
-    append(Token("eof", "", line))
-    return tokens
-
-
 def _skip_body(text: str, pos: int) -> int:
-    """Return the offset just past the "}" that closes the body whose "{" ends at pos."""
+    """Return the offset just past the "}" that closes the body whose "{" ends
+    at pos, or -1 if the text ends first."""
     match = _BODY_RE.match
     depth = 1
     while True:
@@ -268,7 +279,7 @@ def _skip_body(text: str, pos: int) -> int:
             if depth == 0:
                 return pos + 1
         elif not char:
-            raise _Misnested  # unterminated body
+            return -1
         else:
             continue  # the scan stopped at its bound
         pos += 1
@@ -358,19 +369,60 @@ class GoFile:
 MAX_TYPE_NESTING = 50
 
 _TYPE_START_KEYWORDS = frozenset({"chan", "map", "func", "struct", "interface"})
-_TYPE_START_OPS = frozenset({"(", "[", "*", "<-"})
-# What follows the "[...]" of a generic type that makes up a whole parameter,
-# or a whole struct field: op texts, and token kinds for a tag.
-_PARAM_ENDERS = frozenset({",", ")"})
-_FIELD_ENDERS = frozenset({";", "}", "string", "raw_string"})
+# The tokens other than an identifier that can start a type.
+_TYPE_STARTS = _TYPE_START_KEYWORDS | {"(", "[", "*", "<-"}
+# The quote a string literal token starts with.
+_STRING_QUOTES = ('"', "`")
+_SIMPLE_ESCAPES = dict(zip('abfnrtv\\"', b'\a\b\f\n\r\t\v\\"'))
+# An escape in an interpreted string literal, well formed or not.
+_ESCAPE_RE = re.compile(r"\\(?:[0-7]{3}|x[0-9a-fA-F]{2}|u[0-9a-fA-F]{4}|U[0-9a-fA-F]{8}|.?)", re.DOTALL)
 
 
-def _starts_type(tok: Token) -> bool:
-    if tok.kind == "ident":
-        return True
-    if tok.kind == "keyword":
-        return tok.text in _TYPE_START_KEYWORDS
-    return tok.kind == "op" and tok.text in _TYPE_START_OPS
+def _is_ident(tok: str) -> bool:
+    """Whether tok, a token of the lexer, is an identifier and no keyword.
+
+    No operator, number or literal passes isidentifier, so it is exact for
+    ASCII tokens; but the lexer's identifiers may also hold characters, such
+    as "²", that Python's may not.
+    """
+    return (tok.isidentifier() or not tok.isascii() and _IDENT_RE.fullmatch(tok) is not None) and tok not in GO_KEYWORDS
+
+
+def _unquote(tok: str, line: int) -> str:
+    """The value of a string literal token, by Go's rules.
+
+    A raw string drops its carriage returns. An interpreted string decodes
+    its escapes into bytes; bytes that are not UTF-8 are kept as backslash
+    escapes.
+    """
+    if tok[0] == "`":
+        return tok[1:-1].replace("\r", "")
+    if "\\" not in tok:
+        return tok[1:-1]
+    value = bytearray()
+    pos = 1
+    for m in _ESCAPE_RE.finditer(tok, 1, len(tok) - 1):
+        value += tok[pos : m.start()].encode()
+        escape = m.group()
+        kind = escape[1:2]
+        if kind in _SIMPLE_ESCAPES:
+            value.append(_SIMPLE_ESCAPES[kind])
+        elif len(escape) == 4 and (kind == "x" or int(escape[1:], 8) < 256):  # \xhh or \ooo
+            value.append(int(escape[2:], 16) if kind == "x" else int(escape[1:], 8))
+        elif len(escape) > 4:  # \uhhhh or \Uhhhhhhhh
+            code = int(escape[2:], 16)
+            if code > 0x10FFFF or 0xD800 <= code < 0xE000:
+                raise GoSyntaxError(f"escape sequence {escape!r} is an invalid Unicode code point", line)
+            value += chr(code).encode()
+        else:
+            raise GoSyntaxError(f"unknown escape sequence {escape!r}", line)
+        pos = m.end()
+    value += tok[pos:-1].encode()
+    return value.decode("utf-8", "backslashreplace")
+
+
+# One shared instance of each predeclared basic type: types are immutable.
+_BASICS = {name: Basic(name) for name in PREDECLARED_TYPES}
 
 
 def _make_interface(methods: list[MethodSig], embeds: list[UnionTerm]) -> Interface:
@@ -381,8 +433,11 @@ def _make_interface(methods: list[MethodSig], embeds: list[UnionTerm]) -> Interf
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], package_path: str):
-        self.toks = tokens
+    def __init__(self, tokens: _Tokens, package_path: str):
+        # A plain list, which indexes faster than its subclass, with one more
+        # "" at the end, so that the token after the current one exists.
+        self.toks = tokens + [""]
+        self.lines = tokens.lines
         self.i = 0
         self.package_path = package_path
         self.import_map: dict[str, str] = {}
@@ -390,44 +445,30 @@ class _Parser:
 
     # -- cursor helpers ----------------------------------------------------
 
-    def cur(self) -> Token:
-        return self.toks[self.i]
+    def _line(self, k: int) -> int:
+        return bisect_right(self.lines, k) + 1
 
-    def peek(self) -> Token:
-        """The token after the current one; at the end, the final eof."""
-        return self.toks[min(self.i + 1, len(self.toks) - 1)]
+    def _error(self, message: str, k: int | None = None) -> GoSyntaxError:
+        """A GoSyntaxError at the line of token k, by default the current one."""
+        return GoSyntaxError(message, self._line(self.i if k is None else k))
 
-    def advance(self) -> Token:
+    def expect(self, text: str) -> None:
+        if self.toks[self.i] != text:
+            raise self._error(f"expected {text!r}, found {self.toks[self.i]!r}")
+        self.i += 1
+
+    def expect_ident(self) -> str:
         tok = self.toks[self.i]
-        if tok.kind != "eof":
-            self.i += 1
+        if not _is_ident(tok):
+            raise self._error(f"expected identifier, found {tok!r}")
+        self.i += 1
         return tok
 
-    def at_op(self, text: str) -> bool:
-        tok = self.cur()
-        return tok.kind == "op" and tok.text == text
-
-    def at_keyword(self, text: str) -> bool:
-        tok = self.cur()
-        return tok.kind == "keyword" and tok.text == text
-
-    def expect_op(self, text: str) -> Token:
-        tok = self.cur()
-        if not (tok.kind == "op" and tok.text == text):
-            raise GoSyntaxError(f"expected {text!r}, found {tok.text!r}", tok.line)
-        return self.advance()
-
-    def expect_ident(self) -> Token:
-        tok = self.cur()
-        if tok.kind != "ident":
-            raise GoSyntaxError(f"expected identifier, found {tok.text!r}", tok.line)
-        return self.advance()
-
     def skip_semis(self) -> None:
-        while self.at_op(";"):
-            self.advance()
+        while self.toks[self.i] == ";":
+            self.i += 1
 
-    def _elements(self, open_: str, block: str, element: str) -> Iterator[Token]:
+    def _elements(self, open_: str, block: str, element: str) -> Iterator[str]:
         """Yield at the first token of each element of the ";"-separated group
         or body that opens at the cursor, and consume its closing bracket.
 
@@ -435,94 +476,89 @@ class _Parser:
         ";" or the closing bracket must follow, as in Go; at the end of the
         tokens the group is unterminated.
         """
-        self.expect_op(open_)
+        self.expect(open_)
         close = _CLOSERS[open_]
+        toks = self.toks
         while True:
             self.skip_semis()
-            tok = self.cur()
-            if tok.kind == "op" and tok.text == close:
-                self.advance()
+            tok = toks[self.i]
+            if tok == close:
+                self.i += 1
                 return
-            if tok.kind == "eof":
-                raise GoSyntaxError(f"unterminated {block}", tok.line)
+            if not tok:
+                raise self._error(f"unterminated {block}")
             yield tok
-            tok = self.cur()
-            if not (tok.kind == "eof" or (tok.kind == "op" and tok.text in (";", close))):
-                raise GoSyntaxError(f"unexpected {tok.text!r} after {element}", tok.line)
+            tok = toks[self.i]
+            if tok and tok != ";" and tok != close:
+                raise self._error(f"unexpected {tok!r} after {element}")
 
-    def _items(self, open_: str) -> Iterator[Token]:
+    def _items(self, open_: str) -> Iterator[str]:
         """Yield at the first token of each item of the ","-separated list
         that opens at the cursor, and consume its closing bracket. A trailing
         comma is allowed."""
-        self.expect_op(open_)
+        self.expect(open_)
         close = _CLOSERS[open_]
-        while not self.at_op(close):
-            yield self.cur()
-            if not self.at_op(close):
-                self.expect_op(",")
-        self.advance()
-
-    def _nest(self) -> None:
-        """Count one more level of type nesting; the caller undoes it."""
-        if self.depth >= MAX_TYPE_NESTING:
-            raise GoSyntaxError(f"type nested deeper than {MAX_TYPE_NESTING} levels", self.cur().line)
-        self.depth += 1
+        toks = self.toks
+        while toks[self.i] != close:
+            yield toks[self.i]
+            if toks[self.i] != close:
+                self.expect(",")
+        self.i += 1
 
     def _scan_list(self, j: int) -> list[int]:
         """Look ahead over the bracketed list that opens at j, without moving.
 
         Returns the indices of its top-level commas, then of its closing
-        bracket (of the final eof if it never closes).
+        bracket (of the final "" if it never closes).
         """
         marks: list[int] = []
         depth = 0
-        for k in range(j, len(self.toks)):
-            tok = self.toks[k]
-            if tok.kind == "op":
-                if tok.text in "([{":
-                    depth += 1
-                elif tok.text in ")]}":
-                    depth -= 1
-                    if depth == 0:
-                        marks.append(k)
-                        return marks
-                elif tok.text == "," and depth == 1:
+        toks = self.toks
+        for k in range(j, len(toks)):
+            tok = toks[k]
+            if tok in _OPENING:
+                depth += 1
+            elif tok in _CLOSING:
+                depth -= 1
+                if depth == 0:
                     marks.append(k)
-        marks.append(len(self.toks) - 1)
+                    return marks
+            elif tok == "," and depth == 1:
+                marks.append(k)
+        marks.append(len(toks) - 1)
         return marks
 
-    def _bracket_ends(self, j: int, enders: frozenset[str]) -> bool:
-        """Whether the "[" at j closes right before an op whose text, or a
-        token whose kind, is in enders.
+    def _after_list(self, j: int) -> str:
+        """The token after the bracketed list that opens at j.
 
         Tells a generic instantiation that makes up a whole field or parameter
         (List[T]) from a name followed by an array or slice type (Name [3]T).
         """
-        after = self.toks[min(self._scan_list(j)[-1] + 1, len(self.toks) - 1)]
-        return after.kind in enders or (after.kind == "op" and after.text in enders)
+        return self.toks[min(self._scan_list(j)[-1] + 1, len(self.toks) - 1)]
 
     # -- file --------------------------------------------------------------
 
     def _parse_package_clause(self) -> GoFile:
         self.skip_semis()
-        if not self.at_keyword("package"):
-            raise GoSyntaxError("missing package clause", self.cur().line)
-        self.advance()
-        return GoFile(package_name=self.expect_ident().text)
+        if self.toks[self.i] != "package":
+            raise self._error("missing package clause")
+        self.i += 1
+        return GoFile(package_name=self.expect_ident())
 
     def parse_file(self) -> GoFile:
         gofile = self._parse_package_clause()
+        toks = self.toks
         while True:
             self.skip_semis()
-            tok = self.cur()
-            if tok.kind == "eof":
+            tok = toks[self.i]
+            if not tok:
                 break
-            if tok.kind == "keyword" and tok.text in _GEN_DECL_KEYWORDS:
-                self._parse_gen_decl(tok.text, gofile)
-            elif self.at_keyword("func"):
+            if tok in _GEN_DECL_KEYWORDS:
+                self._parse_gen_decl(tok, gofile)
+            elif tok == "func":
                 self._parse_func_decl(gofile)
             else:
-                raise GoSyntaxError(f"unexpected token {tok.text!r} at top level", tok.line)
+                raise self._error(f"unexpected token {tok!r} at top level")
         return gofile
 
     # -- imports -----------------------------------------------------------
@@ -530,21 +566,21 @@ class _Parser:
     def _parse_one_import(self, gofile: GoFile) -> None:
         alias: str | None = None
         dot = blank = False
-        tok = self.cur()
-        if tok.kind == "ident":
-            if tok.text == "_":
+        tok = self.toks[self.i]
+        if _is_ident(tok):
+            if tok == "_":
                 blank = True
             else:
-                alias = tok.text
-            self.advance()
-        elif self.at_op("."):
+                alias = tok
+            self.i += 1
+        elif tok == ".":
             dot = True
-            self.advance()
-        tok = self.cur()
-        if tok.kind not in ("string", "raw_string"):
-            raise GoSyntaxError(f"expected import path string, found {tok.text!r}", tok.line)
-        self.advance()
-        path = tok.text[1:-1]
+            self.i += 1
+        tok = self.toks[self.i]
+        if tok[:1] not in _STRING_QUOTES:
+            raise self._error(f"expected import path string, found {tok!r}")
+        path = _unquote(tok, self._line(self.i))
+        self.i += 1
         gofile.imports.append(ImportSpec(path=path, alias=alias, dot=dot, blank=blank))
         if not dot and not blank:
             local = alias if alias else path.rsplit("/", 1)[-1]
@@ -553,8 +589,8 @@ class _Parser:
     # -- import/const/var/type ---------------------------------------------
 
     def _parse_gen_decl(self, kw: str, gofile: GoFile) -> None:
-        self.advance()
-        if self.at_op("("):
+        self.i += 1
+        if self.toks[self.i] == "(":
             prev: tuple[TypeExpr | None, list[str]] | None = None
             for _ in self._elements("(", f"{kw} block", f"{kw} spec"):
                 prev = self._parse_spec(kw, gofile, prev, in_block=True)
@@ -574,16 +610,16 @@ class _Parser:
         if kw == "type":
             self._parse_type_spec(gofile)
             return None
-        names = [self.expect_ident().text]
-        while self.at_op(","):
-            self.advance()
-            names.append(self.expect_ident().text)
+        names = [self.expect_ident()]
+        while self.toks[self.i] == ",":
+            self.i += 1
+            names.append(self.expect_ident())
         declared: TypeExpr | None = None
-        if not self.at_op("=") and not self.at_op(";") and not self.at_op(")") and self.cur().kind != "eof":
+        if self.toks[self.i] not in ("=", ";", ")", ""):
             declared = self._parse_type(frozenset())
         values: list[tuple[int, int]] = []
-        if self.at_op("="):
-            self.advance()
+        if self.toks[self.i] == "=":
+            self.i += 1
             values = self._collect_expr_list(in_block)
         if kw == "const" and declared is None and not values and prev is not None:
             declared, spelled = prev
@@ -604,31 +640,34 @@ class _Parser:
 
     def _collect_expr_list(self, in_block: bool) -> list[tuple[int, int]]:
         """Skip an expression list up to the end of the spec, returning the
-        token index range of each expression between top-level commas."""
+        token index range of each expression between top-level commas. A
+        bracket still open at the end of the tokens is an error."""
         ranges: list[tuple[int, int]] = []
-        start = self.i
+        toks = self.toks
+        start = i = self.i
         depth = 0
         while True:
-            tok = self.cur()
-            if tok.kind == "eof":
+            tok = toks[i]
+            if not tok:
+                if depth:
+                    self.i = i
+                    raise self._error("unterminated expression")
                 break
-            if depth == 0 and tok.kind == "op":
-                if tok.text == ";":
+            if depth == 0:
+                if tok == ";" or (tok == ")" and in_block):
                     break
-                if tok.text == ")" and in_block:
-                    break
-                if tok.text == ",":
-                    ranges.append((start, self.i))
-                    self.advance()
-                    start = self.i
+                if tok == ",":
+                    ranges.append((start, i))
+                    i += 1
+                    start = i
                     continue
-            if tok.kind == "op":
-                if tok.text in "([{":
-                    depth += 1
-                elif tok.text in ")]}":
-                    depth -= 1
-            self.advance()
-        ranges.append((start, self.i))
+            if tok in _OPENING:
+                depth += 1
+            elif tok in _CLOSING:
+                depth -= 1
+            i += 1
+        self.i = i
+        ranges.append((start, i))
         return [(start, end) for start, end in ranges if start < end]
 
     def _infer_var_type(self, start: int, end: int) -> TypeExpr:
@@ -638,58 +677,49 @@ class _Parser:
         cursor is put back."""
         if start == end:
             return Basic("untyped")
-        first = self.toks[start]
+        toks = self.toks
+        first = toks[start]
         if end - start == 1:
             return _literal_type(first) or Basic("untyped")
-        second = self.toks[start + 1]
-        saved = self.i
+        second = toks[start + 1]
+        saved = self.i, self.depth
         try:
-            if first.kind == "op" and first.text == "&":
-                self._nest()
-                try:
-                    inner = self._infer_var_type(start + 1, end)
-                finally:
-                    self.depth -= 1
+            if first == "&":
+                if self.depth >= MAX_TYPE_NESTING:
+                    return Basic("untyped")
+                self.depth += 1
+                inner = self._infer_var_type(start + 1, end)
                 return inner if isinstance(inner, Basic) else Pointer(inner)
-            if first.kind == "keyword" and first.text == "func":
+            if first == "func":
                 self.i = start + 1
                 params, variadic, results = self._parse_signature_tail(frozenset())
                 return Func(params=params, results=results, variadic=variadic)
-            if first.kind == "ident":
+            if _is_ident(first):
                 # Composite literal T{...} or pkg.T{...}.
-                if second.kind == "op" and second.text == "{":
-                    return self._resolve_name(first.text, frozenset())
-                if (
-                    end - start >= 4
-                    and second.kind == "op"
-                    and second.text == "."
-                    and self.toks[start + 2].kind == "ident"
-                    and self.toks[start + 3].kind == "op"
-                    and self.toks[start + 3].text == "{"
-                ):
-                    return Named(self.import_map.get(first.text, first.text), self.toks[start + 2].text)
-            if (first.kind == "op" and first.text == "[") or (
-                first.kind == "keyword" and first.text in ("map", "chan")
-            ):
+                if second == "{":
+                    return self._resolve_name(first, frozenset())
+                if end - start >= 4 and second == "." and _is_ident(toks[start + 2]) and toks[start + 3] == "{":
+                    return Named(self.import_map.get(first, first), toks[start + 2])
+            if first in ("[", "map", "chan"):
                 self.i = start
                 expr = self._parse_type(frozenset())
-                if self.at_op("{"):
+                if self.toks[self.i] == "{":
                     return expr
         except GoSyntaxError:
             pass
         finally:
-            self.i = saved
+            self.i, self.depth = saved
         return Basic("untyped")
 
     def _parse_type_spec(self, gofile: GoFile) -> None:
-        name = self.expect_ident().text
+        name = self.expect_ident()
         type_params: tuple[TypeParamDef, ...] = ()
-        if self.at_op("[") and self._looks_like_type_params():
+        if self.toks[self.i] == "[" and self._looks_like_type_params():
             type_params = self._parse_type_param_group(frozenset())
         alias = False
-        if self.at_op("="):
+        if self.toks[self.i] == "=":
             alias = True
-            self.advance()
+            self.i += 1
         tparams = frozenset(tp.name for tp in type_params)
         expr = self._parse_type(tparams)
         gofile.types.append(TypeSpec(name=name, type=expr, type_params=type_params, alias=alias))
@@ -704,19 +734,13 @@ class _Parser:
         # by go/parser's isTypeElem, when the operand after the "*" or "(",
         # or a term of a top-level union, is a type element: [T *[]int],
         # [T *E | ~int].
-        nxt = self.peek()
-        if nxt.kind != "ident":
+        toks = self.toks
+        if not _is_ident(toks[self.i + 1]):
             return False
-        after = self.toks[self.i + 2]
-        if after.kind == "ident":
+        after = toks[self.i + 2]
+        if _is_ident(after) or after in _TYPE_START_KEYWORDS or after in (",", "~", "["):
             return True
-        if after.kind == "keyword" and after.text in _TYPE_START_KEYWORDS:
-            return True
-        if after.kind != "op":
-            return False
-        if after.text in (",", "~", "["):
-            return True
-        if after.text not in ("*", "("):
+        if after != "*" and after != "(":
             return False
         marks = self._scan_list(self.i)
         if len(marks) > 1:
@@ -724,14 +748,12 @@ class _Parser:
         operands = [self.i + 3]
         depth = 0
         for k in range(self.i + 2, marks[-1]):
-            tok = self.toks[k]
-            if tok.kind != "op":
-                continue
-            if tok.text in ("(", "[", "{"):
+            tok = toks[k]
+            if tok in _OPENING:
                 depth += 1
-            elif tok.text in (")", "]", "}"):
+            elif tok in _CLOSING:
                 depth -= 1
-            elif tok.text == "|" and depth == 0:
+            elif tok == "|" and depth == 0:
                 operands.append(k + 1)
         return any(self._starts_type_elem(j) for j in operands)
 
@@ -739,79 +761,67 @@ class _Parser:
         """Whether the expression at j can only be a type element: an array,
         slice, struct, func, interface, map or chan type, or a ~ term,
         possibly in parentheses."""
-        while self.toks[j].kind == "op" and self.toks[j].text == "(":
+        toks = self.toks
+        while toks[j] == "(":
             j += 1
-        tok = self.toks[j]
-        if tok.kind == "keyword":
-            return tok.text in _TYPE_START_KEYWORDS
-        if tok.kind != "op":
-            return False
-        if tok.text == "<-":
-            return self.toks[j + 1].text == "chan"
-        return tok.text in ("[", "~")
+        tok = toks[j]
+        if tok == "<-":
+            return toks[j + 1] == "chan"
+        return tok in _TYPE_START_KEYWORDS or tok in ("[", "~")
 
     # -- functions ----------------------------------------------------------
 
     def _parse_func_decl(self, gofile: GoFile) -> None:
-        self.advance()
+        self.i += 1
         receiver: str | None = None
         receiver_tparams: list[str] = []
-        if self.at_op("("):
+        if self.toks[self.i] == "(":
             receiver, receiver_tparams = self._parse_receiver()
-        name = self.expect_ident().text
+        name = self.expect_ident()
         type_params: tuple[TypeParamDef, ...] = ()
-        if self.at_op("["):
+        if self.toks[self.i] == "[":
             type_params = self._parse_type_param_group(frozenset(receiver_tparams))
         tparams = frozenset(receiver_tparams) | {tp.name for tp in type_params}
         params, variadic, results = self._parse_signature_tail(tparams)
         sig = Func(params=params, results=results, variadic=variadic, type_params=type_params)
-        if self.at_op("{"):
-            self._skip_balanced_braces()
+        if self.toks[self.i] == "{":
+            close = self._scan_list(self.i)[-1]
+            if not self.toks[close]:
+                raise self._error("unterminated function body")
+            self.i = close + 1
         gofile.funcs.append(FuncDecl(name=name, sig=sig, receiver=receiver))
 
     def _parse_receiver(self) -> tuple[str, list[str]]:
         """Parse (name *Base[P, Q]), returning the base type name and the
         names of its type parameters."""
-        self.expect_op("(")
-        nxt = self.peek()
-        if self.cur().kind == "ident" and not (nxt.kind == "op" and nxt.text in (".", "[", ",", ")")):
-            self.advance()  # receiver variable name
-        if self.at_op("*"):
-            self.advance()
-        tok = self.cur()
-        if tok.kind != "ident":
-            raise GoSyntaxError("malformed receiver type", tok.line)
-        self.advance()
+        self.expect("(")
+        toks = self.toks
+        if _is_ident(toks[self.i]) and self.toks[self.i + 1] not in (".", "[", ",", ")"):
+            self.i += 1  # receiver variable name
+        if toks[self.i] == "*":
+            self.i += 1
+        base = toks[self.i]
+        if not _is_ident(base):
+            raise self._error("malformed receiver type")
+        self.i += 1
         tparams: list[str] = []
-        if self.at_op("["):
+        if toks[self.i] == "[":
             for _ in self._items("["):
-                tparams.append(self.expect_ident().text)
-        if self.at_op(","):
-            self.advance()
-        self.expect_op(")")
-        return tok.text, tparams
-
-    def _skip_balanced_braces(self) -> None:
-        start = self.expect_op("{")
-        depth = 1
-        while depth > 0:
-            tok = self.advance()
-            if tok.kind == "eof":
-                raise GoSyntaxError("unterminated function body", start.line)
-            if tok.kind == "op":
-                if tok.text == "{":
-                    depth += 1
-                elif tok.text == "}":
-                    depth -= 1
+                tparams.append(self.expect_ident())
+        if toks[self.i] == ",":
+            self.i += 1
+        self.expect(")")
+        return base, tparams
 
     # -- signatures and parameter lists --------------------------------------
 
     def _parse_signature_tail(self, tparams: frozenset[str]) -> tuple[tuple[TypeExpr, ...], bool, tuple[TypeExpr, ...]]:
         params, variadic = self._parse_params(tparams)
         results: tuple[TypeExpr, ...] = ()
-        if self.at_op("("):
+        tok = self.toks[self.i]
+        if tok == "(":
             results, _ = self._parse_params(tparams, results=True)
-        elif _starts_type(self.cur()):
+        elif tok in _TYPE_STARTS or _is_ident(tok):
             results = (self._parse_type(tparams),)
         return params, variadic, results
 
@@ -828,27 +838,26 @@ class _Parser:
         variadic = False
         for tok in self._items("("):
             if variadic:
-                raise GoSyntaxError("can only use ... with final parameter in list", tok.line)
-            nxt = self.peek()
-            if tok.kind == "ident" and nxt.kind == "op" and nxt.text in (",", ")"):
-                self.advance()
-                items.append((tok.text, None))
+                raise self._error("can only use ... with final parameter in list")
+            ident = _is_ident(tok)
+            nxt = self.toks[self.i + 1]
+            if ident and (nxt == "," or nxt == ")"):
+                self.i += 1
+                items.append((tok, None))
             else:
                 name = ""
-                if tok.kind == "ident" and not (
-                    nxt.kind == "op"
-                    and (nxt.text == "." or (nxt.text == "[" and self._bracket_ends(self.i + 1, _PARAM_ENDERS)))
-                ):
-                    name = self.advance().text
-                if self.at_op("..."):
+                if ident and nxt != "." and not (nxt == "[" and self._after_list(self.i + 1) in (",", ")")):
+                    name = tok
+                    self.i += 1
+                if self.toks[self.i] == "...":
                     if results:
-                        raise GoSyntaxError("cannot use ... in result list", self.cur().line)
-                    self.advance()
+                        raise self._error("cannot use ... in result list")
+                    self.i += 1
                     variadic = True
                 items.append((name, self._parse_type(tparams)))
         named = any(name and t is not None for name, t in items)
         if named and (items[-1][1] is None or any(not name for name, _ in items)):
-            raise GoSyntaxError("mixed named and unnamed parameters", self.toks[self.i - 1].line)
+            raise self._error("mixed named and unnamed parameters", self.i - 1)
 
         types: list[TypeExpr] = []
         carry: TypeExpr | None = None
@@ -868,13 +877,14 @@ class _Parser:
     def _parse_type_param_group(self, outer: frozenset[str]) -> tuple[TypeParamDef, ...]:
         # A constraint may refer to any parameter of the group, so the names
         # come first: each is the token after the "[" or a top-level comma.
+        toks = self.toks
         starts = [self.i] + self._scan_list(self.i)[:-1]
-        scope = outer | {self.toks[j + 1].text for j in starts if self.toks[j + 1].kind == "ident"}
+        scope = outer | {toks[j + 1] for j in starts if _is_ident(toks[j + 1])}
         defs: list[tuple[str, TypeExpr | None]] = []
         for _ in self._items("["):
-            name = self.expect_ident().text
+            name = self.expect_ident()
             constraint: TypeExpr | None = None
-            if not (self.at_op(",") or self.at_op("]")):
+            if toks[self.i] != "," and toks[self.i] != "]":
                 terms = self._parse_union(scope)
                 constraint = terms[0].type if len(terms) == 1 and not terms[0].tilde else _make_interface([], terms)
             defs.append((name, constraint))
@@ -885,7 +895,7 @@ class _Parser:
             if constraint is not None:
                 carry = constraint
             if carry is None:
-                raise GoSyntaxError("type parameter without constraint", self.toks[self.i - 1].line)
+                raise self._error("type parameter without constraint", self.i - 1)
             out.append(TypeParamDef(name=name, constraint=carry))
         out.reverse()
         return tuple(out)
@@ -894,89 +904,45 @@ class _Parser:
         """Parse ~T | U, the terms of a constraint or an interface embed."""
         terms: list[UnionTerm] = []
         while True:
-            tilde = self.at_op("~")
+            tilde = self.toks[self.i] == "~"
             if tilde:
-                self.advance()
+                self.i += 1
             terms.append(UnionTerm(type=self._parse_type(tparams), tilde=tilde))
-            if not self.at_op("|"):
+            if self.toks[self.i] != "|":
                 return terms
-            self.advance()
+            self.i += 1
 
     # -- types ------------------------------------------------------------------
 
     def _resolve_name(self, name: str, tparams: frozenset[str]) -> TypeExpr:
         if name in tparams:
             return TypeParamRef(name)
-        if name in PREDECLARED_TYPES:
-            return Basic(name)
-        return Named(self.package_path, name)
+        return _BASICS.get(name) or Named(self.package_path, name)
 
     def _parse_type(self, tparams: frozenset[str]) -> TypeExpr:
-        self._nest()
-        try:
-            return self._parse_type_at_depth(tparams)
-        finally:
-            self.depth -= 1
+        """Parse a type, one level of nesting deeper. After a GoSyntaxError
+        the depth is not restored: a caller that goes on restores it."""
+        if self.depth >= MAX_TYPE_NESTING:
+            raise self._error(f"type nested deeper than {MAX_TYPE_NESTING} levels")
+        self.depth += 1
+        t = self._parse_type_at_depth(tparams)
+        self.depth -= 1
+        return t
 
     def _parse_type_at_depth(self, tparams: frozenset[str]) -> TypeExpr:
-        tok = self.cur()
-        if tok.kind == "op":
-            if tok.text == "*":
-                self.advance()
-                return Pointer(self._parse_type(tparams))
-            if tok.text == "(":
-                self.advance()
-                inner = self._parse_type(tparams)
-                self.expect_op(")")
-                return inner
-            if tok.text == "[":
-                self.advance()
-                if self.at_op("]"):
-                    self.advance()
-                    return Slice(self._parse_type(tparams))
-                length = self._parse_array_length()
-                return Array(length=length, elem=self._parse_type(tparams))
-            if tok.text == "<-":
-                self.advance()
-                if not self.at_keyword("chan"):
-                    raise GoSyntaxError("expected chan after <-", tok.line)
-                self.advance()
-                return Chan(direction="recv", elem=self._parse_type(tparams))
-        if tok.kind == "keyword":
-            if tok.text == "chan":
-                self.advance()
-                direction = "both"
-                if self.at_op("<-"):
-                    direction = "send"
-                    self.advance()
-                return Chan(direction=direction, elem=self._parse_type(tparams))
-            if tok.text == "map":
-                self.advance()
-                self.expect_op("[")
-                key = self._parse_type(tparams)
-                self.expect_op("]")
-                return Map(key=key, value=self._parse_type(tparams))
-            if tok.text == "func":
-                self.advance()
-                params, variadic, results = self._parse_signature_tail(tparams)
-                return Func(params=params, results=results, variadic=variadic)
-            if tok.text == "struct":
-                self.advance()
-                return self._parse_struct_body(tparams)
-            if tok.text == "interface":
-                self.advance()
-                return self._parse_interface_body(tparams)
-        if tok.kind == "ident":
-            self.advance()
-            name = tok.text
+        toks = self.toks
+        tok = toks[self.i]
+        if _is_ident(tok):
+            self.i += 1
+            name = tok
             package: str | None = None
-            if self.at_op(".") and self.peek().kind == "ident":
-                self.advance()
-                member = self.expect_ident().text
+            if toks[self.i] == "." and _is_ident(self.toks[self.i + 1]):
+                self.i += 1
+                member = self.expect_ident()
                 package = self.import_map.get(name, name)
                 name = member
             args: list[TypeExpr] = []
-            if self.at_op("["):
+            if toks[self.i] == "[":
                 for _ in self._items("["):
                     args.append(self._parse_type(tparams))
             if package is not None:
@@ -985,100 +951,120 @@ class _Parser:
             if args and isinstance(base, Named):
                 return Named(base.package, base.name, tuple(args))
             return base
-        raise GoSyntaxError(f"expected type, found {tok.text!r}", tok.line)
+        if tok == "*":
+            self.i += 1
+            return Pointer(self._parse_type(tparams))
+        if tok == "[":
+            self.i += 1
+            if toks[self.i] == "]":
+                self.i += 1
+                return Slice(self._parse_type(tparams))
+            length = self._parse_array_length()
+            return Array(length=length, elem=self._parse_type(tparams))
+        if tok == "(":
+            self.i += 1
+            inner = self._parse_type(tparams)
+            self.expect(")")
+            return inner
+        if tok == "func":
+            self.i += 1
+            params, variadic, results = self._parse_signature_tail(tparams)
+            return Func(params=params, results=results, variadic=variadic)
+        if tok == "map":
+            self.i += 1
+            self.expect("[")
+            key = self._parse_type(tparams)
+            self.expect("]")
+            return Map(key=key, value=self._parse_type(tparams))
+        if tok == "chan":
+            self.i += 1
+            direction = "both"
+            if toks[self.i] == "<-":
+                direction = "send"
+                self.i += 1
+            return Chan(direction=direction, elem=self._parse_type(tparams))
+        if tok == "<-":
+            self.i += 1
+            if toks[self.i] != "chan":
+                raise self._error("expected chan after <-", self.i - 1)
+            self.i += 1
+            return Chan(direction="recv", elem=self._parse_type(tparams))
+        if tok == "struct":
+            self.i += 1
+            return self._parse_struct_body(tparams)
+        if tok == "interface":
+            self.i += 1
+            return self._parse_interface_body(tparams)
+        raise self._error(f"expected type, found {tok!r}")
 
     def _parse_array_length(self) -> int | str:
+        toks = self.toks
         start = self.i
-        depth = 0
-        while True:
-            tok = self.cur()
-            if tok.kind == "eof":
-                raise GoSyntaxError("unterminated array length", tok.line)
-            if depth == 0 and tok.kind == "op" and tok.text == "]":
-                break
-            if tok.kind == "op":
-                if tok.text in "([{":
-                    depth += 1
-                elif tok.text in ")]}":
-                    depth -= 1
-            self.advance()
-        end = self.i
-        self.advance()
+        end = self._scan_list(start - 1)[-1]
+        if not toks[end]:
+            raise self._error("unterminated array length", end)
+        self.i = end + 1
         # Parentheses around the whole length do not change it: [(N)] is [N],
         # and a literal length is a number however it is spelled: [0x10], [(16)].
-        while (
-            end - start > 2
-            and self.toks[start].text == "("
-            and self.toks[end - 1].text == ")"
-            and self._scan_list(start)[-1] == end - 1
-        ):
+        while end - start > 2 and toks[start] == "(" and toks[end - 1] == ")" and self._scan_list(start)[-1] == end - 1:
             start += 1
             end -= 1
-        tokens = self.toks[start:end]
-        if len(tokens) == 1 and tokens[0].kind == "int":
-            return int(tokens[0].text.replace("_", ""), 0)
-        return _spell(tokens)
+        if end - start == 1 and _INT_RE.fullmatch(toks[start]) and toks[start][-1] != "i":
+            return _int_value(toks[start], self._line(start))
+        return _spell(toks[start:end])
 
     def _parse_struct_body(self, tparams: frozenset[str]) -> Struct:
         fields: list[FieldDef] = []
+        toks = self.toks
         for tok in self._elements("{", "struct body", "struct field"):
             start = self.i
-            embedded = False
-            if tok.kind == "op" and tok.text == "*":
-                embedded = True
-            elif tok.kind == "ident":
-                names = [self.advance().text]
-                while self.at_op(","):
-                    self.advance()
-                    names.append(self.expect_ident().text)
-                nxt = self.cur()
-                if len(names) == 1 and (
-                    nxt.kind in ("string", "raw_string")
-                    or (nxt.kind == "op" and nxt.text in (";", "}", "."))
-                    or (nxt.kind == "op" and nxt.text == "[" and self._bracket_ends(self.i, _FIELD_ENDERS))
-                ):
-                    embedded = True
-                    self.i = start
-                else:
+            if _is_ident(tok):
+                names = [tok]
+                self.i += 1
+                while toks[self.i] == ",":
+                    self.i += 1
+                    names.append(self.expect_ident())
+                # A lone name before "." or the end of the field, or a tag,
+                # even after a "[...]" of type arguments, is an embedded type.
+                nxt = toks[self.i]
+                after = self._after_list(self.i) if nxt == "[" else nxt
+                if len(names) > 1 or not (nxt == "." or after in (";", "}") or after[:1] in _STRING_QUOTES):
                     ftype = self._parse_type(tparams)
                     tag = self._parse_tag()
                     for n in names:
-                        fields.append(
-                            FieldDef(name=n, type=ftype, tag=tag, anonymous=False, exported=is_exported(n))
-                        )
-            else:
-                raise GoSyntaxError(f"unexpected token {tok.text!r} in struct", tok.line)
-
-            if embedded:
-                ftype = self._parse_type(tparams)
-                tag = self._parse_tag()
-                name = _embedded_name(ftype)
-                fields.append(
-                    FieldDef(name=name, type=ftype, tag=tag, anonymous=True, exported=is_exported(name))
-                )
+                        fields.append(FieldDef(name=n, type=ftype, tag=tag, anonymous=False, exported=is_exported(n)))
+                    continue
+                self.i = start
+            elif tok != "*":
+                raise self._error(f"unexpected token {tok!r} in struct")
+            # An embedded field: a type name, possibly behind a "*".
+            ftype = self._parse_type(tparams)
+            tag = self._parse_tag()
+            name = _embedded_name(ftype)
+            if name is None:
+                k = start
+                while toks[k] in ("*", "("):
+                    k += 1
+                raise self._error(f"embedded field must be a type name, found {toks[k]!r}", start)
+            fields.append(FieldDef(name=name, type=ftype, tag=tag, anonymous=True, exported=is_exported(name)))
         return Struct(fields=tuple(fields))
 
     def _parse_tag(self) -> str | None:
-        tok = self.cur()
-        if tok.kind == "raw_string":
-            self.advance()
-            return tok.text[1:-1]
-        if tok.kind == "string":
-            self.advance()
-            return tok.text[1:-1]
-        return None
+        tok = self.toks[self.i]
+        if tok[:1] not in _STRING_QUOTES:
+            return None
+        tag = _unquote(tok, self._line(self.i))
+        self.i += 1
+        return tag
 
     def _parse_interface_body(self, tparams: frozenset[str]) -> Interface:
         methods: list[MethodSig] = []
         embeds: list[UnionTerm] = []
         for tok in self._elements("{", "interface body", "interface element"):
-            nxt = self.peek()
-            if tok.kind == "ident" and nxt.kind == "op" and nxt.text == "(":
-                self.advance()
+            if _is_ident(tok) and self.toks[self.i + 1] == "(":
+                self.i += 1
                 params, variadic, results = self._parse_signature_tail(tparams)
-                methods.append(
-                    MethodSig(name=tok.text, sig=Func(params=params, results=results, variadic=variadic))
-                )
+                methods.append(MethodSig(name=tok, sig=Func(params=params, results=results, variadic=variadic)))
             else:
                 embeds += self._parse_union(tparams)
         return _make_interface(methods, embeds)
@@ -1088,35 +1074,45 @@ _NO_SPACE_BEFORE = frozenset({".", ",", ")", "]", "}", "{", ";"})
 _NO_SPACE_AFTER = frozenset({"(", "[", "{", "."})
 
 
-def _spell(tokens: list[Token]) -> str:
+def _spell(tokens: list[str]) -> str:
     parts: list[str] = []
-    prev: Token | None = None
+    prev = ""
     for tok in tokens:
-        if parts and not (
-            (tok.kind == "op" and tok.text in _NO_SPACE_BEFORE)
-            or (prev is not None and prev.kind == "op" and prev.text in _NO_SPACE_AFTER)
-        ):
+        if parts and tok not in _NO_SPACE_BEFORE and prev not in _NO_SPACE_AFTER:
             parts.append(" ")
-        parts.append(tok.text)
+        parts.append(tok)
         prev = tok
     return "".join(parts)
 
 
-def _literal_type(tok: Token) -> Basic | None:
-    if tok.kind == "int":
-        return Basic("complex128") if tok.text.endswith("i") else Basic("int")
-    if tok.kind == "float":
-        return Basic("complex128") if tok.text.endswith("i") else Basic("float64")
-    if tok.kind in ("string", "raw_string"):
+def _int_value(tok: str, line: int) -> int:
+    """The value of an integer literal token without an imaginary suffix;
+    a leading 0 followed by digits makes it octal, as in Go."""
+    digits = tok.replace("_", "")
+    if digits[0] != "0" or not digits.isdecimal():
+        return int(digits, 0)
+    if digits.strip("01234567"):
+        raise GoSyntaxError(f"invalid digit in octal literal {tok!r}", line)
+    return int(digits, 8)
+
+
+def _literal_type(tok: str) -> Basic | None:
+    """The type of a literal token, or of true or false; None for any other token."""
+    first = tok[:1]
+    if first in _STRING_QUOTES:
         return Basic("string")
-    if tok.kind == "rune":
+    if first == "'":
         return Basic("rune")
-    if tok.kind == "ident" and tok.text in ("true", "false"):
+    if tok == "true" or tok == "false":
         return Basic("bool")
+    if first.isdecimal() or (first == "." and tok[1:2].isdecimal()):
+        if tok[-1] == "i":
+            return Basic("complex128")
+        return Basic("int") if _INT_RE.fullmatch(tok) else Basic("float64")
     return None
 
 
-def _infer_const_type(value: list[Token]) -> Basic:
+def _infer_const_type(value: list[str]) -> Basic:
     if len(value) == 1:
         lit = _literal_type(value[0])
         if lit is not None:
@@ -1124,22 +1120,18 @@ def _infer_const_type(value: list[Token]) -> Basic:
     return Basic("untyped")
 
 
-def _embedded_name(t: TypeExpr) -> str:
+def _embedded_name(t: TypeExpr) -> str | None:
+    """The field name of an embedded type; None if t is no (pointer to a) type name."""
     if isinstance(t, Pointer):
         return _embedded_name(t.base)
-    if isinstance(t, Named):
+    if isinstance(t, (Named, Basic, TypeParamRef)):
         return t.name
-    if isinstance(t, Basic):
-        return t.name
-    if isinstance(t, TypeParamRef):
-        return t.name
-    raise GoSyntaxError(f"cannot embed {t!r}")
+    return None
 
 
 def parse_go_file(text: str, package_path: str = "") -> GoFile:
     """Parse one source file at declaration level."""
-    parser = _Parser(tokenize(text), package_path)
-    return parser.parse_file()
+    return _Parser(tokenize(text), package_path).parse_file()
 
 
 def parse_imports(text: str) -> list[ImportSpec]:
@@ -1149,6 +1141,6 @@ def parse_imports(text: str) -> list[ImportSpec]:
     gofile = parser._parse_package_clause()
     while True:
         parser.skip_semis()
-        if not parser.at_keyword("import"):
+        if parser.toks[parser.i] != "import":
             return gofile.imports
         parser._parse_gen_decl("import", gofile)

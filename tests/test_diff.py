@@ -251,6 +251,18 @@ def test_tag_holding_a_backquote_is_not_mistaken_for_two_tags(tmp_path):
     assert record.message == '*struct{A int "x`; B int `y"} -> *struct{A int `x`; B int `y`}'
 
 
+def test_tags_are_compared_by_their_unquoted_values(tmp_path):
+    escaped = 'package lib\n\ntype T struct {\n\tA int "a\\"b"\n}\n'
+    old, new = _surfaces(tmp_path / "raw", {"lib.go": escaped}, {"lib.go": escaped.replace('"a\\"b"', "`a\\\"b`")})
+    (record,) = diff_surfaces(old, new)
+    assert (record.category, record.condition, record.node) == ("Struct", "Field Tag Change", "T")
+    old, new = _surfaces(tmp_path / "same", {"lib.go": escaped}, {"lib.go": escaped.replace('"a\\"b"', '`a"b`')})
+    assert diff_surfaces(old, new) == []
+    old, new = _surfaces(tmp_path / "newline", {"lib.go": escaped}, {"lib.go": escaped.replace('"a\\"b"', '"a\\nb"')})
+    (record,) = diff_surfaces(old, new)
+    assert record.message == 'A int `a"b` -> A int "a\\nb"'
+
+
 @pytest.mark.parametrize(
     "old_length,length",
     [("16", "(16)"), ("16", "((16))"), ("16", "0x10"), ("N", "(N)")],

@@ -12,7 +12,7 @@ import semverdiff.impact as impact_module
 from oracles import textual_search_oracle
 from conftest import write_module, write_tree
 from semverdiff.parser import GoSyntaxError
-from test_parser import _HOSTILE, _SOURCES, _full_tokens, _mutants
+from test_parser import _HOSTILE, _SOURCES, _mutants, _reference_tokens
 from semverdiff.diff import ChangeRecord, diff_surfaces
 from semverdiff.impact import (
     ScanReport,
@@ -266,7 +266,7 @@ def _reference_occurrences(text: str) -> tuple[list[tuple[str, str, int]], list[
     ident in the lexer's token stream, with the member's line, and a bare
     use is an identifier whose previous token is not ".".
     """
-    tokens = _full_tokens(text)
+    tokens = _reference_tokens(text)
     selectors: list[tuple[str, str, int]] = []
     bares: list[tuple[str, int]] = []
     n = len(tokens)

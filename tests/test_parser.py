@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import random
 import re
 from dataclasses import replace
 import tracemalloc
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,12 +38,14 @@ from semverdiff.gotypes import (
     type_to_structure,
 )
 from semverdiff.parser import (
+    GO_KEYWORDS,
     MAX_TYPE_NESTING,
     PREDECLARED_TYPES,
     GoSyntaxError,
     ImportSpec,
     _check_lexable,
     _Parser,
+    _Tokens,
     blank_literals,
     parse_go_file,
     parse_imports,
@@ -62,35 +66,40 @@ def _first_func(src: str):
 
 class TestTokenizer:
     def test_semicolon_insertion_after_identifier(self):
-        toks = tokenize("a\nb")
-        assert [t.text for t in toks[:-1]] == ["a", ";", "b", ";"]
+        assert tokenize("a\nb") == ["a", ";", "b", ";", ""]
 
     def test_no_semicolon_after_comma(self):
-        toks = tokenize("f(a,\nb)")
-        assert ";" not in [t.text for t in toks[:4]]
+        assert tokenize("f(a,\nb)") == ["f", "(", "a", ",", "b", ")", ";", ""]
 
     def test_comments_are_skipped(self):
-        toks = tokenize("// line comment\n/* block */ x")
-        assert [t.text for t in toks if t.kind != "eof"] == ["x", ";"]
+        assert tokenize("// line comment\n/* block */ x") == ["x", ";", ""]
 
     def test_strings_hide_comment_markers(self):
-        toks = tokenize('s := "http://example.com"')
-        assert any(t.kind == "string" and "http" in t.text for t in toks)
+        assert tokenize('s := "http://example.com"') == ["s", ":=", '"http://example.com"', ";", ""]
 
     def test_raw_string_spans_lines(self):
-        toks = tokenize("s := `line1\nline2`\nx")
-        raw = next(t for t in toks if t.kind == "raw_string")
-        assert "line1\nline2" in raw.text
-        x = next(t for t in toks if t.text == "x")
-        assert x.line == 3
+        src = "package p\n\nvar s = `line1\nline2`\nx"
+        assert tokenize(src)[-6:] == ["=", "`line1\nline2`", ";", "x", ";", ""]
+        with pytest.raises(GoSyntaxError, match=r"^line 5: unexpected token 'x' at top level$"):
+            parse_go_file(src, PKG)
 
     def test_multiline_block_comment_inserts_semicolon(self):
-        toks = tokenize("x /* spans\nlines */ y")
-        assert [t.text for t in toks[:3]] == ["x", ";", "y"]
+        assert tokenize("x /* spans\nlines */ y") == ["x", ";", "y", ";", ""]
 
     def test_rune_with_escape(self):
-        toks = tokenize(r"r := '\''")
-        assert any(t.kind == "rune" for t in toks)
+        assert tokenize(r"r := '\''") == ["r", ":=", r"'\''", ";", ""]
+
+    def test_identifier_that_python_would_not_take(self):
+        src = "package p\n\nvar x\u00b2, \u037a int\n"
+        assert [v.name for v in parse_go_file(src, PKG).vars] == ["x\u00b2", "\u037a"]
+        _assert_as_before(src)
+
+    def test_a_token_is_its_text(self):
+        src = "package p\nconst C = .5 + 1.e3i + 0x1p-2 + 0b1 &^= a...b // c\n"
+        assert tokenize(src) == [
+            "package", "p", ";", "const", "C", "=", ".5", "+", "1.e3i", "+", "0x1p-2", "+", "0b1", "&^=",
+            "a", "...", "b", ";", "",
+        ]
 
 
 class TestDeclarations:
@@ -415,7 +424,7 @@ _PACKAGES = ("example.com/a", "example.com/b")
 _NAMES = ("A", "B", "b")
 _TYPE_PARAM_NAMES = ("T", "U")
 _LENGTHS = st.one_of(st.integers(0, 2), st.sampled_from(["N", "N + 1", "(N)", "len(x)"]))
-_TAGS = st.sampled_from([None, "", "x", 'json:"a"', "x`y"])
+_TAGS = st.sampled_from([None, "", "x", 'json:"a"', "x`y", 'x`"y', "a\nb", "a\\nb"])
 _TYPE_DEPTH = 4  # composite levels; with the method signatures inside interfaces, far below MAX_TYPE_NESTING
 
 assert not PREDECLARED_TYPES & set(_TYPE_PARAM_NAMES)
@@ -707,21 +716,214 @@ _HOSTILE = (
 )
 
 
-def _full_tokens(src: str):
-    """The reference: every token of the file, from the full lexer, which
-    raises its own lexical errors."""
-    return parser_module._lex(src.removeprefix("\ufeff"), False)
+# -- the reference lexer ----------------------------------------------------
+#
+# The lexer as it was while a token was a named tuple: one named-group match
+# per token, with its kind and line; bodies skipped only where the brackets
+# nest outside them, and the file lexed again in full where they do not.
 
 
-def _parse_outcome(src: str, lex):
+class _Token(NamedTuple):
+    kind: str
+    text: str
+    line: int
+
+
+_REFERENCE_TOKEN_RE = re.compile(
+    rf"""
+      (?P<ws>[ \t\r]+)
+    | (?P<newline>\n)
+    | (?P<comment_line>{parser_module._COMMENT_LINE})
+    | (?P<comment_block>{parser_module._COMMENT_BLOCK})
+    | (?P<raw_string>{parser_module._RAW_STRING})
+    | (?P<string>{parser_module._STRING})
+    | (?P<rune>{parser_module._RUNE})
+    | (?P<float>{parser_module._FLOAT})
+    | (?P<int>{parser_module._INT})
+    | (?P<ident>{parser_module._IDENT})
+    | (?P<open>[(\[{{])
+    | (?P<close>[)\]}}])
+    | (?P<op><<=|>>=|&\^=|\.\.\.|&&|\|\||<-|\+\+|--|==|!=|<=|>=|:=|\+=|-=|\*=|/=|%=|&=|\|=|\^=|<<|>>|&\^|[+\-*/%&|^<>=!:;,.~])
+    """,
+    re.VERBOSE,
+)
+_REFERENCE_CLOSERS = {"(": ")", "[": "]", "{": "}"}
+_REFERENCE_DECL_KEYWORDS = frozenset({"const", "import", "package", "type", "var"})
+_REFERENCE_HEADER_END_KEYWORDS = frozenset({"const", "func", "type", "var"})
+
+
+class _Misnested(Exception):
+    """Brackets do not nest, so the lexer cannot tell what is top level."""
+
+
+def _reference_inserts_semi(tok: _Token) -> bool:
+    if tok.kind == "ident" or tok.kind in ("int", "float", "string", "raw_string", "rune"):
+        return True
+    if tok.kind == "keyword":
+        return tok.text in ("break", "continue", "fallthrough", "return")
+    return tok.kind == "op" and tok.text in (")", "]", "}", "++", "--")
+
+
+def _reference_lex(text: str, skip_bodies: bool, header_only: bool = False) -> list[_Token]:
+    tokens: list[_Token] = []
+    append = tokens.append
+    match = _REFERENCE_TOKEN_RE.match
+    pos = 0
+    line = 1
+    size = len(text)
+    closers: list[str] = []
+    decl_start = 0
+    while pos < size:
+        m = match(text, pos)
+        if m is None:
+            raise GoSyntaxError(f"unexpected character {text[pos]!r}", line)
+        kind = m.lastgroup or ""
+        value = m.group()
+        pos = m.end()
+        if kind == "ws" or kind == "comment_line":
+            continue
+        if kind == "newline" or (kind == "comment_block" and "\n" in value):
+            if tokens and _reference_inserts_semi(tokens[-1]):
+                if not closers:
+                    decl_start = len(tokens) + 1
+                append(_Token("op", ";", line))
+            line += value.count("\n")
+            continue
+        if kind == "comment_block":
+            continue
+        if kind == "ident":
+            if value in GO_KEYWORDS:
+                kind = "keyword"
+                if header_only and value in _REFERENCE_HEADER_END_KEYWORDS:
+                    append(_Token(kind, value, line))
+                    break
+                if skip_bodies and not closers and value in _REFERENCE_DECL_KEYWORDS:
+                    decl_start = len(tokens)
+        elif kind == "open":
+            kind = "op"
+            if (
+                skip_bodies
+                and value == "{"
+                and not closers
+                and decl_start < len(tokens)
+                and tokens[decl_start].text == "func"
+                and tokens[-1].text not in ("struct", "interface")
+            ):
+                append(_Token("op", "{", line))
+                start = pos
+                pos = parser_module._skip_body(text, pos)
+                if pos < 0:
+                    raise _Misnested  # unterminated body
+                line += text.count("\n", start, pos)
+                append(_Token("op", "}", line))
+                continue
+            if skip_bodies:
+                closers.append(_REFERENCE_CLOSERS[value])
+        elif kind == "close":
+            kind = "op"
+            if skip_bodies and (not closers or closers.pop() != value):
+                raise _Misnested
+        elif kind == "op" and value == ";" and not closers:
+            decl_start = len(tokens) + 1
+        append(_Token(kind, value, line))
+        if "\n" in value:  # raw strings may span lines
+            line += value.count("\n")
+    if closers:
+        raise _Misnested
+    if tokens and _reference_inserts_semi(tokens[-1]):
+        append(_Token("op", ";", line))
+    append(_Token("eof", "", line))
+    return tokens
+
+
+def _reference_tokens(src: str, skip_bodies: bool = False, imports_only: bool = False) -> list[_Token]:
+    """The reference tokens of src, a leading byte order mark dropped. By
+    default every token, from the full lexer, which raises its own lexical
+    errors. With skip_bodies, function bodies are skipped, and a file whose
+    brackets do not nest raises _Misnested."""
+    return _reference_lex(src.removeprefix("\ufeff"), skip_bodies, imports_only)
+
+
+def _as_tokens(reference: list[_Token]) -> _Tokens:
+    """Reference tokens as tokenize gives tokens: their texts, with the index
+    of the first token on each line after the first."""
+    tokens = _Tokens(t.text for t in reference)
+    tokens.lines = []
+    for k, tok in enumerate(reference):
+        tokens.lines += [k] * (tok.line - (reference[k - 1].line if k else 1))
+    return tokens
+
+
+def _outcome(fn, src: str):
     try:
-        return _Parser(lex(src), PKG).parse_file()
+        return fn(src)
     except GoSyntaxError as exc:
         return f"GoSyntaxError: {exc}"
 
 
-def _assert_skipping_is_invisible(src: str) -> None:
-    assert _parse_outcome(src, tokenize) == _parse_outcome(src, _full_tokens), src
+def _parse(src: str):
+    return parse_go_file(src, PKG)
+
+
+def _imports_of(tokens: _Tokens):
+    parser = _Parser(tokens, "")
+    gofile = parser._parse_package_clause()
+    while True:
+        parser.skip_semis()
+        if parser.toks[parser.i] != "import":
+            return gofile.imports
+        parser._parse_gen_decl("import", gofile)
+
+
+def _reference_parse(src: str):
+    """parse_go_file as it was where the brackets nest: a lexical error
+    anywhere in the file, else the parse of the tokens with bodies skipped."""
+    _reference_tokens(src)
+    return _Parser(_as_tokens(_reference_tokens(src, skip_bodies=True)), PKG).parse_file()
+
+
+def _reference_imports(src: str):
+    """parse_imports as it was before only the header was lexed: the whole
+    file lexed, here by the reference lexer."""
+    return _imports_of(_as_tokens(_reference_tokens(src)))
+
+
+def _assert_as_before(src: str) -> None:
+    """tokenize, parse_go_file and parse_imports against the reference lexer.
+
+    A lexical error is the reference's, everywhere. Where the brackets nest
+    outside function bodies, tokenize gives the reference's token texts, and
+    parse_go_file what parsing the reference tokens gives, error strings and
+    their lines included; where they do not, parse_go_file raises. The
+    header's tokens and parse_imports are held to the reference's header the
+    same way, except that where its brackets do not nest, parse_imports may
+    also give what the reference's fallback to the whole file gives. Only an
+    input that some entry point rejects is lexed in full by the reference:
+    _check_lexable accepts what the full lexer accepts (see
+    _assert_check_agrees_with_lexer).
+    """
+    tokens = _outcome(tokenize, src)
+    parsed = _outcome(_parse, src)
+    imports = _outcome(parse_imports, src)
+    if isinstance(tokens, str) or isinstance(parsed, str) or isinstance(imports, str):
+        lexical_error = _outcome(_reference_tokens, src)
+        if isinstance(lexical_error, str):
+            assert tokens == parsed == imports == lexical_error, src
+            return
+    try:
+        skipped = _reference_tokens(src, skip_bodies=True)
+    except _Misnested:
+        assert isinstance(parsed, str), src
+    else:
+        assert tokens == [t.text for t in skipped], src
+        assert parsed == _outcome(lambda _: _Parser(_as_tokens(skipped), PKG).parse_file(), src), src
+    try:
+        header = _reference_tokens(src, skip_bodies=True, imports_only=True)
+    except _Misnested:
+        assert isinstance(imports, str) or imports == _outcome(_reference_imports, src), src
+    else:
+        assert tokenize(src, imports_only=True) == [t.text for t in header], src
+        assert imports == _outcome(lambda _: _imports_of(_as_tokens(header)), src), src
 
 
 @st.composite
@@ -836,45 +1038,59 @@ class TestOnePass:
             parse_imports(_SHAPES["body-lexing-error"])
 
 
+# The error of each named shape whose brackets do not nest outside bodies.
+_MISNESTED_ERRORS = {
+    "misnested-paren": "line 3: unmatched ')'",
+    "misnested-bracket": "line 3: expected ')', found ']'",
+    "misnested-brace": "line 3: unmatched '}'",
+    "unclosed-paren": "line 6: unterminated expression",
+    "unterminated-body": "line 3: unterminated function body",
+}
+
+
 class TestSkipBodies:
     def test_fixture_sources(self):
         assert len(_SOURCES) > 100
         for src in _SOURCES:
-            _assert_skipping_is_invisible(src)
+            _assert_as_before(src)
 
     @settings(max_examples=400, deadline=None)
     @given(_mutants())
     def test_hostile_mutants(self, src):
-        _assert_skipping_is_invisible(src)
+        _assert_as_before(src)
 
     @pytest.mark.parametrize("shape", sorted(_SHAPES))
     def test_named_shapes(self, shape):
-        _assert_skipping_is_invisible(_SHAPES[shape])
+        _assert_as_before(_SHAPES[shape])
 
     def test_body_tokens_are_not_built(self):
         src = "package p\n\nfunc F() {\n\tx := `a\nb`\n}\n\nvar V int\n"
-        toks = tokenize(src)
-        assert [(t.text, t.line) for t in toks] == [
-            ("package", 1), ("p", 1), (";", 1),
-            ("func", 3), ("F", 3), ("(", 3), (")", 3), ("{", 3), ("}", 6), (";", 6),
-            ("var", 8), ("V", 8), ("int", 8), (";", 8), ("", 9),
+        assert tokenize(src) == [
+            "package", "p", ";", "func", "F", "(", ")", "{", "}", ";", "var", "V", "int", ";", "",
         ]
-        full = _full_tokens(src)
-        assert [t for t in full if t.line >= 6] == [t for t in toks if t.line >= 6]
+        with pytest.raises(GoSyntaxError, match=r"^line 8: expected type, found '5'$"):
+            parse_go_file(src.replace("int", "5"), PKG)
 
     def test_function_literals_keep_their_tokens(self):
         src = "package p\n\nvar F = func() { x() }\n"
-        assert tokenize(src) == _full_tokens(src)
+        assert tokenize(src) == [t.text for t in _reference_tokens(src)]
 
     def test_body_lexing_error_names_its_line(self):
         with pytest.raises(GoSyntaxError, match=r"^line 5: unexpected character '@'$"):
             tokenize(_SHAPES["body-lexing-error"])
 
-    @pytest.mark.parametrize(
-        "shape", ["misnested-paren", "misnested-bracket", "misnested-brace", "unclosed-paren", "unterminated-body"]
-    )
-    def test_misnested_files_are_lexed_in_full(self, shape):
-        assert tokenize(_SHAPES[shape]) == _full_tokens(_SHAPES[shape])
+    @pytest.mark.parametrize("shape", sorted(_MISNESTED_ERRORS))
+    def test_misnested_files_are_syntax_errors(self, shape):
+        with pytest.raises(GoSyntaxError, match=f"^{re.escape(_MISNESTED_ERRORS[shape])}$"):
+            parse_go_file(_SHAPES[shape], PKG)
+
+    def test_misnesting_does_not_swallow_the_next_declaration(self):
+        # The "(" never closes inside the function literal, so a lexer that
+        # let it stay open would read func F as part of X's value.
+        src = "package p\n\nvar X = func() { ( }\n\nfunc F() {}\n"
+        with pytest.raises(GoSyntaxError, match=r"^line 3: expected '\)', found '}'$"):
+            parse_go_file(src, PKG)
+        assert [f.name for f in parse_go_file(src.replace("( }", "() }"), PKG).funcs] == ["F"]
 
     def test_misnested_file_with_a_body_lexing_error_names_its_line(self):
         # The ")" makes the file misnested, so the body is never skipped.
@@ -882,35 +1098,12 @@ class TestSkipBodies:
             parse_go_file(_SHAPES["misnested-before-body-lexing-error"], PKG)
 
     def test_brackets_are_ops(self):
-        assert {t.kind for t in tokenize("f(a[0], T{})") if t.text and t.text in "()[]{}"} == {"op"}
-
-
-def _reference_imports(text: str):
-    """parse_imports as it was before only the header was lexed: the whole
-    file lexed, here by the full lexer."""
-    parser = _Parser(_full_tokens(text), "")
-    gofile = parser._parse_package_clause()
-    while True:
-        parser.skip_semis()
-        if not parser.at_keyword("import"):
-            return gofile.imports
-        parser._parse_gen_decl("import", gofile)
-
-
-def _outcome(fn, src: str):
-    try:
-        return fn(src)
-    except GoSyntaxError as exc:
-        return f"GoSyntaxError: {exc}"
-
-
-def _assert_imports_as_before(src: str) -> None:
-    assert _outcome(parse_imports, src) == _outcome(_reference_imports, src), src
+        assert tokenize("f(a[0], T{})") == ["f", "(", "a", "[", "0", "]", ",", "T", "{", "}", ")", ";", ""]
 
 
 def _assert_check_agrees_with_lexer(src: str) -> None:
     checked = _outcome(_check_lexable, src.removeprefix("\ufeff"))
-    lexed = _outcome(_full_tokens, src)
+    lexed = _outcome(_reference_tokens, src)
     assert checked == (lexed if isinstance(lexed, str) else None), src
 
 
@@ -940,46 +1133,46 @@ def _string_heavy_file(size: int) -> str:
 class TestImportsOnly:
     def test_fixture_sources_and_shapes(self):
         for src in _SOURCES + [_SHAPES[shape] for shape in sorted(_SHAPES)]:
-            _assert_imports_as_before(src)
+            _assert_as_before(src)
             _assert_check_agrees_with_lexer(src)
 
     @settings(max_examples=400, deadline=None)
     @given(_mutants())
     def test_hostile_mutants(self, src):
-        _assert_imports_as_before(src)
+        _assert_as_before(src)
         _assert_check_agrees_with_lexer(src)
 
     @settings(max_examples=400, deadline=None)
     @given(_header_mutants())
     def test_header_mutants(self, src):
-        _assert_imports_as_before(src)
+        _assert_as_before(src)
         _assert_check_agrees_with_lexer(src)
 
     def test_only_the_header_is_lexed(self):
         src = 'package p\n\nimport (\n\t"a/b"\n\tc "c/d"\n)\n\nfunc F() { x() }\n\nvar V = 1\n'
         header = tokenize(src, imports_only=True)
-        full = _full_tokens(src)
-        end = next(i for i, t in enumerate(full) if t.text == "func") + 1
-        assert header[:-1] == full[:end]
-        assert (header[-1].kind, header[-1].line) == ("eof", 8)
+        full = [t.text for t in _reference_tokens(src)]
+        end = full.index("func") + 1
+        assert header == full[:end] + [""]
+        assert str(_Parser(header, "")._error("end", len(header) - 1)) == "line 8: end"
 
     def test_lexical_error_after_the_imports_at_top_level(self):
         src = 'package p\n\nimport "a/b"\n\nvar x = 1\nvar y = $\n'
         with pytest.raises(GoSyntaxError, match=r"^line 6: unexpected character '\$'$"):
             parse_imports(src)
-        _assert_imports_as_before(src)
+        _assert_as_before(src)
 
     def test_lexical_error_in_a_body_names_its_line(self):
         src = 'package p\n\nimport "a/b"\n\nfunc F() {\n\tx := "}"\n}\n\nfunc G() {\n\ty := 1 @ 2\n}\n'
         with pytest.raises(GoSyntaxError, match=r"^line 10: unexpected character '@'$"):
             parse_imports(src)
-        _assert_imports_as_before(src)
+        _assert_as_before(src)
 
     def test_import_block_holding_func(self):
         src = 'package p\n\nimport (\n\t"a/b"\n\tfunc\n)\n'
         with pytest.raises(GoSyntaxError, match=r"^line 5: expected import path string, found 'func'$"):
             parse_imports(src)
-        _assert_imports_as_before("package p\n\nimport ( func )\n")
+        _assert_as_before("package p\n\nimport ( func )\n")
 
     def test_import_specs_need_a_separator(self):
         with pytest.raises(GoSyntaxError, match=r"""^line 3: unexpected '"b"' after import spec$"""):
@@ -990,7 +1183,7 @@ class TestImportsOnly:
         assert parse_imports(src) == [
             ImportSpec("a/b"), ImportSpec("c/d", alias="c"), ImportSpec("e", dot=True), ImportSpec("f", blank=True),
         ]
-        assert tokenize(src, imports_only=True) == _full_tokens(src)
+        assert tokenize(src, imports_only=True) == [t.text for t in _reference_tokens(src)]
         with pytest.raises(GoSyntaxError, match=r"^line 5: unterminated import block$"):
             parse_imports('package p\n\nimport (\n\t"a/b"\n')
 
@@ -999,7 +1192,7 @@ class TestImportsOnly:
         src = '\ufeffpackage p\n\nimport "a/b"\n\nfunc F() { \ufeff }\n'
         with pytest.raises(GoSyntaxError, match=r"^line 5: unexpected character '\\ufeff'$"):
             parse_imports(src)
-        _assert_imports_as_before(src)
+        _assert_as_before(src)
 
     def test_unterminated_block_comment_after_the_imports(self):
         # The lexer reads an unclosed "/*" as the ops "/" and "*".
@@ -1007,13 +1200,13 @@ class TestImportsOnly:
         assert parse_imports(src) == [ImportSpec("a/b")]
         with pytest.raises(GoSyntaxError, match=r"^line 7: unexpected character '#'$"):
             parse_imports(src + "# x\n")
-        _assert_imports_as_before(src)
+        _assert_as_before(src)
 
     def test_multi_line_raw_string_before_the_error_line(self):
         src = 'package p\n\nimport "a/b"\n\nvar s = `one\ntwo\nthree`\nvar t = ?\n'
         with pytest.raises(GoSyntaxError, match=r"^line 8: unexpected character '\?'$"):
             parse_imports(src)
-        _assert_imports_as_before(src)
+        _assert_as_before(src)
 
     def test_string_heavy_file_keeps_memory_bounded(self):
         src = _string_heavy_file(2_000_000)
@@ -1037,7 +1230,7 @@ _LONG_LITERALS = {
 
 
 class TestLongLiterals:
-    @pytest.mark.parametrize("fn", [parse_go_file, parse_imports, blank_literals], ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("fn", [parse_go_file, parse_imports, blank_literals, tokenize], ids=lambda fn: fn.__name__)
     @pytest.mark.parametrize("kind", sorted(_LONG_LITERALS))
     def test_one_long_literal_keeps_memory_bounded(self, kind, fn):
         src = _LONG_LITERALS[kind]
@@ -1048,3 +1241,109 @@ class TestLongLiterals:
         finally:
             tracemalloc.stop()
         assert peak < 8_000_000
+
+
+# (source, error): errors after text that spans lines without tokens, or
+# whose line the lexer must count some other way than by newline tokens.
+_ERROR_LINES = {
+    "after-multi-line-raw-string": ("package p\n\nvar s = `one\ntwo\nthree`\nvar t 5\n", "line 6: expected type, found '5'"),
+    "after-multi-line-block-comment": ("package p\n\n/* one\ntwo\n*/ var t 5\n", "line 5: expected type, found '5'"),
+    "after-skipped-body": ("package p\n\nfunc F() {\n\tx := `a\nb`\n\n}\nvar t 5\n", "line 8: expected type, found '5'"),
+    "last-line-without-newline": ("package p\n\nvar t 5", "line 3: expected type, found '5'"),
+    "end-of-last-line-without-newline": ("package p\n\n/*\n*/ type T =", "line 4: expected type, found ''"),
+    "byte-order-mark": ("\ufeffpackage p\n\n/*\n*/\nvar t 5\n", "line 5: expected type, found '5'"),
+}
+
+
+class TestErrorLines:
+    @pytest.mark.parametrize("case", sorted(_ERROR_LINES))
+    def test_error_names_the_line_the_reference_names(self, case):
+        src, error = _ERROR_LINES[case]
+        assert _outcome(_parse, src) == f"GoSyntaxError: {error}" == _outcome(_reference_parse, src)
+
+    def test_header_error_names_the_line_the_reference_names(self):
+        src = 'package p\n\n/* a\n*/\nimport (\n\t`a\nb`\n\t5\n)\n\nfunc F() {\n}\n'
+        error = "GoSyntaxError: line 8: expected import path string, found '5'"
+        assert _outcome(parse_imports, src) == error == _outcome(_reference_imports, src)
+
+
+class TestAgainstTheReferenceLexer:
+    def test_generated_files_of_every_workload(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        gen = importlib.import_module("gen")
+        for workload in ("check-bodies", "check-decls", "impact-clients", "corpus-report"):
+            gen.generate(workload, 1, tmp_path / workload)
+            sources = {path.read_text(encoding="utf-8") for path in (tmp_path / workload).rglob("*.go")}
+            assert len(sources) > 50, workload
+            for src in sorted(sources):
+                _assert_as_before(src)
+
+    def test_seeded_mutants(self):
+        rng = random.Random(11)
+        sources = _SOURCES + [_SHAPES[shape] for shape in sorted(_SHAPES)]
+        for _ in range(30_000):
+            src = rng.choice(sources)
+            for _ in range(rng.randint(1, 4)):
+                at = rng.randint(0, len(src))
+                src = src[:at] + rng.choice(_HEADER_FRAGMENTS) + src[at:]
+            _assert_as_before(src)
+            _assert_check_agrees_with_lexer(src)
+
+
+def _tag(literal: str) -> str | None:
+    return _first_type(f"package lib\n\ntype T struct {{\n\tA int {literal}\n}}\n").fields[0].tag
+
+
+class TestStringValues:
+    @pytest.mark.parametrize(
+        "literal,value",
+        [
+            (r'"a\"b"', 'a"b'),
+            (r'"\a\b\f\n\r\t\v\\"', "\a\b\f\n\r\t\v\\"),
+            (r'"\101\x42\u0043\U00000044"', "ABCD"),
+            (r'"\xc3\xa9 \u00e9"', "\u00e9 \u00e9"),
+            (r'"\xff"', r"\xff"),
+            (r"`a\"b`", r"a\"b"),
+            ("`a\r\nb`", "a\nb"),
+        ],
+    )
+    def test_tag_value_follows_go(self, literal, value):
+        assert _tag(literal) == value
+
+    @pytest.mark.parametrize(
+        "literal,error",
+        [
+            (r'"\q"', "unknown escape sequence {!r}".format("\\q")),
+            (r'"\'"', "unknown escape sequence {!r}".format("\\'")),
+            (r'"\400"', "unknown escape sequence {!r}".format("\\400")),
+            (r'"\x4"', "unknown escape sequence {!r}".format("\\x")),
+            (r'"\uD800"', "escape sequence {!r} is an invalid Unicode code point".format("\\uD800")),
+            (r'"\U00110000"', "escape sequence {!r} is an invalid Unicode code point".format("\\U00110000")),
+        ],
+    )
+    def test_bad_escape_is_a_syntax_error_at_its_line(self, literal, error):
+        with pytest.raises(GoSyntaxError, match=f"^line 4: {re.escape(error)}$"):
+            _tag(literal)
+
+    def test_import_path_is_unquoted(self):
+        src = 'package lib\n\nimport "a\\x2fb"\n\nvar V b.T\n'
+        assert parse_imports(src) == [ImportSpec("a/b")]
+        assert parse_go_file(src, PKG).vars[0].type == Named("a/b", "T")
+        with pytest.raises(GoSyntaxError, match=r"^line 3: unknown escape sequence '\\\\o'$"):
+            parse_imports('package lib\n\nimport "a\\ob"\n')
+
+
+class TestLiteralValues:
+    @pytest.mark.parametrize("field", ["*[]int", "*func()", "*(*[]int)"])
+    def test_embedded_field_that_is_no_type_name_is_a_syntax_error(self, field):
+        found = "func" if "func" in field else "["
+        with pytest.raises(GoSyntaxError, match=rf"^line 4: embedded field must be a type name, found '{re.escape(found)}'$"):
+            parse_go_file(f"package lib\n\ntype T struct {{\n\t{field}\n}}\n", PKG)
+
+    @pytest.mark.parametrize("length,value", [("017", 15), ("0_17", 15), ("00", 0), ("0", 0), ("1i", "1i")])
+    def test_legacy_octal_length_is_a_number(self, length, value):
+        assert _first_type(f"package lib\n\ntype T [{length}]byte\n") == Array(value, Basic("byte"))
+
+    def test_octal_length_with_a_decimal_digit_is_a_syntax_error(self):
+        with pytest.raises(GoSyntaxError, match=r"^line 3: invalid digit in octal literal '08'$"):
+            parse_go_file("package lib\n\ntype T [08]byte\n", PKG)
