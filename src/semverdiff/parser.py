@@ -9,21 +9,25 @@ literal with one findall call, and one pass over those strings inserts
 semicolons, drops comments and tracks brackets, so that the body of each
 top-level function is skipped to its closing brace without building tokens. A
 closing bracket that does not match outside function bodies is a syntax error,
-as in Go. Lines are kept only for error messages. Import binding asks for the
-header only: tokens up to the first const, func, type or var keyword.
+as in Go. Lines are kept only for error messages, and the index of each ";"
+outside brackets marks where a top-level declaration can end. Import binding
+asks for the header only: tokens up to the first const, func, type or var
+keyword.
 blank_literals blanks the comments and literals of a file with one regex built
 from the lexer's sub-patterns, for scans that need no tokens. The parser
 itself only covers what an API surface needs: the package clause, imports, and
 top-level const/var/type/func declarations, including generic type
 parameters. One parser with one cursor reads each file: parameter,
 type-argument and type-parameter lists are parsed item by item where they
-stand, looking ahead only to tell a name from a type.
+stand, looking ahead only to tell a name from a type. Given a DeclMemo, the
+parser reuses the specs of each top-level declaration whose tokens, package
+path and imports it has met before, instead of parsing it again.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -139,9 +143,10 @@ _BODYLESS = frozenset({"struct", "interface"})
 
 
 class _Tokens(list):
-    """Tokens, with lines: the index of the first token on each line after the first."""
+    """Tokens, with lines: the index of the first token on each line after the
+    first; and ends: the index of each ";" at bracket depth 0."""
 
-    __slots__ = ("lines",)
+    __slots__ = ("lines", "ends")
 
 
 def tokenize(text: str, *, imports_only: bool = False) -> list[str]:
@@ -162,6 +167,7 @@ def tokenize(text: str, *, imports_only: bool = False) -> list[str]:
     _check_lexable(text)
     tokens = _Tokens()
     lines = tokens.lines = []
+    ends = tokens.ends = []
     append = tokens.append
     findall = _TOKEN_RE.findall
     scan = _BODY_RE.match
@@ -199,6 +205,7 @@ def tokenize(text: str, *, imports_only: bool = False) -> list[str]:
                             raise _bracket_error(expected, tok, len(lines) + 1)
                     elif not closers:  # ";" or a keyword at depth 0
                         if tok == ";":
+                            ends.append(len(tokens))
                             decl_start = len(tokens) + 1
                         elif tok in _DECL_KEYWORDS:
                             decl_start = len(tokens)
@@ -220,6 +227,7 @@ def tokenize(text: str, *, imports_only: bool = False) -> list[str]:
                 continue
             if tokens and tokens[-1] not in _NO_SEMI_AFTER:
                 if not closers:
+                    ends.append(len(tokens))
                     decl_start = len(tokens) + 1
                 append(";")
             lines += [len(tokens)] * newlines
@@ -243,6 +251,8 @@ def tokenize(text: str, *, imports_only: bool = False) -> list[str]:
         append(char)
         pos = brace + 1
     if tokens and tokens[-1] not in _NO_SEMI_AFTER:
+        if not closers:
+            ends.append(len(tokens))
         append(";")
     append("")
     return tokens
@@ -253,15 +263,25 @@ def _bracket_error(expected: str, tok: str, line: int) -> GoSyntaxError:
 
 
 def _check_lexable(text: str) -> None:
-    """Raise the lexer's GoSyntaxError if the lexer would fail on text."""
+    """Raise the lexer's GoSyntaxError if the lexer would fail on text.
+
+    As in go/scanner, a NUL or a byte order mark is illegal anywhere, even
+    in a comment or literal; text is what follows an optional leading byte
+    order mark. Of two errors, the one that starts first is raised. So no
+    token holds a NUL, which the parser's declaration keys rely on.
+    """
     match = _LEXABLE_RE.match
-    pos = 0
     size = len(text)
-    while pos < size:
+    illegal = min(k for k in (text.find("\x00"), text.find("\ufeff"), size) if k >= 0)
+    pos = 0
+    while pos < illegal:
         m = match(text, pos)
         if m is None:
             raise GoSyntaxError(f"unexpected character {text[pos]!r}", text.count("\n", 0, pos) + 1)
         pos = m.end()
+    if illegal < size:
+        what = "character NUL" if text[illegal] == "\x00" else "byte order mark"
+        raise GoSyntaxError(f"illegal {what}", text.count("\n", 0, illegal) + 1)
 
 
 def _skip_body(text: str, pos: int) -> int:
@@ -438,6 +458,7 @@ class _Parser:
         # "" at the end, so that the token after the current one exists.
         self.toks = tokens + [""]
         self.lines = tokens.lines
+        self.ends = tokens.ends
         self.i = 0
         self.package_path = package_path
         self.import_map: dict[str, str] = {}
@@ -545,21 +566,62 @@ class _Parser:
         self.i += 1
         return GoFile(package_name=self.expect_ident())
 
-    def parse_file(self) -> GoFile:
+    def parse_file(self, memo: DeclMemo | None = None) -> GoFile:
+        """Parse the file; with a memo, look each const, var, type and func
+        declaration up first, and store the specs of each one parsed."""
         gofile = self._parse_package_clause()
         toks = self.toks
+        ends = self.ends
+        lists = {"const": gofile.consts, "var": gofile.vars, "type": gofile.types, "func": gofile.funcs}
+        e = 0  # index in ends of the first ";" at or after the cursor
+        table = None  # the memo's entries for this package path and import map
         while True:
             self.skip_semis()
-            tok = toks[self.i]
+            i = self.i
+            tok = toks[i]
             if not tok:
                 break
-            if tok in _GEN_DECL_KEYWORDS:
+            if tok == "import":
                 self._parse_gen_decl(tok, gofile)
-            elif tok == "func":
-                self._parse_func_decl(gofile)
-            else:
+                table = None  # the import map may have changed
+                continue
+            specs = lists.get(tok)
+            if specs is None:
                 raise self._error(f"unexpected token {tok!r} at top level")
+            e = len(ends) if memo is None else bisect_left(ends, i, e)
+            if e == len(ends):
+                self._parse_decl(tok, gofile)
+                continue
+            # Given the package path and the import map, the declaration's
+            # tokens up to the ";" that ends it decide its specs: no lookahead
+            # passes that ";". No token holds a NUL, so equal keys mean equal
+            # tokens.
+            end = ends[e]
+            key = "\x00".join(toks[i : end + 1])
+            if table is None:
+                scope = (self.package_path, frozenset(self.import_map.items()))
+                table = memo.current.setdefault(scope, {})
+                previous = memo.previous.get(scope, {})
+            hit = table.get(key)
+            if hit is None:  # move a hit of the previous generation
+                hit = previous.pop(key, None)
+                if hit is not None:
+                    table[key] = hit
+            if hit is not None:
+                specs += hit
+                self.i = end
+                continue
+            n = len(specs)
+            self._parse_decl(tok, gofile)
+            if self.i == end:
+                table[key] = tuple(specs[n:])
         return gofile
+
+    def _parse_decl(self, kw: str, gofile: GoFile) -> None:
+        if kw == "func":
+            self._parse_func_decl(gofile)
+        else:
+            self._parse_gen_decl(kw, gofile)
 
     # -- imports -----------------------------------------------------------
 
@@ -1129,9 +1191,32 @@ def _embedded_name(t: TypeExpr) -> str | None:
     return None
 
 
-def parse_go_file(text: str, package_path: str = "") -> GoFile:
-    """Parse one source file at declaration level."""
-    return _Parser(tokenize(text), package_path).parse_file()
+class DeclMemo:
+    """Top-level declarations already parsed, so that one met again in
+    another file is not parsed again.
+
+    Per (package path, import map), each declaration's tokens map to the
+    specs it gave, which are immutable and so are shared by every file that
+    holds the declaration. Entries live in two generations: next_generation
+    drops the older one, and a hit in the previous generation moves into the
+    current one, so a declaration kept through a chain of versions keeps
+    hitting while the memo holds at most two generations' entries.
+    """
+
+    __slots__ = ("previous", "current")
+
+    def __init__(self) -> None:
+        self.previous: dict[tuple, dict[str, tuple]] = {}
+        self.current: dict[tuple, dict[str, tuple]] = {}
+
+    def next_generation(self) -> None:
+        self.previous, self.current = self.current, {}
+
+
+def parse_go_file(text: str, package_path: str = "", *, memo: DeclMemo | None = None) -> GoFile:
+    """Parse one source file at declaration level, reusing and adding to the
+    parses in memo if one is given; the result is the same either way."""
+    return _Parser(tokenize(text), package_path).parse_file(memo)
 
 
 def parse_imports(text: str) -> list[ImportSpec]:

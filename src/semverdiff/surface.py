@@ -3,7 +3,9 @@
 Walks the module tree (minus filtered layout directories and nested modules),
 parses every non-test .go file at declaration level, and keeps the exported
 objects: top-level names, methods of exported named types, and the structural
-types behind them.
+types behind them. A declaration unchanged since the previous extraction is
+not parsed again: its specs come from a memo that holds the declarations of
+the previous extraction and the current one.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .gotypes import (
     render_type_params,
     type_to_structure,
 )
-from .parser import GoFile, GoSyntaxError, parse_go_file
+from .parser import DeclMemo, GoFile, GoSyntaxError, parse_go_file
 from .versions import SemanticVersion
 
 logger = logging.getLogger(__name__)
@@ -31,6 +33,13 @@ logger = logging.getLogger(__name__)
 FILTERED_LAYOUT_DIRS = frozenset(
     {"cmd", "internal", "vendor", "config", "init", "scripts", "build", "deployment", "test"}
 )
+
+
+# The declarations parsed by the previous extract_surface call and by the
+# current one. Consecutive versions of a module share most declarations, and
+# both check (old, then new) and corpus validation (by module, then version)
+# extract them one after the other.
+_DECLS = DeclMemo()
 
 
 class ParseFailure(ValueError):
@@ -117,6 +126,7 @@ def extract_surface(
     when nothing parses at all. Two walks of the same tree yield identical
     surfaces.
     """
+    _DECLS.next_generation()
     root = Path(module_root)
     banned = set(extra_excluded_dirs)
     files: list[tuple[str, Path]] = []
@@ -141,7 +151,7 @@ def extract_surface(
         rel_file = path.name if rel_dir == "." else f"{rel_dir}/{path.name}"
         pkg_path = _package_path(module_path, rel_dir)
         try:
-            gofile = parse_go_file(path.read_text(encoding="utf-8"), pkg_path)
+            gofile = parse_go_file(path.read_text(encoding="utf-8"), pkg_path, memo=_DECLS)
         except (OSError, UnicodeDecodeError, GoSyntaxError) as exc:
             logger.warning("parse failure in %s: %s", rel_file, exc)
             surface.parse_failures.append((rel_file, str(exc) or "parse failure"))

@@ -5,6 +5,7 @@ import importlib
 import json
 import random
 import re
+from collections import defaultdict
 from dataclasses import replace
 import tracemalloc
 from pathlib import Path
@@ -41,6 +42,7 @@ from semverdiff.parser import (
     GO_KEYWORDS,
     MAX_TYPE_NESTING,
     PREDECLARED_TYPES,
+    DeclMemo,
     GoSyntaxError,
     ImportSpec,
     _check_lexable,
@@ -54,6 +56,8 @@ from semverdiff.parser import (
 from semverdiff import parser as parser_module
 
 PKG = "example.com/lib"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+WORKLOADS = ("check-bodies", "check-decls", "impact-clients", "corpus-report")
 
 
 def _first_type(src: str):
@@ -773,8 +777,13 @@ def _reference_lex(text: str, skip_bodies: bool, header_only: bool = False) -> l
     size = len(text)
     closers: list[str] = []
     decl_start = 0
+    # A NUL or byte order mark is illegal even inside a token.
+    illegal = min(k for k in (text.find("\x00"), text.find("\ufeff"), size) if k >= 0)
     while pos < size:
         m = match(text, pos)
+        if pos >= illegal or m is not None and m.end() > illegal:
+            what = "character NUL" if text[illegal] == "\x00" else "byte order mark"
+            raise GoSyntaxError(f"illegal {what}", line + text.count("\n", pos, illegal))
         if m is None:
             raise GoSyntaxError(f"unexpected character {text[pos]!r}", line)
         kind = m.lastgroup or ""
@@ -844,13 +853,29 @@ def _reference_tokens(src: str, skip_bodies: bool = False, imports_only: bool = 
     return _reference_lex(src.removeprefix("\ufeff"), skip_bodies, imports_only)
 
 
+def _depth_0_semicolons(texts: list[str]) -> list[int]:
+    """The index of each ";" outside brackets."""
+    ends = []
+    depth = 0
+    for k, text in enumerate(texts):
+        if text in ("(", "[", "{"):
+            depth += 1
+        elif text in (")", "]", "}"):
+            depth -= 1
+        elif text == ";" and depth == 0:
+            ends.append(k)
+    return ends
+
+
 def _as_tokens(reference: list[_Token]) -> _Tokens:
     """Reference tokens as tokenize gives tokens: their texts, with the index
-    of the first token on each line after the first."""
+    of the first token on each line after the first, and of each ";" outside
+    brackets."""
     tokens = _Tokens(t.text for t in reference)
     tokens.lines = []
     for k, tok in enumerate(reference):
         tokens.lines += [k] * (tok.line - (reference[k - 1].line if k else 1))
+    tokens.ends = _depth_0_semicolons(tokens)
     return tokens
 
 
@@ -916,6 +941,7 @@ def _assert_as_before(src: str) -> None:
         assert isinstance(parsed, str), src
     else:
         assert tokens == [t.text for t in skipped], src
+        assert tokens.ends == _depth_0_semicolons(tokens), src
         assert parsed == _outcome(lambda _: _Parser(_as_tokens(skipped), PKG).parse_file(), src), src
     try:
         header = _reference_tokens(src, skip_bodies=True, imports_only=True)
@@ -1190,7 +1216,7 @@ class TestImportsOnly:
     def test_byte_order_mark(self):
         assert parse_imports('\ufeffpackage p\n\nimport "a/b"\n') == [ImportSpec("a/b")]
         src = '\ufeffpackage p\n\nimport "a/b"\n\nfunc F() { \ufeff }\n'
-        with pytest.raises(GoSyntaxError, match=r"^line 5: unexpected character '\\ufeff'$"):
+        with pytest.raises(GoSyntaxError, match=r"^line 5: illegal byte order mark$"):
             parse_imports(src)
         _assert_as_before(src)
 
@@ -1221,6 +1247,33 @@ class TestImportsOnly:
         assert peak < 8_000_000
         with pytest.raises(GoSyntaxError, match=r"^line \d+: unexpected character '@'$"):
             parse_imports(src[:-2] + "@}\n")
+
+
+class TestIllegalCharacters:
+    """go/scanner rejects a NUL anywhere, and a byte order mark anywhere but
+    at the start of the file, even inside a comment or literal."""
+
+    @pytest.mark.parametrize(
+        "src,error",
+        [
+            ('package p\n\nconst A = "a\x00b"\n', "line 3: illegal character NUL"),
+            ("package p\n\n// a\x00\nvar V int\n", "line 3: illegal character NUL"),
+            ("package p\n\nvar V int\x00\n", "line 3: illegal character NUL"),
+            ('package p\n\nimport "a\ufeffb"\n', "line 3: illegal byte order mark"),
+            ("package p\n\n/* a\n\ufeff */\nvar V int\n", "line 4: illegal byte order mark"),
+            ("\ufeff\ufeffpackage p\n", "line 1: illegal byte order mark"),
+            ("package p\n\nvar V = @\n\nconst A = `\x00`\n", "line 3: unexpected character '@'"),
+            ("package p\n\nconst A = `\x00`\n\nvar V = @\n", "line 3: illegal character NUL"),
+            ('package p\n\nconst A = "a\x00\n', "line 3: unexpected character '\"'"),
+        ],
+    )
+    def test_illegal_character_is_a_syntax_error_at_its_line(self, src, error):
+        for fn in (tokenize, _parse, parse_imports, _reference_tokens):
+            assert _outcome(fn, src) == f"GoSyntaxError: {error}", fn
+        _assert_check_agrees_with_lexer(src)
+
+    def test_leading_byte_order_mark_is_dropped(self):
+        assert tokenize("\ufeffpackage p\n") == ["package", "p", ";", ""]
 
 
 _LONG_LITERALS = {
@@ -1267,13 +1320,24 @@ class TestErrorLines:
         assert _outcome(parse_imports, src) == error == _outcome(_reference_imports, src)
 
 
-class TestAgainstTheReferenceLexer:
-    def test_generated_files_of_every_workload(self, tmp_path, monkeypatch):
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+@pytest.fixture(scope="module")
+def generated_sources(tmp_path_factory) -> dict[str, dict[str, str]]:
+    """Each benchmark workload's seed-1 Go files: relative path -> source."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
         gen = importlib.import_module("gen")
-        for workload in ("check-bodies", "check-decls", "impact-clients", "corpus-report"):
-            gen.generate(workload, 1, tmp_path / workload)
-            sources = {path.read_text(encoding="utf-8") for path in (tmp_path / workload).rglob("*.go")}
+    out = {}
+    for workload in WORKLOADS:
+        root = tmp_path_factory.mktemp(workload)
+        gen.generate(workload, 1, root)
+        out[workload] = {path.relative_to(root).as_posix(): path.read_text(encoding="utf-8") for path in root.rglob("*.go")}
+    return out
+
+
+class TestAgainstTheReferenceLexer:
+    def test_generated_files_of_every_workload(self, generated_sources):
+        for workload in WORKLOADS:
+            sources = set(generated_sources[workload].values())
             assert len(sources) > 50, workload
             for src in sorted(sources):
                 _assert_as_before(src)
@@ -1347,3 +1411,154 @@ class TestLiteralValues:
     def test_octal_length_with_a_decimal_digit_is_a_syntax_error(self):
         with pytest.raises(GoSyntaxError, match=r"^line 3: invalid digit in octal literal '08'$"):
             parse_go_file("package lib\n\ntype T [08]byte\n", PKG)
+
+
+# -- the declaration memo -----------------------------------------------------
+
+
+def _memo_outcomes(before: str, src: str) -> list:
+    """src parsed twice after before, with one memo: first with before's
+    declarations in the previous generation, then in the current one."""
+    memo = DeclMemo()
+    warm = lambda text: parse_go_file(text, PKG, memo=memo)  # noqa: E731
+    _outcome(warm, before)
+    memo.next_generation()
+    return [_outcome(warm, src), _outcome(warm, src)]
+
+
+def _assert_memo_changes_nothing(before: str, src: str) -> None:
+    """A parse with a warm memo gives what a cold parse gives: the same
+    GoFile, or the same error at the same line."""
+    cold = _outcome(_parse, src)
+    assert _memo_outcomes(before, src) == [cold, cold], src
+
+
+def _fixture_pairs() -> list[tuple[str, str]]:
+    """(before, source): each fixture source after itself, and after the same
+    file of the neighbouring version of its module, both ways."""
+    chains = [[fixture.old, fixture.new] for fixture in catalogue_fixtures.FIXTURES]
+    chains.append([impact_fixtures.LIBRARY_OLD, impact_fixtures.LIBRARY_NEW])
+    chains += [[version.files for version in module.versions] for module in planted_corpus.MODULES]
+    pairs = [(src, src) for src in _SOURCES]
+    for chain in chains:
+        for a, b in zip(chain, chain[1:]):
+            for rel in sorted(a.keys() & b.keys()):
+                if rel.endswith(".go"):
+                    pairs += [(a[rel], b[rel]), (b[rel], a[rel])]
+    return pairs
+
+
+# The directory of one version of a module in the generated workloads.
+_VERSION_DIR = re.compile(r"/(?:old|new|latest|v\d[^/]*)/")
+
+
+def _generated_pairs(files: dict[str, str]) -> list[tuple[str, str]]:
+    """(before, source): each generated file after itself, and after the file
+    at the same place in the neighbouring version of its module, both ways."""
+    versions = defaultdict(list)
+    for rel in sorted(files):
+        versions[_VERSION_DIR.sub("/*/", rel)].append(files[rel])
+    pairs = []
+    for texts in versions.values():
+        pairs += [(src, src) for src in texts]
+        for a, b in zip(texts, texts[1:]):
+            pairs += [(a, b), (b, a)]
+    return pairs
+
+
+class TestDeclMemo:
+    def test_fixture_sources(self):
+        pairs = _fixture_pairs()
+        assert len(pairs) > 2 * len(_SOURCES)
+        for before, src in pairs:
+            _assert_memo_changes_nothing(before, src)
+
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_named_shapes(self, shape):
+        for before in _SHAPES.values():
+            _assert_memo_changes_nothing(before, _SHAPES[shape])
+
+    def test_generated_files_of_every_workload(self, generated_sources):
+        for workload in WORKLOADS:
+            pairs = _generated_pairs(generated_sources[workload])
+            assert len(pairs) > len(generated_sources[workload]), workload
+            for before, src in pairs:
+                _assert_memo_changes_nothing(before, src)
+
+    def test_seeded_mutants(self):
+        rng = random.Random(12)
+        sources = _SOURCES + [_SHAPES[shape] for shape in sorted(_SHAPES)]
+        for _ in range(30_000):
+            src = original = rng.choice(sources)
+            for _ in range(rng.randint(1, 4)):
+                at = rng.randint(0, len(src))
+                src = src[:at] + rng.choice(_HEADER_FRAGMENTS) + src[at:]
+            _assert_memo_changes_nothing(original, src)
+
+    def test_a_declaration_met_again_is_shared(self):
+        src = "package p\n\ntype T struct{ A []int }\n\nfunc F(x T) error\n"
+        memo = DeclMemo()
+        first = parse_go_file(src, PKG, memo=memo)
+        memo.next_generation()
+        second = parse_go_file(src, PKG, memo=memo)
+        assert second == first
+        assert second.types[0] is first.types[0] and second.funcs[0] is first.funcs[0]
+
+    def test_same_declaration_under_another_package_path_gives_no_hit(self):
+        src = "package p\n\ntype T struct{ U }\n"
+        memo = DeclMemo()
+        a = parse_go_file(src, "example.com/a", memo=memo)
+        b = parse_go_file(src, "example.com/b", memo=memo)
+        assert b == parse_go_file(src, "example.com/b")
+        assert b.types[0] is not a.types[0]
+        assert b.types[0].type.fields[0].type == Named("example.com/b", "U")
+
+    def test_same_alias_bound_to_another_import_path_gives_no_hit(self):
+        src = 'package p\n\nimport x "a/x"\n\nvar V x.T\n'
+        other = src.replace('"a/x"', '"b/x"')
+        memo = DeclMemo()
+        a = parse_go_file(src, PKG, memo=memo)
+        b = parse_go_file(other, PKG, memo=memo)
+        assert (a.vars[0].type, b.vars[0].type) == (Named("a/x", "T"), Named("b/x", "T"))
+        assert b == parse_go_file(other, PKG)
+
+    def test_an_import_after_a_declaration_changes_the_scope_of_the_rest(self):
+        src = 'package p\n\nvar V x.T\n\nimport x "a/x"\n\nvar W x.T\n'
+        other = "package p\n\nvar W x.T\n"
+        memo = DeclMemo()
+        assert [v.type for v in parse_go_file(src, PKG, memo=memo).vars] == [Named("x", "T"), Named("a/x", "T")]
+        assert parse_go_file(other, PKG, memo=memo).vars[0].type == Named("x", "T")
+
+    @pytest.mark.parametrize(
+        "decl", ["func F() int", "type A [N]int", "var V = x", "type I interface{ M() }", "const C = 1"]
+    )
+    def test_same_declaration_followed_by_different_tokens_parses_the_same(self, decl):
+        # After a newline the next tokens follow a ";" and cannot change the
+        # declaration; on the same line they are part of its tokens.
+        suffixes = ["", "\n", "\nconst K = 1\n", " const K = 1\n", "\nfunc (T) M()\n", " }\n",
+                    "(y)\n", " [2]\n", "\nvar W = [\n", " = 2\n"]
+        for before in suffixes:
+            for after in suffixes:
+                _assert_memo_changes_nothing(f"package p\n\n{decl}{before}", f"package p\n\n{decl}{after}")
+
+    def test_mixed_file_replays_its_specs_in_source_order(self):
+        src = (
+            "package p\n\nconst A = 1\nvar V int\ntype T int\nfunc F() {}\nconst ( B = iota; C )\n"
+            "var W, X = 1, 2\nfunc (T) M() {}\ntype ( U T; S = T )\nfunc G[P any](P) P\nconst D = A\n"
+        )
+        memo = DeclMemo()
+        cold = parse_go_file(src, PKG, memo=memo)
+        memo.next_generation()
+        warm = parse_go_file(src, PKG, memo=memo)
+        assert warm == cold == parse_go_file(src, PKG)
+        assert [c.name for c in warm.consts] == ["A", "B", "C", "D"]
+        assert [f.name for f in warm.funcs] == ["F", "M", "G"]
+        for kind in ("consts", "vars", "types", "funcs"):
+            assert all(a is b for a, b in zip(getattr(warm, kind), getattr(cold, kind))), kind
+
+    def test_a_declaration_that_raises_is_not_stored(self):
+        memo = DeclMemo()
+        with pytest.raises(GoSyntaxError, match=r"^line 4: expected type, found '5'$"):
+            parse_go_file("package p\n\nvar A int\nvar B 5\n", PKG, memo=memo)
+        (table,) = memo.current.values()
+        assert list(table) == ["var\x00A\x00int\x00;"]

@@ -6,7 +6,8 @@ import importlib
 from pathlib import Path
 
 import impact_fixtures as fx
-from semverdiff import impact, parser
+from conftest import write_module
+from semverdiff import impact, parser, surface
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -49,3 +50,29 @@ def test_lexing_goes_through_the_traced_names(monkeypatch):
     calls.clear()
     impact._match_file("main.go", src, binding, {}, "example.com/client", None)
     assert calls == [(1, {})]
+
+
+def test_memo_hits_stay_under_the_traced_parse(monkeypatch, tmp_path):
+    """A declaration found in the memo is still read inside
+    `surface.parse_go_file`, and each file is still lexed once by
+    `parser.tokenize`, so hits count as parse time and
+    `parser.tokenize.calls_per_file` stays 1.0."""
+    files = {**fx.LIBRARY_OLD, "b.go": "package brklib\n\nconst C = 1\n", "sub/s.go": "package sub\n\nvar V struct{ A int }\n"}
+    write_module(tmp_path, "example.com/lib", files)
+    surface.extract_surface(tmp_path, "example.com/lib")
+    parses, lexes = [], []
+
+    def spy_on(real, calls):
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        return spy
+
+    monkeypatch.setattr(surface, "parse_go_file", spy_on(surface.parse_go_file, parses))
+    monkeypatch.setattr(parser, "tokenize", spy_on(parser.tokenize, lexes))
+    surface.extract_surface(tmp_path, "example.com/lib")
+    sources = sorted(files.values())
+    assert sorted(parses) == sorted(lexes) == sources
+    # Every declaration hit: none is left in the previous generation.
+    assert surface._DECLS.previous and not any(surface._DECLS.previous.values())

@@ -15,6 +15,7 @@ from semverdiff.surface import (
     surface_to_dict,
     surface_to_json,
 )
+from semverdiff import surface as surface_module
 from semverdiff.versions import parse_version
 
 MOD = "example.com/lib"
@@ -189,6 +190,27 @@ class TestExtractSurface:
         write_module(tmp_path, MOD, files)
         docs = [surface_to_json(extract_surface(tmp_path, MOD, parse_version("v1.0.0"))) for _ in range(2)]
         assert docs[0] == docs[1]
+
+
+class TestDeclarationMemo:
+    def test_memo_holds_the_last_two_extractions(self, tmp_path):
+        src = "package lib\n\ntype T struct{ A int }\n\nfunc F() T { return T{} }\n"
+        for name in ("a", "b", "c"):
+            write_module(tmp_path / name, f"example.com/{name}", {"lib.go": src, "sub/s.go": "package sub\n\nvar V int\n"})
+            extract_surface(tmp_path / name, f"example.com/{name}")
+        memo = surface_module._DECLS
+        assert {path for path, _imports in memo.previous} == {"example.com/b", "example.com/b/sub"}
+        assert {path for path, _imports in memo.current} == {"example.com/c", "example.com/c/sub"}
+        assert all(memo.current.values())
+
+    def test_unchanged_declarations_are_shared_along_a_chain_of_versions(self, tmp_path):
+        src = "package lib\n\ntype T struct{ A int }\n\nfunc F() T { return T{} }\n"
+        chain = []
+        for k, body in enumerate(["T{}", "T{A: 1}", "T{A: 2}"]):
+            write_module(tmp_path / f"v{k}", MOD, {"lib.go": src.replace("T{}", body)})
+            chain.append(extract_surface(tmp_path / f"v{k}", MOD).packages[MOD].objects)
+        first, _, last = chain
+        assert last["T"].type is first["T"].type and last["F"].type is first["F"].type
 
 
 class TestSerialization:
