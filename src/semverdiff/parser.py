@@ -9,10 +9,8 @@ literal with one findall call, and one pass over those strings inserts
 semicolons, drops comments and tracks brackets, so that the body of each
 top-level function is skipped to its closing brace without building tokens. A
 closing bracket that does not match outside function bodies is a syntax error,
-as in Go. Lines are kept only for error messages, and the index of each ";"
-outside brackets marks where a top-level declaration can end. Import binding
-asks for the header only: tokens up to the first const, func, type or var
-keyword.
+as in Go. Lines are kept only for error messages. Import binding asks for the
+header only: tokens up to the first const, func, type or var keyword.
 blank_literals blanks the comments and literals of a file with one regex built
 from the lexer's sub-patterns, for scans that need no tokens. The parser
 itself only covers what an API surface needs: the package clause, imports, and
@@ -20,14 +18,16 @@ top-level const/var/type/func declarations, including generic type
 parameters. One parser with one cursor reads each file: parameter,
 type-argument and type-parameter lists are parsed item by item where they
 stand, looking ahead only to tell a name from a type. Given a DeclMemo, the
-parser reuses the specs of each top-level declaration whose tokens, package
-path and imports it has met before, instead of parsing it again.
+tokenizer cuts the file into chunks at a newline before const, func, type or
+var where the lexer is clean, and looks each chunk up by its text, the inside
+of a leading function body left out: a chunk met before under the same package
+path and header is neither lexed nor parsed, and its specs are reused.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -106,11 +106,15 @@ _TOKEN_RE = re.compile(
 _IDENT_RE = re.compile(_IDENT)
 _INT_RE = re.compile(_INT)
 
-# Function-body text up to the next brace: runs of characters that can start
-# no string, comment or brace, each string, rune and comment, and a lone "/".
-# It scans only text _check_lexable accepted, so it validates nothing: a match
-# ends at a brace, at the end of the text or at the repeat bound.
-_BODY_RE = re.compile(rf"(?:[^{{}}\"'`/]+|{_LITERAL}|/){{0,1024}}")
+# Text up to the next brace: runs of characters that can start no string,
+# comment or brace, each string, rune and comment, and a "/" that starts no
+# block comment. It scans only text _check_lexable accepted, so it validates
+# nothing: a match ends at a brace, at the end of the text scanned, at the
+# repeat bound, or at a "/*" or "`" whose literal does not end in the text
+# scanned: one a scan up to a limit cuts (block comments and raw strings are
+# the only literals that span lines), or a "/*" that never ends.
+_BODY_RE = re.compile(rf"(?:[^{{}}\"'`/]+|{_LITERAL}|/(?!\*)){{0,1024}}")
+_LITERAL_RE = re.compile(_LITERAL)
 
 # The text the lexer accepts: the same alternatives, with every character the
 # lexer accepts outside a literal in the run class. A match ends where the
@@ -126,8 +130,12 @@ _CLOSING = frozenset(_CLOSERS.values())
 _GEN_DECL_KEYWORDS = frozenset({"const", "import", "type", "var"})
 # Keywords that start a top-level declaration other than a function.
 _DECL_KEYWORDS = _GEN_DECL_KEYWORDS | {"package"}
-# Keywords that end the import header of a file.
+# Keywords that end the import header of a file, and that start every
+# top-level declaration after it.
 _HEADER_END_KEYWORDS = frozenset({"const", "func", "type", "var"})
+# A candidate cut between top-level declarations: a newline followed by one
+# of those keywords at column 0.
+_CUT_RE = re.compile(rf"\n(?=(?:{'|'.join(sorted(_HEADER_END_KEYWORDS))})\b)")
 # The tokens after which a newline inserts no semicolon: all operators and
 # keywords but these. After an identifier or a literal, it does.
 _SEMI_AFTER = frozenset({")", "]", "}", "++", "--", "break", "continue", "fallthrough", "return"})
@@ -144,12 +152,13 @@ _BODYLESS = frozenset({"struct", "interface"})
 
 class _Tokens(list):
     """Tokens, with lines: the index of the first token on each line after the
-    first; and ends: the index of each ";" at bracket depth 0."""
+    first; events: a (token index, specs, key) for each chunk after the header
+    (see tokenize); and table: the memo table of the file's scope, or None."""
 
-    __slots__ = ("lines", "ends")
+    __slots__ = ("lines", "events", "table")
 
 
-def tokenize(text: str, *, imports_only: bool = False) -> list[str]:
+def tokenize(text: str, memo: DeclMemo | None = None, package_path: str = "", *, imports_only: bool = False) -> list[str]:
     """Lex Go source into tokens, applying the semicolon-insertion rule.
 
     The whole file is first checked for lexical errors. The text up to each
@@ -157,6 +166,21 @@ def tokenize(text: str, *, imports_only: bool = False) -> list[str]:
     each top-level function body are kept and no token between them is
     built. A closing bracket that does not match is a GoSyntaxError; one
     left open at the end is left for the parser to report.
+
+    Given a memo, the text after the header is cut into chunks, and each
+    chunk is looked up by its text before it is lexed. A candidate cut is a
+    newline followed by const, func, type or var at column 0; it is a cut if
+    the lexer is clean there: outside any literal and bracket, its last
+    token a ";". From a clean state a chunk's tokens follow from its text
+    alone, so a chunk the memo holds for the package path and the header
+    text (the text before the first cut) gets no tokens, and its event holds
+    its specs instead. The event of each chunk lexed holds its key, or None
+    where the chunk cannot be stored: it ran on through a candidate that is
+    not clean, or its key left out a brace that opened no function body (see
+    _chunk). The count of newlines lexed tells when the lexer is at a
+    candidate, so a run need not end there; but once a chunk is found, the
+    rest of the run is dropped, and from then on each run also ends at the
+    next candidate, so that no text is lexed more than twice.
 
     With imports_only, tokens are built one at a time, and only up to and
     including the first const, func, type or var keyword, then the final "":
@@ -167,10 +191,10 @@ def tokenize(text: str, *, imports_only: bool = False) -> list[str]:
     _check_lexable(text)
     tokens = _Tokens()
     lines = tokens.lines = []
-    ends = tokens.ends = []
+    events = tokens.events = []
+    table = previous = tokens.table = None
     append = tokens.append
     findall = _TOKEN_RE.findall
-    scan = _BODY_RE.match
     acts = _HEADER_LEXER_ACTS if imports_only else _LEXER_ACTS
     closers: list[str] = []  # expected closing brackets, innermost last
     # Index of the first token of the current top-level declaration: the token
@@ -179,17 +203,23 @@ def tokenize(text: str, *, imports_only: bool = False) -> list[str]:
     decl_start = 0
     size = len(text)
     pos = 0
+    # The next candidate cut and the count of newlines before it; whether runs
+    # end at it; the key of the chunk being lexed while it can be stored, and
+    # the index of its first token; and the brace and end of the function
+    # body that key leaves out.
+    cut = size if memo is None or imports_only else _next_cut(text, 0)
+    cut_line = _lines_before(text, cut, 0, 0)
+    runs_end_at_cuts = False
+    key = None
+    first = 0
+    body = end = -1
     while True:
         if imports_only:
-            brace = size
+            stop = size
             run = (m[1] for m in _TOKEN_RE.finditer(text))
         else:
-            brace = pos
-            while True:
-                brace = scan(text, brace).end()
-                if brace == size or text[brace] in "{}":
-                    break
-            run = findall(text, pos, brace)
+            stop = body if pos < body else _next_stop(text, pos, cut if runs_end_at_cuts else size)
+            run = findall(text, pos, stop)
         for tok in run:
             if tok in acts:
                 if tok == "\n":
@@ -205,7 +235,6 @@ def tokenize(text: str, *, imports_only: bool = False) -> list[str]:
                             raise _bracket_error(expected, tok, len(lines) + 1)
                     elif not closers:  # ";" or a keyword at depth 0
                         if tok == ";":
-                            ends.append(len(tokens))
                             decl_start = len(tokens) + 1
                         elif tok in _DECL_KEYWORDS:
                             decl_start = len(tokens)
@@ -227,35 +256,150 @@ def tokenize(text: str, *, imports_only: bool = False) -> list[str]:
                 continue
             if tokens and tokens[-1] not in _NO_SEMI_AFTER:
                 if not closers:
-                    ends.append(len(tokens))
                     decl_start = len(tokens) + 1
                 append(";")
             lines += [len(tokens)] * newlines
-        if brace == size:
-            break
-        char = text[brace]
-        if char == "}":
-            expected = closers.pop() if closers else ""
-            if expected != "}":
-                raise _bracket_error(expected, "}", len(lines) + 1)
-        elif closers or decl_start == len(tokens) or tokens[decl_start] != "func" or tokens[-1] in _BODYLESS:
-            closers.append("}")
-        else:  # the body of a top-level function
-            append("{")
-            pos = _skip_body(text, brace + 1)
-            if pos < 0:
-                raise GoSyntaxError("unterminated function body", len(lines) + 1)
-            lines += [len(tokens)] * text.count("\n", brace, pos)
-            append("}")
-            continue
-        append(char)
-        pos = brace + 1
+            if len(lines) < cut_line:
+                continue
+            # At the candidate at cut, or past it. It is a cut if this newline
+            # token leads to it and the lexer is clean; one a literal held is not.
+            while cut_line <= len(lines):
+                if cut_line == len(lines) and tok == "\n" and not closers and tokens and tokens[-1] == ";":
+                    break
+                key = None  # the chunk runs on through the candidate
+                found = _next_cut(text, cut)
+                cut, cut_line = found, _lines_before(text, found, cut, cut_line)
+            else:
+                continue
+            # A cut: the chunk before it ends here; look up the chunks after it.
+            if table is None:
+                table, previous = memo.tables((package_path, text[:cut]))
+                tokens.table = table
+            else:
+                events.append((first, None, key))
+            here = start = cut
+            while here < size:
+                key, cut, body, end = _chunk(text, here)
+                hit = table.get(key)
+                if hit is None:
+                    hit = previous.pop(key, None)
+                    if hit is None:
+                        break
+                    table[key] = hit  # moved into this generation
+                events.append((len(tokens), hit, None))
+                lines += [len(tokens)] * text.count("\n", here, cut)
+                here = cut
+                key = None
+            first = len(tokens)
+            cut_line = _lines_before(text, cut, here, len(lines))
+            if here != start:  # chunks were found: the run lexed past them
+                pos = here
+                runs_end_at_cuts = True
+                break
+        else:
+            if stop == size:
+                break
+            char = text[stop]
+            if char == "`" or char == "/":  # a literal holds the candidate at cut
+                key = None
+                literal = _LITERAL_RE.match(text, stop)
+                # After a "/*" that never ends, no candidate is looked at.
+                found = _next_cut(text, literal.end()) if literal else size
+                cut, cut_line = found, _lines_before(text, found, stop, len(lines))
+                pos = stop
+                continue
+            if char != "{" and char != "}":  # the run ended at the candidate at cut
+                pos = stop
+                continue
+            if char == "}":
+                expected = closers.pop() if closers else ""
+                if expected != "}":
+                    raise _bracket_error(expected, "}", len(lines) + 1)
+            elif closers or decl_start == len(tokens) or tokens[decl_start] != "func" or tokens[-1] in _BODYLESS:
+                closers.append("}")
+                if stop == body:  # the key left out the inside of no function body
+                    key = None
+            else:  # the body of a top-level function
+                append("{")
+                if stop != body:
+                    end = _skip_body(text, stop + 1)
+                    if end < 0:
+                        raise GoSyntaxError("unterminated function body", len(lines) + 1)
+                    if cut < end:  # the key holds this body, and the body candidates
+                        key = None
+                        found = _next_cut(text, end)
+                        cut, cut_line = found, _lines_before(text, found, stop, len(lines))
+                lines += [len(tokens)] * text.count("\n", stop, end)
+                append("}")
+                pos = end
+                continue
+            append(char)
+            pos = stop + 1
     if tokens and tokens[-1] not in _NO_SEMI_AFTER:
-        if not closers:
-            ends.append(len(tokens))
         append(";")
+    if first < len(tokens) and table is not None:  # a chunk was lexed last
+        clean = not closers and tokens[-1] == ";" and len(lines) < cut_line
+        events.append((first, None, key if clean else None))
     append("")
     return tokens
+
+
+def _next_cut(text: str, pos: int) -> int:
+    """The first candidate cut after pos, or the end of the text."""
+    m = _CUT_RE.search(text, pos)
+    return m.end() if m else len(text)
+
+
+def _lines_before(text: str, cut: int, pos: int, line: int) -> int:
+    """The count of newlines before cut, given line, the count before pos; or,
+    where cut is the end of the text, a count that no line reaches."""
+    return line + text.count("\n", pos, cut) if cut < len(text) else len(text) + 1
+
+
+def _next_stop(text: str, pos: int, limit: int) -> int:
+    """The first brace outside a literal at or after pos; or limit, if no
+    brace comes before it; or, if limit is not the end of the text, the start
+    of a block comment or raw string that does not end before limit."""
+    scan = _BODY_RE.match
+    while True:
+        end = scan(text, pos, limit).end()
+        if end == limit or text[end] in "{}":
+            return end
+        if end == pos:
+            if limit < len(text):
+                return end
+            end += 1  # a "/*" that never ends lexes as "/" and "*"
+        pos = end
+
+
+def _chunk(text: str, pos: int) -> tuple[str | None, int, int, int]:
+    """The key of the chunk at the cut pos, where it ends, and the brace and
+    end of the function body its key leaves out (-1 for none).
+
+    A chunk runs to the next candidate cut, and its key is its text. But if
+    it starts with func and has a brace before that candidate, the key
+    leaves out the inside of the body that brace opens, and the chunk runs
+    to the first candidate after that body, or has no key if the body never
+    closes. The brace need not open the body: a key whose brace opened none
+    is never stored, and so never found.
+    """
+    if text.startswith("func", pos):
+        # A brace on the first line comes before any candidate, so the search
+        # for the next one can start after the body.
+        first_line = text.find("\n", pos)
+        brace = _next_stop(text, pos, first_line) if first_line > 0 else -1
+        if brace < 0 or text[brace] != "{":
+            cut = _next_cut(text, pos)
+            brace = _next_stop(text, pos, cut)
+            if brace == cut or text[brace] != "{":
+                return text[pos:cut], cut, -1, -1
+        end = _skip_body(text, brace + 1)
+        if end < 0:
+            return None, len(text), -1, -1
+        cut = _next_cut(text, end)
+        return text[pos : brace + 1] + text[end:cut], cut, brace, end
+    cut = _next_cut(text, pos)
+    return text[pos:cut], cut, -1, -1
 
 
 def _bracket_error(expected: str, tok: str, line: int) -> GoSyntaxError:
@@ -267,8 +411,7 @@ def _check_lexable(text: str) -> None:
 
     As in go/scanner, a NUL or a byte order mark is illegal anywhere, even
     in a comment or literal; text is what follows an optional leading byte
-    order mark. Of two errors, the one that starts first is raised. So no
-    token holds a NUL, which the parser's declaration keys rely on.
+    order mark. Of two errors, the one that starts first is raised.
     """
     match = _LEXABLE_RE.match
     size = len(text)
@@ -290,19 +433,20 @@ def _skip_body(text: str, pos: int) -> int:
     match = _BODY_RE.match
     depth = 1
     while True:
-        pos = match(text, pos).end()
-        char = text[pos : pos + 1]
+        end = match(text, pos).end()
+        char = text[end : end + 1]
         if char == "{":
             depth += 1
         elif char == "}":
             depth -= 1
             if depth == 0:
-                return pos + 1
+                return end + 1
         elif not char:
             return -1
-        else:
-            continue  # the scan stopped at its bound
-        pos += 1
+        elif end > pos:  # the scan stopped at its bound
+            pos = end
+            continue
+        pos = end + 1  # past a brace, or a "/*" that never ends: "/" and "*"
 
 
 # Each comment, string, rune, number and "..." token, split as the lexer
@@ -458,7 +602,8 @@ class _Parser:
         # "" at the end, so that the token after the current one exists.
         self.toks = tokens + [""]
         self.lines = tokens.lines
-        self.ends = tokens.ends
+        self.events = tokens.events
+        self.table = tokens.table
         self.i = 0
         self.package_path = package_path
         self.import_map: dict[str, str] = {}
@@ -566,56 +711,48 @@ class _Parser:
         self.i += 1
         return GoFile(package_name=self.expect_ident())
 
-    def parse_file(self, memo: DeclMemo | None = None) -> GoFile:
-        """Parse the file; with a memo, look each const, var, type and func
-        declaration up first, and store the specs of each one parsed."""
+    def parse_file(self) -> GoFile:
+        """Parse the file. Each chunk the tokenizer found in the memo has its
+        specs added where it stood, and each chunk parsed to its end is
+        stored under its key, if it has one."""
         gofile = self._parse_package_clause()
         toks = self.toks
-        ends = self.ends
-        lists = {"const": gofile.consts, "var": gofile.vars, "type": gofile.types, "func": gofile.funcs}
-        e = 0  # index in ends of the first ";" at or after the cursor
-        table = None  # the memo's entries for this package path and import map
+        consts, vars_, types, funcs = gofile.consts, gofile.vars, gofile.types, gofile.funcs
+        add = {ConstSpec: consts.append, VarSpec: vars_.append, TypeSpec: types.append, FuncDecl: funcs.append}
+        events = self.events
+        e = 0  # index of the next event
+        at = events[0][0] if events else -1  # the token index of that event
+        key = starts = None  # the key of the chunk being parsed, and where its specs start
+        decls = False  # whether a const, var, type or func declaration came yet
         while True:
             self.skip_semis()
             i = self.i
             tok = toks[i]
-            if not tok:
-                break
-            if tok == "import":
-                self._parse_gen_decl(tok, gofile)
-                table = None  # the import map may have changed
-                continue
-            specs = lists.get(tok)
-            if specs is None:
-                raise self._error(f"unexpected token {tok!r} at top level")
-            e = len(ends) if memo is None else bisect_left(ends, i, e)
-            if e == len(ends):
-                self._parse_decl(tok, gofile)
-                continue
-            # Given the package path and the import map, the declaration's
-            # tokens up to the ";" that ends it decide its specs: no lookahead
-            # passes that ";". No token holds a NUL, so equal keys mean equal
-            # tokens.
-            end = ends[e]
-            key = "\x00".join(toks[i : end + 1])
-            if table is None:
-                scope = (self.package_path, frozenset(self.import_map.items()))
-                table = memo.current.setdefault(scope, {})
-                previous = memo.previous.get(scope, {})
-            hit = table.get(key)
-            if hit is None:  # move a hit of the previous generation
-                hit = previous.pop(key, None)
+            # A chunk ends only where a declaration does, or at the end.
+            if key is not None and (i == at or not tok):
+                c, v, t, f = starts
+                self.table[key] = (*consts[c:], *vars_[v:], *types[t:], *funcs[f:])
+            while i == at:
+                _, hit, key = events[e]
                 if hit is not None:
-                    table[key] = hit
-            if hit is not None:
-                specs += hit
-                self.i = end
+                    decls = True
+                    for spec in hit:
+                        add[spec.__class__](spec)
+                else:
+                    starts = len(consts), len(vars_), len(types), len(funcs)
+                e += 1
+                at = events[e][0] if e < len(events) else -1
+            if not tok:
+                return gofile
+            if tok == "import":
+                if decls:
+                    raise self._error("imports must appear before other declarations")
+                self._parse_gen_decl(tok, gofile)
                 continue
-            n = len(specs)
+            if tok not in _HEADER_END_KEYWORDS:
+                raise self._error(f"unexpected token {tok!r} at top level")
+            decls = True
             self._parse_decl(tok, gofile)
-            if self.i == end:
-                table[key] = tuple(specs[n:])
-        return gofile
 
     def _parse_decl(self, kw: str, gofile: GoFile) -> None:
         if kw == "func":
@@ -1192,31 +1329,38 @@ def _embedded_name(t: TypeExpr) -> str | None:
 
 
 class DeclMemo:
-    """Top-level declarations already parsed, so that one met again in
-    another file is not parsed again.
+    """Top-level declaration chunks already parsed, so that one met again in
+    another file is neither lexed nor parsed again.
 
-    Per (package path, import map), each declaration's tokens map to the
-    specs it gave, which are immutable and so are shared by every file that
-    holds the declaration. Entries live in two generations: next_generation
-    drops the older one, and a hit in the previous generation moves into the
-    current one, so a declaration kept through a chain of versions keeps
-    hitting while the memo holds at most two generations' entries.
+    Per scope, (package path, header text), each chunk's key (see tokenize)
+    maps to the specs it gave, which are immutable and so are shared by every
+    file that holds the chunk. The header holds every import a file may
+    have, so it fixes the import map. Entries live in two generations:
+    next_generation drops the older one, and a hit in the previous
+    generation moves into the current one, so a declaration kept through a
+    chain of versions keeps hitting while the memo holds at most two
+    generations' entries.
     """
 
     __slots__ = ("previous", "current")
 
     def __init__(self) -> None:
-        self.previous: dict[tuple, dict[str, tuple]] = {}
-        self.current: dict[tuple, dict[str, tuple]] = {}
+        self.previous: dict[tuple[str, str], dict[str, tuple]] = {}
+        self.current: dict[tuple[str, str], dict[str, tuple]] = {}
 
     def next_generation(self) -> None:
         self.previous, self.current = self.current, {}
+
+    def tables(self, scope: tuple[str, str]) -> tuple[dict[str, tuple], dict[str, tuple]]:
+        """The current generation's table for scope, made if missing, and the
+        previous generation's."""
+        return self.current.setdefault(scope, {}), self.previous.get(scope, {})
 
 
 def parse_go_file(text: str, package_path: str = "", *, memo: DeclMemo | None = None) -> GoFile:
     """Parse one source file at declaration level, reusing and adding to the
     parses in memo if one is given; the result is the same either way."""
-    return _Parser(tokenize(text), package_path).parse_file(memo)
+    return _Parser(tokenize(text, memo, package_path), package_path).parse_file()
 
 
 def parse_imports(text: str) -> list[ImportSpec]:

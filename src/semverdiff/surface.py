@@ -4,8 +4,9 @@ Walks the module tree (minus filtered layout directories and nested modules),
 parses every non-test .go file at declaration level, and keeps the exported
 objects: top-level names, methods of exported named types, and the structural
 types behind them. A declaration unchanged since the previous extraction is
-not parsed again: its specs come from a memo that holds the declarations of
-the previous extraction and the current one.
+neither lexed nor parsed again: the tokenizer finds it by its text in a memo
+that holds the declarations of the previous extraction and the current one,
+and its specs are reused.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ FILTERED_LAYOUT_DIRS = frozenset(
 
 
 # The declarations parsed by the previous extract_surface call and by the
-# current one. Consecutive versions of a module share most declarations, and
-# both check (old, then new) and corpus validation (by module, then version)
-# extract them one after the other.
+# current one, by their text. Consecutive versions of a module share most
+# declarations, and both check (old, then new) and corpus validation (by
+# module, then version) extract them one after the other.
 _DECLS = DeclMemo()
 
 

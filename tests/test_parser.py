@@ -7,6 +7,7 @@ import random
 import re
 from collections import defaultdict
 from dataclasses import replace
+import time
 import tracemalloc
 from pathlib import Path
 from typing import NamedTuple
@@ -853,29 +854,15 @@ def _reference_tokens(src: str, skip_bodies: bool = False, imports_only: bool = 
     return _reference_lex(src.removeprefix("\ufeff"), skip_bodies, imports_only)
 
 
-def _depth_0_semicolons(texts: list[str]) -> list[int]:
-    """The index of each ";" outside brackets."""
-    ends = []
-    depth = 0
-    for k, text in enumerate(texts):
-        if text in ("(", "[", "{"):
-            depth += 1
-        elif text in (")", "]", "}"):
-            depth -= 1
-        elif text == ";" and depth == 0:
-            ends.append(k)
-    return ends
-
-
 def _as_tokens(reference: list[_Token]) -> _Tokens:
-    """Reference tokens as tokenize gives tokens: their texts, with the index
-    of the first token on each line after the first, and of each ";" outside
-    brackets."""
+    """Reference tokens as tokenize gives tokens without a memo: their texts,
+    with the index of the first token on each line after the first."""
     tokens = _Tokens(t.text for t in reference)
     tokens.lines = []
     for k, tok in enumerate(reference):
         tokens.lines += [k] * (tok.line - (reference[k - 1].line if k else 1))
-    tokens.ends = _depth_0_semicolons(tokens)
+    tokens.events = []
+    tokens.table = None
     return tokens
 
 
@@ -941,7 +928,6 @@ def _assert_as_before(src: str) -> None:
         assert isinstance(parsed, str), src
     else:
         assert tokens == [t.text for t in skipped], src
-        assert tokens.ends == _depth_0_semicolons(tokens), src
         assert parsed == _outcome(lambda _: _Parser(_as_tokens(skipped), PKG).parse_file(), src), src
     try:
         header = _reference_tokens(src, skip_bodies=True, imports_only=True)
@@ -1433,6 +1419,66 @@ def _assert_memo_changes_nothing(before: str, src: str) -> None:
     assert _memo_outcomes(before, src) == [cold, cold], src
 
 
+def _warm_and_cold(before: str, src: str):
+    """src parsed after before with one memo, and before parsed cold."""
+    memo = DeclMemo()
+    cold = parse_go_file(before, PKG, memo=memo)
+    memo.next_generation()
+    warm = parse_go_file(src, PKG, memo=memo)
+    assert warm == parse_go_file(src, PKG)
+    return warm, cold
+
+
+# Fragments that make, break or hide the candidate cuts between chunks.
+_CUT_FRAGMENTS = (
+    "\nfunc F() {}\n", "\ntype T int\n", "\nvar ", "\nconst ", " =\n", "`\n", "/*\n", "*/\n", "[]func(){\n",
+)
+
+# (before, source): shapes where a chunk could be cut, keyed or found wrongly.
+_CUT_CASES = {
+    "raw-string-spans-a-candidate": (
+        "package p\n\nvar S = `\nfunc F() {}\n`\n\nfunc F() {}\n",
+        "package p\n\nvar S = `\nfunc F() {}\n`\n\nfunc F() int {}\n",
+    ),
+    "block-comment-spans-a-candidate": (
+        "package p\n\nvar A int /* a\nvar B int\n*/\nvar B string\n",
+        "package p\n\nvar A int\nvar B int\n*/\nvar B string\n",
+    ),
+    "func-literal-after-equals": (
+        "package p\n\nvar f =\nfunc() {}\n\nfunc g() {}\n",
+        "package p\n\nvar f = 1\nfunc() {}\n\nfunc g() {}\n",
+    ),
+    "func-literals-in-a-slice": (
+        "package p\n\nvar fs = []func(){\nfunc() {},\n}\n\nfunc G() {}\n",
+        "package p\n\nvar fs = []func(){\nfunc() {}}\n\nfunc G() {}\n",
+    ),
+    "func-literal-at-column-0-in-a-body": (
+        "package p\n\nfunc F() {\nfunc() {}()\n}\n\nvar V int\n",
+        "package p\n\nfunc F() {\nfunc() {}()\nvar x int\n}\n\nvar V int\n",
+    ),
+    "first-brace-is-no-body": (
+        "package p\n\nfunc F() struct{}{}\n\nfunc G() struct{ A int }\n",
+        "package p\n\nfunc F() struct{}{ return struct{}{} }\n\nfunc G() struct{ A int }\n",
+    ),
+    "second-body-on-the-line": (
+        "package p\n\nfunc F() {} func G() {\nfunc() {}()\n}\n\nvar V int\n",
+        "package p\n\nfunc F() {} func G() {\nfunc() {}()\n}\nvar V int\n",
+    ),
+    "declaration-after-the-body": (
+        "package p\n\nfunc F() {} var X = T{}\n\nvar V int\n",
+        "package p\n\nfunc F() {} var X = T{\n}\n\nvar V int\n",
+    ),
+    "no-newline-at-the-end": (
+        "package p\n\nvar A int\nvar B = x",
+        "package p\n\nvar A int\nvar B = x\nvar C int",
+    ),
+    "header-changes": (
+        'package p\n\nimport x "a/x"\n\nvar V x.T\n',
+        'package p\n\nimport x "b/x"\n\nvar V x.T\n',
+    ),
+}
+
+
 def _fixture_pairs() -> list[tuple[str, str]]:
     """(before, source): each fixture source after itself, and after the same
     file of the neighbouring version of its module, both ways."""
@@ -1488,12 +1534,20 @@ class TestDeclMemo:
     def test_seeded_mutants(self):
         rng = random.Random(12)
         sources = _SOURCES + [_SHAPES[shape] for shape in sorted(_SHAPES)]
+        fragments = _HEADER_FRAGMENTS + _CUT_FRAGMENTS
         for _ in range(30_000):
             src = original = rng.choice(sources)
             for _ in range(rng.randint(1, 4)):
                 at = rng.randint(0, len(src))
-                src = src[:at] + rng.choice(_HEADER_FRAGMENTS) + src[at:]
+                src = src[:at] + rng.choice(fragments) + src[at:]
             _assert_memo_changes_nothing(original, src)
+
+    @pytest.mark.parametrize("case", sorted(_CUT_CASES))
+    def test_chunk_cuts(self, case):
+        before, src = _CUT_CASES[case]
+        _assert_memo_changes_nothing(before, src)
+        _assert_memo_changes_nothing(src, src)
+        _assert_memo_changes_nothing(src, before)
 
     def test_a_declaration_met_again_is_shared(self):
         src = "package p\n\ntype T struct{ A []int }\n\nfunc F(x T) error\n"
@@ -1522,12 +1576,19 @@ class TestDeclMemo:
         assert (a.vars[0].type, b.vars[0].type) == (Named("a/x", "T"), Named("b/x", "T"))
         assert b == parse_go_file(other, PKG)
 
-    def test_an_import_after_a_declaration_changes_the_scope_of_the_rest(self):
-        src = 'package p\n\nvar V x.T\n\nimport x "a/x"\n\nvar W x.T\n'
-        other = "package p\n\nvar W x.T\n"
-        memo = DeclMemo()
-        assert [v.type for v in parse_go_file(src, PKG, memo=memo).vars] == [Named("x", "T"), Named("a/x", "T")]
-        assert parse_go_file(other, PKG, memo=memo).vars[0].type == Named("x", "T")
+    def test_an_import_after_a_declaration_is_a_syntax_error(self):
+        error = "imports must appear before other declarations"
+        for decl in ["var V x.T", "const C = 1", "type T int", "func F() {}", "var ()"]:
+            src = f'package p\n\n{decl}\n\nimport x "a/x"\n\nvar W x.T\n'
+            with pytest.raises(GoSyntaxError, match=f"^line 5: {error}$"):
+                parse_go_file(src, PKG)
+            # Also where the declaration before it is found in the memo.
+            memo = DeclMemo()
+            parse_go_file(f"package p\n\n{decl}\n", PKG, memo=memo)
+            with pytest.raises(GoSyntaxError, match=f"^line 5: {error}$"):
+                parse_go_file(src, PKG, memo=memo)
+            with pytest.raises(GoSyntaxError, match=f"^line 3: {error}$"):
+                parse_go_file(f'package p\n\n{decl}; import "a/y"\n', PKG)
 
     @pytest.mark.parametrize(
         "decl", ["func F() int", "type A [N]int", "var V = x", "type I interface{ M() }", "const C = 1"]
@@ -1561,4 +1622,91 @@ class TestDeclMemo:
         with pytest.raises(GoSyntaxError, match=r"^line 4: expected type, found '5'$"):
             parse_go_file("package p\n\nvar A int\nvar B 5\n", PKG, memo=memo)
         (table,) = memo.current.values()
-        assert list(table) == ["var\x00A\x00int\x00;"]
+        assert list(table) == ["var A int\n"]
+
+    @pytest.mark.parametrize(
+        "value,other", [("`\nfunc F() {}\n`", "`\nfunc F() {}\n`[0]"), ("/*\nfunc F() {}\n*/ 1", '/*\nfunc F() {}\n*/ "s"')]
+    )
+    def test_a_literal_across_a_candidate_after_a_chunk_found(self, value, other):
+        # Once A is found, each run ends at the next candidate, which here is
+        # inside the literal: S's chunk runs on through it and is not stored.
+        memo = DeclMemo()
+        for v in (value, value, other, value):
+            text = f"package p\n\nvar A int\n\nvar S = {v}\n"
+            assert parse_go_file(text, PKG, memo=memo) == parse_go_file(text, PKG), text
+
+    def test_a_literal_across_a_candidate_at_the_end_of_the_file(self):
+        memo = DeclMemo()
+        for text in ("package p\n\nvar S = `\nfunc F() {}\n`", "package p\n\nvar S = `\nfunc F() {}\n`[0]"):
+            assert parse_go_file(text, PKG, memo=memo) == parse_go_file(text, PKG), text
+
+    def test_an_edited_doc_comment_misses_only_the_declaration_before_it(self):
+        src = "package p\n\nvar A int\n\n// F does x.\nfunc F() {}\n\nvar B int\n"
+        warm, cold = _warm_and_cold(src, src.replace("does x", "does y"))
+        assert warm.vars[0] is not cold.vars[0]
+        assert warm.funcs[0] is cold.funcs[0] and warm.vars[1] is cold.vars[1]
+
+    def test_an_edited_body_still_hits(self):
+        src = "package p\n\nfunc F() int {\n\treturn 1\n}\n\nfunc G() {}\n"
+        warm, cold = _warm_and_cold(src, src.replace("return 1", "x := 2\n\treturn x"))
+        assert warm.funcs[0] is cold.funcs[0] and warm.funcs[1] is cold.funcs[1]
+
+    def test_a_chunk_found_is_neither_lexed_nor_parsed(self, monkeypatch):
+        src = "package p\n\nimport \"a/x\"\n\nvar V x.T\n\nfunc F() {\n\tg()\n}\n\ntype T struct{ A int }\n"
+        memo = DeclMemo()
+        cold = parse_go_file(src, PKG, memo=memo)
+        memo.next_generation()
+        tokens = tokenize(src, memo, PKG)
+        assert tokens == ["package", "p", ";", "import", '"a/x"', ";", ""]
+        assert [hit for _, hit, _ in tokens.events] == [tuple(cold.vars), tuple(cold.funcs), tuple(cold.types)]
+        monkeypatch.setattr(_Parser, "_parse_decl", None)
+        assert parse_go_file(src, PKG, memo=memo) == cold
+
+
+def _bound_source(lines: int) -> str:
+    """A var whose value holds one function literal a line: every candidate
+    cut in it is inside brackets."""
+    return "package p\n\nvar fs = []func(){\n" + "func() {},\n" * lines + "}\n"
+
+
+class TestChunkBound:
+    """A file whose candidate cuts are all inside brackets is one chunk, lexed
+    and parsed as in a cold parse, in the same order of time and memory."""
+
+    @pytest.fixture(scope="class")
+    def source(self) -> str:
+        src = _bound_source(180_000)
+        assert len(src) > 1_900_000
+        return src
+
+    def test_a_warm_parse_stays_linear(self, source):
+        memo = DeclMemo()
+        parse_go_file(source, PKG, memo=memo)
+        memo.next_generation()
+        assert [(hit, key) for _, hit, key in tokenize(source, memo, PKG).events] == [(None, None)]
+        times = {None: [], memo: []}
+        for _ in range(3):
+            for use in times:
+                start = time.perf_counter()
+                parse_go_file(source, PKG, memo=use)
+                times[use].append(time.perf_counter() - start)
+        cold, warm = (min(t) for t in times.values())
+        assert warm < 2 * cold, (warm, cold)
+
+    def test_a_warm_parse_keeps_memory_bounded(self):
+        # A quarter of the file: the peak grows linearly either way, and
+        # tracing each allocation of the whole file takes many seconds.
+        src = _bound_source(45_000)
+        memo = DeclMemo()
+        parse_go_file(src, PKG, memo=memo)
+        memo.next_generation()
+        peaks = []
+        for use in (None, memo):
+            tracemalloc.start()
+            try:
+                parse_go_file(src, PKG, memo=use)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        cold, warm = peaks
+        assert warm < 2 * cold, (warm, cold)

@@ -25,8 +25,9 @@ def test_every_traced_entry_point_exists(monkeypatch):
 
 
 def test_lexing_goes_through_the_traced_names(monkeypatch):
-    """Declaration parsing lexes through `parser.tokenize`, import binding
-    lexes the header through `parser.tokenize` with imports_only, and
+    """Declaration parsing lexes through `parser.tokenize` (text, memo and
+    package path), import binding lexes the header through
+    `parser.tokenize` with imports_only, and
     matching blanks literals through `impact.tokenize`, so the traced run
     reports lexing and scanning as lexing and not as parse or match time."""
     calls = []
@@ -43,7 +44,7 @@ def test_lexing_goes_through_the_traced_names(monkeypatch):
     src = fx.CLIENTS["client-default"]["main.go"]
 
     parser.parse_go_file(src, "example.com/client")
-    assert calls == [(1, {})]
+    assert calls == [(3, {})]
     calls.clear()
     binding = impact.bind_imports(src, "main.go")
     assert calls == [(1, {"imports_only": True})]
@@ -53,10 +54,10 @@ def test_lexing_goes_through_the_traced_names(monkeypatch):
 
 
 def test_memo_hits_stay_under_the_traced_parse(monkeypatch, tmp_path):
-    """A declaration found in the memo is still read inside
-    `surface.parse_go_file`, and each file is still lexed once by
-    `parser.tokenize`, so hits count as parse time and
-    `parser.tokenize.calls_per_file` stays 1.0."""
+    """Declarations are looked up in the memo inside `parser.tokenize`,
+    called once per file by `surface.parse_go_file`, so a hit counts as
+    lexing time, `parser.tokenize.calls_per_file` stays 1.0, and a module
+    whose declarations all hit is parsed without parsing any of them."""
     files = {**fx.LIBRARY_OLD, "b.go": "package brklib\n\nconst C = 1\n", "sub/s.go": "package sub\n\nvar V struct{ A int }\n"}
     write_module(tmp_path, "example.com/lib", files)
     surface.extract_surface(tmp_path, "example.com/lib")
@@ -71,8 +72,11 @@ def test_memo_hits_stay_under_the_traced_parse(monkeypatch, tmp_path):
 
     monkeypatch.setattr(surface, "parse_go_file", spy_on(surface.parse_go_file, parses))
     monkeypatch.setattr(parser, "tokenize", spy_on(parser.tokenize, lexes))
+    decls = []
+    monkeypatch.setattr(parser._Parser, "_parse_decl", spy_on(parser._Parser._parse_decl, decls))
     surface.extract_surface(tmp_path, "example.com/lib")
     sources = sorted(files.values())
     assert sorted(parses) == sorted(lexes) == sources
+    assert decls == []
     # Every declaration hit: none is left in the previous generation.
     assert surface._DECLS.previous and not any(surface._DECLS.previous.values())

@@ -199,8 +199,9 @@ class TestDeclarationMemo:
             write_module(tmp_path / name, f"example.com/{name}", {"lib.go": src, "sub/s.go": "package sub\n\nvar V int\n"})
             extract_surface(tmp_path / name, f"example.com/{name}")
         memo = surface_module._DECLS
-        assert {path for path, _imports in memo.previous} == {"example.com/b", "example.com/b/sub"}
-        assert {path for path, _imports in memo.current} == {"example.com/c", "example.com/c/sub"}
+        assert {path for path, _header in memo.previous} == {"example.com/b", "example.com/b/sub"}
+        assert {path for path, _header in memo.current} == {"example.com/c", "example.com/c/sub"}
+        assert {header for _path, header in memo.current} == {"package lib\n\n", "package sub\n\n"}
         assert all(memo.current.values())
 
     def test_unchanged_declarations_are_shared_along_a_chain_of_versions(self, tmp_path):
