@@ -98,10 +98,9 @@ def cli() -> None:
 @cli.command("extract")
 @click.argument("module_dir", type=click.Path(exists=True, file_okay=False))
 @click.option("--module-version", "version_tag", default=None, help="Version tag for the surface document.")
-@click.option("--format", "fmt", type=click.Choice(["json"]), default="json", show_default=True)
 @_output_option
 @_exclude_option
-def extract_cmd(module_dir, version_tag, fmt, output, exclude_dirs) -> int:
+def extract_cmd(module_dir, version_tag, output, exclude_dirs) -> int:
     """Emit the exported API surface of one module checkout."""
     version = parse_version(version_tag) if version_tag else None
     surface = _extract_dir(module_dir, version, exclude_dirs)

@@ -91,8 +91,6 @@ CATALOGUE: tuple[tuple[str, str], ...] = (
     ("Category Change", "Data Type Change"),
 )
 
-CATALOGUE_SET = frozenset(CATALOGUE)
-
 # Pseudo-condition for compatible additions; never part of the catalogue.
 ADD_CONDITION = "Add"
 

@@ -18,10 +18,12 @@ top-level const/var/type/func declarations, including generic type
 parameters. One parser with one cursor reads each file: parameter,
 type-argument and type-parameter lists are parsed item by item where they
 stand, looking ahead only to tell a name from a type. Given a DeclMemo, the
-tokenizer cuts the file into chunks at a newline before const, func, type or
-var where the lexer is clean, and looks each chunk up by its text, the inside
-of a leading function body left out: a chunk met before under the same package
-path and header is neither lexed nor parsed, and its specs are reused.
+tokenizer walks the file chunk by chunk: a chunk runs from a newline before
+const, func, type or var at column 0 where the lexer is clean to the next
+one. It looks each chunk up by its text, the inside of a leading function body
+left out: a chunk met before under the same package path and header is
+neither lexed nor parsed, and its specs are reused. Each other chunk is lexed
+by one call of the lexer, which knows nothing of the memo.
 """
 
 from __future__ import annotations
@@ -161,64 +163,92 @@ class _Tokens(list):
 def tokenize(text: str, memo: DeclMemo | None = None, package_path: str = "", *, imports_only: bool = False) -> list[str]:
     """Lex Go source into tokens, applying the semicolon-insertion rule.
 
-    The whole file is first checked for lexical errors. The text up to each
-    brace outside a literal is lexed with one findall call. The braces of
-    each top-level function body are kept and no token between them is
-    built. A closing bracket that does not match is a GoSyntaxError; one
-    left open at the end is left for the parser to report.
-
-    Given a memo, the text after the header is cut into chunks, and each
-    chunk is looked up by its text before it is lexed. A candidate cut is a
+    The whole file is first checked for lexical errors, then lexed by _lex.
+    Given a memo, the text is lexed chunk by chunk. A candidate cut is a
     newline followed by const, func, type or var at column 0; it is a cut if
     the lexer is clean there: outside any literal and bracket, its last
-    token a ";". From a clean state a chunk's tokens follow from its text
-    alone, so a chunk the memo holds for the package path and the header
-    text (the text before the first cut) gets no tokens, and its event holds
-    its specs instead. The event of each chunk lexed holds its key, or None
-    where the chunk cannot be stored: it ran on through a candidate that is
-    not clean, or its key left out a brace that opened no function body (see
-    _chunk). The count of newlines lexed tells when the lexer is at a
-    candidate, so a run need not end there; but once a chunk is found, the
-    rest of the run is dropped, and from then on each run also ends at the
-    next candidate, so that no text is lexed more than twice.
+    token a ";". The header, the text before the first cut, is lexed first.
+    From a clean state a chunk's tokens follow from its text alone, so a
+    chunk the memo holds for the package path and the header text gets no
+    tokens, and its event holds its specs instead. Each other chunk is
+    lexed up to the next cut, and its event holds its key, or None where the
+    chunk cannot be stored (see _lex and _chunk). No run is dropped: each
+    byte outside function bodies is lexed at most once.
 
     With imports_only, tokens are built one at a time, and only up to and
     including the first const, func, type or var keyword, then the final "":
     all that the package clause and the imports can be parsed from.
     """
-    if text.startswith("\ufeff"):
-        text = text[1:]
+    text = text.removeprefix("\ufeff")
     _check_lexable(text)
     tokens = _Tokens()
-    lines = tokens.lines = []
+    tokens.lines = []
     events = tokens.events = []
-    table = previous = tokens.table = None
+    tokens.table = None
+    size = len(text)
+    # One call lexes the header, or, without a memo, the whole text.
+    cut = size if memo is None or imports_only else _next_cut(text, 0)
+    pos, _ = _lex(text, 0, tokens, cut, header_only=imports_only)
+    if pos < size:
+        table, previous = memo.tables((package_path, text[:pos]))
+        tokens.table = table
+        while pos < size:
+            key, cut, body, end = _chunk(text, pos)
+            hit = table.get(key)
+            if hit is None and key in previous:
+                hit = table[key] = previous.pop(key)  # moved into this generation
+            if hit is None:
+                first = len(tokens)
+                pos, holds = _lex(text, pos, tokens, cut, body, end)
+                events.append((first, None, key if holds else None))
+            else:
+                events.append((len(tokens), hit, None))
+                tokens.lines += [len(tokens)] * text.count("\n", pos, cut)
+                pos = cut
+    tokens.append("")
+    return tokens
+
+
+def _lex(
+    text: str, pos: int, tokens: _Tokens, cut: int, body: int = -1, end: int = -1, header_only: bool = False
+) -> tuple[int, bool]:
+    """Lex text from pos, where the lexer is clean, up to the first candidate
+    cut at or after cut where it is clean again, or to the end of the text,
+    where a final ";" is inserted; return where it stopped and whether the
+    chunk's key holds.
+
+    The text up to each brace outside a literal, or to cut, is lexed with one
+    findall call. The braces of each top-level function body are kept and no
+    token between them is built. A closing bracket that does not match is a
+    GoSyntaxError; one left open at the end is left for the parser to
+    report. Every run ends at cut, so the lexer is checked for cleanliness
+    where a run stops. Where it is not clean at cut, or a literal or a
+    function body holds cut, cut moves on to the next candidate and the key
+    no longer holds. The key leaves out the inside of the function body
+    whose brace is at body and which ends at end (see _chunk); it no longer
+    holds if that brace opens no function body, and it holds at the end of
+    the text only if the lexer is clean there.
+
+    With header_only, tokens are built one at a time up to and including
+    the first const, func, type or var keyword, braces included.
+    """
+    lines = tokens.lines
     append = tokens.append
     findall = _TOKEN_RE.findall
-    acts = _HEADER_LEXER_ACTS if imports_only else _LEXER_ACTS
+    acts = _HEADER_LEXER_ACTS if header_only else _LEXER_ACTS
+    size = len(text)
     closers: list[str] = []  # expected closing brackets, innermost last
     # Index of the first token of the current top-level declaration: the token
     # after a ";" at bracket depth 0, or a const/import/package/type/var
     # keyword at depth 0, since the parser needs no ";" between declarations.
-    decl_start = 0
-    size = len(text)
-    pos = 0
-    # The next candidate cut and the count of newlines before it; whether runs
-    # end at it; the key of the chunk being lexed while it can be stored, and
-    # the index of its first token; and the brace and end of the function
-    # body that key leaves out.
-    cut = size if memo is None or imports_only else _next_cut(text, 0)
-    cut_line = _lines_before(text, cut, 0, 0)
-    runs_end_at_cuts = False
-    key = None
-    first = 0
-    body = end = -1
+    decl_start = len(tokens)
+    holds = True
     while True:
-        if imports_only:
+        if header_only:
             stop = size
             run = (m[1] for m in _TOKEN_RE.finditer(text))
         else:
-            stop = body if pos < body else _next_stop(text, pos, cut if runs_end_at_cuts else size)
+            stop = body if pos < body else _next_stop(text, pos, cut)
             run = findall(text, pos, stop)
         for tok in run:
             if tok in acts:
@@ -239,9 +269,8 @@ def tokenize(text: str, memo: DeclMemo | None = None, package_path: str = "", *,
                         elif tok in _DECL_KEYWORDS:
                             decl_start = len(tokens)
                     append(tok)
-                    if imports_only and tok in _HEADER_END_KEYWORDS:
-                        append("")
-                        return tokens
+                    if header_only and tok in _HEADER_END_KEYWORDS:
+                        break  # the end of the header; no ";" follows it
                     continue
             elif tok[0] not in "/`":
                 append(tok)
@@ -259,101 +288,53 @@ def tokenize(text: str, memo: DeclMemo | None = None, package_path: str = "", *,
                     decl_start = len(tokens) + 1
                 append(";")
             lines += [len(tokens)] * newlines
-            if len(lines) < cut_line:
-                continue
-            # At the candidate at cut, or past it. It is a cut if this newline
-            # token leads to it and the lexer is clean; one a literal held is not.
-            while cut_line <= len(lines):
-                if cut_line == len(lines) and tok == "\n" and not closers and tokens and tokens[-1] == ";":
-                    break
-                key = None  # the chunk runs on through the candidate
-                found = _next_cut(text, cut)
-                cut, cut_line = found, _lines_before(text, found, cut, cut_line)
-            else:
-                continue
-            # A cut: the chunk before it ends here; look up the chunks after it.
-            if table is None:
-                table, previous = memo.tables((package_path, text[:cut]))
-                tokens.table = table
-            else:
-                events.append((first, None, key))
-            here = start = cut
-            while here < size:
-                key, cut, body, end = _chunk(text, here)
-                hit = table.get(key)
-                if hit is None:
-                    hit = previous.pop(key, None)
-                    if hit is None:
-                        break
-                    table[key] = hit  # moved into this generation
-                events.append((len(tokens), hit, None))
-                lines += [len(tokens)] * text.count("\n", here, cut)
-                here = cut
-                key = None
-            first = len(tokens)
-            cut_line = _lines_before(text, cut, here, len(lines))
-            if here != start:  # chunks were found: the run lexed past them
-                pos = here
-                runs_end_at_cuts = True
-                break
-        else:
-            if stop == size:
-                break
-            char = text[stop]
-            if char == "`" or char == "/":  # a literal holds the candidate at cut
-                key = None
-                literal = _LITERAL_RE.match(text, stop)
-                # After a "/*" that never ends, no candidate is looked at.
-                found = _next_cut(text, literal.end()) if literal else size
-                cut, cut_line = found, _lines_before(text, found, stop, len(lines))
-                pos = stop
-                continue
-            if char != "{" and char != "}":  # the run ended at the candidate at cut
-                pos = stop
-                continue
-            if char == "}":
-                expected = closers.pop() if closers else ""
-                if expected != "}":
-                    raise _bracket_error(expected, "}", len(lines) + 1)
-            elif closers or decl_start == len(tokens) or tokens[decl_start] != "func" or tokens[-1] in _BODYLESS:
-                closers.append("}")
-                if stop == body:  # the key left out the inside of no function body
-                    key = None
-            else:  # the body of a top-level function
-                append("{")
-                if stop != body:
-                    end = _skip_body(text, stop + 1)
-                    if end < 0:
-                        raise GoSyntaxError("unterminated function body", len(lines) + 1)
-                    if cut < end:  # the key holds this body, and the body candidates
-                        key = None
-                        found = _next_cut(text, end)
-                        cut, cut_line = found, _lines_before(text, found, stop, len(lines))
-                lines += [len(tokens)] * text.count("\n", stop, end)
-                append("}")
-                pos = end
-                continue
-            append(char)
-            pos = stop + 1
-    if tokens and tokens[-1] not in _NO_SEMI_AFTER:
-        append(";")
-    if first < len(tokens) and table is not None:  # a chunk was lexed last
-        clean = not closers and tokens[-1] == ";" and len(lines) < cut_line
-        events.append((first, None, key if clean else None))
-    append("")
-    return tokens
+        if stop == cut:  # the run ended at the candidate at cut, or at the end
+            if cut == size and tokens and tokens[-1] not in _NO_SEMI_AFTER:
+                append(";")
+            clean = not closers and bool(tokens) and tokens[-1] == ";"
+            if clean or cut == size:
+                return cut, holds and clean
+            holds = False
+            pos = cut
+            cut = _next_cut(text, cut)
+            continue
+        char = text[stop]
+        if char == "`" or char == "/":  # a literal holds the candidate at cut
+            holds = False
+            literal = _LITERAL_RE.match(text, stop)
+            # After a "/*" that never ends, no candidate is looked at.
+            cut = _next_cut(text, literal.end()) if literal else size
+            pos = stop
+            continue
+        if char == "}":
+            expected = closers.pop() if closers else ""
+            if expected != "}":
+                raise _bracket_error(expected, "}", len(lines) + 1)
+        elif closers or decl_start == len(tokens) or tokens[decl_start] != "func" or tokens[-1] in _BODYLESS:
+            closers.append("}")
+            if stop == body:  # the key left out the inside of no function body
+                holds = False
+        else:  # the body of a top-level function
+            append("{")
+            if stop != body:
+                end = _skip_body(text, stop + 1)
+                if end < 0:
+                    raise GoSyntaxError("unterminated function body", len(lines) + 1)
+                if cut < end:  # the body holds the candidate at cut
+                    holds = False
+                    cut = _next_cut(text, end)
+            lines += [len(tokens)] * text.count("\n", stop, end)
+            append("}")
+            pos = end
+            continue
+        append(char)
+        pos = stop + 1
 
 
 def _next_cut(text: str, pos: int) -> int:
     """The first candidate cut after pos, or the end of the text."""
     m = _CUT_RE.search(text, pos)
     return m.end() if m else len(text)
-
-
-def _lines_before(text: str, cut: int, pos: int, line: int) -> int:
-    """The count of newlines before cut, given line, the count before pos; or,
-    where cut is the end of the text, a count that no line reaches."""
-    return line + text.count("\n", pos, cut) if cut < len(text) else len(text) + 1
 
 
 def _next_stop(text: str, pos: int, limit: int) -> int:
@@ -474,9 +455,7 @@ def blank_literals(text: str) -> str:
     left is a "." token. The text must be one the lexer accepts; a leading
     byte order mark is dropped, as tokenize drops it.
     """
-    if text.startswith("﻿"):
-        text = text[1:]
-    return _BLANK_RE.sub(_blank, text)
+    return _BLANK_RE.sub(_blank, text.removeprefix("\ufeff"))
 
 
 @dataclass(frozen=True)

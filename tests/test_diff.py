@@ -9,7 +9,6 @@ from conftest import write_module
 from semverdiff.diff import (
     ADD_CONDITION,
     CATALOGUE,
-    CATALOGUE_SET,
     ChangeRecord,
     _FIELD_RULES,
     _RULES,
@@ -37,7 +36,7 @@ def _surfaces(tmp_path, old_files, new_files, module=MOD):
 
 def test_catalogue_has_forty_rows():
     assert len(CATALOGUE) == 40
-    assert len(CATALOGUE_SET) == 40
+    assert len(frozenset(CATALOGUE)) == 40
     categories = {c for c, _ in CATALOGUE}
     assert len(categories) == 14
 
@@ -51,7 +50,7 @@ def test_catalogue_fixture_exact_records(fixture, catalogue_corpus):
     got = [(r.category, r.condition, r.node) for r in records]
     assert got == sorted(fixture.expected, key=lambda e: (e[2], e[0], e[1]))
     assert all(r.breaking for r in records)
-    assert all((r.category, r.condition) in CATALOGUE_SET for r in records)
+    assert all((r.category, r.condition) in frozenset(CATALOGUE) for r in records)
 
 
 GOLDEN_RECORDS = Path(__file__).resolve().parent / "golden" / "catalogue_records.ndjson"
@@ -70,7 +69,7 @@ def test_catalogue_records_match_the_golden_file(catalogue_corpus):
 def test_rule_tables_use_catalogue_conditions():
     pairs = {(category, condition) for category, rules in _RULES.items() for condition, _ in rules}
     pairs |= {("Struct", condition) for condition, _ in _FIELD_RULES}
-    assert pairs <= CATALOGUE_SET
+    assert pairs <= frozenset(CATALOGUE)
     # Every object category has rules: in the table or in a method of its own.
     covered = set(_RULES) | {"Struct", "Interface", "Package", "TypeParam", "Category Change"}
     assert covered == {category for category, _ in CATALOGUE}

@@ -1476,6 +1476,22 @@ _CUT_CASES = {
         'package p\n\nimport x "a/x"\n\nvar V x.T\n',
         'package p\n\nimport x "b/x"\n\nvar V x.T\n',
     ),
+    "header-comment-holds-a-candidate": (
+        'package p\n\n/*\nfunc old() {}\n*/\n\nimport x "a/x"\n\nvar V x.T\n\nfunc F() {}\n',
+        'package p\n\n/*\nfunc old() {}\n*/\n\nimport x "a/x"\n\nvar V x.T\n\nfunc F() int {}\n',
+    ),
+    "body-after-a-declaration-holds-a-candidate": (
+        "package p\n\nvar A int; func F() {\nvar x int\n}\n\nvar B int\n",
+        "package p\n\nvar A string; func F() {\nvar x int\n}\n\nvar B int\n",
+    ),
+    "no-candidate": (
+        "package p; var A int",
+        "package p; var A int; var B int",
+    ),
+    "no-semicolon-at-the-end": (
+        "package p\n\nconst C = 1 +\n",
+        "package p\n\nconst C = 1 +\nvar D int\n",
+    ),
 }
 
 
@@ -1628,8 +1644,8 @@ class TestDeclMemo:
         "value,other", [("`\nfunc F() {}\n`", "`\nfunc F() {}\n`[0]"), ("/*\nfunc F() {}\n*/ 1", '/*\nfunc F() {}\n*/ "s"')]
     )
     def test_a_literal_across_a_candidate_after_a_chunk_found(self, value, other):
-        # Once A is found, each run ends at the next candidate, which here is
-        # inside the literal: S's chunk runs on through it and is not stored.
+        # Each run ends at the next candidate, which here is inside the
+        # literal: S's chunk runs on through it and is not stored.
         memo = DeclMemo()
         for v in (value, value, other, value):
             text = f"package p\n\nvar A int\n\nvar S = {v}\n"
