@@ -199,9 +199,8 @@ def impact_cmd(library_dir, upgrade_spec, client_dirs, fmt, output, exclude_dirs
         if not d.is_dir():
             raise click.UsageError(f"missing version checkout: {d}")
 
-    module_path = _module_path_of(str(old_dir))
-    old = extract_surface(old_dir, module_path, from_version, extra_excluded_dirs=exclude_dirs)
-    new = extract_surface(new_dir, module_path, to_version, extra_excluded_dirs=exclude_dirs)
+    old = _extract_dir(str(old_dir), from_version, exclude_dirs)
+    new = _extract_dir(str(new_dir), to_version, exclude_dirs)
     records = diff_surfaces(old, new)
     result = analyze_impact(records, list(client_dirs), old_surface=old)
 

@@ -2,28 +2,33 @@
 
 The tokenizer understands full Go lexing (strings, runes, comments, automatic
 semicolon insertion). A token is its text, which implies its kind; the last
-token, the end of the file, is "". The tokenizer first checks the whole file
+token, the end of the text lexed, is "". tokenize first checks the whole file
 for lexical errors with one bounded regex; that check is the one place a
-lexical error is raised. Then it lexes the text up to each brace outside a
-literal with one findall call, and one pass over those strings inserts
-semicolons, drops comments and tracks brackets, so that the body of each
-top-level function is skipped to its closing brace without building tokens. A
-closing bracket that does not match outside function bodies is a syntax error,
-as in Go. Lines are kept only for error messages. Import binding asks for the
-header only: tokens up to the first const, func, type or var keyword.
-blank_literals blanks the comments and literals of a file with one regex built
-from the lexer's sub-patterns, for scans that need no tokens. The parser
-itself only covers what an API surface needs: the package clause, imports, and
-top-level const/var/type/func declarations, including generic type
-parameters. One parser with one cursor reads each file: parameter,
-type-argument and type-parameter lists are parsed item by item where they
-stand, looking ahead only to tell a name from a type. Given a DeclMemo, the
-tokenizer walks the file chunk by chunk: a chunk runs from a newline before
-const, func, type or var at column 0 where the lexer is clean to the next
-one. It looks each chunk up by its text, the inside of a leading function body
-left out: a chunk met before under the same package path and header is
-neither lexed nor parsed, and its specs are reused. Each other chunk is lexed
-by one call of the lexer, which knows nothing of the memo.
+lexical error is raised. Then it lexes the header: the text up to the first
+candidate cut, a newline before const, func, type or var at column 0, where
+the lexer is clean (outside any literal and bracket, after a ";"), or the
+whole text if there is none. The lexer lexes the text up to each brace
+outside a literal with one findall call, and one pass over those strings
+inserts semicolons, drops comments and tracks brackets, so that the body of
+each top-level function is skipped to its closing brace without building
+tokens. A closing bracket that does not match outside function bodies is a
+syntax error, as in Go. Lines are kept only for error messages. Import
+binding parses the header's package clause and imports. blank_literals
+blanks the comments and literals of a file with one regex built from the
+lexer's sub-patterns, for scans that need no tokens. The parser itself only
+covers what an API surface needs: the package clause, imports, and top-level
+const/var/type/func declarations, including generic type parameters. One
+parser with one cursor reads each file: parameter, type-argument and
+type-parameter lists are parsed item by item where they stand, looking ahead
+only to tell a name from a type. parse_go_file parses the header, then walks
+the rest of the file chunk by chunk: a chunk runs from one clean cut to the
+next. It looks each chunk up in a DeclMemo by its text, the inside of a
+leading function body left out: a chunk met before under the same package
+path and header is neither lexed nor parsed, and its specs are reused. Each
+other chunk is lexed by one call of the lexer, which knows nothing of the
+memo. The chunks are parsed in order after the walk, and a lexical error in
+one is raised only if the chunks before it parse, so errors come in source
+order across chunks.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ class GoSyntaxError(ValueError):
 
     def __init__(self, message: str, line: int = 0):
         super().__init__(f"line {line}: {message}" if line else message)
+        self.message = message
         self.line = line
 
 
@@ -132,8 +138,7 @@ _CLOSING = frozenset(_CLOSERS.values())
 _GEN_DECL_KEYWORDS = frozenset({"const", "import", "type", "var"})
 # Keywords that start a top-level declaration other than a function.
 _DECL_KEYWORDS = _GEN_DECL_KEYWORDS | {"package"}
-# Keywords that end the import header of a file, and that start every
-# top-level declaration after it.
+# Keywords that start every top-level declaration after the imports.
 _HEADER_END_KEYWORDS = frozenset({"const", "func", "type", "var"})
 # A candidate cut between top-level declarations: a newline followed by one
 # of those keywords at column 0.
@@ -145,112 +150,67 @@ _NO_SEMI_AFTER = (frozenset(_OPERATORS) | GO_KEYWORDS) - _SEMI_AFTER
 # The tokens the lexer's pass acts on, besides comments and raw strings: a
 # newline, the "" that ends a run, brackets, ";" and declaration keywords.
 _LEXER_ACTS = frozenset({"\n", "", "(", "[", ")", "]", ";"}) | _DECL_KEYWORDS
-# The header is lexed as one run, braces included: no function body precedes
-# its end.
-_HEADER_LEXER_ACTS = _LEXER_ACTS | _HEADER_END_KEYWORDS | {"{", "}"}
 # The keywords before a brace that opens a type's body, not a function's.
 _BODYLESS = frozenset({"struct", "interface"})
 
 
 class _Tokens(list):
-    """Tokens, with lines: the index of the first token on each line after the
-    first; events: a (token index, specs, key) for each chunk after the header
-    (see tokenize); and table: the memo table of the file's scope, or None."""
+    """Tokens, ending with "", with lines: the index of the first token on
+    each line after the first; and end: where in the text the lexer stopped."""
 
-    __slots__ = ("lines", "events", "table")
+    __slots__ = ("lines", "end")
 
 
-def tokenize(text: str, memo: DeclMemo | None = None, package_path: str = "", *, imports_only: bool = False) -> list[str]:
-    """Lex Go source into tokens, applying the semicolon-insertion rule.
+def tokenize(text: str) -> _Tokens:
+    """Check the whole text for lexical errors, then lex its header.
 
-    The whole file is first checked for lexical errors, then lexed by _lex.
-    Given a memo, the text is lexed chunk by chunk. A candidate cut is a
-    newline followed by const, func, type or var at column 0; it is a cut if
-    the lexer is clean there: outside any literal and bracket, its last
-    token a ";". The header, the text before the first cut, is lexed first.
-    From a clean state a chunk's tokens follow from its text alone, so a
-    chunk the memo holds for the package path and the header text gets no
-    tokens, and its event holds its specs instead. Each other chunk is
-    lexed up to the next cut, and its event holds its key, or None where the
-    chunk cannot be stored (see _lex and _chunk). No run is dropped: each
-    byte outside function bodies is lexed at most once.
-
-    With imports_only, tokens are built one at a time, and only up to and
-    including the first const, func, type or var keyword, then the final "":
-    all that the package clause and the imports can be parsed from.
+    A candidate cut is a newline followed by const, func, type or var at
+    column 0; the header is the text up to the first one where the lexer
+    is clean (see _lex), or the whole text if there is none. A leading byte
+    order mark is dropped, and the tokens' end is an offset in the text
+    without it. From the clean state at the header's end, the tokens of each
+    chunk after it follow from the chunk's text alone (see parse_go_file).
     """
     text = text.removeprefix("\ufeff")
     _check_lexable(text)
-    tokens = _Tokens()
-    tokens.lines = []
-    events = tokens.events = []
-    tokens.table = None
-    size = len(text)
-    # One call lexes the header, or, without a memo, the whole text.
-    cut = size if memo is None or imports_only else _next_cut(text, 0)
-    pos, _ = _lex(text, 0, tokens, cut, header_only=imports_only)
-    if pos < size:
-        table, previous = memo.tables((package_path, text[:pos]))
-        tokens.table = table
-        while pos < size:
-            key, cut, body, end = _chunk(text, pos)
-            hit = table.get(key)
-            if hit is None and key in previous:
-                hit = table[key] = previous.pop(key)  # moved into this generation
-            if hit is None:
-                first = len(tokens)
-                pos, holds = _lex(text, pos, tokens, cut, body, end)
-                events.append((first, None, key if holds else None))
-            else:
-                events.append((len(tokens), hit, None))
-                tokens.lines += [len(tokens)] * text.count("\n", pos, cut)
-                pos = cut
-    tokens.append("")
-    return tokens
+    return _lex(text, 0, _next_cut(text, 0))[0]
 
 
-def _lex(
-    text: str, pos: int, tokens: _Tokens, cut: int, body: int = -1, end: int = -1, header_only: bool = False
-) -> tuple[int, bool]:
+def _lex(text: str, pos: int, cut: int, body: int = -1, end: int = -1) -> tuple[_Tokens, bool]:
     """Lex text from pos, where the lexer is clean, up to the first candidate
     cut at or after cut where it is clean again, or to the end of the text,
-    where a final ";" is inserted; return where it stopped and whether the
-    chunk's key holds.
+    where a final ";" is inserted; return the tokens and whether the chunk's
+    key holds.
 
-    The text up to each brace outside a literal, or to cut, is lexed with one
-    findall call. The braces of each top-level function body are kept and no
-    token between them is built. A closing bracket that does not match is a
-    GoSyntaxError; one left open at the end is left for the parser to
-    report. Every run ends at cut, so the lexer is checked for cleanliness
-    where a run stops. Where it is not clean at cut, or a literal or a
-    function body holds cut, cut moves on to the next candidate and the key
-    no longer holds. The key leaves out the inside of the function body
-    whose brace is at body and which ends at end (see _chunk); it no longer
-    holds if that brace opens no function body, and it holds at the end of
-    the text only if the lexer is clean there.
-
-    With header_only, tokens are built one at a time up to and including
-    the first const, func, type or var keyword, braces included.
+    The lexer is clean at a candidate if it is outside any literal and
+    bracket, and its last token is a ";". The text up to each brace outside
+    a literal, or to cut, is lexed with one findall call. The braces of each
+    top-level function body are kept and no token between them is built. A
+    closing bracket that does not match is a GoSyntaxError, its line counted
+    from the line of pos; one left open at the end is left for the parser
+    to report. Every run ends at cut, so the lexer is checked for
+    cleanliness where a run stops. Where it is not clean at cut, or a
+    literal or a function body holds cut, cut moves on to the next
+    candidate and the key no longer holds. The key leaves out the inside of
+    the function body whose brace is at body and which ends at end (see
+    _chunk); it no longer holds if that brace opens no function body, and
+    it holds at the end of the text only if the lexer is clean there.
     """
-    lines = tokens.lines
+    tokens = _Tokens()
+    lines = tokens.lines = []
     append = tokens.append
     findall = _TOKEN_RE.findall
-    acts = _HEADER_LEXER_ACTS if header_only else _LEXER_ACTS
+    acts = _LEXER_ACTS
     size = len(text)
     closers: list[str] = []  # expected closing brackets, innermost last
     # Index of the first token of the current top-level declaration: the token
     # after a ";" at bracket depth 0, or a const/import/package/type/var
     # keyword at depth 0, since the parser needs no ";" between declarations.
-    decl_start = len(tokens)
+    decl_start = 0
     holds = True
     while True:
-        if header_only:
-            stop = size
-            run = (m[1] for m in _TOKEN_RE.finditer(text))
-        else:
-            stop = body if pos < body else _next_stop(text, pos, cut)
-            run = findall(text, pos, stop)
-        for tok in run:
+        stop = body if pos < body else _next_stop(text, pos, cut)
+        for tok in findall(text, pos, stop):
             if tok in acts:
                 if tok == "\n":
                     newlines = 1
@@ -269,8 +229,6 @@ def _lex(
                         elif tok in _DECL_KEYWORDS:
                             decl_start = len(tokens)
                     append(tok)
-                    if header_only and tok in _HEADER_END_KEYWORDS:
-                        break  # the end of the header; no ";" follows it
                     continue
             elif tok[0] not in "/`":
                 append(tok)
@@ -293,7 +251,9 @@ def _lex(
                 append(";")
             clean = not closers and bool(tokens) and tokens[-1] == ";"
             if clean or cut == size:
-                return cut, holds and clean
+                tokens.end = cut
+                append("")
+                return tokens, holds and clean
             holds = False
             pos = cut
             cut = _next_cut(text, cut)
@@ -577,16 +537,19 @@ def _make_interface(methods: list[MethodSig], embeds: list[UnionTerm]) -> Interf
 
 class _Parser:
     def __init__(self, tokens: _Tokens, package_path: str):
+        self.package_path = package_path
+        self.import_map: dict[str, str] = {}
+        self.depth = 0  # type nesting of the type being parsed
+        self.read(tokens)
+
+    def read(self, tokens: _Tokens) -> None:
+        """Put the cursor on the first of tokens, whose lines count from the
+        line the lexer started on."""
         # A plain list, which indexes faster than its subclass, with one more
         # "" at the end, so that the token after the current one exists.
         self.toks = tokens + [""]
         self.lines = tokens.lines
-        self.events = tokens.events
-        self.table = tokens.table
         self.i = 0
-        self.package_path = package_path
-        self.import_map: dict[str, str] = {}
-        self.depth = 0  # type nesting of the type being parsed
 
     # -- cursor helpers ----------------------------------------------------
 
@@ -683,54 +646,38 @@ class _Parser:
 
     # -- file --------------------------------------------------------------
 
-    def _parse_package_clause(self) -> GoFile:
+    def parse_imports(self) -> GoFile:
+        """Parse the package clause and the import declarations after it."""
         self.skip_semis()
         if self.toks[self.i] != "package":
             raise self._error("missing package clause")
         self.i += 1
-        return GoFile(package_name=self.expect_ident())
-
-    def parse_file(self) -> GoFile:
-        """Parse the file. Each chunk the tokenizer found in the memo has its
-        specs added where it stood, and each chunk parsed to its end is
-        stored under its key, if it has one."""
-        gofile = self._parse_package_clause()
-        toks = self.toks
-        consts, vars_, types, funcs = gofile.consts, gofile.vars, gofile.types, gofile.funcs
-        add = {ConstSpec: consts.append, VarSpec: vars_.append, TypeSpec: types.append, FuncDecl: funcs.append}
-        events = self.events
-        e = 0  # index of the next event
-        at = events[0][0] if events else -1  # the token index of that event
-        key = starts = None  # the key of the chunk being parsed, and where its specs start
-        decls = False  # whether a const, var, type or func declaration came yet
+        gofile = GoFile(package_name=self.expect_ident())
         while True:
             self.skip_semis()
-            i = self.i
-            tok = toks[i]
-            # A chunk ends only where a declaration does, or at the end.
-            if key is not None and (i == at or not tok):
-                c, v, t, f = starts
-                self.table[key] = (*consts[c:], *vars_[v:], *types[t:], *funcs[f:])
-            while i == at:
-                _, hit, key = events[e]
-                if hit is not None:
-                    decls = True
-                    for spec in hit:
-                        add[spec.__class__](spec)
-                else:
-                    starts = len(consts), len(vars_), len(types), len(funcs)
-                e += 1
-                at = events[e][0] if e < len(events) else -1
-            if not tok:
+            if self.toks[self.i] != "import":
                 return gofile
+            self._parse_gen_decl("import", gofile)
+
+    def parse_file(self) -> GoFile:
+        """Parse the tokens as the start of a file, up to their end."""
+        gofile = self.parse_imports()
+        self.parse_decls(gofile)
+        return gofile
+
+    def parse_decls(self, gofile: GoFile) -> None:
+        """Parse const, func, type and var declarations into gofile, up to
+        the end of the tokens."""
+        toks = self.toks
+        while True:
+            self.skip_semis()
+            tok = toks[self.i]
+            if not tok:
+                return
             if tok == "import":
-                if decls:
-                    raise self._error("imports must appear before other declarations")
-                self._parse_gen_decl(tok, gofile)
-                continue
+                raise self._error("imports must appear before other declarations")
             if tok not in _HEADER_END_KEYWORDS:
                 raise self._error(f"unexpected token {tok!r} at top level")
-            decls = True
             self._parse_decl(tok, gofile)
 
     def _parse_decl(self, kw: str, gofile: GoFile) -> None:
@@ -1311,7 +1258,7 @@ class DeclMemo:
     """Top-level declaration chunks already parsed, so that one met again in
     another file is neither lexed nor parsed again.
 
-    Per scope, (package path, header text), each chunk's key (see tokenize)
+    Per scope, (package path, header text), each chunk's key (see _chunk)
     maps to the specs it gave, which are immutable and so are shared by every
     file that holds the chunk. The header holds every import a file may
     have, so it fixes the import map. Entries live in two generations:
@@ -1338,17 +1285,68 @@ class DeclMemo:
 
 def parse_go_file(text: str, package_path: str = "", *, memo: DeclMemo | None = None) -> GoFile:
     """Parse one source file at declaration level, reusing and adding to the
-    parses in memo if one is given; the result is the same either way."""
-    return _Parser(tokenize(text, memo, package_path), package_path).parse_file()
+    parses in memo if one is given; the result is the same either way.
+
+    The header (see tokenize) is parsed first, then the chunks after it in
+    turn (see _chunk). A chunk the memo holds for the package path and the
+    header text adds the specs it gave before; each other chunk is lexed
+    by one _lex call and parsed, and its specs are stored if its key holds.
+    Without a memo the tables are empty, so the walk is the same. A chunk's
+    lines count from its first; the lines before it are counted only if it
+    raises.
+    """
+    tokens = tokenize(text)
+    parser = _Parser(tokens, package_path)
+    gofile = parser.parse_file()
+    text = text.removeprefix("\ufeff")
+    pos = tokens.end
+    table, previous = memo.tables((package_path, text[:pos])) if memo else ({}, {})
+    # Every chunk is looked up, and lexed if the memo lacks it, before any is
+    # parsed: parsing each chunk right after lexing it made a cold parse
+    # slower (by about 8 % on the check-decls benchmark files, 2 vCPU x86_64,
+    # Python 3.11). A lexical error ends the walk and is raised only if the
+    # chunks before it parse, so errors come in source order.
+    chunks = []  # (start, specs found, tokens lexed, key if it holds)
+    error = None
+    while pos < len(text):
+        key, cut, body, end = _chunk(text, pos)
+        hit = table.get(key)
+        if hit is None and key in previous:
+            hit = table[key] = previous.pop(key)  # moved into this generation
+        if hit is not None:
+            chunks.append((pos, hit, None, None))
+            pos = cut
+            continue
+        try:
+            tokens, holds = _lex(text, pos, cut, body, end)
+        except GoSyntaxError as exc:
+            error = exc
+            break
+        chunks.append((pos, None, tokens, key if holds else None))
+        pos = tokens.end
+    consts, vars_, types, funcs = gofile.consts, gofile.vars, gofile.types, gofile.funcs
+    add = {ConstSpec: consts.append, VarSpec: vars_.append, TypeSpec: types.append, FuncDecl: funcs.append}
+    for start, hit, tokens, key in chunks:
+        if hit is not None:
+            for spec in hit:
+                add[spec.__class__](spec)
+            continue
+        c, v, t, f = len(consts), len(vars_), len(types), len(funcs)
+        try:
+            parser.read(tokens)
+            parser.parse_decls(gofile)
+        except GoSyntaxError as exc:
+            error, pos = exc, start
+            break
+        if key is not None:
+            table[key] = (*consts[c:], *vars_[v:], *types[t:], *funcs[f:])
+    if error is not None:
+        raise GoSyntaxError(error.message, error.line + text.count("\n", 0, pos)) from None
+    return gofile
 
 
 def parse_imports(text: str) -> list[ImportSpec]:
     """The imports of one source file. The whole file is checked for lexical
-    errors, so one anywhere in it is a GoSyntaxError; only the header is lexed."""
-    parser = _Parser(tokenize(text, imports_only=True), "")
-    gofile = parser._parse_package_clause()
-    while True:
-        parser.skip_semis()
-        if parser.toks[parser.i] != "import":
-            return gofile.imports
-        parser._parse_gen_decl("import", gofile)
+    errors, so one anywhere in it is a GoSyntaxError; only the header is
+    lexed, and a bracket in it that does not match is a GoSyntaxError too."""
+    return _Parser(tokenize(text), "").parse_imports().imports

@@ -4,9 +4,9 @@ Walks the module tree (minus filtered layout directories and nested modules),
 parses every non-test .go file at declaration level, and keeps the exported
 objects: top-level names, methods of exported named types, and the structural
 types behind them. A declaration unchanged since the previous extraction is
-neither lexed nor parsed again: the tokenizer finds it by its text in a memo
-that holds the declarations of the previous extraction and the current one,
-and its specs are reused.
+neither lexed nor parsed again: parse_go_file, walking the file chunk by
+chunk, finds it by its text in a memo that holds the declarations of the
+previous extraction and the current one, and its specs are reused.
 """
 
 from __future__ import annotations

@@ -95,6 +95,21 @@ class TestExtract:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and str(old / "go.mod") in err
 
+    @pytest.mark.parametrize("command", ["diff", "check", "impact"])
+    def test_module_path_change_is_input_error(self, tmp_path, capsys, command):
+        lib = tmp_path / "lib"
+        write_module(lib / "v1.0.0", "example.com/lib", {"lib.go": "package lib\n\nfunc F() {}\n"})
+        write_module(lib / "v1.1.0", "example.com/lib/v2", {"lib.go": "package lib\n\nfunc F() {}\n"})
+        old, new = lib / "v1.0.0", lib / "v1.1.0"
+        args = {
+            "diff": ["diff", str(old), str(new)],
+            "check": ["check", str(old), str(new), "--from", "v1.0.0", "--to", "v1.1.0"],
+            "impact": ["impact", "--library", str(lib), "--upgrade", "v1.0.0..v1.1.0", "--clients", str(tmp_path)],
+        }[command]
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        assert err == "error: module paths differ: example.com/lib vs example.com/lib/v2\n"
+
     def test_method_receiver_and_type_params(self, tmp_path, capsys):
         root = write_module(
             tmp_path / "g",

@@ -119,6 +119,13 @@ class TestBindImports:
         with pytest.raises(ParseFailure, match=r"^main.go: line 6: unexpected character '@'$"):
             bind_imports(_BODY_LEXING_ERROR, "main.go")
 
+    def test_misnesting_in_the_header_after_the_imports(self):
+        # The header runs to the first newline before a declaration keyword
+        # at column 0, so the var on the import's line is lexed with it.
+        src = 'package main\n\nimport "example.com/brklib"; var x = (]\n\nfunc main() {}\n'
+        with pytest.raises(ParseFailure, match=r"^main.go: line 3: expected '\)', found '\]'$"):
+            bind_imports(src, "main.go")
+
 
 class TestScanClient:
     def test_matches_equal_oracle_per_client(self, library_pair, client_roots):

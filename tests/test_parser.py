@@ -84,7 +84,7 @@ class TestTokenizer:
 
     def test_raw_string_spans_lines(self):
         src = "package p\n\nvar s = `line1\nline2`\nx"
-        assert tokenize(src)[-6:] == ["=", "`line1\nline2`", ";", "x", ";", ""]
+        assert _lexed(src)[-6:] == ["=", "`line1\nline2`", ";", "x", ";", ""]
         with pytest.raises(GoSyntaxError, match=r"^line 5: unexpected token 'x' at top level$"):
             parse_go_file(src, PKG)
 
@@ -101,7 +101,7 @@ class TestTokenizer:
 
     def test_a_token_is_its_text(self):
         src = "package p\nconst C = .5 + 1.e3i + 0x1p-2 + 0b1 &^= a...b // c\n"
-        assert tokenize(src) == [
+        assert _lexed(src) == [
             "package", "p", ";", "const", "C", "=", ".5", "+", "1.e3i", "+", "0x1p-2", "+", "0b1", "&^=",
             "a", "...", "b", ";", "",
         ]
@@ -754,7 +754,6 @@ _REFERENCE_TOKEN_RE = re.compile(
 )
 _REFERENCE_CLOSERS = {"(": ")", "[": "]", "{": "}"}
 _REFERENCE_DECL_KEYWORDS = frozenset({"const", "import", "package", "type", "var"})
-_REFERENCE_HEADER_END_KEYWORDS = frozenset({"const", "func", "type", "var"})
 
 
 class _Misnested(Exception):
@@ -769,7 +768,7 @@ def _reference_inserts_semi(tok: _Token) -> bool:
     return tok.kind == "op" and tok.text in (")", "]", "}", "++", "--")
 
 
-def _reference_lex(text: str, skip_bodies: bool, header_only: bool = False) -> list[_Token]:
+def _reference_lex(text: str, skip_bodies: bool) -> list[_Token]:
     tokens: list[_Token] = []
     append = tokens.append
     match = _REFERENCE_TOKEN_RE.match
@@ -804,9 +803,6 @@ def _reference_lex(text: str, skip_bodies: bool, header_only: bool = False) -> l
         if kind == "ident":
             if value in GO_KEYWORDS:
                 kind = "keyword"
-                if header_only and value in _REFERENCE_HEADER_END_KEYWORDS:
-                    append(_Token(kind, value, line))
-                    break
                 if skip_bodies and not closers and value in _REFERENCE_DECL_KEYWORDS:
                     decl_start = len(tokens)
         elif kind == "open":
@@ -846,24 +842,36 @@ def _reference_lex(text: str, skip_bodies: bool, header_only: bool = False) -> l
     return tokens
 
 
-def _reference_tokens(src: str, skip_bodies: bool = False, imports_only: bool = False) -> list[_Token]:
+def _reference_tokens(src: str, skip_bodies: bool = False) -> list[_Token]:
     """The reference tokens of src, a leading byte order mark dropped. By
     default every token, from the full lexer, which raises its own lexical
     errors. With skip_bodies, function bodies are skipped, and a file whose
     brackets do not nest raises _Misnested."""
-    return _reference_lex(src.removeprefix("\ufeff"), skip_bodies, imports_only)
+    return _reference_lex(src.removeprefix("\ufeff"), skip_bodies)
 
 
 def _as_tokens(reference: list[_Token]) -> _Tokens:
-    """Reference tokens as tokenize gives tokens without a memo: their texts,
-    with the index of the first token on each line after the first."""
+    """Reference tokens as the lexer gives tokens: their texts, with the
+    index of the first token on each line after the first."""
     tokens = _Tokens(t.text for t in reference)
     tokens.lines = []
     for k, tok in enumerate(reference):
         tokens.lines += [k] * (tok.line - (reference[k - 1].line if k else 1))
-    tokens.events = []
-    tokens.table = None
     return tokens
+
+
+def _lexed(src: str) -> list[str]:
+    """The token texts of the whole of src, as parse_go_file lexes them: the
+    header's from tokenize, then each chunk's from one _lex call."""
+    tokens = tokenize(src)
+    text = src.removeprefix("\ufeff")
+    texts, pos = tokens[:-1], tokens.end
+    while pos < len(text):
+        _, cut, body, end = parser_module._chunk(text, pos)
+        chunk, _ = parser_module._lex(text, pos, cut, body, end)
+        texts += chunk[:-1]
+        pos = chunk.end
+    return texts + [""]
 
 
 def _outcome(fn, src: str):
@@ -877,14 +885,18 @@ def _parse(src: str):
     return parse_go_file(src, PKG)
 
 
+def _spy(real, calls: list):
+    """real, recording the positional arguments of each call in calls."""
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    return spy
+
+
 def _imports_of(tokens: _Tokens):
-    parser = _Parser(tokens, "")
-    gofile = parser._parse_package_clause()
-    while True:
-        parser.skip_semis()
-        if parser.toks[parser.i] != "import":
-            return gofile.imports
-        parser._parse_gen_decl("import", gofile)
+    return _Parser(tokens, "").parse_imports().imports
 
 
 def _reference_parse(src: str):
@@ -901,20 +913,20 @@ def _reference_imports(src: str):
 
 
 def _assert_as_before(src: str) -> None:
-    """tokenize, parse_go_file and parse_imports against the reference lexer.
+    """The lexer, parse_go_file and parse_imports against the reference lexer.
 
     A lexical error is the reference's, everywhere. Where the brackets nest
-    outside function bodies, tokenize gives the reference's token texts, and
+    outside function bodies, the header and the chunks lexed as
+    parse_go_file lexes them give the reference's token texts, and
     parse_go_file what parsing the reference tokens gives, error strings and
-    their lines included; where they do not, parse_go_file raises. The
-    header's tokens and parse_imports are held to the reference's header the
-    same way, except that where its brackets do not nest, parse_imports may
-    also give what the reference's fallback to the whole file gives. Only an
-    input that some entry point rejects is lexed in full by the reference:
-    _check_lexable accepts what the full lexer accepts (see
-    _assert_check_agrees_with_lexer).
+    their lines included; where they do not, parse_go_file raises.
+    parse_imports gives the imports of every file parse_go_file accepts, and
+    raises only the error parse_go_file raises, since it parses what
+    parse_go_file parses first. Only an input that some entry point rejects
+    is lexed in full by the reference: _check_lexable accepts what the full
+    lexer accepts (see _assert_check_agrees_with_lexer).
     """
-    tokens = _outcome(tokenize, src)
+    tokens = _outcome(_lexed, src)
     parsed = _outcome(_parse, src)
     imports = _outcome(parse_imports, src)
     if isinstance(tokens, str) or isinstance(parsed, str) or isinstance(imports, str):
@@ -929,13 +941,10 @@ def _assert_as_before(src: str) -> None:
     else:
         assert tokens == [t.text for t in skipped], src
         assert parsed == _outcome(lambda _: _Parser(_as_tokens(skipped), PKG).parse_file(), src), src
-    try:
-        header = _reference_tokens(src, skip_bodies=True, imports_only=True)
-    except _Misnested:
-        assert isinstance(imports, str) or imports == _outcome(_reference_imports, src), src
-    else:
-        assert tokenize(src, imports_only=True) == [t.text for t in header], src
-        assert imports == _outcome(lambda _: _imports_of(_as_tokens(header)), src), src
+    if isinstance(imports, str):
+        assert imports == parsed, src
+    elif not isinstance(parsed, str):
+        assert imports == parsed.imports, src
 
 
 @st.composite
@@ -1077,7 +1086,7 @@ class TestSkipBodies:
 
     def test_body_tokens_are_not_built(self):
         src = "package p\n\nfunc F() {\n\tx := `a\nb`\n}\n\nvar V int\n"
-        assert tokenize(src) == [
+        assert _lexed(src) == [
             "package", "p", ";", "func", "F", "(", ")", "{", "}", ";", "var", "V", "int", ";", "",
         ]
         with pytest.raises(GoSyntaxError, match=r"^line 8: expected type, found '5'$"):
@@ -1085,7 +1094,7 @@ class TestSkipBodies:
 
     def test_function_literals_keep_their_tokens(self):
         src = "package p\n\nvar F = func() { x() }\n"
-        assert tokenize(src) == [t.text for t in _reference_tokens(src)]
+        assert _lexed(src) == [t.text for t in _reference_tokens(src)]
 
     def test_body_lexing_error_names_its_line(self):
         with pytest.raises(GoSyntaxError, match=r"^line 5: unexpected character '@'$"):
@@ -1160,13 +1169,26 @@ class TestImportsOnly:
         _assert_as_before(src)
         _assert_check_agrees_with_lexer(src)
 
-    def test_only_the_header_is_lexed(self):
+    def test_only_the_header_is_lexed(self, monkeypatch):
         src = 'package p\n\nimport (\n\t"a/b"\n\tc "c/d"\n)\n\nfunc F() { x() }\n\nvar V = 1\n'
-        header = tokenize(src, imports_only=True)
+        header = tokenize(src)
         full = [t.text for t in _reference_tokens(src)]
-        end = full.index("func") + 1
-        assert header == full[:end] + [""]
+        assert header == full[: full.index("func")] + [""]
+        assert header.end == src.index("func")
         assert str(_Parser(header, "")._error("end", len(header) - 1)) == "line 8: end"
+        lexed = []
+        monkeypatch.setattr(parser_module, "_lex", _spy(parser_module._lex, lexed))
+        assert parse_imports(src) == [ImportSpec("a/b"), ImportSpec("c/d", alias="c")]
+        assert [args[1] for args in lexed] == [0]
+
+    @pytest.mark.parametrize(
+        "src", ['package p; import "a/b"; func F() { x }', 'package p\n\nimport "a/b"\n\n func F() { x }\n\nvar V int\n']
+    )
+    def test_first_declaration_not_at_column_0(self, src):
+        # No candidate cut comes before the declaration, so the header runs
+        # on past it.
+        assert tokenize(src).end > src.index("func")
+        assert parse_imports(src) == [ImportSpec("a/b")] == parse_go_file(src, PKG).imports
 
     def test_lexical_error_after_the_imports_at_top_level(self):
         src = 'package p\n\nimport "a/b"\n\nvar x = 1\nvar y = $\n'
@@ -1195,7 +1217,8 @@ class TestImportsOnly:
         assert parse_imports(src) == [
             ImportSpec("a/b"), ImportSpec("c/d", alias="c"), ImportSpec("e", dot=True), ImportSpec("f", blank=True),
         ]
-        assert tokenize(src, imports_only=True) == [t.text for t in _reference_tokens(src)]
+        header = tokenize(src)
+        assert header == [t.text for t in _reference_tokens(src)] and header.end == len(src)
         with pytest.raises(GoSyntaxError, match=r"^line 5: unterminated import block$"):
             parse_imports('package p\n\nimport (\n\t"a/b"\n')
 
@@ -1299,6 +1322,18 @@ class TestErrorLines:
     def test_error_names_the_line_the_reference_names(self, case):
         src, error = _ERROR_LINES[case]
         assert _outcome(_parse, src) == f"GoSyntaxError: {error}" == _outcome(_reference_parse, src)
+
+    def test_errors_come_in_source_order_across_chunks(self):
+        # The header is parsed before the chunk with the "}" is lexed.
+        src = "x\n\nvar A int\n\nvar B = }\n"
+        for fn in (_parse, parse_imports):
+            with pytest.raises(GoSyntaxError, match=r"^line 1: missing package clause$"):
+                fn(src)
+        # A chunk's lexical error is raised only after the chunks before it parse.
+        with pytest.raises(GoSyntaxError, match=r"^line 3: expected type, found '5'$"):
+            _parse("package p\n\nvar A 5\n\nvar B = }\n")
+        with pytest.raises(GoSyntaxError, match=r"^line 5: unmatched '}'$"):
+            _parse("package p\n\nvar A int\n\nvar B = }\n")
 
     def test_header_error_names_the_line_the_reference_names(self):
         src = 'package p\n\n/* a\n*/\nimport (\n\t`a\nb`\n\t5\n)\n\nfunc F() {\n}\n'
@@ -1669,14 +1704,20 @@ class TestDeclMemo:
 
     def test_a_chunk_found_is_neither_lexed_nor_parsed(self, monkeypatch):
         src = "package p\n\nimport \"a/x\"\n\nvar V x.T\n\nfunc F() {\n\tg()\n}\n\ntype T struct{ A int }\n"
+        lexed, parsed = [], []
+        monkeypatch.setattr(parser_module, "_lex", _spy(parser_module._lex, lexed))
+        monkeypatch.setattr(_Parser, "_parse_decl", _spy(_Parser._parse_decl, parsed))
         memo = DeclMemo()
         cold = parse_go_file(src, PKG, memo=memo)
+        assert [args[1] for args in lexed] == [0] + [src.index(kw) for kw in ("var", "func", "type")]
+        assert [args[1] for args in parsed] == ["var", "func", "type"]
         memo.next_generation()
-        tokens = tokenize(src, memo, PKG)
-        assert tokens == ["package", "p", ";", "import", '"a/x"', ";", ""]
-        assert [hit for _, hit, _ in tokens.events] == [tuple(cold.vars), tuple(cold.funcs), tuple(cold.types)]
-        monkeypatch.setattr(_Parser, "_parse_decl", None)
-        assert parse_go_file(src, PKG, memo=memo) == cold
+        lexed.clear()
+        parsed.clear()
+        warm = parse_go_file(src, PKG, memo=memo)
+        assert [args[1] for args in lexed] == [0] and parsed == []
+        assert warm == cold
+        assert warm.vars[0] is cold.vars[0] and warm.funcs[0] is cold.funcs[0] and warm.types[0] is cold.types[0]
 
 
 def _bound_source(lines: int) -> str:
@@ -1695,11 +1736,17 @@ class TestChunkBound:
         assert len(src) > 1_900_000
         return src
 
-    def test_a_warm_parse_stays_linear(self, source):
+    def test_a_warm_parse_stays_linear(self, source, monkeypatch):
         memo = DeclMemo()
         parse_go_file(source, PKG, memo=memo)
         memo.next_generation()
-        assert [(hit, key) for _, hit, key in tokenize(source, memo, PKG).events] == [(None, None)]
+        with monkeypatch.context() as m:
+            lexed = []
+            m.setattr(parser_module, "_lex", _spy(parser_module._lex, lexed))
+            parse_go_file(source, PKG, memo=memo)
+        # The header, then one chunk that is never clean, and so never stored.
+        assert [args[1] for args in lexed] == [0, source.index("var")]
+        assert memo.current == {(PKG, "package p\n\n"): {}}
         times = {None: [], memo: []}
         for _ in range(3):
             for use in times:

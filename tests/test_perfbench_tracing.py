@@ -25,11 +25,11 @@ def test_every_traced_entry_point_exists(monkeypatch):
 
 
 def test_lexing_goes_through_the_traced_names(monkeypatch):
-    """Declaration parsing lexes through `parser.tokenize` (text, memo and
-    package path), import binding lexes the header through
-    `parser.tokenize` with imports_only, and
-    matching blanks literals through `impact.tokenize`, so the traced run
-    reports lexing and scanning as lexing and not as parse or match time."""
+    """Declaration parsing and import binding each check the file and lex
+    its header through one `parser.tokenize` call on the text, and matching
+    blanks literals through `impact.tokenize`, so the traced run reports
+    them as lexing and not as parse, bind or match time. Declaration parsing
+    lexes each chunk after the header under the traced parse."""
     calls = []
 
     def spy_on(real):
@@ -44,20 +44,21 @@ def test_lexing_goes_through_the_traced_names(monkeypatch):
     src = fx.CLIENTS["client-default"]["main.go"]
 
     parser.parse_go_file(src, "example.com/client")
-    assert calls == [(3, {})]
+    assert calls == [(1, {})]
     calls.clear()
     binding = impact.bind_imports(src, "main.go")
-    assert calls == [(1, {"imports_only": True})]
+    assert calls == [(1, {})]
     calls.clear()
     impact._match_file("main.go", src, binding, {}, "example.com/client", None)
     assert calls == [(1, {})]
 
 
 def test_memo_hits_stay_under_the_traced_parse(monkeypatch, tmp_path):
-    """Declarations are looked up in the memo inside `parser.tokenize`,
-    called once per file by `surface.parse_go_file`, so a hit counts as
-    lexing time, `parser.tokenize.calls_per_file` stays 1.0, and a module
-    whose declarations all hit is parsed without parsing any of them."""
+    """Declarations are looked up in the memo inside
+    `surface.parse_go_file`, which calls `parser.tokenize` once per file,
+    so a hit counts as parse time, `parser.tokenize.calls_per_file` stays
+    1.0, and a module whose declarations all hit is parsed without parsing
+    any of them."""
     files = {**fx.LIBRARY_OLD, "b.go": "package brklib\n\nconst C = 1\n", "sub/s.go": "package sub\n\nvar V struct{ A int }\n"}
     write_module(tmp_path, "example.com/lib", files)
     surface.extract_surface(tmp_path, "example.com/lib")
