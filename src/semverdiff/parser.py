@@ -22,13 +22,13 @@ parser with one cursor reads each file: parameter, type-argument and
 type-parameter lists are parsed item by item where they stand, looking ahead
 only to tell a name from a type. parse_go_file parses the header, then walks
 the rest of the file chunk by chunk: a chunk runs from one clean cut to the
-next. It looks each chunk up in a DeclMemo by its text, the inside of a
-leading function body left out: a chunk met before under the same package
-path and header is neither lexed nor parsed, and its specs are reused. Each
-other chunk is lexed by one call of the lexer, which knows nothing of the
-memo. The chunks are parsed in order after the walk, and a lexical error in
-one is raised only if the chunks before it parse, so errors come in source
-order across chunks.
+next. It looks each chunk up in a DeclMemo by its whole text, up to the
+next candidate: a chunk met before under the same package path and header
+is neither lexed nor parsed, and no function body in it is scanned; its
+specs are reused. Each other chunk is lexed by one call of the lexer, which
+knows nothing of the memo. The chunks are parsed in order after the walk,
+and a lexical error in one is raised only if the chunks before it parse, so
+errors come in source order across chunks.
 """
 
 from __future__ import annotations
@@ -176,11 +176,11 @@ def tokenize(text: str) -> _Tokens:
     return _lex(text, 0, _next_cut(text, 0))[0]
 
 
-def _lex(text: str, pos: int, cut: int, body: int = -1, end: int = -1) -> tuple[_Tokens, bool]:
+def _lex(text: str, pos: int, cut: int) -> tuple[_Tokens, bool]:
     """Lex text from pos, where the lexer is clean, up to the first candidate
     cut at or after cut where it is clean again, or to the end of the text,
     where a final ";" is inserted; return the tokens and whether the chunk's
-    key holds.
+    key, its text from pos to cut, holds.
 
     The lexer is clean at a candidate if it is outside any literal and
     bracket, and its last token is a ";". The text up to each brace outside
@@ -191,10 +191,8 @@ def _lex(text: str, pos: int, cut: int, body: int = -1, end: int = -1) -> tuple[
     to report. Every run ends at cut, so the lexer is checked for
     cleanliness where a run stops. Where it is not clean at cut, or a
     literal or a function body holds cut, cut moves on to the next
-    candidate and the key no longer holds. The key leaves out the inside of
-    the function body whose brace is at body and which ends at end (see
-    _chunk); it no longer holds if that brace opens no function body, and
-    it holds at the end of the text only if the lexer is clean there.
+    candidate and the key no longer holds. At the end of the text it holds
+    only if the lexer is clean there.
     """
     tokens = _Tokens()
     lines = tokens.lines = []
@@ -209,7 +207,7 @@ def _lex(text: str, pos: int, cut: int, body: int = -1, end: int = -1) -> tuple[
     decl_start = 0
     holds = True
     while True:
-        stop = body if pos < body else _next_stop(text, pos, cut)
+        stop = _next_stop(text, pos, cut)
         for tok in findall(text, pos, stop):
             if tok in acts:
                 if tok == "\n":
@@ -272,17 +270,14 @@ def _lex(text: str, pos: int, cut: int, body: int = -1, end: int = -1) -> tuple[
                 raise _bracket_error(expected, "}", len(lines) + 1)
         elif closers or decl_start == len(tokens) or tokens[decl_start] != "func" or tokens[-1] in _BODYLESS:
             closers.append("}")
-            if stop == body:  # the key left out the inside of no function body
-                holds = False
         else:  # the body of a top-level function
             append("{")
-            if stop != body:
-                end = _skip_body(text, stop + 1)
-                if end < 0:
-                    raise GoSyntaxError("unterminated function body", len(lines) + 1)
-                if cut < end:  # the body holds the candidate at cut
-                    holds = False
-                    cut = _next_cut(text, end)
+            end = _skip_body(text, stop + 1)
+            if end < 0:
+                raise GoSyntaxError("unterminated function body", len(lines) + 1)
+            if cut < end:  # the body holds the candidate at cut
+                holds = False
+                cut = _next_cut(text, end)
             lines += [len(tokens)] * text.count("\n", stop, end)
             append("}")
             pos = end
@@ -311,36 +306,6 @@ def _next_stop(text: str, pos: int, limit: int) -> int:
                 return end
             end += 1  # a "/*" that never ends lexes as "/" and "*"
         pos = end
-
-
-def _chunk(text: str, pos: int) -> tuple[str | None, int, int, int]:
-    """The key of the chunk at the cut pos, where it ends, and the brace and
-    end of the function body its key leaves out (-1 for none).
-
-    A chunk runs to the next candidate cut, and its key is its text. But if
-    it starts with func and has a brace before that candidate, the key
-    leaves out the inside of the body that brace opens, and the chunk runs
-    to the first candidate after that body, or has no key if the body never
-    closes. The brace need not open the body: a key whose brace opened none
-    is never stored, and so never found.
-    """
-    if text.startswith("func", pos):
-        # A brace on the first line comes before any candidate, so the search
-        # for the next one can start after the body.
-        first_line = text.find("\n", pos)
-        brace = _next_stop(text, pos, first_line) if first_line > 0 else -1
-        if brace < 0 or text[brace] != "{":
-            cut = _next_cut(text, pos)
-            brace = _next_stop(text, pos, cut)
-            if brace == cut or text[brace] != "{":
-                return text[pos:cut], cut, -1, -1
-        end = _skip_body(text, brace + 1)
-        if end < 0:
-            return None, len(text), -1, -1
-        cut = _next_cut(text, end)
-        return text[pos : brace + 1] + text[end:cut], cut, brace, end
-    cut = _next_cut(text, pos)
-    return text[pos:cut], cut, -1, -1
 
 
 def _bracket_error(expected: str, tok: str, line: int) -> GoSyntaxError:
@@ -1258,10 +1223,11 @@ class DeclMemo:
     """Top-level declaration chunks already parsed, so that one met again in
     another file is neither lexed nor parsed again.
 
-    Per scope, (package path, header text), each chunk's key (see _chunk)
-    maps to the specs it gave, which are immutable and so are shared by every
-    file that holds the chunk. The header holds every import a file may
-    have, so it fixes the import map. Entries live in two generations:
+    Per scope, (package path, header text), each chunk's key, its whole
+    text up to the next candidate cut (see parse_go_file), maps to the specs
+    it gave, which are immutable and so are shared by every file that holds
+    the chunk. The header holds every import a file may have, so it fixes
+    the import map. Entries live in two generations:
     next_generation drops the older one, and a hit in the previous
     generation moves into the current one, so a declaration kept through a
     chain of versions keeps hitting while the memo holds at most two
@@ -1288,9 +1254,13 @@ def parse_go_file(text: str, package_path: str = "", *, memo: DeclMemo | None = 
     parses in memo if one is given; the result is the same either way.
 
     The header (see tokenize) is parsed first, then the chunks after it in
-    turn (see _chunk). A chunk the memo holds for the package path and the
-    header text adds the specs it gave before; each other chunk is lexed
-    by one _lex call and parsed, and its specs are stored if its key holds.
+    turn. A chunk's key is its text up to the next candidate cut. A chunk
+    the memo holds for the package path and the header text adds the specs
+    it gave before. Each other chunk is lexed by one _lex call and parsed,
+    and its specs are stored only if _lex stopped clean at that candidate,
+    or clean at the end of the text. Lexing the same text from the same
+    clean state stops clean at the same place, so a key found ends where
+    its chunk would.
     Without a memo the tables are empty, so the walk is the same. A chunk's
     lines count from its first; the lines before it are counted only if it
     raises.
@@ -1309,7 +1279,8 @@ def parse_go_file(text: str, package_path: str = "", *, memo: DeclMemo | None = 
     chunks = []  # (start, specs found, tokens lexed, key if it holds)
     error = None
     while pos < len(text):
-        key, cut, body, end = _chunk(text, pos)
+        cut = _next_cut(text, pos)
+        key = text[pos:cut]
         hit = table.get(key)
         if hit is None and key in previous:
             hit = table[key] = previous.pop(key)  # moved into this generation
@@ -1318,7 +1289,7 @@ def parse_go_file(text: str, package_path: str = "", *, memo: DeclMemo | None = 
             pos = cut
             continue
         try:
-            tokens, holds = _lex(text, pos, cut, body, end)
+            tokens, holds = _lex(text, pos, cut)
         except GoSyntaxError as exc:
             error = exc
             break

@@ -867,8 +867,7 @@ def _lexed(src: str) -> list[str]:
     text = src.removeprefix("\ufeff")
     texts, pos = tokens[:-1], tokens.end
     while pos < len(text):
-        _, cut, body, end = parser_module._chunk(text, pos)
-        chunk, _ = parser_module._lex(text, pos, cut, body, end)
+        chunk, _ = parser_module._lex(text, pos, parser_module._next_cut(text, pos))
         texts += chunk[:-1]
         pos = chunk.end
     return texts + [""]
@@ -1527,6 +1526,19 @@ _CUT_CASES = {
         "package p\n\nconst C = 1 +\n",
         "package p\n\nconst C = 1 +\nvar D int\n",
     ),
+    # A key that left F's body out would read "func F() {\n": the whole text
+    # of the after's first chunk, whose "[" is inside F's body. Keys of two
+    # kinds in one table would collide here.
+    "body-text-is-another-chunk": (
+        "package p\n\nfunc F() {}\n",
+        "package p\n\nfunc F() {\nconst [}\n",
+    ),
+    # The before's last chunk ends unclean, so it is not stored: found, it
+    # would end at the candidate and declare y.
+    "unclean-end-of-the-file": (
+        "package p\n\nvar x = 1 +\n",
+        "package p\n\nvar x = 1 +\nvar y int\n",
+    ),
 }
 
 
@@ -1697,25 +1709,28 @@ class TestDeclMemo:
         assert warm.vars[0] is not cold.vars[0]
         assert warm.funcs[0] is cold.funcs[0] and warm.vars[1] is cold.vars[1]
 
-    def test_an_edited_body_still_hits(self):
+    def test_an_edited_body_misses_only_its_own_chunk(self):
         src = "package p\n\nfunc F() int {\n\treturn 1\n}\n\nfunc G() {}\n"
         warm, cold = _warm_and_cold(src, src.replace("return 1", "x := 2\n\treturn x"))
-        assert warm.funcs[0] is cold.funcs[0] and warm.funcs[1] is cold.funcs[1]
+        assert warm.funcs[0] == cold.funcs[0] and warm.funcs[1] is cold.funcs[1]
 
     def test_a_chunk_found_is_neither_lexed_nor_parsed(self, monkeypatch):
         src = "package p\n\nimport \"a/x\"\n\nvar V x.T\n\nfunc F() {\n\tg()\n}\n\ntype T struct{ A int }\n"
-        lexed, parsed = [], []
+        lexed, parsed, scanned = [], [], []
         monkeypatch.setattr(parser_module, "_lex", _spy(parser_module._lex, lexed))
         monkeypatch.setattr(_Parser, "_parse_decl", _spy(_Parser._parse_decl, parsed))
+        monkeypatch.setattr(parser_module, "_skip_body", _spy(parser_module._skip_body, scanned))
         memo = DeclMemo()
         cold = parse_go_file(src, PKG, memo=memo)
         assert [args[1] for args in lexed] == [0] + [src.index(kw) for kw in ("var", "func", "type")]
         assert [args[1] for args in parsed] == ["var", "func", "type"]
+        assert [args[1] for args in scanned] == [src.index("{\n\tg") + 1]
         memo.next_generation()
         lexed.clear()
         parsed.clear()
+        scanned.clear()
         warm = parse_go_file(src, PKG, memo=memo)
-        assert [args[1] for args in lexed] == [0] and parsed == []
+        assert [args[1] for args in lexed] == [0] and parsed == [] and scanned == []
         assert warm == cold
         assert warm.vars[0] is cold.vars[0] and warm.funcs[0] is cold.funcs[0] and warm.types[0] is cold.types[0]
 
