@@ -3,8 +3,9 @@
 The tokenizer understands full Go lexing (strings, runes, comments, automatic
 semicolon insertion). A token is its text, which implies its kind; the last
 token, the end of the text lexed, is "". tokenize first checks the whole file
-for lexical errors with one bounded regex; that check is the one place a
-lexical error is raised. Then it lexes the header: the text up to the first
+for lexical errors with one possessive regex; that check is the one place a
+lexical error is raised. As in go/scanner, a "/*" that never ends is an
+error at its line. Then it lexes the header: the text up to the first
 candidate cut, a newline before const, func, type or var at column 0, where
 the lexer is clean (outside any literal and bracket, after a ";"), or the
 whole text if there is none. The lexer lexes the text up to each brace
@@ -81,13 +82,13 @@ PREDECLARED_TYPES = frozenset(
 )
 
 # Sub-patterns the token, body and blanking regexes share: inside the first
-# five a brace is text, not a bracket. A string or rune is unrolled, so sre
-# keeps no backtracking state for the characters between escapes.
+# five a brace is text, not a bracket. A string or rune is unrolled and
+# possessive, so sre keeps no backtracking state for its characters or escapes.
 _COMMENT_LINE = r"//[^\n]*"
 _COMMENT_BLOCK = r"/\*(?s:.*?)\*/"
 _RAW_STRING = r"`[^`]*`"
-_STRING = r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"'
-_RUNE = r"'[^'\\\n]*(?:\\.[^'\\\n]*)*'"
+_STRING = r'"[^"\\\n]*+(?:\\.[^"\\\n]*+)*+"'
+_RUNE = r"'[^'\\\n]*+(?:\\.[^'\\\n]*+)*+'"
 _LITERAL = f"{_COMMENT_LINE}|{_COMMENT_BLOCK}|{_RAW_STRING}|{_STRING}|{_RUNE}"
 _FLOAT = (
     r"(?:\d[\d_]*\.[\d_]*(?:[eE][+-]?\d[\d_]*)?|\.\d[\d_]*(?:[eE][+-]?\d[\d_]*)?"
@@ -117,19 +118,18 @@ _INT_RE = re.compile(_INT)
 # Text up to the next brace: runs of characters that can start no string,
 # comment or brace, each string, rune and comment, and a "/" that starts no
 # block comment. It scans only text _check_lexable accepted, so it validates
-# nothing: a match ends at a brace, at the end of the text scanned, at the
-# repeat bound, or at a "/*" or "`" whose literal does not end in the text
-# scanned: one a scan up to a limit cuts (block comments and raw strings are
-# the only literals that span lines), or a "/*" that never ends.
-_BODY_RE = re.compile(rf"(?:[^{{}}\"'`/]+|{_LITERAL}|/(?!\*)){{0,1024}}")
+# nothing: a match ends at a brace, at the end of the text scanned, or at a
+# "/*" or "`" whose literal a scan up to a limit cuts (block comments and raw
+# strings are the only literals that span lines). Its repeats are possessive,
+# so sre keeps no backtracking state for them and one match may run over a
+# whole file.
+_BODY_RE = re.compile(rf"(?:[^{{}}\"'`/]++|{_LITERAL}|/(?!\*))*+")
 _LITERAL_RE = re.compile(_LITERAL)
 
 # The text the lexer accepts: the same alternatives, with every character the
 # lexer accepts outside a literal in the run class. A match ends where the
-# lexer would fail. Both repeats are bounded because sre keeps backtracking
-# state for every iteration of a repeated group, so an unbounded one would
-# grow with the file; the callers match again where a match ends.
-_LEXABLE_RE = re.compile(rf"(?:[\w \t\r\n+\-*%&|^<>=!:;,.()\[\]{{}}~]+|{_LITERAL}|/){{1,1024}}")
+# lexer would fail: a "/*" that never ends is no "/", as in go/scanner.
+_LEXABLE_RE = re.compile(rf"(?:[\w \t\r\n+\-*%&|^<>=!:;,.()\[\]{{}}~]++|{_LITERAL}|/(?!\*))*+")
 
 _CLOSERS = {"(": ")", "[": "]", "{": "}"}
 _OPENING = frozenset(_CLOSERS)
@@ -198,6 +198,7 @@ def _lex(text: str, pos: int, cut: int) -> tuple[_Tokens, bool]:
     lines = tokens.lines = []
     append = tokens.append
     findall = _TOKEN_RE.findall
+    scan = _BODY_RE.match
     acts = _LEXER_ACTS
     size = len(text)
     closers: list[str] = []  # expected closing brackets, innermost last
@@ -207,7 +208,9 @@ def _lex(text: str, pos: int, cut: int) -> tuple[_Tokens, bool]:
     decl_start = 0
     holds = True
     while True:
-        stop = _next_stop(text, pos, cut)
+        # The first brace outside a literal; or cut, if none comes before it;
+        # or the start of a block comment or raw string that holds cut.
+        stop = scan(text, pos, cut).end()
         for tok in findall(text, pos, stop):
             if tok in acts:
                 if tok == "\n":
@@ -259,9 +262,7 @@ def _lex(text: str, pos: int, cut: int) -> tuple[_Tokens, bool]:
         char = text[stop]
         if char == "`" or char == "/":  # a literal holds the candidate at cut
             holds = False
-            literal = _LITERAL_RE.match(text, stop)
-            # After a "/*" that never ends, no candidate is looked at.
-            cut = _next_cut(text, literal.end()) if literal else size
+            cut = _next_cut(text, _LITERAL_RE.match(text, stop).end())
             pos = stop
             continue
         if char == "}":
@@ -292,22 +293,6 @@ def _next_cut(text: str, pos: int) -> int:
     return m.end() if m else len(text)
 
 
-def _next_stop(text: str, pos: int, limit: int) -> int:
-    """The first brace outside a literal at or after pos; or limit, if no
-    brace comes before it; or, if limit is not the end of the text, the start
-    of a block comment or raw string that does not end before limit."""
-    scan = _BODY_RE.match
-    while True:
-        end = scan(text, pos, limit).end()
-        if end == limit or text[end] in "{}":
-            return end
-        if end == pos:
-            if limit < len(text):
-                return end
-            end += 1  # a "/*" that never ends lexes as "/" and "*"
-        pos = end
-
-
 def _bracket_error(expected: str, tok: str, line: int) -> GoSyntaxError:
     return GoSyntaxError(f"expected {expected!r}, found {tok!r}" if expected else f"unmatched {tok!r}", line)
 
@@ -317,17 +302,15 @@ def _check_lexable(text: str) -> None:
 
     As in go/scanner, a NUL or a byte order mark is illegal anywhere, even
     in a comment or literal; text is what follows an optional leading byte
-    order mark. Of two errors, the one that starts first is raised.
+    order mark. Of two errors, the one that starts first is raised; a block
+    comment that never ends is an error at its "/*".
     """
-    match = _LEXABLE_RE.match
     size = len(text)
     illegal = min(k for k in (text.find("\x00"), text.find("\ufeff"), size) if k >= 0)
-    pos = 0
-    while pos < illegal:
-        m = match(text, pos)
-        if m is None:
-            raise GoSyntaxError(f"unexpected character {text[pos]!r}", text.count("\n", 0, pos) + 1)
-        pos = m.end()
+    end = _LEXABLE_RE.match(text).end()
+    if end < illegal:
+        what = "comment not terminated" if text.startswith("/*", end) else f"unexpected character {text[end]!r}"
+        raise GoSyntaxError(what, text.count("\n", 0, end) + 1)
     if illegal < size:
         what = "character NUL" if text[illegal] == "\x00" else "byte order mark"
         raise GoSyntaxError(f"illegal {what}", text.count("\n", 0, illegal) + 1)
@@ -347,12 +330,9 @@ def _skip_body(text: str, pos: int) -> int:
             depth -= 1
             if depth == 0:
                 return end + 1
-        elif not char:
+        else:
             return -1
-        elif end > pos:  # the scan stopped at its bound
-            pos = end
-            continue
-        pos = end + 1  # past a brace, or a "/*" that never ends: "/" and "*"
+        pos = end + 1
 
 
 # Each comment, string, rune, number and "..." token, split as the lexer

@@ -725,7 +725,8 @@ _HOSTILE = (
 #
 # The lexer as it was while a token was a named tuple: one named-group match
 # per token, with its kind and line; bodies skipped only where the brackets
-# nest outside them, and the file lexed again in full where they do not.
+# nest outside them, and the file lexed again in full where they do not. As in
+# go/scanner, a "/*" that never ends is an error, not the ops "/" and "*".
 
 
 class _Token(NamedTuple):
@@ -787,6 +788,8 @@ def _reference_lex(text: str, skip_bodies: bool) -> list[_Token]:
         if m is None:
             raise GoSyntaxError(f"unexpected character {text[pos]!r}", line)
         kind = m.lastgroup or ""
+        if kind == "op" and text.startswith("/*", pos):  # go/scanner: no "/" starts a comment
+            raise GoSyntaxError("comment not terminated", line)
         value = m.group()
         pos = m.end()
         if kind == "ws" or kind == "comment_line":
@@ -1144,10 +1147,11 @@ def _header_mutants(draw) -> str:
 
 
 def _string_heavy_file(size: int) -> str:
-    """A file whose bytes past its imports are nearly all literals and comments."""
+    """A file whose bytes past its imports are nearly all literals and
+    comments, in one function body, followed by one declaration."""
     line = '\t"a string \\"with\\" escapes", `raw {}`, \'x\', /* c */ // {{ }}\n'
     lines = [line] * (size // len(line))
-    return 'package p\n\nimport "a/b"\n\nvar S = []string{\n' + "".join(lines) + "}\n"
+    return 'package p\n\nimport "a/b"\n\nfunc F() {\n\t_ = []string{\n' + "".join(lines) + "\t}\n}\n\nvar V int\n"
 
 
 class TestImportsOnly:
@@ -1228,13 +1232,21 @@ class TestImportsOnly:
             parse_imports(src)
         _assert_as_before(src)
 
-    def test_unterminated_block_comment_after_the_imports(self):
-        # The lexer reads an unclosed "/*" as the ops "/" and "*".
-        src = 'package p\n\nimport "a/b"\n\n/* never closed\nfunc F() {}\n'
-        assert parse_imports(src) == [ImportSpec("a/b")]
-        with pytest.raises(GoSyntaxError, match=r"^line 7: unexpected character '#'$"):
-            parse_imports(src + "# x\n")
-        _assert_as_before(src)
+    def test_unterminated_block_comment_is_an_error_at_its_line(self):
+        # As in go/scanner, the error is at the "/*", wherever the comment
+        # starts and whatever it holds.
+        cases = [
+            ('package p /* never closed\n\nimport "a/b"\n', 1),  # in the header
+            ('package p\n\nimport "a/b"\n\nvar A int\n\nvar B = 1 /* x\n\nfunc F() {}\n', 7),  # in a chunk
+            ("package p\n\nfunc F() {\n\tx := 1 /* }\n}\n\nfunc G() {}\n", 4),  # in a function body
+            ("package p\n\nvar A int\n/*", 4),  # the last bytes of the file
+            ("package p\n\nvar A int\n\n/* a \x00 b\n", 5),  # before an illegal character
+        ]
+        for src, line in cases:
+            for fn in (tokenize, _parse, parse_imports, _reference_tokens):
+                assert _outcome(fn, src) == f"GoSyntaxError: line {line}: comment not terminated", (fn, src)
+            _assert_as_before(src)
+            _assert_check_agrees_with_lexer(src)
 
     def test_multi_line_raw_string_before_the_error_line(self):
         src = 'package p\n\nimport "a/b"\n\nvar s = `one\ntwo\nthree`\nvar t = ?\n'
@@ -1253,8 +1265,16 @@ class TestImportsOnly:
             tracemalloc.stop()
         assert imports == [ImportSpec("a/b")]
         assert peak < 8_000_000
-        with pytest.raises(GoSyntaxError, match=r"^line \d+: unexpected character '@'$"):
-            parse_imports(src[:-2] + "@}\n")
+        # One scan runs over the body's 32,000 lines; the declaration after
+        # it is found, and an error after them is at its line.
+        gofile = parse_go_file(src, PKG)
+        assert [f.name for f in gofile.funcs] == ["F"] and [v.name for v in gofile.vars] == ["V"]
+        bad = src.replace("\t}\n}\n", "\t}\n@}\n")
+        line = bad.count("\n", 0, bad.index("@")) + 1
+        assert line > 32_000
+        for fn in (tokenize, _parse, parse_imports):
+            with pytest.raises(GoSyntaxError, match=rf"^line {line}: unexpected character '@'$"):
+                fn(bad)
 
 
 class TestIllegalCharacters:
@@ -1287,6 +1307,7 @@ class TestIllegalCharacters:
 _LONG_LITERALS = {
     "string": 'package p\n\nimport "a/b"\n\nvar S = "' + "x" * 2_000_000 + '"\n',
     "raw-string": 'package p\n\nimport "a/b"\n\nvar R = `' + ("x" * 99 + "\n") * 20_000 + '`\n',
+    "escapes": 'package p\n\nimport "a/b"\n\nvar S = "' + "\\n" * 1_000_000 + '"\n',
 }
 
 
