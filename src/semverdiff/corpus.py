@@ -25,7 +25,7 @@ from .manifest import (
     extract_edges,
     parse_manifest,
 )
-from .surface import ApiSurface, SurfaceEmpty, extract_surface
+from .surface import ApiSurface, SurfaceEmpty, _drop_declarations, extract_surface
 from .versions import (
     NON_MAJOR_LEVELS,
     InvalidVersion,
@@ -296,6 +296,7 @@ def analyze_corpus(root: str | Path, *, include_prerelease: bool = False) -> Cor
     """
     entries = ingest_corpus(root)
     surfaces = validate_corpus(entries)
+    _drop_declarations()  # the last extraction is done
     graph = build_graph(entries)
 
     tpl_modules = {m for (m, _v), role in graph.roles.items() if role["tpl"]}

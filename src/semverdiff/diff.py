@@ -7,6 +7,10 @@ condition) pairs; compatible additions are reported with the pseudo-condition
 Each change is decided by comparing types with `==`; most categories are
 decided by the rule table `_RULES`, Struct and Interface by methods of their
 own. A type is rendered only to build the message of a record being emitted.
+An object is the parser's spec, and a declaration that the declaration memo
+found for both versions is one object on both sides: such a pair gives no
+record without being compared, except that a struct's comparability, which
+follows the other types of its package, is checked again.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ from .gotypes import (
     render_type_params,
     variant_category,
 )
-from .surface import ApiSurface, ExportedObject, PackageSurface
+from .parser import Decl
+from .surface import ApiSurface, PackageSurface
 from .versions import (
     InvalidVersion,
     NotAnUpgrade,
@@ -115,7 +120,7 @@ class ComplianceVerdict:
     compliant: bool
 
 
-def category_of(obj: ExportedObject) -> str:
+def category_of(obj: Decl) -> str:
     if obj.kind == "const":
         return "Basic (Const)"
     return variant_category(obj.type)
@@ -188,8 +193,14 @@ class _PackageDiffer:
 
     # -- object-level rules -------------------------------------------------
 
-    def _diff_object(self, key: str, old: ExportedObject, new: ExportedObject) -> None:
+    def _diff_object(self, key: str, old: Decl, new: Decl) -> None:
         category = category_of(old)
+        if old is new:
+            # One spec the memo found for both sides: only a struct's
+            # comparability, which follows its package's other types, can change.
+            if category == "Struct":
+                self._diff_comparability(key, old.type, new.type)
+            return
         if category != category_of(new):
             self.emit(key, "Category Change", "Data Type Change", self.change(render_type_expr, old.type, new.type))
             return
@@ -223,10 +234,14 @@ class _PackageDiffer:
         for f in new.fields:
             new_by_name.setdefault(f.name, f)
         old_names = {f.name for f in old.fields}
+        # A name repeated in one struct (Go rejects it) is compared at its
+        # first field only, so that equal structs give no field record.
+        compared: set[str] = set()
 
         for i, of in enumerate(old.fields):
-            if not of.exported:
+            if not of.exported or of.name in compared:
                 continue
+            compared.add(of.name)
             nf = new_by_name.get(of.name)
             if nf is not None:
                 for condition, project in _FIELD_RULES:
@@ -243,7 +258,9 @@ class _PackageDiffer:
                 self.emit(key, "Struct", "Field Name Change", self.change(render_field, of, candidate))
             else:
                 self.emit(key, "Struct", "Field Number Change", render_field(of, self.pkg))
+        self._diff_comparability(key, old, new)
 
+    def _diff_comparability(self, key: str, old: Struct, new: Struct) -> None:
         old_cmp = is_comparable(old, self._resolver(self.old))
         new_cmp = is_comparable(new, self._resolver(self.new))
         if old_cmp != new_cmp:

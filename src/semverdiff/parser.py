@@ -4,8 +4,11 @@ The tokenizer understands full Go lexing (strings, runes, comments, automatic
 semicolon insertion). A token is its text, which implies its kind; the last
 token, the end of the text lexed, is "". tokenize first checks the whole file
 for lexical errors with one possessive regex; that check is the one place a
-lexical error is raised. As in go/scanner, a "/*" that never ends is an
-error at its line. Then it lexes the header: the text up to the first
+lexical error is raised. As in go/scanner, a "/*", string, raw string or rune
+that never ends is an error at its line, with go/scanner's message. A number
+takes only ASCII digits and an identifier only letters, "_" and decimal
+digits; only a file that is not all ASCII is scanned for a word character
+that breaks this rule. Then it lexes the header: the text up to the first
 candidate cut, a newline before const, func, type or var at column 0, where
 the lexer is clean (outside any literal and bracket, after a ";"), or the
 whole text if there is none. The lexer lexes the text up to each brace
@@ -14,29 +17,34 @@ inserts semicolons, drops comments and tracks brackets, so that the body of
 each top-level function is skipped to its closing brace without building
 tokens. A closing bracket that does not match outside function bodies is a
 syntax error, as in Go. Lines are kept only for error messages. Import
-binding parses the header's package clause and imports. blank_literals
-blanks the comments and literals of a file with one regex built from the
-lexer's sub-patterns, for scans that need no tokens. The parser itself only
-covers what an API surface needs: the package clause, imports, and top-level
+binding parses the header's package clause and imports. blank_literals blanks
+the comments and literals of a file with one regex built from the lexer's
+sub-patterns, for scans that need no tokens. The parser itself only covers
+what an API surface needs: the package clause, imports, and top-level
 const/var/type/func declarations, including generic type parameters. One
 parser with one cursor reads each file: parameter, type-argument and
 type-parameter lists are parsed item by item where they stand, looking ahead
 only to tell a name from a type. parse_go_file parses the header, then walks
 the rest of the file chunk by chunk: a chunk runs from one clean cut to the
-next. It looks each chunk up in a DeclMemo by its whole text, up to the
-next candidate: a chunk met before under the same package path and header
-is neither lexed nor parsed, and no function body in it is scanned; its
-specs are reused. Each other chunk is lexed by one call of the lexer, which
-knows nothing of the memo. The chunks are parsed in order after the walk,
-and a lexical error in one is raised only if the chunks before it parse, so
-errors come in source order across chunks.
+next. It looks each chunk up in a DeclMemo by its whole text, up to the next
+candidate: a chunk met before under the same package path and header is
+neither lexed nor parsed, and no function body in it is scanned; its specs
+are reused. Each other chunk is lexed by one call of the lexer, which knows
+nothing of the memo. The chunks are parsed in order after the walk, and a
+lexical error in one is raised only if the chunks before it parse, so errors
+come in source order across chunks. The specs (Decl) are immutable and are
+the surface's objects themselves, so a chunk the memo finds gives the very
+spec objects it gave before, and a surface built from them shares them with
+the surface it was first parsed for.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 from .gotypes import (
@@ -130,6 +138,23 @@ _LITERAL_RE = re.compile(_LITERAL)
 # lexer accepts outside a literal in the run class. A match ends where the
 # lexer would fail: a "/*" that never ends is no "/", as in go/scanner.
 _LEXABLE_RE = re.compile(rf"(?:[\w \t\r\n+\-*%&|^<>=!:;,.()\[\]{{}}~]++|{_LITERAL}|/(?!\*))*+")
+# go/scanner's message for a literal that its opening character cannot close.
+_UNTERMINATED = {
+    '"': "string literal not terminated",
+    "`": "raw string literal not terminated",
+    "'": "rune literal not terminated",
+    "/": "comment not terminated",
+}
+# Python's \w and \d, which the patterns above use, take more than Go does:
+# Go's numbers take only ASCII digits, and its identifiers only letters, "_"
+# and, after the first character, decimal digits. In a file that is not all
+# ASCII, this ends a match at each non-ASCII word character outside literals
+# as well, so that the token around it can be checked.
+_ASCII_LEXABLE_RE = re.compile(_LEXABLE_RE.pattern, re.ASCII)
+# The ASCII characters that may stand inside a number or an identifier. The
+# token around a non-ASCII character is lexed from the last character before
+# it that is none of these.
+_WORDISH = frozenset(string.ascii_letters + string.digits + "_.+-")
 
 _CLOSERS = {"(": ")", "[": "]", "{": "}"}
 _OPENING = frozenset(_CLOSERS)
@@ -302,18 +327,61 @@ def _check_lexable(text: str) -> None:
 
     As in go/scanner, a NUL or a byte order mark is illegal anywhere, even
     in a comment or literal; text is what follows an optional leading byte
-    order mark. Of two errors, the one that starts first is raised; a block
-    comment that never ends is an error at its "/*".
+    order mark. Of two errors, the one that starts first is raised; a
+    literal or block comment that never ends is an error at its first
+    character, with go/scanner's message. A word character that Go takes in
+    no token where it stands is looked for only in text that is not all
+    ASCII.
     """
     size = len(text)
     illegal = min(k for k in (text.find("\x00"), text.find("\ufeff"), size) if k >= 0)
     end = _LEXABLE_RE.match(text).end()
+    if not text.isascii():
+        end = _foreign_character(text, end)
     if end < illegal:
-        what = "comment not terminated" if text.startswith("/*", end) else f"unexpected character {text[end]!r}"
+        what = _UNTERMINATED.get(text[end]) or f"unexpected character {text[end]!r}"
         raise GoSyntaxError(what, text.count("\n", 0, end) + 1)
     if illegal < size:
         what = "character NUL" if text[illegal] == "\x00" else "byte order mark"
         raise GoSyntaxError(f"illegal {what}", text.count("\n", 0, illegal) + 1)
+
+
+def _foreign_character(text: str, end: int) -> int:
+    """The offset of the first character before end, outside literals, that
+    Go takes in no token where it stands, or end if there is none.
+
+    Each non-ASCII word character is lexed with the tokens around it, from
+    a point before it where a token starts: after the last character that
+    stands in no number or identifier, or at the end of the last token
+    lexed here.
+    """
+    match, token = _ASCII_LEXABLE_RE.match, _TOKEN_RE.match
+    pos = 0
+    while (stop := match(text, pos, end).end()) < end:
+        start = stop
+        while start > pos and text[start - 1] in _WORDISH:
+            start -= 1
+        while start <= stop or start < end and not text[start].isascii():
+            m = token(text, start, end)
+            tok, start = m.group(1), m.end()
+            if not tok.isascii() and (bad := _foreign_offset(tok)) >= 0:
+                return m.start(1) + bad
+        pos = start
+    return end
+
+
+def _foreign_offset(tok: str) -> int:
+    """The offset in a token of the first character Go does not take there,
+    or -1."""
+    first = tok[0]
+    if first in "\"'`/":  # a literal or comment
+        return -1
+    if first.isdecimal() or first == ".":  # a number
+        return next(i for i, c in enumerate(tok) if not c.isascii())
+    for i, c in enumerate(tok):  # an identifier
+        if not (c.isalpha() or c == "_" or i and c.isdecimal()):
+            return i
+    return -1
 
 
 def _skip_body(text: str, pos: int) -> int:
@@ -371,32 +439,71 @@ class ImportSpec:
     blank: bool = False
 
 
+class Decl:
+    """A top-level const, var, type or func spec, as the surface holds it.
+
+    An exported spec is the surface's object itself, so a spec the memo finds
+    is one object in every surface that holds it. Besides its fields, each
+    spec gives what the surface and the differ read: kind, key, type,
+    const_value, receiver and type_params. These are class attributes and
+    properties, not fields, so a spec's repr and equality are its fields'.
+    """
+
+    const_value = None
+    receiver = None
+    type_params = ()
+
+    @property
+    def key(self) -> str:
+        return self.name
+
+
 @dataclass(frozen=True)
-class ConstSpec:
+class ConstSpec(Decl):
     name: str
     type: TypeExpr
     value: str | None
+    kind = "const"
+
+    @property
+    def const_value(self) -> str | None:
+        return self.value
 
 
 @dataclass(frozen=True)
-class VarSpec:
+class VarSpec(Decl):
     name: str
     type: TypeExpr
+    kind = "var"
 
 
 @dataclass(frozen=True)
-class TypeSpec:
+class TypeSpec(Decl):
     name: str
     type: TypeExpr
     type_params: tuple[TypeParamDef, ...] = ()
     alias: bool = False
+    kind = "type"
 
 
 @dataclass(frozen=True)
-class FuncDecl:
+class FuncDecl(Decl):
     name: str
     sig: Func
     receiver: str | None = None
+
+    @property
+    def kind(self) -> str:
+        return "func" if self.receiver is None else "method"
+
+    @property
+    def type(self) -> Func:
+        return self.sig
+
+    @cached_property
+    def key(self) -> str:
+        # Cached on the spec, so a method found in the memo costs no new key.
+        return self.name if self.receiver is None else f"{self.receiver}.{self.name}"
 
 
 @dataclass

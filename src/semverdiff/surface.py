@@ -7,25 +7,30 @@ types behind them. A declaration unchanged since the previous extraction is
 neither lexed nor parsed again: parse_go_file, walking the file chunk by
 chunk, finds it by its text in a memo that holds the declarations of the
 previous extraction and the current one, and its specs are reused.
+
+The surface's objects are the parser's exported specs themselves (Decl), not
+copies: a declaration the memo finds is one Python object in the old and the
+new surface, so the differ skips it by identity and a memo hit allocates
+nothing here. extract_surface pauses the cyclic collector for the whole call
+and restores it as it found it: the specs and types a cold extraction builds
+are long-lived and hold no cycles, so collections during it would walk them
+again and again for nothing. The pause is process-wide: a thread that runs
+during an extraction sees the collector paused too.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
+from typing import Iterator
 
-from .gotypes import (
-    TypeExpr,
-    TypeParamDef,
-    is_exported,
-    render_type_expr,
-    render_type_params,
-    type_to_structure,
-)
-from .parser import DeclMemo, GoFile, GoSyntaxError, parse_go_file
+from .gotypes import is_exported, render_type_expr, render_type_params, type_to_structure
+from .parser import Decl, DeclMemo, GoFile, GoSyntaxError, parse_go_file
 from .versions import SemanticVersion
 
 logger = logging.getLogger(__name__)
@@ -41,6 +46,12 @@ FILTERED_LAYOUT_DIRS = frozenset(
 # declarations, and both check (old, then new) and corpus validation (by
 # module, then version) extract them one after the other.
 _DECLS = DeclMemo()
+
+
+def _drop_declarations() -> None:
+    """Empty the declaration memo, for a caller that extracts no more surfaces."""
+    _DECLS.next_generation()
+    _DECLS.next_generation()
 
 
 class ParseFailure(ValueError):
@@ -60,24 +71,10 @@ def filter_layout(package_dir_relative: str, extra: frozenset[str] | set[str] = 
     return any(seg in banned for seg in segments)
 
 
-@dataclass(frozen=True)
-class ExportedObject:
-    name: str
-    kind: str  # const | var | type | func | method
-    type: TypeExpr
-    const_value: str | None = None
-    receiver: str | None = None
-    type_params: tuple[TypeParamDef, ...] = ()
-
-    @property
-    def key(self) -> str:
-        return f"{self.receiver}.{self.name}" if self.receiver else self.name
-
-
 @dataclass
 class PackageSurface:
     import_path: str
-    objects: dict[str, ExportedObject] = field(default_factory=dict)
+    objects: dict[str, Decl] = field(default_factory=dict)
 
 
 @dataclass
@@ -88,24 +85,12 @@ class ApiSurface:
     parse_failures: list[tuple[str, str]] = field(default_factory=list)
 
 
-def _objects_from_file(gofile: GoFile) -> list[ExportedObject]:
-    out: list[ExportedObject] = []
-    for c in gofile.consts:
-        if is_exported(c.name):
-            out.append(ExportedObject(name=c.name, kind="const", type=c.type, const_value=c.value))
-    for v in gofile.vars:
-        if is_exported(v.name):
-            out.append(ExportedObject(name=v.name, kind="var", type=v.type))
-    for t in gofile.types:
-        if is_exported(t.name):
-            out.append(ExportedObject(name=t.name, kind="type", type=t.type, type_params=t.type_params))
-    for f in gofile.funcs:
-        if f.receiver is None:
-            if is_exported(f.name):
-                out.append(ExportedObject(name=f.name, kind="func", type=f.sig))
-        elif is_exported(f.receiver) and is_exported(f.name):
-            out.append(ExportedObject(name=f.name, kind="method", type=f.sig, receiver=f.receiver))
-    return out
+def _objects_from_file(gofile: GoFile) -> Iterator[Decl]:
+    """The exported specs of a file: top-level names, and methods of exported
+    receivers."""
+    for spec in chain(gofile.consts, gofile.vars, gofile.types, gofile.funcs):
+        if is_exported(spec.name) and (spec.receiver is None or is_exported(spec.receiver)):
+            yield spec
 
 
 def _package_path(module_path: str, rel_dir: str) -> str:
@@ -125,46 +110,54 @@ def extract_surface(
 
     Files that fail to parse are recorded and skipped; raises SurfaceEmpty
     when nothing parses at all. Two walks of the same tree yield identical
-    surfaces.
+    surfaces, and an unchanged declaration is the same object in both. The
+    cyclic collector is paused during the call; if it was enabled on entry,
+    it is enabled again on return or raise.
     """
-    _DECLS.next_generation()
-    root = Path(module_root)
-    banned = set(extra_excluded_dirs)
-    files: list[tuple[str, Path]] = []
-    for dirpath, dirnames, filenames in os.walk(root):
-        rel = Path(dirpath).relative_to(root).as_posix()
-        keep = []
-        for d in sorted(dirnames):
-            sub_rel = d if rel == "." else f"{rel}/{d}"
-            if filter_layout(sub_rel, banned):
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _DECLS.next_generation()
+        root = Path(module_root)
+        banned = set(extra_excluded_dirs)
+        files: list[tuple[str, Path]] = []
+        for dirpath, dirnames, filenames in os.walk(root):
+            rel = Path(dirpath).relative_to(root).as_posix()
+            keep = []
+            for d in sorted(dirnames):
+                sub_rel = d if rel == "." else f"{rel}/{d}"
+                if filter_layout(sub_rel, banned):
+                    continue
+                if (Path(dirpath) / d / "go.mod").is_file():
+                    continue  # nested module
+                keep.append(d)
+            dirnames[:] = keep
+            for fn in sorted(filenames):
+                if fn.endswith(".go") and not fn.endswith("_test.go"):
+                    files.append((rel, Path(dirpath) / fn))
+
+        surface = ApiSurface(module_path=module_path, version=version)
+        parsed_count = 0
+        for rel_dir, path in files:
+            rel_file = path.name if rel_dir == "." else f"{rel_dir}/{path.name}"
+            pkg_path = _package_path(module_path, rel_dir)
+            try:
+                gofile = parse_go_file(path.read_text(encoding="utf-8"), pkg_path, memo=_DECLS)
+            except (OSError, UnicodeDecodeError, GoSyntaxError) as exc:
+                logger.warning("parse failure in %s: %s", rel_file, exc)
+                surface.parse_failures.append((rel_file, str(exc) or "parse failure"))
                 continue
-            if (Path(dirpath) / d / "go.mod").is_file():
-                continue  # nested module
-            keep.append(d)
-        dirnames[:] = keep
-        for fn in sorted(filenames):
-            if fn.endswith(".go") and not fn.endswith("_test.go"):
-                files.append((rel, Path(dirpath) / fn))
+            parsed_count += 1
+            pkg = surface.packages.setdefault(pkg_path, PackageSurface(import_path=pkg_path))
+            for obj in _objects_from_file(gofile):
+                pkg.objects.setdefault(obj.key, obj)
 
-    surface = ApiSurface(module_path=module_path, version=version)
-    parsed_count = 0
-    for rel_dir, path in files:
-        rel_file = path.name if rel_dir == "." else f"{rel_dir}/{path.name}"
-        pkg_path = _package_path(module_path, rel_dir)
-        try:
-            gofile = parse_go_file(path.read_text(encoding="utf-8"), pkg_path, memo=_DECLS)
-        except (OSError, UnicodeDecodeError, GoSyntaxError) as exc:
-            logger.warning("parse failure in %s: %s", rel_file, exc)
-            surface.parse_failures.append((rel_file, str(exc) or "parse failure"))
-            continue
-        parsed_count += 1
-        pkg = surface.packages.setdefault(pkg_path, PackageSurface(import_path=pkg_path))
-        for obj in _objects_from_file(gofile):
-            pkg.objects.setdefault(obj.key, obj)
-
-    if parsed_count == 0:
-        raise SurfaceEmpty(f"no parseable source files under {root}")
-    return surface
+        if parsed_count == 0:
+            raise SurfaceEmpty(f"no parseable source files under {root}")
+        return surface
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def surface_to_dict(surface: ApiSurface) -> dict:

@@ -9,6 +9,7 @@ import pytest
 
 import planted_corpus as pc
 import semverdiff.corpus as corpus_module
+import semverdiff.surface as surface_module
 from conftest import write_tree
 from semverdiff.corpus import (
     LayoutError,
@@ -381,6 +382,10 @@ class TestPlantedCorpusPipeline:
 
     def test_prerelease_upgrades_excluded_by_default(self, planted_analysis):
         assert all(u.level.label != "Pre-release/Build" for u in planted_analysis.upgrades)
+
+    def test_declaration_memo_is_empty_after_the_analysis(self, planted_root):
+        analyze_corpus(planted_root)
+        assert not surface_module._DECLS.previous and not surface_module._DECLS.current
 
     def test_include_prerelease_adds_the_rc_upgrade(self, planted_root):
         analysis = analyze_corpus(planted_root, include_prerelease=True)

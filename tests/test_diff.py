@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 from pathlib import Path
 
 import pytest
@@ -19,10 +20,13 @@ from semverdiff.diff import (
     records_to_ndjson,
     records_to_text,
 )
+from semverdiff import surface as surface_module
+from semverdiff.manifest import parse_manifest
 from semverdiff.surface import extract_surface
 from semverdiff.versions import UpgradeLevel, parse_version
 
 MOD = "example.com/lib"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _surfaces(tmp_path, old_files, new_files, module=MOD):
@@ -356,3 +360,89 @@ class TestCompliance:
         ]
         verdict = check_compliance(UpgradeLevel.PATCH, adds)
         assert verdict.compliant and verdict.breaking_count == 0
+
+
+# -- objects shared by identity ------------------------------------------------
+
+
+def _shared_objects(old, new) -> int:
+    return sum(
+        obj is new.packages[path].objects.get(key)
+        for path, pkg in old.packages.items()
+        if path in new.packages
+        for key, obj in pkg.objects.items()
+    )
+
+
+def _assert_sharing_changes_no_record(old_dir: Path, new_dir: Path, module: str) -> int:
+    """diff_surfaces on the old and the new surface extracted one after the
+    other, which share every declaration the memo finds, equals
+    diff_surfaces on the two extracted with the memo emptied before each.
+    Returns the number of objects shared."""
+    v1, v2 = parse_version("v1.0.0"), parse_version("v1.1.0")
+    surface_module._drop_declarations()
+    old, new = extract_surface(old_dir, module, v1), extract_surface(new_dir, module, v2)
+    surface_module._drop_declarations()
+    cold_old = extract_surface(old_dir, module, v1)
+    surface_module._drop_declarations()
+    cold_new = extract_surface(new_dir, module, v2)
+    assert _shared_objects(cold_old, cold_new) == 0
+    assert diff_surfaces(old, new) == diff_surfaces(cold_old, cold_new)
+    return _shared_objects(old, new)
+
+
+@pytest.fixture(scope="module")
+def generated_check_pairs(tmp_path_factory) -> list[tuple[str, Path, Path]]:
+    """The old and new module of every seed-1 and seed-2 check-bodies and
+    check-decls pair of the benchmark's generator."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        gen = importlib.import_module("gen")
+    pairs = []
+    for workload in ("check-bodies", "check-decls"):
+        for seed in (1, 2):
+            root = tmp_path_factory.mktemp(f"{workload}-{seed}")
+            for op in gen.generate(workload, seed, root)["ops"]:
+                pairs.append((f"{workload}-{seed}", root / op["old"], root / op["new"]))
+    return pairs
+
+
+class TestSharedObjects:
+    def test_catalogue_fixtures_in_both_directions(self, catalogue_corpus):
+        shared = 0
+        for fixture, old_dir, new_dir in catalogue_corpus.values():
+            shared += _assert_sharing_changes_no_record(old_dir, new_dir, fixture.module_path)
+            shared += _assert_sharing_changes_no_record(new_dir, old_dir, fixture.module_path)
+        assert shared > 0
+
+    def test_generated_check_pairs(self, generated_check_pairs):
+        for name, old_dir, new_dir in generated_check_pairs:
+            module = parse_manifest((old_dir / "go.mod").read_text(encoding="utf-8")).module_path
+            assert _assert_sharing_changes_no_record(old_dir, new_dir, module) > 0, name
+
+    def test_shared_struct_gets_its_comparability_change(self, tmp_path):
+        # S's chunk is the same on both sides, so S is one object; Inner,
+        # which S holds, stops being comparable.
+        s = "package lib\n\ntype S struct{ F Inner }\n"
+        old, new = _surfaces(
+            tmp_path,
+            {"lib.go": s + "\ntype Inner struct{ A int }\n"},
+            {"lib.go": s + "\ntype Inner struct{ A []int }\n"},
+        )
+        assert old.packages[MOD].objects["S"] is new.packages[MOD].objects["S"]
+        got = [(r.node, r.category, r.condition, r.message) for r in diff_surfaces(old, new)]
+        assert got == [
+            ("Inner", "Struct", "Comparability Change", "comparable -> non-comparable"),
+            ("Inner", "Struct", "Field Type Change", "A int -> A []int"),
+            ("S", "Struct", "Comparability Change", "comparable -> non-comparable"),
+        ]
+
+    def test_equal_structs_with_a_repeated_field_name_give_no_record(self, tmp_path):
+        # Go rejects the repeated name; the parser keeps both fields.
+        s = "type S struct{ A int; A string }\n"
+        old, new = _surfaces(tmp_path, {"lib.go": "package lib\n\n" + s}, {"lib.go": "package lib\n\nvar V int\n\n" + s})
+        surface_module._drop_declarations()
+        cold_new = extract_surface(tmp_path / "new", MOD, parse_version("v1.1.0"))
+        assert old.packages[MOD].objects["S"] is new.packages[MOD].objects["S"]
+        assert old.packages[MOD].objects["S"] is not cold_new.packages[MOD].objects["S"]
+        assert [r.node for r in diff_surfaces(old, new)] == [r.node for r in diff_surfaces(old, cold_new)] == ["V"]

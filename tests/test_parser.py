@@ -9,6 +9,7 @@ from collections import defaultdict
 from dataclasses import replace
 import time
 import tracemalloc
+import unicodedata
 from pathlib import Path
 from typing import NamedTuple
 
@@ -95,8 +96,9 @@ class TestTokenizer:
         assert tokenize(r"r := '\''") == ["r", ":=", r"'\''", ";", ""]
 
     def test_identifier_that_python_would_not_take(self):
-        src = "package p\n\nvar x\u00b2, \u037a int\n"
-        assert [v.name for v in parse_go_file(src, PKG).vars] == ["x\u00b2", "\u037a"]
+        # U+037A is a letter (Lm) to Go, but no identifier to Python.
+        src = "package p\n\nvar x\u0663, \u037a int\n"
+        assert [v.name for v in parse_go_file(src, PKG).vars] == ["x\u0663", "\u037a"]
         _assert_as_before(src)
 
     def test_a_token_is_its_text(self):
@@ -769,6 +771,28 @@ def _reference_inserts_semi(tok: _Token) -> bool:
     return tok.kind == "op" and tok.text in (")", "]", "}", "++", "--")
 
 
+# go/scanner's messages for a string, raw string or rune that never ends.
+_REFERENCE_UNTERMINATED = {
+    '"': "string literal not terminated",
+    "`": "raw string literal not terminated",
+    "'": "rune literal not terminated",
+}
+
+
+def _reference_foreign(kind: str, value: str) -> str | None:
+    """The first character of a number or identifier that Go does not take
+    there: a number takes ASCII digits only, an identifier a letter or "_"
+    and then letters, "_" and decimal digits (Unicode categories L and Nd)."""
+    if kind in ("int", "float"):
+        return next((c for c in value if not c.isascii()), None)
+    if kind == "ident":
+        for i, c in enumerate(value):
+            category = unicodedata.category(c)
+            if not (c == "_" or category[0] == "L" or i and category == "Nd"):
+                return c
+    return None
+
+
 def _reference_lex(text: str, skip_bodies: bool) -> list[_Token]:
     tokens: list[_Token] = []
     append = tokens.append
@@ -786,11 +810,14 @@ def _reference_lex(text: str, skip_bodies: bool) -> list[_Token]:
             what = "character NUL" if text[illegal] == "\x00" else "byte order mark"
             raise GoSyntaxError(f"illegal {what}", line + text.count("\n", pos, illegal))
         if m is None:
-            raise GoSyntaxError(f"unexpected character {text[pos]!r}", line)
+            raise GoSyntaxError(_REFERENCE_UNTERMINATED.get(text[pos], f"unexpected character {text[pos]!r}"), line)
         kind = m.lastgroup or ""
         if kind == "op" and text.startswith("/*", pos):  # go/scanner: no "/" starts a comment
             raise GoSyntaxError("comment not terminated", line)
         value = m.group()
+        foreign = _reference_foreign(kind, value)
+        if foreign is not None:
+            raise GoSyntaxError(f"unexpected character {foreign!r}", line)
         pos = m.end()
         if kind == "ws" or kind == "comment_line":
             continue
@@ -1292,7 +1319,7 @@ class TestIllegalCharacters:
             ("\ufeff\ufeffpackage p\n", "line 1: illegal byte order mark"),
             ("package p\n\nvar V = @\n\nconst A = `\x00`\n", "line 3: unexpected character '@'"),
             ("package p\n\nconst A = `\x00`\n\nvar V = @\n", "line 3: illegal character NUL"),
-            ('package p\n\nconst A = "a\x00\n', "line 3: unexpected character '\"'"),
+            ('package p\n\nconst A = "a\x00\n', "line 3: string literal not terminated"),
         ],
     )
     def test_illegal_character_is_a_syntax_error_at_its_line(self, src, error):
@@ -1302,6 +1329,85 @@ class TestIllegalCharacters:
 
     def test_leading_byte_order_mark_is_dropped(self):
         assert tokenize("\ufeffpackage p\n") == ["package", "p", ";", ""]
+
+
+# Where a literal that never ends may stand: in the header, in a chunk and in
+# a function body, with the line of its opening quote.
+_UNTERMINATED_PLACES = {
+    "header": ('package p\n\nimport (\n\tQ\n)\n\nvar A int\n', 4),
+    "chunk": ("package p\n\nvar A int\n\nvar B = Q\n\nfunc F() {}\n", 5),
+    "function-body": ("package p\n\nfunc F() {\n\tx := Q\n}\n\nfunc G() {}\n", 4),
+}
+
+
+class TestUnterminatedLiterals:
+    """go/scanner's message for a string, raw string or rune that never ends,
+    at the line of its opening quote."""
+
+    @pytest.mark.parametrize("place", sorted(_UNTERMINATED_PLACES))
+    @pytest.mark.parametrize(
+        "literal,error",
+        [
+            ('"abc', "string literal not terminated"),
+            ("`abc", "raw string literal not terminated"),
+            ("'a", "rune literal not terminated"),
+        ],
+        ids=["string", "raw-string", "rune"],
+    )
+    def test_unterminated_literal_is_an_error_at_its_line(self, literal, error, place):
+        template, line = _UNTERMINATED_PLACES[place]
+        src = template.replace("Q", literal)
+        for fn in (tokenize, _parse, parse_imports, _reference_tokens):
+            assert _outcome(fn, src) == f"GoSyntaxError: line {line}: {error}", (fn, src)
+        _assert_as_before(src)
+        _assert_check_agrees_with_lexer(src)
+
+    def test_string_ends_at_its_line_even_after_an_escaped_newline(self):
+        src = 'package p\n\nvar S = "a\\\nb"\n'
+        assert _outcome(_parse, src) == "GoSyntaxError: line 3: string literal not terminated"
+        _assert_check_agrees_with_lexer(src)
+
+
+class TestGoCharacterClasses:
+    """Python's \\w and \\d take more than Go: a Go number takes ASCII digits
+    only, and a Go identifier a letter or "_", then letters, "_" and Unicode
+    decimal digits."""
+
+    @pytest.mark.parametrize(
+        "src,char",
+        [
+            ("package p\n\ntype T [\u0663]byte\n", "\u0663"),  # ARABIC-INDIC DIGIT THREE (Nd) as a number
+            ("package p\n\nvar x\u00b2 int\n", "\u00b2"),  # SUPERSCRIPT TWO (No) in an identifier
+            ("package p\n\nvar \u00b2x int\n", "\u00b2"),  # ... and starting one
+            ("package p\n\nconst C = 1\u0663\n", "\u0663"),  # a decimal digit after an ASCII one
+            ("package p\n\nconst C = 1.e\u0663\n", "\u0663"),  # in a float's exponent
+            ("package p\n\nvar \u2167 int\n", "\u2167"),  # ROMAN NUMERAL EIGHT (Nl)
+            ("package p\n\nfunc F() {\n\tx := \u0663\n}\n", "\u0663"),  # in a function body
+            ("package p\n\nimport (\n\tx\u00b2 \"a/b\"\n)\n", "\u00b2"),  # in the header
+        ],
+        ids=["arabic-digit-length", "superscript-in-identifier", "superscript-first", "digit-after-digit",
+             "digit-in-exponent", "letter-number", "function-body", "header"],
+    )
+    def test_character_go_does_not_take_is_a_syntax_error(self, src, char):
+        line = src[: src.index(char)].count("\n") + 1
+        for fn in (tokenize, _parse, parse_imports, _reference_tokens):
+            assert _outcome(fn, src) == f"GoSyntaxError: line {line}: unexpected character {char!r}", (fn, src)
+        _assert_check_agrees_with_lexer(src)
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "package p\n\nvar x\u0663, \u00e9t\u00e9, _\u0663 int\n",  # a decimal digit after a letter or "_"
+            "package p\n\nvar V = a\u00e91.e\u0663\n",  # a selector, not a float
+            "package p\n\n// \u00b2 \u0663\nconst S = \"\u00b2\u0663\" + `\u2167`\n",  # in comments and literals
+            "package p\n\nconst C = '\u0663'\n",
+        ],
+        ids=["identifiers", "selector", "literals", "rune"],
+    )
+    def test_characters_go_takes_parse(self, src):
+        _parse(src)
+        _assert_as_before(src)
+        _assert_check_agrees_with_lexer(src)
 
 
 _LONG_LITERALS = {

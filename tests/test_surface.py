@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -16,6 +17,7 @@ from semverdiff.surface import (
     surface_to_json,
 )
 from semverdiff import surface as surface_module
+from semverdiff.parser import ConstSpec, FuncDecl, parse_go_file
 from semverdiff.versions import parse_version
 
 MOD = "example.com/lib"
@@ -213,6 +215,61 @@ class TestDeclarationMemo:
         first, _, last = chain
         # Each version edits F's body, so only T's chunk is found.
         assert last["T"].type is first["T"].type and last["F"].type == first["F"].type
+
+
+class TestSharedObjects:
+    def test_objects_of_a_module_whose_chunks_all_hit_are_the_previous_objects(self, tmp_path):
+        src = (
+            "package lib\n\nconst C = 1\n\nvar V int\n\ntype T[E any] struct{ A E }\n\n"
+            "func F() T[int] { return T[int]{} }\n\nfunc (t T[E]) M() {}\n"
+        )
+        write_module(tmp_path, MOD, {"lib.go": src, "sub/s.go": "package sub\n\ntype I interface{ M() }\n"})
+        first = extract_surface(tmp_path, MOD)
+        second = extract_surface(tmp_path, MOD)
+        assert set(first.packages[MOD].objects) == {"C", "V", "T", "F", "T.M"}
+        for path, pkg in first.packages.items():
+            assert pkg.objects.keys() == second.packages[path].objects.keys()
+            assert all(obj is second.packages[path].objects[key] for key, obj in pkg.objects.items())
+
+    def test_an_object_is_its_spec(self, tmp_path):
+        write_module(tmp_path, MOD, {"lib.go": "package lib\n\nconst C int = 1\n\nfunc (T) M() {}\n\ntype T int\n"})
+        objects = extract_surface(tmp_path, MOD).packages[MOD].objects
+        assert isinstance(objects["C"], ConstSpec) and objects["C"].const_value == "1"
+        method = objects["T.M"]
+        assert isinstance(method, FuncDecl) and (method.kind, method.key, method.receiver) == ("method", "T.M", "T")
+        assert method.type is method.sig and method.type_params == ()
+
+
+class TestCollectorPause:
+    def _module(self, tmp_path):
+        return write_module(tmp_path, MOD, {"lib.go": "package lib\n\nfunc F() {}\n"})
+
+    def test_collector_is_paused_during_the_extraction_and_enabled_after(self, tmp_path, monkeypatch):
+        seen = []
+
+        def parse(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return parse_go_file(*args, **kwargs)
+
+        monkeypatch.setattr(surface_module, "parse_go_file", parse)
+        assert gc.isenabled()
+        extract_surface(self._module(tmp_path), MOD)
+        assert seen == [False] and gc.isenabled()
+
+    def test_collector_left_disabled_stays_disabled(self, tmp_path):
+        gc.disable()
+        try:
+            extract_surface(self._module(tmp_path), MOD)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_collector_is_enabled_again_when_the_extraction_raises(self, tmp_path):
+        write_module(tmp_path, MOD, {"lib.go": "package lib\n\nvar V = @\n"})
+        assert gc.isenabled()
+        with pytest.raises(SurfaceEmpty):
+            extract_surface(tmp_path, MOD)
+        assert gc.isenabled()
 
 
 class TestSerialization:
