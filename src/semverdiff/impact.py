@@ -5,8 +5,9 @@ without being scanned. In each surviving file, comments, strings, runes and
 numbers are blanked by one regex, and selectors (alias.Name, x.Method) are
 found by a regex over the blanked text, with the semicolon-insertion rule
 kept; bare identifiers are collected only when a breaking package is
-dot-imported. Matches are resolved to breaking nodes through the file's
-import bindings. No tokens are built.
+dot-imported. Through the file's import bindings, each match becomes one
+reference (package, name, line, label), and one lookup per reference finds
+its breaking node. No tokens are built.
 """
 
 from __future__ import annotations
@@ -103,23 +104,15 @@ def collect_breaking_nodes(
         if not record.breaking:
             continue
         if record.category == "Package" and record.condition == "Remove":
-            if old_surface is None:
-                continue
-            pkg = old_surface.packages.get(record.package)
-            if pkg is None:
-                continue
-            for key in sorted(pkg.objects):
-                nodes.setdefault(
-                    (record.package, key),
-                    BreakingNode(record.package, key, record.category, record.condition, record),
-                )
-            continue
-        if not record.node:
-            continue
-        nodes.setdefault(
-            (record.package, record.node),
-            BreakingNode(record.package, record.node, record.category, record.condition, record),
-        )
+            pkg = old_surface.packages.get(record.package) if old_surface is not None else None
+            keys = sorted(pkg.objects) if pkg is not None else ()
+        else:
+            keys = (record.node,) if record.node else ()
+        for key in keys:
+            nodes.setdefault(
+                (record.package, key),
+                BreakingNode(record.package, key, record.category, record.condition, record),
+            )
     return list(nodes.values())
 
 
@@ -196,69 +189,36 @@ def _match_file(
 ) -> list[ClientUsage]:
     blanked = tokenize(text)
     selectors = _selectors(blanked)
+    alias_packages = {alias: pkg for alias, pkg in binding.bindings.items() if pkg in nodes_by_package}
+    dot_packages = sorted(binding.dot_imports & nodes_by_package.keys())
 
-    alias_packages = {
-        alias: pkg for alias, pkg in binding.bindings.items() if pkg in nodes_by_package
-    }
-    dot_packages = sorted(binding.dot_imports & set(nodes_by_package))
+    # (package, name, line, label) for each name the file takes from a
+    # breaking package: through an alias, or bare under a dot import.
+    refs = [
+        (alias_packages[base], member, line, f"{base}.{member}")
+        for base, member, line in selectors
+        if base in alias_packages
+    ]
+    if dot_packages:
+        refs += [(pkg, name, line, name) for name, line in _bare_identifiers(blanked) for pkg in dot_packages]
 
-    # Package-qualified type mentions, used as witnesses for method nodes.
-    qualified_uses: set[tuple[str, str]] = set()
-    for base, member, _line in selectors:
-        pkg = alias_packages.get(base)
-        if pkg is not None:
-            qualified_uses.add((pkg, member))
-    bares = _bare_identifiers(blanked) if dot_packages else []
-    for pkg in dot_packages:
-        for name, _line in bares:
-            qualified_uses.add((pkg, name))
+    # A method node "T.M" counts at each selector x.M when the file names T
+    # from the same package; it is labelled with the package's smallest alias.
+    named = {(pkg, name) for pkg, name, _line, _label in refs}
+    for pkg in {pkg for pkg, _name in named}:
+        alias = min((a for a, p in alias_packages.items() if p == pkg), default=None)
+        for key in nodes_by_package[pkg]:
+            recv, dot, method = key.partition(".")
+            if dot and (pkg, recv) in named:
+                label = f"{alias}.{key}" if alias else key
+                refs += [(pkg, key, line, label) for _base, member, line in selectors if member == method]
 
-    usages: list[ClientUsage] = []
-
-    def add(node: BreakingNode, line: int, qualified_name: str) -> None:
-        usages.append(
-            ClientUsage(
-                client_module=client_module,
-                client_version=client_version,
-                file=rel_file,
-                line=line,
-                qualified_name=qualified_name,
-                node=node,
-            )
-        )
-
-    for base, member, line in selectors:
-        pkg = alias_packages.get(base)
-        if pkg is None:
-            continue
-        node = nodes_by_package[pkg].get(member)
+    usages = []
+    for pkg, name, line, label in refs:
+        node = nodes_by_package[pkg].get(name)
         if node is not None:
-            add(node, line, f"{base}.{member}")
-    for pkg in dot_packages:
-        pkg_nodes = nodes_by_package[pkg]
-        for name, line in bares:
-            node = pkg_nodes.get(name)
-            if node is not None:
-                add(node, line, name)
-
-    # Method nodes ("T.M"): a selector x.M counts when the file also mentions
-    # the receiver type through the same package.
-    method_nodes: list[tuple[str, BreakingNode]] = []
-    for pkg, keyed in nodes_by_package.items():
-        for key, node in keyed.items():
-            if "." in key:
-                method_nodes.append((pkg, node))
-    for pkg, node in sorted(method_nodes, key=lambda x: (x[0], x[1].key)):
-        recv, method = node.key.split(".", 1)
-        if (pkg, recv) not in qualified_uses:
-            continue
-        alias = next((a for a in sorted(alias_packages) if alias_packages[a] == pkg), None)
-        for base, member, line in selectors:
-            if member == method:
-                label = f"{alias}.{node.key}" if alias is not None else node.key
-                add(node, line, label)
-
-    usages.sort(key=lambda u: (u.file, u.line, u.qualified_name, u.node.key))
+            usages.append(ClientUsage(client_module, client_version, rel_file, line, label, node))
+    usages.sort(key=lambda u: (u.line, u.qualified_name, u.node.key, u.node.package))
     return usages
 
 
@@ -278,7 +238,6 @@ def scan_client(
     nodes_by_package: dict[str, dict[str, BreakingNode]] = {}
     for node in nodes:
         nodes_by_package.setdefault(node.package, {})[node.key] = node
-    breaking_packages = set(nodes_by_package)
 
     usages: list[ClientUsage] = []
     for dirpath, dirnames, filenames in os.walk(root):
@@ -294,7 +253,7 @@ def scan_client(
             except (OSError, UnicodeDecodeError, ParseFailure) as exc:
                 logger.warning("skipping client file %s: %s", path, exc)
                 continue
-            if not (binding.package_paths & breaking_packages):
+            if binding.package_paths.isdisjoint(nodes_by_package):
                 if report is not None:
                     report.skipped.append(rel_file)
                 continue

@@ -90,13 +90,18 @@ PREDECLARED_TYPES = frozenset(
 )
 
 # Sub-patterns the token, body and blanking regexes share: inside the first
-# five a brace is text, not a bracket. A string or rune is unrolled and
-# possessive, so sre keeps no backtracking state for its characters or escapes.
+# five a brace is text, not a bracket. A string is unrolled and possessive,
+# so sre keeps no backtracking state for its characters or escapes. A string
+# and a rune take only the escapes Go defines, each with its own quote, and a
+# rune holds one character or escape.
 _COMMENT_LINE = r"//[^\n]*"
 _COMMENT_BLOCK = r"/\*(?s:.*?)\*/"
 _RAW_STRING = r"`[^`]*`"
-_STRING = r'"[^"\\\n]*+(?:\\.[^"\\\n]*+)*+"'
-_RUNE = r"'[^'\\\n]*+(?:\\.[^'\\\n]*+)*+'"
+_ESCAPE = r"\\(?:[abfnrtv\\%s]|[0-3][0-7]{2}|x[0-9a-fA-F]{2}|u[0-9a-fA-F]{4}|U[0-9a-fA-F]{8})"
+_STRING_ESCAPE = _ESCAPE % '"'
+_RUNE_ESCAPE = _ESCAPE % "'"
+_STRING = rf'"[^"\\\n]*+(?:{_STRING_ESCAPE}[^"\\\n]*+)*+"'
+_RUNE = rf"'(?:[^'\\\n]|{_RUNE_ESCAPE})'"
 _LITERAL = f"{_COMMENT_LINE}|{_COMMENT_BLOCK}|{_RAW_STRING}|{_STRING}|{_RUNE}"
 _FLOAT = (
     r"(?:\d[\d_]*\.[\d_]*(?:[eE][+-]?\d[\d_]*)?|\.\d[\d_]*(?:[eE][+-]?\d[\d_]*)?"
@@ -138,6 +143,12 @@ _LITERAL_RE = re.compile(_LITERAL)
 # lexer accepts outside a literal in the run class. A match ends where the
 # lexer would fail: a "/*" that never ends is no "/", as in go/scanner.
 _LEXABLE_RE = re.compile(rf"(?:[\w \t\r\n+\-*%&|^<>=!:;,.()\[\]{{}}~]++|{_LITERAL}|/(?!\*))*+")
+# A string or rune as go/scanner delimits it, before it checks the escapes
+# and, in a rune, the number of characters: a backslash escapes any character.
+_DELIMITED_RE = {quote: re.compile(rf"{quote}(?:[^{quote}\\\n]|\\.)*+{quote}") for quote in "\"'"}
+_VALID_ESCAPE_RE = {'"': re.compile(_STRING_ESCAPE), "'": re.compile(_RUNE_ESCAPE)}
+# An escape in a string or rune, well formed or not.
+_ESCAPE_RE = re.compile(r"\\(?:[0-7]{3}|x[0-9a-fA-F]{2}|u[0-9a-fA-F]{4}|U[0-9a-fA-F]{8}|.?)", re.DOTALL)
 # go/scanner's message for a literal that its opening character cannot close.
 _UNTERMINATED = {
     '"': "string literal not terminated",
@@ -339,11 +350,30 @@ def _check_lexable(text: str) -> None:
     if not text.isascii():
         end = _foreign_character(text, end)
     if end < illegal:
-        what = _UNTERMINATED.get(text[end]) or f"unexpected character {text[end]!r}"
-        raise GoSyntaxError(what, text.count("\n", 0, end) + 1)
+        raise GoSyntaxError(_lexing_error(text, end), text.count("\n", 0, end) + 1)
     if illegal < size:
         what = "character NUL" if text[illegal] == "\x00" else "byte order mark"
         raise GoSyntaxError(f"illegal {what}", text.count("\n", 0, illegal) + 1)
+
+
+def _lexing_error(text: str, end: int) -> str:
+    """The message for the lexical error at end, where no token starts.
+
+    A string or rune that ends on its line is wrong in an escape or, for a
+    rune, in its number of characters; the first escape Go does not define
+    is the error, as _ESCAPE_RE splits the escapes.
+    """
+    char = text[end]
+    literal = _DELIMITED_RE[char].match(text, end) if char in _DELIMITED_RE else None
+    if literal is None:
+        return _UNTERMINATED.get(char) or f"unexpected character {char!r}"
+    body = literal.group()[1:-1]
+    for escape in _ESCAPE_RE.findall(body):
+        if not _VALID_ESCAPE_RE[char].fullmatch(escape):
+            return f"unknown escape sequence {escape!r}"
+    if body:
+        return "more than one character in rune literal"
+    return "empty rune literal or unescaped ' in rune literal"
 
 
 def _foreign_character(text: str, end: int) -> int:
@@ -529,8 +559,6 @@ _TYPE_STARTS = _TYPE_START_KEYWORDS | {"(", "[", "*", "<-"}
 # The quote a string literal token starts with.
 _STRING_QUOTES = ('"', "`")
 _SIMPLE_ESCAPES = dict(zip('abfnrtv\\"', b'\a\b\f\n\r\t\v\\"'))
-# An escape in an interpreted string literal, well formed or not.
-_ESCAPE_RE = re.compile(r"\\(?:[0-7]{3}|x[0-9a-fA-F]{2}|u[0-9a-fA-F]{4}|U[0-9a-fA-F]{8}|.?)", re.DOTALL)
 
 
 def _is_ident(tok: str) -> bool:
@@ -547,8 +575,8 @@ def _unquote(tok: str, line: int) -> str:
     """The value of a string literal token, by Go's rules.
 
     A raw string drops its carriage returns. An interpreted string decodes
-    its escapes into bytes; bytes that are not UTF-8 are kept as backslash
-    escapes.
+    its escapes, which the lexer checked, into bytes; bytes that are not
+    UTF-8 are kept as backslash escapes.
     """
     if tok[0] == "`":
         return tok[1:-1].replace("\r", "")
@@ -562,15 +590,13 @@ def _unquote(tok: str, line: int) -> str:
         kind = escape[1:2]
         if kind in _SIMPLE_ESCAPES:
             value.append(_SIMPLE_ESCAPES[kind])
-        elif len(escape) == 4 and (kind == "x" or int(escape[1:], 8) < 256):  # \xhh or \ooo
+        elif len(escape) == 4:  # \xhh or \ooo
             value.append(int(escape[2:], 16) if kind == "x" else int(escape[1:], 8))
-        elif len(escape) > 4:  # \uhhhh or \Uhhhhhhhh
+        else:  # \uhhhh or \Uhhhhhhhh
             code = int(escape[2:], 16)
             if code > 0x10FFFF or 0xD800 <= code < 0xE000:
                 raise GoSyntaxError(f"escape sequence {escape!r} is an invalid Unicode code point", line)
             value += chr(code).encode()
-        else:
-            raise GoSyntaxError(f"unknown escape sequence {escape!r}", line)
         pos = m.end()
     value += tok[pos:-1].encode()
     return value.decode("utf-8", "backslashreplace")
@@ -627,6 +653,12 @@ class _Parser:
     def skip_semis(self) -> None:
         while self.toks[self.i] == ";":
             self.i += 1
+
+    def expect_semi(self) -> None:
+        """A declaration ends in ";" or at the end of the tokens, as go/parser's expectSemi requires."""
+        tok = self.toks[self.i]
+        if tok and tok != ";":
+            raise self._error(f"expected ';', found {tok!r}")
 
     def _elements(self, open_: str, block: str, element: str) -> Iterator[str]:
         """Yield at the first token of each element of the ";"-separated group
@@ -706,6 +738,7 @@ class _Parser:
         self.i += 1
         gofile = GoFile(package_name=self.expect_ident())
         while True:
+            self.expect_semi()
             self.skip_semis()
             if self.toks[self.i] != "import":
                 return gofile
@@ -731,6 +764,7 @@ class _Parser:
             if tok not in _HEADER_END_KEYWORDS:
                 raise self._error(f"unexpected token {tok!r} at top level")
             self._parse_decl(tok, gofile)
+            self.expect_semi()
 
     def _parse_decl(self, kw: str, gofile: GoFile) -> None:
         if kw == "func":
@@ -961,11 +995,8 @@ class _Parser:
         tparams = frozenset(receiver_tparams) | {tp.name for tp in type_params}
         params, variadic, results = self._parse_signature_tail(tparams)
         sig = Func(params=params, results=results, variadic=variadic, type_params=type_params)
-        if self.toks[self.i] == "{":
-            close = self._scan_list(self.i)[-1]
-            if not self.toks[close]:
-                raise self._error("unterminated function body")
-            self.i = close + 1
+        if self.toks[self.i] == "{":  # the lexer keeps only the braces of a body
+            self.i += 2
         gofile.funcs.append(FuncDecl(name=name, sig=sig, receiver=receiver))
 
     def _parse_receiver(self) -> tuple[str, list[str]]:

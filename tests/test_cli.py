@@ -369,6 +369,37 @@ class TestReport:
         assert any(r[0] == "Pre-release/Build" for r in stats_rows)
 
 
+def test_outputs_do_not_depend_on_the_hash_seed(impact_layout, planted_root, tmp_path):
+    """`impact` on the fixture clients and `report` on the planted corpus,
+    each in a fresh process under two string hash seeds, print the same
+    bytes and write the same files."""
+    import semverdiff
+
+    lib_root, clients = impact_layout
+    impact = ["impact", "--library", str(lib_root), "--upgrade", "v1.0.0..v1.1.0", "--format", "json"]
+    for name in sorted(clients):
+        impact += ["--clients", str(clients[name])]
+    report = ["report", str(planted_root), "-o", "reports"]
+    package_root = str(Path(semverdiff.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("1", "2"):
+        cwd = tmp_path / f"seed{seed}"
+        cwd.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        runs = []
+        for args in (impact, report):
+            command = [sys.executable, "-c", "import sys; from semverdiff.cli import main; sys.exit(main())", *args]
+            proc = subprocess.run(command, cwd=cwd, capture_output=True, env=env, check=False)
+            runs.append((proc.returncode, proc.stdout))
+        written = {path.relative_to(cwd).as_posix(): path.read_bytes() for path in sorted(cwd.rglob("*")) if path.is_file()}
+        outputs.append((runs, written))
+    (impact_run, report_run), written = outputs[0]
+    assert impact_run[0] == 1 and impact_run[1].count(b"\n") == 3
+    assert report_run[0] == 0 and len(written) == 3
+    assert outputs[0] == outputs[1]
+
+
 def test_console_script_help():
     """The declared ``semverdiff`` console script answers ``--help``.
 

@@ -76,6 +76,16 @@ class TestIngest:
         entry = next(e for e in ingest_corpus(root) if e.module_dir_id == "mod-c")
         assert entry.invalid_reason == "missing metadata"
 
+    @pytest.mark.parametrize(
+        "meta",
+        ["{not json", json.dumps({"version": "v1.0.0"}), json.dumps({"module_path": "example.com/c", "released_at": "spring"})],
+    )
+    def test_bad_metadata(self, tmp_path, meta):
+        root = _mini_corpus(tmp_path)
+        write_tree(root / "mod-c" / "v1.0.0", {"lib.go": "package c\n", "meta.json": meta})
+        entry = next(e for e in ingest_corpus(root) if e.module_dir_id == "mod-c")
+        assert entry.invalid_reason == "bad metadata"
+
     def test_layout_error(self, tmp_path):
         with pytest.raises(LayoutError):
             ingest_corpus(tmp_path / "missing")
@@ -133,6 +143,14 @@ class TestValidate:
         validate_corpus(entries)
         entry = next(e for e in entries if e.module_dir_id == "mod-a" and e.version_raw == "v1.0.0")
         assert entry.invalid_reason == "no go files"
+
+    def test_empty_surface(self, tmp_path):
+        root = _mini_corpus(tmp_path)
+        (root / "mod-a" / "v1.0.0" / "lib.go").write_text("package a\n\nfunc F( {}\n")
+        entries = ingest_corpus(root)
+        validate_corpus(entries)
+        entry = next(e for e in entries if e.module_dir_id == "mod-a" and e.version_raw == "v1.0.0")
+        assert entry.invalid_reason == "empty surface"
 
     def test_malformed_manifest(self, tmp_path):
         root = _mini_corpus(tmp_path)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import impact_fixtures as fx
+import impact_reference as reference
 import semverdiff.impact as impact_module
 from oracles import textual_search_oracle
 from conftest import write_module, write_tree
@@ -15,13 +16,16 @@ from semverdiff.parser import GoSyntaxError
 from test_parser import _HOSTILE, _SOURCES, _mutants, _reference_tokens
 from semverdiff.diff import ChangeRecord, diff_surfaces
 from semverdiff.impact import (
+    BreakingNode,
+    ClientUsage,
+    ImportBinding,
     ScanReport,
     analyze_impact,
     bind_imports,
     collect_breaking_nodes,
     scan_client,
 )
-from semverdiff.surface import ParseFailure, extract_surface
+from semverdiff.surface import ApiSurface, PackageSurface, ParseFailure, extract_surface
 from semverdiff.versions import parse_version
 
 MOD = "example.com/brklib"
@@ -250,6 +254,19 @@ class TestAnalyzeImpact:
             "example.com/client-dot": ["OldThing"],
         }
 
+    @pytest.mark.parametrize("manifest", [None, "require (\n", b"module \xff\n"])
+    def test_client_without_a_readable_manifest_is_named_by_its_directory(self, library_pair, tmp_path, manifest):
+        old, new = library_pair
+        root = write_tree(tmp_path / "app-dir", {"main.go": fx.CLIENTS["client-default"]["main.go"]})
+        if isinstance(manifest, str):
+            (root / "go.mod").write_text(manifest, encoding="utf-8")
+        elif manifest is not None:
+            (root / "go.mod").write_bytes(manifest)
+        result = analyze_impact(diff_surfaces(old, new), [root], old_surface=old)
+        assert [(u.client_module, u.client_version, u.qualified_name) for u in result.usages] == [
+            ("app-dir", None, "brklib.OldThing")
+        ]
+
     def test_zero_breaking_records(self, client_roots):
         result = analyze_impact([], [client_roots["client-default"]])
         assert result.usages == [] and result.nodes == []
@@ -389,3 +406,147 @@ class TestSelectorScan:
 
     def test_selector_reports_the_line_of_its_member(self):
         assert _scan("`\n`\n/*\n\n*/ a.\n\nb.\n// c\nc") == [("a", "b", 7), ("b", "c", 9)]
+
+
+# -- the matcher against the reference -----------------------------------------
+
+
+def _by_package(nodes: list[BreakingNode]) -> dict[str, dict[str, BreakingNode]]:
+    by_package: dict[str, dict[str, BreakingNode]] = {}
+    for node in nodes:
+        by_package.setdefault(node.package, {})[node.key] = node
+    return by_package
+
+
+def _nodes(records: list[ChangeRecord], old_surface: ApiSurface | None) -> list[BreakingNode]:
+    """collect_breaking_nodes, after checking that it agrees with the reference."""
+    nodes = collect_breaking_nodes(records, old_surface)
+    assert nodes == reference.collect_breaking_nodes(records, old_surface)
+    return nodes
+
+
+def _assert_match_agrees(rel_file: str, text: str, binding: ImportBinding, nodes: list[BreakingNode]) -> list[ClientUsage]:
+    """The file's usages, after checking that the reference gives the same list."""
+    args = (rel_file, text, binding, _by_package(nodes), "example.com/client", "v1.0.0")
+    usages = impact_module._match_file(*args)
+    assert usages == reference._match_file(*args), text
+    return usages
+
+
+def _package_remove(package: str) -> ChangeRecord:
+    return _record(package=package, node="", category="Package", condition="Remove")
+
+
+_POOL_PACKAGES = ("example.com/a", "example.com/x/a", "example.com/other")
+_POOL_KEYS = ("Foo", "T", "Conn", "T.M", "T.Close", "Conn.Close", "Conn.Foo")
+_POOL_KINDS = (
+    ("Function", "Remove"),
+    ("Function", "Param Change"),
+    ("Struct", "Field Type Change"),
+    ("Package", "Remove"),
+)
+_POOL_ALIASES = ("a", "b", "x", "y")
+_POOL_NAMES = ("Foo", "Bar", "T", "Conn", "M", "Close")
+_POOL_SEPARATORS = (" ", "\n", "(", ")", ".", "; ", '"s" ', "1 ")
+
+
+@st.composite
+def _match_cases(draw) -> tuple[str, ImportBinding, list[ChangeRecord], ApiSurface]:
+    """Random client text, import binding, breaking records and old surface
+    over a few packages and keys that alias, dot-import and receive methods."""
+    packages = st.sampled_from(_POOL_PACKAGES)
+    bindings = draw(st.dictionaries(st.sampled_from(_POOL_ALIASES), packages, min_size=1, max_size=4))
+    dots = draw(st.sets(packages, max_size=4))
+    binding = ImportBinding(file="c.go", bindings=bindings, dot_imports=dots)
+    record = st.tuples(packages, st.sampled_from(_POOL_KEYS + ("",)), st.sampled_from(_POOL_KINDS), st.sampled_from((True, True, False)))
+    records = [
+        _record(package=package, node=key, category=category, condition=condition, breaking=breaking)
+        for package, key, (category, condition), breaking in draw(st.lists(record, min_size=2, max_size=12))
+    ]
+    objects = draw(st.dictionaries(packages, st.sets(st.sampled_from(_POOL_KEYS)), max_size=3))
+    old_surface = ApiSurface(
+        module_path="example.com",
+        version=None,
+        packages={pkg: PackageSurface(pkg, dict.fromkeys(sorted(keys))) for pkg, keys in objects.items()},
+    )
+    # Selectors on aliases and on a variable, and bare names, between separators.
+    words = st.one_of(
+        st.sampled_from(_POOL_NAMES),
+        st.tuples(st.sampled_from(_POOL_ALIASES + ("v",)), st.sampled_from(_POOL_NAMES)).map(".".join),
+    )
+    text = "".join(draw(st.lists(st.tuples(words, st.sampled_from(_POOL_SEPARATORS)).map("".join), min_size=4, max_size=30)))
+    return text, binding, records, old_surface
+
+
+def _method_nodes(old_surface: ApiSurface, package: str, methods: list[str]) -> list[BreakingNode]:
+    """A breaking method node T.M for each object T of package and each M."""
+    record = _record(package=package, node="", condition="Remove")
+    return [
+        BreakingNode(package, f"{key}.{method}", "Function", "Remove", record)
+        for key in sorted(old_surface.packages[package].objects)
+        if "." not in key
+        for method in methods
+    ]
+
+
+class TestAgainstTheReference:
+    def test_fixture_clients(self, library_pair, client_roots):
+        old, new = library_pair
+        records = diff_surfaces(old, new)
+        node_sets = [
+            _nodes(records, old),
+            _nodes(records + [_package_remove(MOD)], old),
+            _nodes(records, old) + _method_nodes(old, MOD, ["OldThing", "DoWork", "Use"]),
+        ]
+        for root in client_roots.values():
+            for path in sorted(root.rglob("*.go")):
+                text = path.read_text(encoding="utf-8")
+                binding = bind_imports(text, path.name)
+                for nodes in node_sets:
+                    _assert_match_agrees(path.name, text, binding, nodes)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_generated_client_files(self, seed, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        gen = importlib.import_module("gen")
+        truth = gen.generate("impact-clients", seed, tmp_path)
+        kinds = Counter()
+        for op in truth["ops"]:
+            module = (tmp_path / op["lib_old"] / "go.mod").read_text(encoding="utf-8").split()[1]
+            old = extract_surface(tmp_path / op["lib_old"], module, parse_version(op["from"]))
+            new = extract_surface(tmp_path / op["lib_new"], module, parse_version(op["to"]))
+            records = diff_surfaces(old, new)
+            core = f"{module}/corekit"
+            node_sets = [
+                _nodes(records, old),
+                _nodes(records + [_package_remove(core)], old) + _method_nodes(old, core, ["ToUpper", "TrimSpace"]),
+            ]
+            for client in op["clients"]:
+                for path in sorted((tmp_path / client).rglob("*.go")):
+                    text = path.read_text(encoding="utf-8")
+                    binding = bind_imports(text, path.name)
+                    for nodes in node_sets:
+                        usages = _assert_match_agrees(path.name, text, binding, nodes)
+                        kinds.update("method" if "." in u.node.key else "direct" for u in usages)
+        assert kinds["direct"] > 10 and kinds["method"] > 10
+
+    @settings(max_examples=500, deadline=None)
+    @given(_match_cases())
+    def test_random_bindings_records_and_text(self, case):
+        text, binding, records, old_surface = case
+        _assert_match_agrees("c.go", text, binding, _nodes(records, old_surface))
+        _assert_match_agrees("c.go", text, binding, _nodes(records, None))
+
+    def test_tied_usages_are_ordered_by_package(self):
+        """Dot-imported packages that share a key give usages that tie on
+        file, line, name and key; they come in package order, whatever the
+        hash seed."""
+        packages = [f"example.com/p{i}" for i in range(6)]
+        record = _record(node="Foo")
+        nodes = [BreakingNode(pkg, key, "Function", "Remove", record) for pkg in packages for key in ("Foo", "T.M")]
+        text = "package main\n\nfunc main() {\n\tvar t T\n\tFoo()\n\tt.M()\n}\n"
+        binding = ImportBinding(file="main.go", dot_imports=set(packages))
+        usages = impact_module._match_file("main.go", text, binding, _by_package(nodes), "example.com/c", None)
+        assert [(u.line, u.qualified_name, u.node.package) for u in usages] == [
+            (line, name, pkg) for line, name in ((5, "Foo"), (6, "T.M")) for pkg in packages
+        ]

@@ -5,6 +5,7 @@ import importlib
 import json
 import random
 import re
+import string
 from collections import defaultdict
 from dataclasses import replace
 import time
@@ -140,6 +141,31 @@ class TestDeclarations:
     def test_unnamed_receiver(self):
         fn = _first_func("package lib\n\nfunc (Tree) Leaf() bool { return true }\n")
         assert fn.receiver == "Tree"
+
+    def test_receiver_with_a_trailing_comma(self):
+        fn = _first_func("package lib\n\nfunc (r *List[P],) Len() int { return 0 }\n")
+        assert fn.receiver == "List"
+
+    def test_type_parameter_without_constraint(self):
+        with pytest.raises(GoSyntaxError, match=r"^line 3: type parameter without constraint$"):
+            parse_go_file("package lib\n\nfunc F[T]() {}\n", PKG)
+
+    @pytest.mark.parametrize(
+        "src,line,found",
+        [
+            ("package p var a int\n", 1, "var"),
+            ('package p\n\nimport "a" import "b"\n', 3, "import"),
+            ("package p\n\nvar a int var b int\n", 3, "var"),
+            ("package p\n\nvar (\n\ta int\n) const C = 1\n", 5, "const"),
+            ("package p\n\ntype T int func F() { x := 1 }\n", 3, "func"),
+            ("package p\n\nfunc F() {} func G() {}\n", 3, "func"),
+            ("package p\n\nfunc F() int func G() {}\n", 3, "func"),
+            ("package p\n\nfunc F() {} { x }\n", 3, "{"),
+        ],
+    )
+    def test_a_top_level_declaration_ends_in_a_semicolon(self, src, line, found):
+        with pytest.raises(GoSyntaxError, match=rf"^line {line}: expected ';', found {re.escape(repr(found))}$"):
+            parse_go_file(src, PKG)
 
     def test_const_block_iota_repetition(self):
         src = "package lib\n\nconst (\n\tA Kind = iota\n\tB\n\tC\n)\n"
@@ -295,6 +321,10 @@ class TestTypeExpressions:
         t = _first_type("package lib\n\ntype T struct {\n\tA int\n\tb int\n}\n")
         assert isinstance(t, Struct)
         assert [(f.name, f.exported) for f in t.fields] == [("A", True), ("b", False)]
+
+    def test_struct_field_names_share_a_type(self):
+        t = _first_type('package lib\n\ntype T struct{ A, b int `k:"v"` }\n')
+        assert t == Struct((FieldDef("A", Basic("int"), 'k:"v"', False, True), FieldDef("b", Basic("int"), 'k:"v"', False, False)))
 
     def test_struct_embedded_pointer(self):
         t = _first_type("package lib\n\ntype T struct {\n\t*Base\n}\n")
@@ -744,8 +774,8 @@ _REFERENCE_TOKEN_RE = re.compile(
     | (?P<comment_line>{parser_module._COMMENT_LINE})
     | (?P<comment_block>{parser_module._COMMENT_BLOCK})
     | (?P<raw_string>{parser_module._RAW_STRING})
-    | (?P<string>{parser_module._STRING})
-    | (?P<rune>{parser_module._RUNE})
+    | (?P<string>"(?:[^"\\\n]|\\.)*+")
+    | (?P<rune>'(?:[^'\\\n]|\\.)*+')
     | (?P<float>{parser_module._FLOAT})
     | (?P<int>{parser_module._INT})
     | (?P<ident>{parser_module._IDENT})
@@ -779,6 +809,46 @@ _REFERENCE_UNTERMINATED = {
 }
 
 
+def _reference_escape(body: str, i: int, quote: str) -> tuple[str, bool]:
+    """The escape that starts with the backslash at body[i], and whether Go
+    defines it: a simple escape (with the literal's own quote), three octal
+    digits up to 255, or \\x, \\u or \\U with 2, 4 or 8 hex digits. An escape
+    that is none of these is the backslash and the character after it."""
+    kind = body[i + 1]
+    if kind in "01234567":
+        digits = body[i + 1 : i + 4]
+        if len(digits) == 3 and all(c in "01234567" for c in digits):
+            return body[i : i + 4], int(digits, 8) <= 255
+    elif kind in "xuU":
+        width = {"x": 2, "u": 4, "U": 8}[kind]
+        digits = body[i + 2 : i + 2 + width]
+        if len(digits) == width and all(c in string.hexdigits for c in digits):
+            return body[i : i + 2 + width], True
+    return body[i : i + 2], kind in "abfnrtv\\" + quote
+
+
+def _reference_literal_error(value: str) -> str | None:
+    """The error in a string or rune the token regex delimited, walking it
+    one character or escape at a time: the first escape Go does not
+    define, else a rune that does not hold exactly one character."""
+    quote, body = value[0], value[1:-1]
+    chars = i = 0
+    while i < len(body):
+        if body[i] == "\\":
+            escape, defined = _reference_escape(body, i, quote)
+            if not defined:
+                return f"unknown escape sequence {escape!r}"
+            i += len(escape)
+        else:
+            i += 1
+        chars += 1
+    if quote == "'" and chars == 0:
+        return "empty rune literal or unescaped ' in rune literal"
+    if quote == "'" and chars > 1:
+        return "more than one character in rune literal"
+    return None
+
+
 def _reference_foreign(kind: str, value: str) -> str | None:
     """The first character of a number or identifier that Go does not take
     there: a number takes ASCII digits only, an identifier a letter or "_"
@@ -806,11 +876,15 @@ def _reference_lex(text: str, skip_bodies: bool) -> list[_Token]:
     illegal = min(k for k in (text.find("\x00"), text.find("\ufeff"), size) if k >= 0)
     while pos < size:
         m = match(text, pos)
-        if pos >= illegal or m is not None and m.end() > illegal:
+        # A bad string or rune is an error at its start, before an illegal character in it.
+        bad_literal = m is not None and m.lastgroup in ("string", "rune") and _reference_literal_error(m.group())
+        if pos >= illegal or m is not None and m.end() > illegal and not bad_literal:
             what = "character NUL" if text[illegal] == "\x00" else "byte order mark"
             raise GoSyntaxError(f"illegal {what}", line + text.count("\n", pos, illegal))
         if m is None:
             raise GoSyntaxError(_REFERENCE_UNTERMINATED.get(text[pos], f"unexpected character {text[pos]!r}"), line)
+        if bad_literal:
+            raise GoSyntaxError(bad_literal, line)
         kind = m.lastgroup or ""
         if kind == "op" and text.startswith("/*", pos):  # go/scanner: no "/" starts a comment
             raise GoSyntaxError("comment not terminated", line)
@@ -1535,6 +1609,32 @@ class TestStringValues:
     def test_bad_escape_is_a_syntax_error_at_its_line(self, literal, error):
         with pytest.raises(GoSyntaxError, match=f"^line 4: {re.escape(error)}$"):
             _tag(literal)
+
+    @pytest.mark.parametrize(
+        "literal,error",
+        [
+            ("''", "empty rune literal or unescaped ' in rune literal"),
+            ("'''", "empty rune literal or unescaped ' in rune literal"),
+            ("'ab'", "more than one character in rune literal"),
+            (r"'\n\t'", "more than one character in rune literal"),
+            (r"'\q'", "unknown escape sequence {!r}".format("\\q")),
+            (r"'ab\q'", "unknown escape sequence {!r}".format("\\q")),
+            (r"'\"'", "unknown escape sequence {!r}".format('\\"')),
+            (r"'\400'", "unknown escape sequence {!r}".format("\\400")),
+            (r'"\q"', "unknown escape sequence {!r}".format("\\q")),
+            (r'"a\08"', "unknown escape sequence {!r}".format("\\0")),
+            (r'"\u12"', "unknown escape sequence {!r}".format("\\u")),
+            (r'"\x٣٣"', "unknown escape sequence {!r}".format("\\x")),
+        ],
+    )
+    def test_literal_go_rejects_is_an_error_at_its_line(self, literal, error):
+        for src, line in ((f"package p\n\nconst A = {literal}\n", 3), (f"package p\n\nfunc F() {{\n\t_ = {literal}\n}}\n", 4)):
+            with pytest.raises(GoSyntaxError, match=f"^line {line}: {re.escape(error)}$"):
+                parse_go_file(src, PKG)
+
+    @pytest.mark.parametrize("literal", [r"'\''", "'\"'", r"'\x41'", r"'\377'", r"'\u00e9'", "'é'", r'"\""', '"\'"', r'"\a\b\f\n\r\t\v\\"'])
+    def test_literal_go_accepts(self, literal):
+        assert parse_go_file(f"package p\n\nconst A = {literal}\n", PKG).consts[0].value == literal
 
     def test_import_path_is_unquoted(self):
         src = 'package lib\n\nimport "a\\x2fb"\n\nvar V b.T\n'
