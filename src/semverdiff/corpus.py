@@ -25,7 +25,7 @@ from .manifest import (
     extract_edges,
     parse_manifest,
 )
-from .surface import ApiSurface, SurfaceEmpty, _drop_declarations, extract_surface
+from .surface import ApiSurface, NoSourceFiles, SurfaceEmpty, _drop_declarations, extract_surface
 from .versions import (
     NON_MAJOR_LEVELS,
     InvalidVersion,
@@ -155,8 +155,6 @@ def _validate_and_extract(entry: CorpusEntry) -> tuple[str | None, ApiSurface | 
     if entry.invalid_reason is not None:
         return entry.invalid_reason, None
     root = entry.checkout_dir
-    if not any(root.rglob("*.go")):
-        return "no go files", None
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.is_file():
         return "missing manifest", None
@@ -169,6 +167,8 @@ def _validate_and_extract(entry: CorpusEntry) -> tuple[str | None, ApiSurface | 
     entry.manifest = manifest
     try:
         surface = extract_surface(root, entry.module_path, entry.version)
+    except NoSourceFiles:
+        return "no go files", None
     except SurfaceEmpty:
         return "empty surface", None
     return None, surface

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, Union
 
 
@@ -130,24 +130,24 @@ TypeExpr = Union[
     Basic, Array, Slice, Map, Struct, Interface, Pointer, Chan, Func, Named, TypeParamRef
 ]
 
-# Category labels for the breaking-change catalogue, keyed by variant.
-_VARIANT_CATEGORY = {
-    Basic: "Basic",
-    Array: "Array",
-    Slice: "Slice",
-    Map: "Map",
-    Struct: "Struct",
-    Interface: "Interface",
-    Pointer: "Pointer",
-    Chan: "Channel",
-    Func: "Function",
-    Named: "Named",
-    TypeParamRef: "Named",
+# Each variant's kind in the structural form and category in the catalogue.
+_VARIANTS = {
+    Basic: ("basic", "Basic"),
+    Array: ("array", "Array"),
+    Slice: ("slice", "Slice"),
+    Map: ("map", "Map"),
+    Struct: ("struct", "Struct"),
+    Interface: ("interface", "Interface"),
+    Pointer: ("pointer", "Pointer"),
+    Chan: ("chan", "Channel"),
+    Func: ("func", "Function"),
+    Named: ("named", "Named"),
+    TypeParamRef: ("typeparam", "Named"),
 }
 
 
 def variant_category(t: TypeExpr) -> str:
-    return _VARIANT_CATEGORY[type(t)]
+    return _VARIANTS[type(t)][1]
 
 
 def render_type_params(type_params: tuple[TypeParamDef, ...], current_package: str | None = None) -> str:
@@ -264,55 +264,22 @@ def is_comparable(
 
 
 def type_to_structure(t: TypeExpr) -> dict:
-    """Structured (JSON-ready) form of a type expression."""
-    if isinstance(t, Basic):
-        return {"kind": "basic", "name": t.name}
-    if isinstance(t, TypeParamRef):
-        return {"kind": "typeparam", "name": t.name}
-    if isinstance(t, Named):
-        out = {"kind": "named", "package": t.package, "name": t.name}
-        if t.args:
-            out["args"] = [type_to_structure(a) for a in t.args]
-        return out
-    if isinstance(t, Pointer):
-        return {"kind": "pointer", "base": type_to_structure(t.base)}
-    if isinstance(t, Slice):
-        return {"kind": "slice", "elem": type_to_structure(t.elem)}
-    if isinstance(t, Array):
-        return {"kind": "array", "length": t.length, "elem": type_to_structure(t.elem)}
-    if isinstance(t, Map):
-        return {"kind": "map", "key": type_to_structure(t.key), "value": type_to_structure(t.value)}
-    if isinstance(t, Chan):
-        return {"kind": "chan", "direction": t.direction, "elem": type_to_structure(t.elem)}
-    if isinstance(t, Func):
-        return {
-            "kind": "func",
-            "params": [type_to_structure(p) for p in t.params],
-            "results": [type_to_structure(x) for x in t.results],
-            "variadic": t.variadic,
-            "type_params": [
-                {"name": tp.name, "constraint": type_to_structure(tp.constraint)}
-                for tp in t.type_params
-            ],
-        }
-    if isinstance(t, Struct):
-        return {
-            "kind": "struct",
-            "fields": [
-                {
-                    "name": f.name,
-                    "type": type_to_structure(f.type),
-                    "tag": f.tag,
-                    "anonymous": f.anonymous,
-                    "exported": f.exported,
-                }
-                for f in t.fields
-            ],
-        }
-    if isinstance(t, Interface):
-        return {
-            "kind": "interface",
-            "methods": [{"name": m.name, "sig": type_to_structure(m.sig)} for m in t.methods],
-            "embeds": [{"tilde": e.tilde, "type": type_to_structure(e.type)} for e in t.embeds],
-        }
-    raise TypeError(f"unknown type expression: {t!r}")
+    """Structured (JSON-ready) form of a type expression: "kind", then each
+    field in declaration order, with tuples as lists and nested dataclasses
+    in the same form. As the form has always been, a Named without type
+    arguments has no "args", and a UnionTerm gives "tilde" before "type"."""
+    if type(t) not in _VARIANTS:
+        raise TypeError(f"unknown type expression: {t!r}")
+    return _structure(t)
+
+
+def _structure(value):
+    if isinstance(value, tuple):
+        return [_structure(v) for v in value]
+    if not is_dataclass(value):
+        return value
+    out = {"kind": _VARIANTS[type(value)][0]} if type(value) in _VARIANTS else {}
+    names = [f.name for f in fields(value) if f.name != "args" or value.args]  # only Named has args
+    for name in reversed(names) if isinstance(value, UnionTerm) else names:
+        out[name] = _structure(getattr(value, name))
+    return out

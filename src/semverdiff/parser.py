@@ -93,11 +93,15 @@ PREDECLARED_TYPES = frozenset(
 # five a brace is text, not a bracket. A string is unrolled and possessive,
 # so sre keeps no backtracking state for its characters or escapes. A string
 # and a rune take only the escapes Go defines, each with its own quote, and a
-# rune holds one character or escape.
+# rune holds one character or escape. A \u or \U escape must name a Unicode
+# code point: at most 10FFFF, and no surrogate (D800 to DFFF).
 _COMMENT_LINE = r"//[^\n]*"
 _COMMENT_BLOCK = r"/\*(?s:.*?)\*/"
 _RAW_STRING = r"`[^`]*`"
-_ESCAPE = r"\\(?:[abfnrtv\\%s]|[0-3][0-7]{2}|x[0-9a-fA-F]{2}|u[0-9a-fA-F]{4}|U[0-9a-fA-F]{8})"
+_ESCAPE = (
+    r"\\(?:[abfnrtv\\%s]|[0-3][0-7]{2}|x[0-9a-fA-F]{2}|u(?![dD][89a-fA-F])[0-9a-fA-F]{4}"
+    r"|U(?!0000[dD][89a-fA-F])00(?:0[0-9a-fA-F]|10)[0-9a-fA-F]{4})"
+)
 _STRING_ESCAPE = _ESCAPE % '"'
 _RUNE_ESCAPE = _ESCAPE % "'"
 _STRING = rf'"[^"\\\n]*+(?:{_STRING_ESCAPE}[^"\\\n]*+)*+"'
@@ -361,7 +365,8 @@ def _lexing_error(text: str, end: int) -> str:
 
     A string or rune that ends on its line is wrong in an escape or, for a
     rune, in its number of characters; the first escape Go does not define
-    is the error, as _ESCAPE_RE splits the escapes.
+    is the error, as _ESCAPE_RE splits the escapes; a \\u or \\U escape with
+    all its digits is wrong only in its code point.
     """
     char = text[end]
     literal = _DELIMITED_RE[char].match(text, end) if char in _DELIMITED_RE else None
@@ -370,6 +375,8 @@ def _lexing_error(text: str, end: int) -> str:
     body = literal.group()[1:-1]
     for escape in _ESCAPE_RE.findall(body):
         if not _VALID_ESCAPE_RE[char].fullmatch(escape):
+            if escape[1] in "uU" and len(escape) > 2:
+                return f"escape sequence {escape!r} is an invalid Unicode code point"
             return f"unknown escape sequence {escape!r}"
     if body:
         return "more than one character in rune literal"
@@ -404,8 +411,6 @@ def _foreign_offset(tok: str) -> int:
     """The offset in a token of the first character Go does not take there,
     or -1."""
     first = tok[0]
-    if first in "\"'`/":  # a literal or comment
-        return -1
     if first.isdecimal() or first == ".":  # a number
         return next(i for i, c in enumerate(tok) if not c.isascii())
     for i, c in enumerate(tok):  # an identifier
@@ -571,7 +576,7 @@ def _is_ident(tok: str) -> bool:
     return (tok.isidentifier() or not tok.isascii() and _IDENT_RE.fullmatch(tok) is not None) and tok not in GO_KEYWORDS
 
 
-def _unquote(tok: str, line: int) -> str:
+def _unquote(tok: str) -> str:
     """The value of a string literal token, by Go's rules.
 
     A raw string drops its carriage returns. An interpreted string decodes
@@ -593,10 +598,7 @@ def _unquote(tok: str, line: int) -> str:
         elif len(escape) == 4:  # \xhh or \ooo
             value.append(int(escape[2:], 16) if kind == "x" else int(escape[1:], 8))
         else:  # \uhhhh or \Uhhhhhhhh
-            code = int(escape[2:], 16)
-            if code > 0x10FFFF or 0xD800 <= code < 0xE000:
-                raise GoSyntaxError(f"escape sequence {escape!r} is an invalid Unicode code point", line)
-            value += chr(code).encode()
+            value += chr(int(escape[2:], 16)).encode()
         pos = m.end()
     value += tok[pos:-1].encode()
     return value.decode("utf-8", "backslashreplace")
@@ -790,7 +792,7 @@ class _Parser:
         tok = self.toks[self.i]
         if tok[:1] not in _STRING_QUOTES:
             raise self._error(f"expected import path string, found {tok!r}")
-        path = _unquote(tok, self._line(self.i))
+        path = _unquote(tok)
         self.i += 1
         gofile.imports.append(ImportSpec(path=path, alias=alias, dot=dot, blank=blank))
         if not dot and not blank:
@@ -1261,7 +1263,7 @@ class _Parser:
         tok = self.toks[self.i]
         if tok[:1] not in _STRING_QUOTES:
             return None
-        tag = _unquote(tok, self._line(self.i))
+        tag = _unquote(tok)
         self.i += 1
         return tag
 

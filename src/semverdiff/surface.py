@@ -62,6 +62,10 @@ class SurfaceEmpty(ValueError):
     """No source file parsed; the module version is invalid."""
 
 
+class NoSourceFiles(SurfaceEmpty):
+    """The walk found no source file to parse."""
+
+
 def filter_layout(package_dir_relative: str, extra: frozenset[str] | set[str] = frozenset()) -> bool:
     """True when the relative package directory must be excluded."""
     if package_dir_relative in ("", "."):
@@ -108,8 +112,9 @@ def extract_surface(
 ) -> ApiSurface:
     """Extract the exported API surface of the module rooted at module_root.
 
-    Files that fail to parse are recorded and skipped; raises SurfaceEmpty
-    when nothing parses at all. Two walks of the same tree yield identical
+    Files that fail to parse are recorded and skipped. Raises NoSourceFiles,
+    a SurfaceEmpty, when the walk finds no source file, and SurfaceEmpty
+    when none of them parses. Two walks of the same tree yield identical
     surfaces, and an unchanged declaration is the same object in both. The
     cyclic collector is paused during the call; if it was enabled on entry,
     it is enabled again on return or raise.
@@ -117,7 +122,6 @@ def extract_surface(
     enabled = gc.isenabled()
     gc.disable()
     try:
-        _DECLS.next_generation()
         root = Path(module_root)
         banned = set(extra_excluded_dirs)
         files: list[tuple[str, Path]] = []
@@ -135,7 +139,10 @@ def extract_surface(
             for fn in sorted(filenames):
                 if fn.endswith(".go") and not fn.endswith("_test.go"):
                     files.append((rel, Path(dirpath) / fn))
+        if not files:
+            raise NoSourceFiles(f"no source files under {root}")
 
+        _DECLS.next_generation()  # after the walk, so a tree without sources keeps the memo as it is
         surface = ApiSurface(module_path=module_path, version=version)
         parsed_count = 0
         for rel_dir, path in files:
@@ -162,9 +169,7 @@ def extract_surface(
 
 def surface_to_dict(surface: ApiSurface) -> dict:
     """JSON-ready document with stable ordering of packages and object keys."""
-    version = None
-    if surface.version is not None:
-        version = surface.version.raw or surface.version.render()
+    version = str(surface.version) if surface.version is not None else None
     packages = []
     for path in sorted(surface.packages):
         pkg = surface.packages[path]

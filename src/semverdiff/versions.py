@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import total_ordering
 
 
 class InvalidVersion(ValueError):
@@ -49,15 +48,22 @@ class UpgradeLevel(Enum):
 NON_MAJOR_LEVELS = frozenset({UpgradeLevel.MINOR, UpgradeLevel.PATCH})
 
 
-@total_ordering
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, order=True)
 class SemanticVersion:
-    major: int
-    minor: int
-    patch: int
-    prerelease: tuple[str, ...] = ()
-    build: tuple[str, ...] = ()
+    major: int = field(compare=False)
+    minor: int = field(compare=False)
+    patch: int = field(compare=False)
+    prerelease: tuple[str, ...] = field(default=(), compare=False)
+    build: tuple[str, ...] = field(default=(), compare=False)
     raw: str = field(default="", compare=False)
+    # SemVer precedence, the only field compared and hashed: a release
+    # outranks any of its pre-releases; identifiers compare numerically when
+    # numeric, and numeric sorts before alphanumeric.
+    precedence: tuple = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        pre = tuple((0, int(i), "") if i.isdigit() else (1, 0, i) for i in self.prerelease)
+        object.__setattr__(self, "precedence", (self.major, self.minor, self.patch, not self.prerelease, pre))
 
     def render(self) -> str:
         """Canonical text without the optional "v" prefix."""
@@ -70,28 +76,6 @@ class SemanticVersion:
 
     def __str__(self) -> str:
         return self.raw or self.render()
-
-    def _precedence_key(self) -> tuple:
-        # A release outranks any of its pre-releases; identifiers compare
-        # numerically when numeric, and numeric sorts before alphanumeric.
-        pre = tuple(
-            (0, int(ident), "") if ident.isdigit() else (1, 0, ident)
-            for ident in self.prerelease
-        )
-        return (self.major, self.minor, self.patch, not self.prerelease, pre)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SemanticVersion):
-            return NotImplemented
-        return self._precedence_key() == other._precedence_key()
-
-    def __lt__(self, other: object) -> bool:
-        if not isinstance(other, SemanticVersion):
-            return NotImplemented
-        return self._precedence_key() < other._precedence_key()
-
-    def __hash__(self) -> int:
-        return hash(self._precedence_key())
 
 
 def parse_version(text: str) -> SemanticVersion:
@@ -124,8 +108,7 @@ def parse_version(text: str) -> SemanticVersion:
 
 def compare_versions(a: SemanticVersion, b: SemanticVersion) -> int:
     """Return -1, 0, or 1 by SemVer precedence. Build metadata is ignored."""
-    ka, kb = a._precedence_key(), b._precedence_key()
-    return (ka > kb) - (ka < kb)
+    return (a.precedence > b.precedence) - (a.precedence < b.precedence)
 
 
 def classify_upgrade(from_version: SemanticVersion, to_version: SemanticVersion) -> UpgradeLevel:
@@ -155,6 +138,6 @@ def sort_and_pair(versions: list[SemanticVersion]) -> list[tuple[SemanticVersion
     """
     deduped: dict[tuple, SemanticVersion] = {}
     for v in versions:
-        deduped.setdefault(v._precedence_key(), v)
-    ordered = sorted(deduped.values())
+        deduped.setdefault(v.precedence, v)
+    ordered = [deduped[key] for key in sorted(deduped)]
     return list(zip(ordered, ordered[1:]))

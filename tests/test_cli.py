@@ -171,6 +171,13 @@ class TestDiff:
         _, second, _ = run_cli(args, capsys)
         assert first and first == second
 
+    def test_descending_versions_give_no_upgrade_line(self, fig2_pair, capsys):
+        old, new = fig2_pair
+        code, out, _ = run_cli(["diff", str(old), str(new), "--from", "v2.0.0", "--to", "v1.0.0"], capsys)
+        assert code == 1
+        assert out.startswith("Module: github.com/pinpoint-apm/pinpoint-go-agent\nPackage: ")
+        assert "Library Upgrade" not in out
+
     def test_exclude_dir_extends_filter(self, tmp_path, capsys):
         mod = "example.com/lib"
         old = write_module(
@@ -207,6 +214,13 @@ class TestCheck:
         )
         assert code == 0
         assert "Verdict: compliant" in out
+
+    def test_development_upgrade_may_break(self, fig2_pair, capsys):
+        old, new = fig2_pair
+        code, out, _ = run_cli(["check", str(old), str(new), "--from", "v0.1.0", "--to", "v0.2.0"], capsys)
+        assert code == 1  # a breaking change, compliant or not
+        assert "Library Upgrade: v0.1.0 -> v0.2.0, Development\n" in out
+        assert out.endswith("Verdict: compliant (Development, 1 breaking changes)\n")
 
     def test_requires_version_flags(self, identical_pair, capsys):
         old, new = identical_pair

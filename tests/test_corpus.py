@@ -144,6 +144,41 @@ class TestValidate:
         entry = next(e for e in entries if e.module_dir_id == "mod-a" and e.version_raw == "v1.0.0")
         assert entry.invalid_reason == "no go files"
 
+    @pytest.mark.parametrize(
+        "files",
+        [
+            {"lib_test.go": "package a\n\nfunc TestF() {}\n"},
+            {"internal/x.go": "package x\n\nfunc F() {}\n"},
+            {"vendor/example.com/v/v.go": "package v\n\nfunc F() {}\n"},
+            {"sub/go.mod": "module example.com/a/sub\n", "sub/s.go": "package sub\n\nfunc F() {}\n"},
+        ],
+        ids=["test-files", "internal", "vendor", "nested-module"],
+    )
+    def test_go_files_that_extraction_skips_are_no_go_files(self, tmp_path, files):
+        root = _mini_corpus(tmp_path)
+        (root / "mod-a" / "v1.0.0" / "lib.go").unlink()
+        write_tree(root / "mod-a" / "v1.0.0", files)
+        entries = ingest_corpus(root)
+        validate_corpus(entries)
+        entry = next(e for e in entries if e.module_dir_id == "mod-a" and e.version_raw == "v1.0.0")
+        assert entry.invalid_reason == "no go files"
+
+    @pytest.mark.parametrize(
+        "manifest,reason",
+        [(None, "missing manifest"), ("module example.com/other\n", "module path mismatch"), ("require (\n", "malformed manifest")],
+    )
+    def test_manifest_reason_comes_before_no_go_files(self, tmp_path, manifest, reason):
+        root = _mini_corpus(tmp_path)
+        checkout = root / "mod-a" / "v1.0.0"
+        (checkout / "lib.go").unlink()
+        (checkout / "go.mod").unlink()
+        if manifest is not None:
+            (checkout / "go.mod").write_text(manifest)
+        entries = ingest_corpus(root)
+        validate_corpus(entries)
+        entry = next(e for e in entries if e.module_dir_id == "mod-a" and e.version_raw == "v1.0.0")
+        assert (entry.invalid_reason or "").startswith(reason)
+
     def test_empty_surface(self, tmp_path):
         root = _mini_corpus(tmp_path)
         (root / "mod-a" / "v1.0.0" / "lib.go").write_text("package a\n\nfunc F( {}\n")

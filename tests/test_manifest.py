@@ -77,6 +77,35 @@ def test_comment_and_whitespace_insensitivity():
     assert not m.requires[0].indirect
 
 
+def test_quoted_path_with_indirect_marker():
+    m = parse_manifest('module "example.com/a"\n\nrequire "example.com/b" v1.0.0 // indirect\n')
+    assert m.module_path == "example.com/a"
+    (req,) = m.requires
+    assert (req.path, req.version, req.indirect) == ("example.com/b", "v1.0.0", True)
+
+
+def test_comment_marker_inside_a_quoted_path_is_text():
+    m = parse_manifest('module example.com/a\n\nrequire "example.com//b" v1.0.0\n')
+    assert m.requires[0].path == "example.com//b"
+
+
+@pytest.mark.parametrize("entry", ["require a", "require (\n\ta\n)", "require a v1.0.0 extra"])
+def test_malformed_require_entry(entry):
+    with pytest.raises(MalformedManifest, match="^bad require entry: 'a"):
+        parse_manifest(f"module example.com/a\n\n{entry}\n")
+
+
+def test_replace_block_is_opaque():
+    m = parse_manifest("module example.com/a\n\nreplace (\n\texample.com/b => ../b\n)\n")
+    assert m.opaque_directives == ["replace example.com/b => ../b"]
+    assert m.requires == []
+
+
+def test_module_directive_without_a_path():
+    with pytest.raises(MalformedManifest, match="^line 2: module directive without a path$"):
+        parse_manifest("go 1.19\nmodule\n")
+
+
 def test_self_requirement_dropped_and_duplicates_merged():
     text = (
         "module example.com/a\n"

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 import catalogue_fixtures
 import impact_fixtures
 import planted_corpus
+import structure_reference
 from semverdiff.gotypes import (
     Array,
     Basic,
@@ -34,8 +35,10 @@ from semverdiff.gotypes import (
     Slice,
     Struct,
     TypeParamDef,
+    TypeExpr,
     TypeParamRef,
     UnionTerm,
+    _VARIANTS,
     is_comparable,
     is_exported,
     render_type_expr,
@@ -198,6 +201,7 @@ class TestDeclarations:
             ("map[string]int{}", Map(Basic("string"), Basic("int"))),
             ("'a'", Basic("rune")),
             ("true", Basic("bool")),
+            ("1i", Basic("complex128")),
         ],
     )
     def test_var_type_inference(self, value, expect):
@@ -393,6 +397,7 @@ class TestTypeExpressions:
             ("*struct{}", Pointer(Struct(()))),
             ("([]int)", Slice(Basic("int"))),
             ("*E | ~int", Interface((), (UnionTerm(Pointer(Named(PKG, "E"))), UnionTerm(Basic("int"), True)))),
+            ("*<-chan int", Pointer(Chan("recv", Basic("int")))),
         ],
     )
     def test_type_param_with_a_type_element_after_star_or_paren_is_generic(self, constraint, expect):
@@ -663,6 +668,127 @@ class TestRenderIdentity:
         assert render_type_expr(TypeParamRef("int")) == render_type_expr(Basic("int"))
 
 
+# -- the structural form -------------------------------------------------------
+#
+# A decoder of the structural form, kept here only: a dict with a kind is the
+# variant the table names, and one without is the class its field holds.
+
+_KINDS = {kind: cls for cls, (kind, _category) in _VARIANTS.items()}
+_ELEMENT_CLASSES = {"fields": FieldDef, "methods": MethodSig, "embeds": UnionTerm, "type_params": TypeParamDef}
+
+
+def _from_structure(value, cls=None):
+    if isinstance(value, list):
+        return tuple(_from_structure(v, cls) for v in value)
+    if not isinstance(value, dict):
+        return value
+    cls = _KINDS[value["kind"]] if "kind" in value else cls
+    return cls(**{name: _from_structure(v, _ELEMENT_CLASSES.get(name)) for name, v in value.items() if name != "kind"})
+
+
+def _assert_structure_round_trips(t) -> None:
+    """The form equals the written-out one before it, key order included, and
+    decodes back to t."""
+    structure = type_to_structure(t)
+    assert json.dumps(structure) == json.dumps(structure_reference.type_to_structure(t)), t
+    assert _from_structure(json.loads(json.dumps(structure))) == t, t
+
+
+_GENERICS = """package lib
+
+type List[T any, P interface{ ~*T; M() }] struct{ items []T; next *List[T, P] }
+
+type Number interface{ ~int | ~float64 | string }
+
+func Map[T, U any, N Number](xs []T, f func(T) U, n ...N) (List[U, *U], error) { return List[U, *U]{}, nil }
+
+func (l *List[T, P]) Len() int { return 0 }
+"""
+
+
+def _spec_types(sources, memo: DeclMemo | None = None) -> set:
+    """Every spec type and type-parameter constraint parse_go_file gives on
+    sources, the ones it rejects skipped."""
+    types = set()
+    for src in sources:
+        try:
+            gofile = parse_go_file(src, PKG, memo=memo)
+        except GoSyntaxError:
+            continue
+        for spec in (*gofile.consts, *gofile.vars, *gofile.types, *gofile.funcs):
+            types.add(spec.type)
+            types.update(tp.constraint for tp in spec.type_params)
+    return types
+
+
+@pytest.fixture(scope="module")
+def generated_types(generated_sources, tmp_path_factory) -> set:
+    """The spec types of each benchmark workload's seed-1 and seed-2 files,
+    parsed with one memo whose generation turns at each top-level directory
+    (a module pair, an impact op or a corpus)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        gen = importlib.import_module("gen")
+    trees = list(generated_sources.values())
+    for workload in WORKLOADS:
+        root = tmp_path_factory.mktemp(f"{workload}-2")
+        gen.generate(workload, 2, root)
+        trees.append({path.relative_to(root).as_posix(): path.read_text(encoding="utf-8") for path in root.rglob("*.go")})
+    types, memo = set(), DeclMemo()
+    for tree in trees:
+        tops = defaultdict(list)
+        for rel in sorted(tree):
+            tops[rel.split("/")[0]].append(tree[rel])
+        for top in sorted(tops):
+            memo.next_generation()
+            types |= _spec_types(tops[top], memo)
+    return types
+
+
+class TestStructuralForm:
+    def test_generic_function(self):
+        f = _first_func("package lib\n\nfunc F[T any, U ~int | string](x T) U {}\n")
+        assert json.dumps(type_to_structure(f.type)) == json.dumps({
+            "kind": "func",
+            "params": [{"kind": "typeparam", "name": "T"}],
+            "results": [{"kind": "typeparam", "name": "U"}],
+            "variadic": False,
+            "type_params": [
+                {"name": "T", "constraint": {"kind": "basic", "name": "any"}},
+                {"name": "U", "constraint": {"kind": "interface", "methods": [], "embeds": [
+                    {"tilde": True, "type": {"kind": "basic", "name": "int"}},
+                    {"tilde": False, "type": {"kind": "basic", "name": "string"}},
+                ]}},
+            ],
+        })
+        _assert_structure_round_trips(f.type)
+
+    def test_named_without_arguments_has_no_args(self):
+        assert type_to_structure(Named(PKG, "T")) == {"kind": "named", "package": PKG, "name": "T"}
+        assert type_to_structure(Named(PKG, "T", (Basic("int"),)))["args"] == [{"kind": "basic", "name": "int"}]
+
+    def test_every_variant_has_a_kind_and_a_category(self):
+        assert set(_VARIANTS) == set(TypeExpr.__args__)
+        assert len(_KINDS) == len(_VARIANTS)
+
+    def test_fixture_types(self):
+        types = _spec_types(_SOURCES + [_GENERICS])
+        assert any(isinstance(t, Func) and t.type_params for t in types)
+        assert set(re.findall(r'"kind": "(\w+)"', json.dumps([type_to_structure(t) for t in types]))) == set(_KINDS)
+        for t in sorted(types, key=repr):
+            _assert_structure_round_trips(t)
+
+    def test_generated_types(self, generated_types):
+        assert len(generated_types) > 1000
+        for t in sorted(generated_types, key=repr):
+            _assert_structure_round_trips(t)
+
+    @settings(max_examples=600, deadline=None)
+    @given(_TYPES)
+    def test_drawn_types(self, t):
+        _assert_structure_round_trips(t)
+
+
 class TestComparability:
     @pytest.mark.parametrize(
         "src,comparable",
@@ -809,35 +935,42 @@ _REFERENCE_UNTERMINATED = {
 }
 
 
-def _reference_escape(body: str, i: int, quote: str) -> tuple[str, bool]:
-    """The escape that starts with the backslash at body[i], and whether Go
-    defines it: a simple escape (with the literal's own quote), three octal
-    digits up to 255, or \\x, \\u or \\U with 2, 4 or 8 hex digits. An escape
-    that is none of these is the backslash and the character after it."""
+def _reference_escape(body: str, i: int, quote: str) -> tuple[str, str | None]:
+    """The escape that starts with the backslash at body[i], and Go's error
+    for it, or None if Go defines it: a simple escape (with the literal's own
+    quote), three octal digits up to 255, \\x with 2 hex digits, or \\u or \\U
+    with 4 or 8 hex digits that name a Unicode code point (at most 10FFFF,
+    and no surrogate). An escape that is none of these is the backslash and
+    the character after it."""
     kind = body[i + 1]
     if kind in "01234567":
         digits = body[i + 1 : i + 4]
         if len(digits) == 3 and all(c in "01234567" for c in digits):
-            return body[i : i + 4], int(digits, 8) <= 255
+            escape = body[i : i + 4]
+            return escape, None if int(digits, 8) <= 255 else f"unknown escape sequence {escape!r}"
     elif kind in "xuU":
         width = {"x": 2, "u": 4, "U": 8}[kind]
         digits = body[i + 2 : i + 2 + width]
         if len(digits) == width and all(c in string.hexdigits for c in digits):
-            return body[i : i + 2 + width], True
-    return body[i : i + 2], kind in "abfnrtv\\" + quote
+            escape, code = body[i : i + 2 + width], int(digits, 16)
+            if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+                return escape, f"escape sequence {escape!r} is an invalid Unicode code point"
+            return escape, None
+    escape = body[i : i + 2]
+    return escape, None if kind in "abfnrtv\\" + quote else f"unknown escape sequence {escape!r}"
 
 
 def _reference_literal_error(value: str) -> str | None:
     """The error in a string or rune the token regex delimited, walking it
-    one character or escape at a time: the first escape Go does not
-    define, else a rune that does not hold exactly one character."""
+    one character or escape at a time: the first escape Go rejects, else a
+    rune that does not hold exactly one character."""
     quote, body = value[0], value[1:-1]
     chars = i = 0
     while i < len(body):
         if body[i] == "\\":
-            escape, defined = _reference_escape(body, i, quote)
-            if not defined:
-                return f"unknown escape sequence {escape!r}"
+            escape, error = _reference_escape(body, i, quote)
+            if error is not None:
+                return error
             i += len(escape)
         else:
             i += 1
@@ -1642,6 +1775,50 @@ class TestStringValues:
         assert parse_go_file(src, PKG).vars[0].type == Named("a/b", "T")
         with pytest.raises(GoSyntaxError, match=r"^line 3: unknown escape sequence '\\\\o'$"):
             parse_imports('package lib\n\nimport "a\\ob"\n')
+
+
+# Where a \\u or \\U escape may stand: a string in a const and in a var, and
+# a rune, each in the header (a declaration indented, so no candidate cut),
+# in a chunk and in a function body; with the line of the literal.
+_ESCAPE_DECLS = {"const": 'const A = "E"', "var": 'var A = "E"', "rune": "const A = 'E'"}
+_ESCAPE_PLACES = {
+    "header": ("package p\n\n\tD\n\nfunc F() {}\n", 3),
+    "chunk": ("package p\n\nvar X int\n\nD\n\nfunc F() {}\n", 5),
+    "function-body": ("package p\n\nfunc F() {\n\tD\n}\n\nfunc G() {}\n", 4),
+}
+
+
+class TestCodePointEscapes:
+    """A \\u or \\U escape must name a Unicode code point: at most 10FFFF, and
+    no surrogate. go/scanner's error otherwise, at the literal's line."""
+
+    @pytest.mark.parametrize("place", sorted(_ESCAPE_PLACES))
+    @pytest.mark.parametrize("decl", sorted(_ESCAPE_DECLS))
+    @pytest.mark.parametrize("escape", [r"\uD800", r"\uDFFF", r"\U0000D800", r"\U00110000", r"\UFFFFFFFF"])
+    def test_escape_that_names_no_code_point_is_an_error(self, escape, decl, place):
+        template, line = _ESCAPE_PLACES[place]
+        src = template.replace("D", _ESCAPE_DECLS[decl]).replace("E", escape)
+        error = f"GoSyntaxError: line {line}: escape sequence {escape!r} is an invalid Unicode code point"
+        for fn in (tokenize, _parse, parse_imports, _reference_tokens):
+            assert _outcome(fn, src) == error, (fn, src)
+        _assert_as_before(src)
+        _assert_check_agrees_with_lexer(src)
+
+    @pytest.mark.parametrize("place", sorted(_ESCAPE_PLACES))
+    @pytest.mark.parametrize("decl", sorted(_ESCAPE_DECLS))
+    @pytest.mark.parametrize("escape", [r"\uD7FF", r"\uE000", r"\U0000FFFF", r"\U0010FFFF"])
+    def test_escape_that_names_a_code_point_parses(self, escape, decl, place):
+        template, _ = _ESCAPE_PLACES[place]
+        src = template.replace("D", _ESCAPE_DECLS[decl]).replace("E", escape)
+        gofile = _parse(src)
+        if place != "function-body":
+            assert gofile.consts + gofile.vars, src
+        _assert_as_before(src)
+        _assert_check_agrees_with_lexer(src)
+
+    def test_the_header_holds_the_indented_declaration(self):
+        template, _ = _ESCAPE_PLACES["header"]
+        assert tokenize(template.replace("D", _ESCAPE_DECLS["const"]))[3:5] == ["const", "A"]
 
 
 class TestLiteralValues:
