@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import unicodedata
 from dataclasses import dataclass, fields, is_dataclass
+from functools import cache
 from typing import Callable, Union
 
 
@@ -276,10 +277,22 @@ def type_to_structure(t: TypeExpr) -> dict:
 def _structure(value):
     if isinstance(value, tuple):
         return [_structure(v) for v in value]
-    if not is_dataclass(value):
+    cls = type(value)
+    names = _field_order(cls)
+    if names is None:
         return value
-    out = {"kind": _VARIANTS[type(value)][0]} if type(value) in _VARIANTS else {}
-    names = [f.name for f in fields(value) if f.name != "args" or value.args]  # only Named has args
-    for name in reversed(names) if isinstance(value, UnionTerm) else names:
-        out[name] = _structure(getattr(value, name))
+    out = {"kind": _VARIANTS[cls][0]} if cls in _VARIANTS else {}
+    for name in names:
+        if name != "args" or value.args:  # only Named has args
+            out[name] = _structure(getattr(value, name))
     return out
+
+
+@cache
+def _field_order(cls: type) -> tuple[str, ...] | None:
+    """A dataclass's field names in structural order, or None for any other
+    class: declaration order, but a UnionTerm gives "tilde" before "type"."""
+    if not is_dataclass(cls):
+        return None
+    names = tuple(f.name for f in fields(cls))
+    return names[::-1] if cls is UnionTerm else names

@@ -80,8 +80,12 @@ class ClientUsage:
 
 @dataclass
 class ScanReport:
+    """A client's .go files by outcome: scanned, skipped by their imports, or
+    failed to read, decode or lex."""
+
     scanned: list[str] = field(default_factory=list)
     skipped: list[str] = field(default_factory=list)
+    failed: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -222,6 +226,10 @@ def _match_file(
     return usages
 
 
+# Directories go build leaves out of a module's packages.
+_IGNORED_DIRS = frozenset({"vendor", "testdata"})
+
+
 def scan_client(
     client_root: str | Path,
     nodes: list[BreakingNode],
@@ -233,6 +241,8 @@ def scan_client(
 
     Stage 1 skips every file whose imported package paths are disjoint from
     the breaking packages; only surviving files are scanned and matched.
+    As go build does, the walk leaves out vendor/ and testdata/ directories;
+    _test.go files are scanned.
     """
     root = Path(client_root)
     nodes_by_package: dict[str, dict[str, BreakingNode]] = {}
@@ -241,7 +251,7 @@ def scan_client(
 
     usages: list[ClientUsage] = []
     for dirpath, dirnames, filenames in os.walk(root):
-        dirnames.sort()
+        dirnames[:] = sorted(d for d in dirnames if d not in _IGNORED_DIRS)
         for fn in sorted(filenames):
             if not fn.endswith(".go"):
                 continue
@@ -252,6 +262,8 @@ def scan_client(
                 binding = bind_imports(text, rel_file)
             except (OSError, UnicodeDecodeError, ParseFailure) as exc:
                 logger.warning("skipping client file %s: %s", path, exc)
+                if report is not None:
+                    report.failed.append(rel_file)
                 continue
             if binding.package_paths.isdisjoint(nodes_by_package):
                 if report is not None:

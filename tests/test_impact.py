@@ -185,7 +185,17 @@ class TestScanClient:
         usages = scan_client(root, nodes, report=report)
         assert report.scanned == ["good.go"]
         assert report.skipped == []
+        assert report.failed == ["bad.go"]
         assert {u.file for u in usages} == {"good.go"}
+
+    def test_vendor_and_testdata_are_not_walked(self, tmp_path):
+        nodes = collect_breaking_nodes([_record()])
+        src = 'package main\n\nimport "example.com/brklib"\n\nfunc main() {\n\tbrklib.OldThing()\n}\n'
+        root = write_tree(tmp_path / "client", {"c.go": src, "testdata/t.go": src, "vendor/x/x.go": src})
+        report = ScanReport()
+        (usage,) = scan_client(root, nodes, report=report)
+        assert (usage.file, usage.line, usage.qualified_name) == ("c.go", 6, "brklib.OldThing")
+        assert (report.scanned, report.skipped, report.failed) == (["c.go"], [], [])
 
     def test_unaffected_importing_client(self, library_pair, client_roots):
         old, new = library_pair

@@ -1708,6 +1708,110 @@ class TestAgainstTheReferenceLexer:
             _assert_check_agrees_with_lexer(src)
 
 
+def _reference_skip_body(text: str, pos: int) -> int:
+    """_skip_body as it was before it matched nested groups: one match of
+    _BODY_RE and one turn of the loop per brace."""
+    match = parser_module._BODY_RE.match
+    depth = 1
+    while True:
+        end = match(text, pos).end()
+        char = text[end : end + 1]
+        if char == "{":
+            depth += 1
+        elif char == "}":
+            depth -= 1
+            if depth == 0:
+                return end + 1
+        else:
+            return -1
+        pos = end + 1
+
+
+def _assert_skips_as_before(text: str, pos: int = 0) -> None:
+    assert parser_module._skip_body(text, pos) == _reference_skip_body(text, pos), (text[:200], pos)
+
+
+class _CountingMatch:
+    """A stand-in for a compiled pattern that counts its match calls."""
+
+    def __init__(self, pattern: re.Pattern):
+        self.pattern, self.calls = pattern, 0
+
+    def match(self, *args):
+        self.calls += 1
+        return self.pattern.match(*args)
+
+
+# Text that holds braces a body skip must not count: one of each literal kind.
+_BRACED_LITERALS = ('"{"', '"}\\\\"', '"\\"}"', "`}\n{`", "'{'", "'}'", "// }\n", "/* { */", "/* }\n} */")
+# Fragments of body text: braces, literals that hold braces, and text that
+# only looks like the start of a literal.
+_BODY_FRAGMENTS = _BRACED_LITERALS + ("{", "}", "{", "}", "x", " ", "\n", "a / b", "/", "*", "'", '"', "`")
+_NESTING = parser_module._SKIP_NESTING
+
+
+def _nested_body(levels: int, inner: str = "x") -> str:
+    """The text after a body's "{": groups nested levels deep around inner,
+    with text between the braces, and the body's closing "}"."""
+    return "a {" * levels + inner + "} b" * levels + "}\nfunc G() {}\n"
+
+
+class TestSkipBody:
+    def test_generated_function_bodies(self, generated_sources, monkeypatch):
+        bodies = []
+        real = parser_module._skip_body
+
+        def recording(text, pos):
+            bodies.append((text, pos))
+            return real(text, pos)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(parser_module, "_skip_body", recording)
+            for workload in WORKLOADS:
+                for src in sorted(set(generated_sources[workload].values())):
+                    try:
+                        parse_go_file(src, PKG)
+                    except GoSyntaxError:  # the corpus plants invalid files
+                        pass
+        assert len(bodies) > 1000
+        counting = _CountingMatch(parser_module._SKIP_RE)
+        monkeypatch.setattr(parser_module, "_SKIP_RE", counting)
+        for text, pos in bodies:
+            _assert_skips_as_before(text, pos)
+        # The generated bodies nest no deeper than the pattern does, so each
+        # is skipped in one match.
+        assert counting.calls == len(bodies)
+
+    @pytest.mark.parametrize("levels", [_NESTING - 1, _NESTING, _NESTING + 1, 50_000])
+    def test_nesting_around_the_pattern_depth(self, levels):
+        _assert_skips_as_before(_nested_body(levels))
+        _assert_skips_as_before("{}" * levels + "}")
+        _assert_skips_as_before("{" * levels + "}" * levels + "{" * levels + "}" * levels + "}")
+
+    @pytest.mark.parametrize("literal", _BRACED_LITERALS)
+    @pytest.mark.parametrize("levels", range(_NESTING + 2))
+    def test_braces_in_literals(self, literal, levels):
+        text = _nested_body(levels, literal)
+        _assert_skips_as_before(text)
+        assert parser_module._skip_body(text, 0) == text.index("}\nfunc") + 1
+
+    @pytest.mark.parametrize("levels", [0, _NESTING - 1, _NESTING, _NESTING + 1, 50_000])
+    def test_unterminated_body(self, levels):
+        for text in ("a {" * levels, "{" * (levels + 1) + "x }", "{" * levels + '"{"' + "}" * levels):
+            assert parser_module._skip_body(text, 0) == -1
+            _assert_skips_as_before(text)
+
+    def test_the_skip_starts_at_pos(self):
+        text = "func F() {\n\tif x { y() }\n}\nfunc G() { { { { } } } }\n"
+        for pos in range(len(text) + 1):
+            _assert_skips_as_before(text, pos)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(st.sampled_from(_BODY_FRAGMENTS), max_size=40))
+    def test_fragments(self, fragments):
+        _assert_skips_as_before("".join(fragments))
+
+
 def _tag(literal: str) -> str | None:
     return _first_type(f"package lib\n\ntype T struct {{\n\tA int {literal}\n}}\n").fields[0].tag
 
