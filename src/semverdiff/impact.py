@@ -1,45 +1,35 @@
 """Client-side impact analysis for a library's breaking changes.
 
 Files whose imports are disjoint from the breaking packages are skipped
-without being scanned. In each surviving file, comments, strings, runes and
-numbers are blanked by one regex, and selectors (alias.Name, x.Method) are
-found by a regex over the blanked text, with the semicolon-insertion rule
-kept; bare identifiers are collected only when a breaking package is
-dot-imported. Through the file's import bindings, each match becomes one
-reference (package, name, line, label), and one lookup per reference finds
-its breaking node. No tokens are built.
+without being scanned. In each surviving file, selectors (alias.Name,
+x.Method) are found in the source text itself, outside its comments,
+strings, runes and numbers, with the semicolon-insertion rule kept; bare
+identifiers are collected only when a breaking package is dot-imported, and
+only those with the name of a node of such a package or of its receiver.
+Through the file's import bindings, each match becomes one reference
+(package, name, line, label), and one lookup per reference finds its
+breaking node. No tokens are built, and no copy of the text is made.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import parser as _goparser
 from .diff import ChangeRecord
 from .manifest import MANIFEST_NAME, MalformedManifest, parse_manifest
-from .parser import _IDENT, GO_KEYWORDS, GoSyntaxError
+from .parser import GoSyntaxError
 from .surface import ApiSurface, ParseFailure
 
 logger = logging.getLogger(__name__)
 
 # Matching entry point, kept as a module global so the short-circuit is
-# observable: skipped files must never reach it. It blanks comments and
-# literals; selectors and identifiers are then found in the text it returns.
-tokenize = _goparser.blank_literals
-
-# In blanked text every "." is a "." token, and a word never starts with a
-# digit, since numbers are blanked. A selector is base.member where only
-# spaces fall between base and ".", because a newline there would insert a
-# ";"; a newline may follow the ".".
-_DOT_MEMBER_RE = re.compile(rf"\.(?=[ \t\r\n]*({_IDENT}))")
-# Matched in the reversed text just before a ".": the base, spelled backwards.
-_BASE_BEFORE_RE = re.compile(r"[ \t\r]*(\w+)")
-# An identifier, with the "." before it when it is a member.
-_IDENT_RE = re.compile(rf"(\.[ \t\r\n]*)?(?<!\w)({_IDENT})")
+# observable: skipped files must never reach it. It finds the selectors in
+# the text, and then, under a dot import, the bare identifiers.
+tokenize = _goparser.find_selectors
 
 
 @dataclass(frozen=True)
@@ -145,44 +135,6 @@ def bind_imports(source_file: str, file: str = "") -> ImportBinding:
     return binding
 
 
-def _selectors(blanked: str) -> list[tuple[str, str, int]]:
-    """(base, member, line of member) for each selector in text blanked by tokenize."""
-    backwards = blanked[::-1]
-    end = len(blanked)
-    selectors: list[tuple[str, str, int]] = []
-    line = 1
-    pos = 0
-    for m in _DOT_MEMBER_RE.finditer(blanked):
-        before = _BASE_BEFORE_RE.match(backwards, end - m.start())
-        if before is None:
-            continue
-        base = before.group(1)[::-1]
-        member = m.group(1)
-        if base in GO_KEYWORDS or member in GO_KEYWORDS:
-            continue
-        at = m.start(1)
-        line += blanked.count("\n", pos, at)
-        pos = at
-        selectors.append((base, member, line))
-    return selectors
-
-
-def _bare_identifiers(blanked: str) -> list[tuple[str, int]]:
-    """(name, line) for each identifier in text blanked by tokenize that is not a member."""
-    bares: list[tuple[str, int]] = []
-    line = 1
-    pos = 0
-    for m in _IDENT_RE.finditer(blanked):
-        dot, name = m.groups()
-        if dot is not None or name in GO_KEYWORDS:
-            continue
-        at = m.start(2)
-        line += blanked.count("\n", pos, at)
-        pos = at
-        bares.append((name, line))
-    return bares
-
-
 def _match_file(
     rel_file: str,
     text: str,
@@ -191,8 +143,7 @@ def _match_file(
     client_module: str,
     client_version: str | None,
 ) -> list[ClientUsage]:
-    blanked = tokenize(text)
-    selectors = _selectors(blanked)
+    selectors = tokenize(text)
     alias_packages = {alias: pkg for alias, pkg in binding.bindings.items() if pkg in nodes_by_package}
     dot_packages = sorted(binding.dot_imports & nodes_by_package.keys())
 
@@ -204,7 +155,9 @@ def _match_file(
         if base in alias_packages
     ]
     if dot_packages:
-        refs += [(pkg, name, line, name) for name, line in _bare_identifiers(blanked) for pkg in dot_packages]
+        # Only a name a node of these packages has, or the receiver of one.
+        names = {key.partition(".")[0] for pkg in dot_packages for key in nodes_by_package[pkg]}
+        refs += [(pkg, name, line, name) for name, line in selectors.bare_identifiers(names) for pkg in dot_packages]
 
     # A method node "T.M" counts at each selector x.M when the file names T
     # from the same package; it is labelled with the package's smallest alias.
@@ -226,7 +179,8 @@ def _match_file(
     return usages
 
 
-# Directories go build leaves out of a module's packages.
+# Directories go build leaves out of a module's packages, besides those whose
+# names start with "." or "_", which it leaves out as it does such files.
 _IGNORED_DIRS = frozenset({"vendor", "testdata"})
 
 
@@ -241,7 +195,8 @@ def scan_client(
 
     Stage 1 skips every file whose imported package paths are disjoint from
     the breaking packages; only surviving files are scanned and matched.
-    As go build does, the walk leaves out vendor/ and testdata/ directories;
+    As go build does, the walk leaves out vendor/ and testdata/ directories,
+    and the directories and files whose names start with "." or "_";
     _test.go files are scanned.
     """
     root = Path(client_root)
@@ -251,9 +206,9 @@ def scan_client(
 
     usages: list[ClientUsage] = []
     for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = sorted(d for d in dirnames if d not in _IGNORED_DIRS)
+        dirnames[:] = sorted(d for d in dirnames if d not in _IGNORED_DIRS and d[0] not in "._")
         for fn in sorted(filenames):
-            if not fn.endswith(".go"):
+            if not fn.endswith(".go") or fn[0] in "._":
                 continue
             path = Path(dirpath) / fn
             rel_file = path.relative_to(root).as_posix()

@@ -17,9 +17,12 @@ inserts semicolons, drops comments and tracks brackets, so that the body of
 each top-level function is skipped to its closing brace without building
 tokens. A closing bracket that does not match outside function bodies is a
 syntax error, as in Go. Lines are kept only for error messages. Import
-binding parses the header's package clause and imports. blank_literals blanks
-the comments and literals of a file with one regex built from the lexer's
-sub-patterns, for scans that need no tokens. The parser itself only covers
+binding parses the header's package clause and imports. find_selectors finds
+the selectors of a file, and then bare_identifiers the identifiers that are
+no members, in the source text itself, for scans that need no tokens: one
+regex built from the lexer's sub-patterns confirms that each candidate lies
+outside every literal, and the lexer lexes only the few words that may hold
+a number. The parser itself only covers
 what an API surface needs: the package clause, imports, and top-level
 const/var/type/func declarations, including generic type parameters. One
 parser with one cursor reads each file: parameter, type-argument and
@@ -48,8 +51,8 @@ import re
 import string
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterator
+from functools import cached_property, lru_cache
+from typing import Collection, Iterator
 
 from .gotypes import (
     Array,
@@ -184,7 +187,8 @@ _UNTERMINATED = {
 # Go's numbers take only ASCII digits, and its identifiers only letters, "_"
 # and, after the first character, decimal digits. In a file that is not all
 # ASCII, this ends a match at each non-ASCII word character outside literals
-# as well, so that the token around it can be checked.
+# as well, so that the token around it can be checked. On ASCII text it
+# matches what _LEXABLE_RE matches, and faster, so it checks that text alone.
 _ASCII_LEXABLE_RE = re.compile(_LEXABLE_RE.pattern, re.ASCII)
 # The ASCII characters that may stand inside a number or an identifier. The
 # token around a non-ASCII character is lexed from the last character before
@@ -370,9 +374,10 @@ def _check_lexable(text: str) -> None:
     """
     size = len(text)
     illegal = min(k for k in (text.find("\x00"), text.find("\ufeff"), size) if k >= 0)
-    end = _LEXABLE_RE.match(text).end()
-    if not text.isascii():
-        end = _foreign_character(text, end)
+    if text.isascii():
+        end = _ASCII_LEXABLE_RE.match(text).end()
+    else:
+        end = _foreign_character(text, _LEXABLE_RE.match(text).end())
     if end < illegal:
         raise GoSyntaxError(_lexing_error(text, end), text.count("\n", 0, end) + 1)
     if illegal < size:
@@ -462,32 +467,214 @@ def _skip_body(text: str, pos: int) -> int:
         pos = end + 1
 
 
-# Each comment, string, rune, number and "..." token, split as the lexer
-# splits them: a number starts outside an identifier, or at a "." followed by
-# a digit, and a number right after a number (0b12 lexes as 0b1 and 2) is
-# part of the match. The lookahead lets the regex skip other text quickly.
-_BLANK_RE = re.compile(
-    rf"(?=[/\"'`\d.])(?:{_LITERAL}|(?:(?<!\w)|(?=\.\d)){_NUMBER}(?:(?=\d){_NUMBER})*|\.\.\.)"
-)
+# Comments, strings, runes, raw strings and a "/" that starts none. A line
+# comment takes its newline, so a match that a limit cuts does not end in one.
+_NOT_CODE = rf"//[^\n]*+\n|{_COMMENT_BLOCK}|`[^`]*+`|{_STRING}|{_RUNE}|/(?![/*])"
+# The code between literals: a match from a point outside any literal ends at
+# the limit it is given only if the limit is outside every literal too.
+_CODE_RE = re.compile(rf"(?:[^\"'`/]++|{_NOT_CODE})*+")
+# The same, with the last run of word characters captured. The captured
+# alternative comes last: before the "/" alternatives, Python 3.11's sre
+# raises SystemError on the group's span when a match ends at "/".
+_LAST_WORD_RE = re.compile(rf"(?:[^\w\"'`/]++|{_NOT_CODE}|(\w++))*+")
+# A "." followed by blanks and a name, or by a comment, which may hide one.
+_DOT_RE = re.compile(rf"\.(?=[ \t\r\n]*+(?:({_IDENT})|/[/*]))")
+# Blanks and comments, then the name they may hide.
+_NAME_AFTER_RE = re.compile(rf"(?:[ \t\r\n]++|{_COMMENT_LINE}|{_COMMENT_BLOCK})*+({_IDENT})?")
+# What may stand between a selector's base and its ".": blanks and block
+# comments, none of them a newline, which would insert a ";".
+_SPACE_RE = re.compile(r"(?:[ \t\r]++|/\*[^\n]*?\*/)*+")
 
 
-def _blank(m: re.Match) -> str:
-    text = m.group()
-    newlines = text.count("\n")
-    if text[0] == "/":
-        return "\n" * newlines or " "
-    return "#" + "\n" * newlines
+class _Lexer:
+    """The lexer's token at an offset of code, lexed only around it.
 
-
-def blank_literals(text: str) -> str:
-    """Go source with its comments, literals and "..." tokens blanked.
-
-    A comment becomes whitespace and every other blanked token a "#", each
-    keeping its newlines, so identifiers stay on their lines and every "."
-    left is a "." token. The text must be one the lexer accepts; a leading
-    byte order mark is dropped, as tokenize drops it.
+    Only a number, which may hold "." and, after an exponent's letter, a sign,
+    joins word characters across anything but a word character. So a token
+    starts where a run of word characters, "." and such signs starts, or
+    where the last token lexed here ended; the lexer starts at the later of
+    the two. Asked for offsets in increasing order, as the scans ask, it
+    lexes each character at most once.
     """
-    return _BLANK_RE.sub(_blank, text.removeprefix("\ufeff"))
+
+    __slots__ = ("text", "start", "end", "token")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.start = self.end = 0
+        self.token = ""
+
+    def token_at(self, k: int) -> tuple[int, int, str]:
+        """(start, end, text) of the token that holds offset k."""
+        if not self.start <= k < self.end:
+            text = self.text
+            stop = self.end if k >= self.end else 0
+            pos = k
+            while pos > stop:
+                char = text[pos - 1]
+                if not (char.isalnum() or char in "_." or char in "+-" and pos > 1 and text[pos - 2] in "eEpP"):
+                    break
+                pos -= 1
+            match = _TOKEN_RE.match
+            while pos <= k:
+                m = match(text, pos)
+                start, pos = m.span(1)
+            self.start, self.end, self.token = start, pos, m.group(1)
+        return self.start, self.end, self.token
+
+
+class Selectors(list):
+    """(base, member, line of member) for each selector of a text, from
+    find_selectors, with what bare_identifiers reads: the text; the offset
+    of each name after a "." outside literals, with the "."'s offset
+    (members); and each "." right after a number or inside one, where the
+    lexer found no identifier before it (number_dots)."""
+
+    __slots__ = ("text", "members", "number_dots")
+
+    def bare_identifiers(self, names: Collection[str]) -> list[tuple[str, int]]:
+        """(name, line) for each identifier of the text in names that is not
+        a member: the token before it is no "." token.
+
+        One regex finds the candidates: each name in names at the end of a
+        word, and each word that starts with a digit and holds a letter (1x
+        lexes as 1 and x). A name that ends a longer word is a token only if
+        that word follows a "." of number_dots (1.e5x lexes as 1.e5 and x).
+        The lexer decides only for those, and for a "." before a name that
+        may be part of a number or of "...".
+        """
+        if not names:
+            return []
+        text, members, numbers = self.text, self.members, self.number_dots
+        candidates = _candidates_re(frozenset(names)).finditer
+        lexer = _Lexer(text)
+        code = _CODE_RE.match
+        bares: list[tuple[str, int]] = []
+        line, counted = 1, 0
+        pos = 0
+        while pos < len(text):
+            for m in candidates(text, pos):
+                start, end = m.span()
+                word = _word_start(text, start)
+                exact = text[start].isdecimal() or word - 1 in numbers
+                if word < start and not exact:
+                    continue  # the end of a longer identifier
+                stop = code(text, pos, start).end()
+                if stop < start:  # a literal holds the word
+                    pos = _literal_end(text, stop)
+                    break
+                pos = start
+                dot = members.get(start) if word == start else None
+                if dot and (text[dot - 1] == "." or dot in numbers):
+                    dot_start, _end, tok = lexer.token_at(dot)
+                    if dot_start != dot or tok != ".":
+                        dot = None
+                if exact:
+                    tok_start, tok_end, name = lexer.token_at(end - 1)
+                    if tok_end != end or not _IDENT_RE.match(name):
+                        continue
+                    if tok_start > word:  # after a number in the same word
+                        dot = None
+                else:
+                    name = text[start:end]
+                if dot is not None or name not in names or name in GO_KEYWORDS:
+                    continue
+                line += text.count("\n", counted, start)
+                counted = start
+                bares.append((name, line))
+            else:
+                break
+        return bares
+
+
+@lru_cache(maxsize=32)
+def _candidates_re(names: frozenset[str]) -> re.Pattern:
+    """Each name in names at the end of a word, and each word that starts
+    with a digit and holds a letter."""
+    alternatives = "|".join(sorted(map(re.escape, names), key=lambda name: (-len(name), name)))
+    return re.compile(rf"\d(?<!\w\d)[\d_]*+[^\W\d_]\w*+|(?:{alternatives})(?!\w)")
+
+
+def find_selectors(text: str) -> Selectors:
+    """The selectors (base.member) of Go source the lexer accepts, found in
+    the text itself, with the semicolon-insertion rule kept.
+
+    A candidate is each "." followed by blanks or comments and a name. One
+    match of _CODE_RE, resumed where the last one stopped, confirms it lies
+    outside every literal. Its base is the word just before it, past blanks
+    and block comments without a newline; only where a comment stands there
+    is the code since the last "." parsed again to find the word. The word
+    is an identifier token unless it starts with a digit or follows a "."
+    of number_dots (1.e5.x); only there the lexer decides.
+    """
+    selectors = Selectors()
+    selectors.text = text
+    members = selectors.members = {}
+    numbers = selectors.number_dots = set()
+    lexer = _Lexer(text)
+    code = _CODE_RE.match
+    line, counted = 1, 0
+    pos = last = 0  # where the scan resumes; the last "." outside literals
+    while pos < len(text):
+        for m in _DOT_RE.finditer(text, pos):
+            dot = m.start()
+            stop = code(text, pos, dot).end()
+            if stop < dot:  # a literal holds the "."
+                pos = _literal_end(text, stop)
+                break
+            pos = dot
+            member = m.group(1)
+            if member is not None:
+                at = m.start(1)
+            else:
+                after = _NAME_AFTER_RE.match(text, dot + 1)
+                member, at = after.group(1), after.start(1)
+            since, last = last, dot
+            if member is None:
+                continue
+            members[at] = dot
+            end = dot
+            while end and text[end - 1] in " \t\r":
+                end -= 1
+            char = text[end - 1 : end]
+            if char.isalnum() or char == "_":
+                start = _word_start(text, end - 1)
+            elif char == "/":  # a comment may end there
+                start, end = _LAST_WORD_RE.match(text, since, dot).span(1)
+                if end < 0 or not _SPACE_RE.fullmatch(text, end, dot):
+                    continue
+            else:
+                continue
+            if text[start].isdecimal() or start - 1 in numbers:
+                start, tok_end, base = lexer.token_at(end - 1)
+                if tok_end != end or not _IDENT_RE.match(base):
+                    if end == dot:
+                        numbers.add(dot)
+                    continue
+            else:
+                base = text[start:end]
+            if base in GO_KEYWORDS or member in GO_KEYWORDS:
+                continue
+            line += text.count("\n", counted, at)
+            counted = at
+            selectors.append((base, member, line))
+        else:
+            break
+    return selectors
+
+
+def _word_start(text: str, pos: int) -> int:
+    """The start of the run of word characters that ends at pos."""
+    while pos and (text[pos - 1].isalnum() or text[pos - 1] == "_"):
+        pos -= 1
+    return pos
+
+
+def _literal_end(text: str, pos: int) -> int:
+    """The end of the literal at pos; past pos if none starts there, which
+    only text the lexer rejects has."""
+    m = _LITERAL_RE.match(text, pos)
+    return m.end() if m else pos + 1
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,99 @@
-"""Client matching as it was before one list of references fed every match:
-`collect_breaking_nodes` and `_match_file` kept verbatim, as the reference
-the matcher must agree with, usages and their order included."""
+"""Client matching as it was before one list of references fed every match,
+and selector scanning as it was before selectors were found in the source
+text itself: `collect_breaking_nodes`, `_match_file`, `blank_literals` (with
+`_BLANK_RE` and `_blank`), `_selectors` and `_bare_identifiers` kept
+verbatim, as the reference the matcher and the scan must agree with, usages
+and their order included."""
 
 from __future__ import annotations
 
+import re
+
 from semverdiff.diff import ChangeRecord
-from semverdiff.impact import (
-    BreakingNode,
-    ClientUsage,
-    ImportBinding,
-    _bare_identifiers,
-    _selectors,
-    tokenize,
-)
+from semverdiff.impact import BreakingNode, ClientUsage, ImportBinding
+from semverdiff.parser import _IDENT, _LITERAL, _NUMBER, GO_KEYWORDS
 from semverdiff.surface import ApiSurface
+
+# Each comment, string, rune, number and "..." token, split as the lexer
+# splits them: a number starts outside an identifier, or at a "." followed by
+# a digit, and a number right after a number (0b12 lexes as 0b1 and 2) is
+# part of the match. The lookahead lets the regex skip other text quickly.
+_BLANK_RE = re.compile(
+    rf"(?=[/\"'`\d.])(?:{_LITERAL}|(?:(?<!\w)|(?=\.\d)){_NUMBER}(?:(?=\d){_NUMBER})*|\.\.\.)"
+)
+
+
+def _blank(m: re.Match) -> str:
+    text = m.group()
+    newlines = text.count("\n")
+    if text[0] == "/":
+        return "\n" * newlines or " "
+    return "#" + "\n" * newlines
+
+
+def blank_literals(text: str) -> str:
+    """Go source with its comments, literals and "..." tokens blanked.
+
+    A comment becomes whitespace and every other blanked token a "#", each
+    keeping its newlines, so identifiers stay on their lines and every "."
+    left is a "." token. The text must be one the lexer accepts; a leading
+    byte order mark is dropped, as tokenize drops it.
+    """
+    return _BLANK_RE.sub(_blank, text.removeprefix("\ufeff"))
+
+
+# Matching entry point, kept as a module global so the short-circuit is
+# observable: skipped files must never reach it. It blanks comments and
+# literals; selectors and identifiers are then found in the text it returns.
+tokenize = blank_literals
+
+# In blanked text every "." is a "." token, and a word never starts with a
+# digit, since numbers are blanked. A selector is base.member where only
+# spaces fall between base and ".", because a newline there would insert a
+# ";"; a newline may follow the ".".
+_DOT_MEMBER_RE = re.compile(rf"\.(?=[ \t\r\n]*({_IDENT}))")
+# Matched in the reversed text just before a ".": the base, spelled backwards.
+_BASE_BEFORE_RE = re.compile(r"[ \t\r]*(\w+)")
+# An identifier, with the "." before it when it is a member.
+_IDENT_RE = re.compile(rf"(\.[ \t\r\n]*)?(?<!\w)({_IDENT})")
+
+
+def _selectors(blanked: str) -> list[tuple[str, str, int]]:
+    """(base, member, line of member) for each selector in text blanked by tokenize."""
+    backwards = blanked[::-1]
+    end = len(blanked)
+    selectors: list[tuple[str, str, int]] = []
+    line = 1
+    pos = 0
+    for m in _DOT_MEMBER_RE.finditer(blanked):
+        before = _BASE_BEFORE_RE.match(backwards, end - m.start())
+        if before is None:
+            continue
+        base = before.group(1)[::-1]
+        member = m.group(1)
+        if base in GO_KEYWORDS or member in GO_KEYWORDS:
+            continue
+        at = m.start(1)
+        line += blanked.count("\n", pos, at)
+        pos = at
+        selectors.append((base, member, line))
+    return selectors
+
+
+def _bare_identifiers(blanked: str) -> list[tuple[str, int]]:
+    """(name, line) for each identifier in text blanked by tokenize that is not a member."""
+    bares: list[tuple[str, int]] = []
+    line = 1
+    pos = 0
+    for m in _IDENT_RE.finditer(blanked):
+        dot, name = m.groups()
+        if dot is not None or name in GO_KEYWORDS:
+            continue
+        at = m.start(2)
+        line += blanked.count("\n", pos, at)
+        pos = at
+        bares.append((name, line))
+    return bares
 
 
 def collect_breaking_nodes(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -197,6 +198,16 @@ class TestScanClient:
         assert (usage.file, usage.line, usage.qualified_name) == ("c.go", 6, "brklib.OldThing")
         assert (report.scanned, report.skipped, report.failed) == (["c.go"], [], [])
 
+    def test_names_starting_with_dot_or_underscore_are_not_walked(self, tmp_path):
+        nodes = collect_breaking_nodes([_record()])
+        src = 'package main\n\nimport "example.com/brklib"\n\nfunc main() {\n\tbrklib.OldThing()\n}\n'
+        files = {"c.go": src, "_x.go": src, ".y.go": src, "_old/o.go": src, ".hidden/h.go": src}
+        root = write_tree(tmp_path / "client", files)
+        report = ScanReport()
+        (usage,) = scan_client(root, nodes, report=report)
+        assert (usage.file, usage.line, usage.qualified_name) == ("c.go", 6, "brklib.OldThing")
+        assert (report.scanned, report.skipped, report.failed) == (["c.go"], [], [])
+
     def test_unaffected_importing_client(self, library_pair, client_roots):
         old, new = library_pair
         nodes = collect_breaking_nodes(diff_surfaces(old, new), old_surface=old)
@@ -316,9 +327,15 @@ def _reference_occurrences(text: str) -> tuple[list[tuple[str, str, int]], list[
     return selectors, bares
 
 
+def _every_name(text: str) -> set[str]:
+    """Each identifier the lexer finds in text, and each word of it, so that
+    words in comments and literals are candidates of the bare scan too."""
+    return {tok.text for tok in _reference_tokens(text) if tok.kind == "ident"} | set(re.findall(r"\w+", text))
+
+
 def _scanned(text: str) -> tuple[list[tuple[str, str, int]], list[tuple[str, int]]]:
-    blanked = impact_module.tokenize(text)
-    return impact_module._selectors(blanked), impact_module._bare_identifiers(blanked)
+    selectors = impact_module.tokenize(text)
+    return list(selectors), selectors.bare_identifiers(_every_name(text))
 
 
 def _scan(text: str) -> list[tuple[str, str, int]]:
@@ -411,11 +428,40 @@ class TestSelectorScan:
         assert _scan('x "s".Y\nx `a\nb`.Y\nx \'r\'.Y\nx 1.Y') == []
 
     def test_leading_byte_order_mark_is_dropped(self):
-        assert impact_module.tokenize("\ufeffx.Y") == "x.Y"
+        assert impact_module.tokenize("\ufeffx.Y") == [("x", "Y", 1)]
         assert _scan("\ufeffx.Y") == [("x", "Y", 1)]
 
     def test_selector_reports_the_line_of_its_member(self):
         assert _scan("`\n`\n/*\n\n*/ a.\n\nb.\n// c\nc") == [("a", "b", 7), ("b", "c", 9)]
+
+    @pytest.mark.parametrize("src", ["1x.Y", "0b12x.Y", "1.e5x.Y", "1e+5.x.Y", "1.i1.e5p1.Y", "x /* a.b */ .Y", "x /**/ /* c.d */ .Y"])
+    def test_identifiers_after_numbers_and_comments(self, src):
+        assert [member for _base, member, _line in _scan(src)] == ["Y"]
+
+    def test_bare_scan_takes_only_the_names_asked(self):
+        text = "package p\n\nvar _ = Foo(Bar, x.Foo, 1Foo, 1.e5Foo, a...Foo, \"Foo\")\n"
+        assert impact_module.tokenize(text).bare_identifiers({"Foo"}) == [("Foo", 3)] * 4
+        assert impact_module.tokenize(text).bare_identifiers(set()) == []
+
+
+@pytest.mark.parametrize("workload", ["impact-clients", "corpus-report"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_scan_agrees_with_blanking_on_generated_files(workload, seed, tmp_path, monkeypatch):
+    """The scan gives the selectors and bare identifiers that blanking the
+    literals and scanning the blanked text gave, on every generated file."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    gen = importlib.import_module("gen")
+    gen.generate(workload, seed, tmp_path)
+    files = sorted(tmp_path.rglob("*.go"))
+    assert len(files) > 100
+    for path in files:
+        text = path.read_text(encoding="utf-8")
+        blanked = reference.blank_literals(text)
+        selectors = impact_module.tokenize(text)
+        assert list(selectors) == reference._selectors(blanked), path
+        bares = reference._bare_identifiers(blanked)
+        names = {name for name, _line in bares} | set(re.findall(r"\w+", text))
+        assert selectors.bare_identifiers(names) == bares, path
 
 
 # -- the matcher against the reference -----------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
+import math
 import random
 import re
 import string
@@ -54,7 +55,7 @@ from semverdiff.parser import (
     _check_lexable,
     _Parser,
     _Tokens,
-    blank_literals,
+    find_selectors,
     parse_go_file,
     parse_imports,
     tokenize,
@@ -1625,7 +1626,7 @@ _LONG_LITERALS = {
 
 
 class TestLongLiterals:
-    @pytest.mark.parametrize("fn", [parse_go_file, parse_imports, blank_literals, tokenize], ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("fn", [parse_go_file, parse_imports, find_selectors, tokenize], ids=lambda fn: fn.__name__)
     @pytest.mark.parametrize("kind", sorted(_LONG_LITERALS))
     def test_one_long_literal_keeps_memory_bounded(self, kind, fn):
         src = _LONG_LITERALS[kind]
@@ -1636,6 +1637,52 @@ class TestLongLiterals:
         finally:
             tracemalloc.stop()
         assert peak < 8_000_000
+
+
+# Hostile inputs for the selector and bare-identifier scan, each built from
+# one unit repeated to about the given size: long chains of selectors and of
+# numbers the lexer must split, and literals and comments full of selectors.
+_SCAN_HOSTILE = {
+    "selector-chain": ("a.", 1_000_000),
+    "float-chain": ("1.e5.x", 1_000_000),
+    "number-dot-chain": ("1.e.x.", 250_000),
+    "block-comment": ("x.Y ", 2_000_000),
+    "raw-string": ("x.Y ", 2_000_000),
+    "comment-before-dot": ("x /* c */ .Y\n", 1_300_000),
+}
+
+
+def _scan_hostile(kind: str, size: int) -> str:
+    unit, _size = _SCAN_HOSTILE[kind]
+    body = unit * (size // len(unit))
+    if kind == "block-comment":
+        return f"/* {body} */\nx.Y\n"
+    if kind == "raw-string":
+        return f"var s = `{body}`\nx.Y\n"
+    return body
+
+
+class TestScanTime:
+    @pytest.mark.parametrize("kind", sorted(_SCAN_HOSTILE))
+    def test_time_grows_linearly(self, kind):
+        """Four times the input takes at most five times as long, selectors
+        and bare identifiers both, in one of three rounds that each time the
+        large and the small input one after the other. Times are this
+        process's CPU time, so that other processes count for less, and a
+        short scan is repeated until the small input takes a tenth of a
+        second. A scan that grows quadratically fails every round."""
+        size = _SCAN_HOSTILE[kind][1]
+        small, large = _scan_hostile(kind, size // 4), _scan_hostile(kind, size)
+        names = {"a", "x", "Y", "e", "e5"}
+
+        def cpu_time(text: str, repeats: int) -> float:
+            start = time.process_time()
+            for _ in range(repeats):
+                find_selectors(text).bare_identifiers(names)
+            return time.process_time() - start
+
+        repeats = max(1, math.ceil(0.1 / max(cpu_time(small, 1), 1e-3)))
+        assert any(cpu_time(large, repeats) <= 5 * cpu_time(small, repeats) for _ in range(3))
 
 
 # (source, error): errors after text that spans lines without tokens, or

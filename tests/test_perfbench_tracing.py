@@ -27,9 +27,9 @@ def test_every_traced_entry_point_exists(monkeypatch):
 def test_lexing_goes_through_the_traced_names(monkeypatch):
     """Declaration parsing and import binding each check the file and lex
     its header through one `parser.tokenize` call on the text, and matching
-    blanks literals through `impact.tokenize`, so the traced run reports
-    them as lexing and not as parse, bind or match time. Declaration parsing
-    lexes each chunk after the header under the traced parse."""
+    finds selectors through one `impact.tokenize` call, so the traced run
+    reports them as lexing and not as parse, bind or match time. Declaration
+    parsing lexes each chunk after the header under the traced parse."""
     calls = []
 
     def spy_on(real):
