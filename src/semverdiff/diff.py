@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from operator import attrgetter
 from typing import Callable
 
@@ -354,22 +354,25 @@ def upgrade_line_label(level: UpgradeLevel) -> str:
     return level.label
 
 
-def _upgrade_level_for(record: ChangeRecord) -> UpgradeLevel | None:
-    if not record.from_version or not record.to_version:
+@lru_cache(maxsize=256)
+def _upgrade_line(from_version: str | None, to_version: str | None) -> str | None:
+    """The "Library Upgrade" line of a record of this upgrade, or None where
+    a version is missing or the two make no upgrade. Cached, since the
+    records of one upgrade all ask for the same line."""
+    if not from_version or not to_version:
         return None
     try:
-        return classify_upgrade(parse_version(record.from_version), parse_version(record.to_version))
+        level = classify_upgrade(parse_version(from_version), parse_version(to_version))
     except (InvalidVersion, NotAnUpgrade):
         return None
+    return f"Library Upgrade: {from_version} -> {to_version}, {upgrade_line_label(level)}"
 
 
 def record_to_text(record: ChangeRecord) -> str:
     lines = [f"Module: {record.module}"]
-    level = _upgrade_level_for(record)
-    if level is not None:
-        lines.append(
-            f"Library Upgrade: {record.from_version} -> {record.to_version}, {upgrade_line_label(level)}"
-        )
+    upgrade_line = _upgrade_line(record.from_version, record.to_version)
+    if upgrade_line is not None:
+        lines.append(upgrade_line)
     lines.extend(
         [
             f"Package: {record.package}",

@@ -2,24 +2,30 @@
 
 The tokenizer understands full Go lexing (strings, runes, comments, automatic
 semicolon insertion). A token is its text, which implies its kind; the last
-token, the end of the text lexed, is "". tokenize first checks the whole file
-for lexical errors with one possessive regex; that check is the one place a
-lexical error is raised. As in go/scanner, a "/*", string, raw string or rune
-that never ends is an error at its line, with go/scanner's message. A number
-takes only ASCII digits and an identifier only letters, "_" and decimal
-digits; only a file that is not all ASCII is scanned for a word character
-that breaks this rule. Then it lexes the header: the text up to the first
+token, the end of the text lexed, is "". The lexer's scans stop at the first
+ASCII character that go/scanner rejects outside a literal, and at a literal
+that never ends or is malformed, and raise that lexical error at its line.
+As in go/scanner, a "/*", string, raw string or rune that never ends is an
+error at its line, with go/scanner's message. tokenize first checks the whole file
+for lexical errors with one possessive regex, so that an error anywhere in
+it fails import binding; then it lexes the header: the text up to the first
 candidate cut, a newline before const, func, type or var at column 0, where
 the lexer is clean (outside any literal and bracket, after a ";"), or the
-whole text if there is none. The lexer lexes the text up to each brace
-outside a literal with one findall call, and one pass over those strings
-inserts semicolons, drops comments and tracks brackets, so that the body of
-each top-level function is skipped to its closing brace without building
-tokens. A closing bracket that does not match outside function bodies is a
-syntax error, as in Go. Lines are kept only for error messages. Import
-binding parses the header's package clause and imports. find_selectors finds
-the selectors of a file, and then bare_identifiers the identifiers that are
-no members, in the source text itself, for scans that need no tokens: one
+whole text if there is none. A number takes only ASCII digits and an
+identifier only letters, "_" and decimal digits, and a NUL is illegal even
+inside a literal; the scans take every non-ASCII character and every
+character inside a literal, so only the whole-file check finds these, and a
+file that is not all ASCII or holds a NUL is checked whole before it is
+scanned. The check scans for a word character that breaks the rule only in
+a file that is not all ASCII. The lexer lexes the text up to each
+brace outside a literal with one findall call, and one pass over those
+strings inserts semicolons, drops comments and tracks brackets, so that the
+body of each top-level function is skipped to its closing brace without
+building tokens. A closing bracket that does not match outside function
+bodies is a syntax error, as in Go. Lines are kept only for error messages.
+Import binding parses the header's package clause and imports. find_selectors
+finds the selectors of a file, and then bare_identifiers the identifiers that
+are no members, in the source text itself, for scans that need no tokens: one
 regex built from the lexer's sub-patterns confirms that each candidate lies
 outside every literal, and the lexer lexes only the few words that may hold
 a number. The parser itself only covers
@@ -27,14 +33,19 @@ what an API surface needs: the package clause, imports, and top-level
 const/var/type/func declarations, including generic type parameters. One
 parser with one cursor reads each file: parameter, type-argument and
 type-parameter lists are parsed item by item where they stand, looking ahead
-only to tell a name from a type. parse_go_file parses the header, then walks
-the rest of the file chunk by chunk: a chunk runs from one clean cut to the
-next. It looks each chunk up in a DeclMemo by its whole text, up to the next
-candidate: a chunk met before under the same package path and header is
-neither lexed nor parsed, and no function body in it is scanned; its specs
-are reused. Each other chunk is lexed by one call of the lexer, which knows
-nothing of the memo. The chunks are parsed in order after the walk, and a
-lexical error in one is raised only if the chunks before it parse, so errors
+only to tell a name from a type. parse_go_file checks the whole file first
+only where it is not all ASCII or holds a NUL. It lexes the header, walks
+the rest of the file chunk by chunk, and then parses the header and the
+chunks: a chunk runs from one clean cut to the next. It looks each chunk up
+in a DeclMemo by its whole text, up to the next candidate: a chunk met
+before under the same package path and header was lexed clean when it was
+stored, so it is neither checked, lexed nor parsed, and no function body in
+it is scanned; its specs are reused. Each other chunk is lexed by one call
+of the lexer, which knows nothing of the memo. So a lexical error anywhere
+is raised by the walk, before any syntax error; where a scan meets a bracket
+that does not match, the whole file is checked first, since a lexical error
+after it outranks it. The chunks are parsed in order after the walk, and a
+bracket error in one is raised only if the chunks before it parse, so errors
 come in source order across chunks. The specs (Decl) are immutable and are
 the surface's objects themselves, so a chunk the memo finds gives the very
 spec objects it gave before, and a surface built from them shares them with
@@ -139,16 +150,27 @@ _TOKEN_RE = re.compile(
 _IDENT_RE = re.compile(_IDENT)
 _INT_RE = re.compile(_INT)
 
-# The alternatives of text up to the next brace: a run of characters that can
-# start no string, comment or brace, each string, rune and comment, and a "/"
-# that starts no block comment. _BODY_RE repeats them, and _SKIP_RE repeats
-# them with balanced brace groups. Both scan only text _check_lexable
-# accepted, so they validate nothing: a _BODY_RE match ends at a brace, at the
-# end of the text scanned, or at a "/*" or "`" whose literal a scan up to a
-# limit cuts (block comments and raw strings are the only literals that span
-# lines). Their repeats are possessive, so sre keeps no backtracking state for
-# them and one match may run over a whole file.
-_BODY_RUN = rf"[^{{}}\"'`/]++|{_LITERAL}|/(?!\*)"
+# The alternatives of lexable text up to the next brace: a run of characters
+# that start no literal, are no brace and are taken by the lexer outside a
+# literal, each string, rune and comment, and a "/" that starts no block
+# comment. _BODY_RE repeats them, and _SKIP_RE repeats them with balanced
+# brace groups. A match ends at a brace, at the end of the text scanned, at a
+# "/*" or "`" whose literal a scan up to a limit cuts (block comments and raw
+# strings are the only literals that span lines), or where the lexer fails:
+# at an ASCII character it takes nowhere outside a literal, or at a literal
+# that never ends or is malformed. The run class lists the ASCII characters
+# the lexer takes there, and a last alternative takes any run of non-ASCII
+# characters: a text that is not all ASCII is scanned only after
+# _check_lexable accepted it, so a non-ASCII character outside a literal is
+# known to be legal there. sre finds a character of a listed ASCII class with
+# one bitmap lookup, where \w or a negated class takes it a further step, and
+# a class that lists a range up to U+10FFFF takes long to compile: on the
+# bodies of the seed-23 check-bodies modules (5.7 MB), _SKIP_RE took 1.4
+# times as long with the class negated, and with \x80-\U0010ffff in the class
+# it took about 10 ms longer to compile (2 vCPU x86_64, Python 3.11). Their
+# repeats are possessive, so sre keeps no backtracking state for them and one
+# match may run over a whole file.
+_BODY_RUN = rf"[0-9A-Za-z_ \t\r\n+\-*%&|^<>=!:;,.()\[\]~]++|{_LITERAL}|/(?!\*)|[^\x00-\x7f]++"
 _BODY_RE = re.compile(rf"(?:{_BODY_RUN})*+")
 _LITERAL_RE = re.compile(_LITERAL)
 # How deep _SKIP_RE nests brace groups, by the count of regex calls and the
@@ -252,11 +274,16 @@ def _lex(text: str, pos: int, cut: int) -> tuple[_Tokens, bool]:
     top-level function body are kept and no token between them is built. A
     closing bracket that does not match is a GoSyntaxError, its line counted
     from the line of pos; one left open at the end is left for the parser
-    to report. Every run ends at cut, so the lexer is checked for
-    cleanliness where a run stops. Where it is not clean at cut, or a
-    literal or a function body holds cut, cut moves on to the next
-    candidate and the key no longer holds. At the end of the text it holds
-    only if the lexer is clean there.
+    to report. Where a scan stops at an ASCII character the lexer takes
+    nowhere outside a literal, or at a literal that never ends or is
+    malformed, the lexical error is a GoSyntaxError at its line in the whole
+    text, and so is one in a skipped function body. The scans take every
+    non-ASCII character and every character inside a literal, so text that
+    is not all ASCII or holds a NUL must have passed _check_lexable. Every
+    run ends at cut, so the lexer is checked for cleanliness where a run
+    stops. Where it is not clean at cut, or a literal or a function body
+    holds cut, cut moves on to the next candidate and the key no longer
+    holds. At the end of the text it holds only if the lexer is clean there.
     """
     tokens = _Tokens()
     lines = tokens.lines = []
@@ -325,14 +352,19 @@ def _lex(text: str, pos: int, cut: int) -> tuple[_Tokens, bool]:
             continue
         char = text[stop]
         if char == "`" or char == "/":  # a literal holds the candidate at cut
+            literal = _LITERAL_RE.match(text, stop)
+            if literal is None:  # or it never ends
+                raise _lexical_error(text, stop)
             holds = False
-            cut = _next_cut(text, _LITERAL_RE.match(text, stop).end())
+            cut = _next_cut(text, literal.end())
             pos = stop
             continue
         if char == "}":
             expected = closers.pop() if closers else ""
             if expected != "}":
                 raise _bracket_error(expected, "}", len(lines) + 1)
+        elif char != "{":
+            raise _lexical_error(text, stop)
         elif closers or decl_start == len(tokens) or tokens[decl_start] != "func" or tokens[-1] in _BODYLESS:
             closers.append("}")
         else:  # the body of a top-level function
@@ -379,10 +411,16 @@ def _check_lexable(text: str) -> None:
     else:
         end = _foreign_character(text, _LEXABLE_RE.match(text).end())
     if end < illegal:
-        raise GoSyntaxError(_lexing_error(text, end), text.count("\n", 0, end) + 1)
+        raise _lexical_error(text, end)
     if illegal < size:
         what = "character NUL" if text[illegal] == "\x00" else "byte order mark"
         raise GoSyntaxError(f"illegal {what}", text.count("\n", 0, illegal) + 1)
+
+
+def _lexical_error(text: str, end: int) -> GoSyntaxError:
+    """The lexer's GoSyntaxError at end, where no token starts, at its line
+    in the whole text."""
+    return GoSyntaxError(_lexing_error(text, end), text.count("\n", 0, end) + 1)
 
 
 def _lexing_error(text: str, end: int) -> str:
@@ -446,7 +484,8 @@ def _foreign_offset(tok: str) -> int:
 
 def _skip_body(text: str, pos: int) -> int:
     """Return the offset just past the "}" that closes the body whose "{" ends
-    at pos, or -1 if the text ends first.
+    at pos, or -1 if the text ends first. Where the lexer fails before that,
+    raise its GoSyntaxError.
 
     Each match runs over the groups nested at most _SKIP_NESTING deep, so
     the loop turns only at the closing "}" and at deeper braces.
@@ -462,6 +501,8 @@ def _skip_body(text: str, pos: int) -> int:
             depth -= 1
             if depth == 0:
                 return end + 1
+        elif char:
+            raise _lexical_error(text, end)
         else:
             return -1
         pos = end + 1
@@ -590,9 +631,16 @@ class Selectors(list):
 @lru_cache(maxsize=32)
 def _candidates_re(names: frozenset[str]) -> re.Pattern:
     """Each name in names at the end of a word, and each word that starts
-    with a digit and holds a letter."""
+    with a digit and holds a letter, unless the word starts a number token
+    that ends where no word character follows (0x137, 1e5, 0b101): that
+    token holds the whole word. Where a "." or an exponent's sign stands
+    before the word, a number may have started before it (1.0x5 lexes as
+    1.0 and x5), so the word stays a candidate."""
     alternatives = "|".join(sorted(map(re.escape, names), key=lambda name: (-len(name), name)))
-    return re.compile(rf"\d(?<!\w\d)[\d_]*+[^\W\d_]\w*+|(?:{alternatives})(?!\w)")
+    # Tried only once the lookahead found the word's letter, so that digit
+    # words without one, the most common, cost no number match.
+    number = rf"(?:(?<=\.\d)|(?<=[eEpP][+-]\d)|(?<!(?={_NUMBER}(?!\w))\d))"
+    return re.compile(rf"\d(?<!\w\d)(?=[\d_]*+[^\W\d_]){number}\w*+|(?:{alternatives})(?!\w)")
 
 
 def find_selectors(text: str) -> Selectors:
@@ -1586,28 +1634,36 @@ def parse_go_file(text: str, package_path: str = "", *, memo: DeclMemo | None = 
     """Parse one source file at declaration level, reusing and adding to the
     parses in memo if one is given; the result is the same either way.
 
-    The header (see tokenize) is parsed first, then the chunks after it in
-    turn. A chunk's key is its text up to the next candidate cut. A chunk
-    the memo holds for the package path and the header text adds the specs
-    it gave before. Each other chunk is lexed by one _lex call and parsed,
-    and its specs are stored only if _lex stopped clean at that candidate,
-    or clean at the end of the text. Lexing the same text from the same
-    clean state stops clean at the same place, so a key found ends where
-    its chunk would.
+    The whole text is checked for lexical errors first only where it is not
+    all ASCII or holds a NUL; elsewhere the _lex calls find them. The header
+    (see tokenize) is lexed first, then the chunks after it in turn, and
+    then the header and the chunks are parsed. A chunk's key is its text up
+    to the next candidate cut. A chunk the memo holds for the package path
+    and the header text adds the specs it gave before, and is not scanned:
+    it was lexed clean when it was stored. Each other chunk is lexed by one
+    _lex call and parsed, and its specs are stored only if _lex stopped
+    clean at that candidate, or clean at the end of the text. Lexing the
+    same text from the same clean state stops clean at the same place, so a
+    key found ends where its chunk would. Where _lex raises, the whole text
+    is checked, so that a lexical error anywhere outranks a bracket error.
     Without a memo the tables are empty, so the walk is the same. A chunk's
     lines count from its first; the lines before it are counted only if it
     raises.
     """
-    tokens = tokenize(text)
-    parser = _Parser(tokens, package_path)
-    gofile = parser.parse_file()
     text = text.removeprefix("\ufeff")
-    pos = tokens.end
+    if not text.isascii() or "\x00" in text:
+        _check_lexable(text)
+    try:
+        header = _lex(text, 0, _next_cut(text, 0))[0]
+    except GoSyntaxError:
+        _check_lexable(text)
+        raise
+    pos = header.end
     table, previous = memo.tables((package_path, text[:pos])) if memo else ({}, {})
     # Every chunk is looked up, and lexed if the memo lacks it, before any is
     # parsed: parsing each chunk right after lexing it made a cold parse
     # slower (by about 8 % on the check-decls benchmark files, 2 vCPU x86_64,
-    # Python 3.11). A lexical error ends the walk and is raised only if the
+    # Python 3.11). A bracket error ends the walk and is raised only if the
     # chunks before it parse, so errors come in source order.
     chunks = []  # (start, specs found, tokens lexed, key if it holds)
     error = None
@@ -1624,10 +1680,16 @@ def parse_go_file(text: str, package_path: str = "", *, memo: DeclMemo | None = 
         try:
             tokens, holds = _lex(text, pos, cut)
         except GoSyntaxError as exc:
+            # _check_lexable raises every lexical error that _lex finds, at
+            # its line in the whole text, so only a bracket error gets past
+            # it, and its line counts from the chunk's first.
+            _check_lexable(text)
             error = exc
             break
         chunks.append((pos, None, tokens, key if holds else None))
         pos = tokens.end
+    parser = _Parser(header, package_path)
+    gofile = parser.parse_file()
     consts, vars_, types, funcs = gofile.consts, gofile.vars, gofile.types, gofile.funcs
     add = {ConstSpec: consts.append, VarSpec: vars_.append, TypeSpec: types.append, FuncDecl: funcs.append}
     for start, hit, tokens, key in chunks:

@@ -20,7 +20,7 @@ from semverdiff.diff import (
     records_to_ndjson,
     records_to_text,
 )
-from semverdiff import surface as surface_module
+from semverdiff import diff as diff_module, surface as surface_module
 from semverdiff.manifest import parse_manifest
 from semverdiff.surface import extract_surface
 from semverdiff.versions import UpgradeLevel, parse_version
@@ -334,6 +334,29 @@ def test_record_serialization_shape():
     )
     doc = record_to_dict(record)
     assert set(doc) == {"module", "from", "to", "package", "node", "category", "condition", "breaking", "message"}
+
+
+def test_records_of_several_upgrades_each_get_their_own_upgrade_line(monkeypatch):
+    """One call may mix records of several upgrades, and of versions that
+    make none; each distinct (from, to) pair is parsed once."""
+    pairs = [("v1.0.0", "v1.1.0"), ("v1.0.0", "v2.0.0"), ("v1.0.0", "v1.1.0"), (None, "v1.0.0"), ("v2.0.0", "v1.0.0"),
+             ("v1.0.0", "bad"), ("v0.1.0", "v0.2.0"), ("v1.0.0", "v2.0.0")]
+    records = [ChangeRecord(MOD, a, b, MOD, f"F{i}", "Function", "Remove", True, "m") for i, (a, b) in enumerate(pairs)]
+    lines = {
+        ("v1.0.0", "v1.1.0"): "Library Upgrade: v1.0.0 -> v1.1.0, Minor Upgrade\n",
+        ("v1.0.0", "v2.0.0"): "Library Upgrade: v1.0.0 -> v2.0.0, Major Upgrade\n",
+        ("v0.1.0", "v0.2.0"): "Library Upgrade: v0.1.0 -> v0.2.0, Development\n",
+    }
+    parsed = []
+    real = diff_module.parse_version
+    monkeypatch.setattr(diff_module, "parse_version", lambda text: parsed.append(text) or real(text))
+    diff_module._upgrade_line.cache_clear()
+    assert records_to_text(records) == "\n\n".join(
+        f"Module: {MOD}\n{lines.get((a, b), '')}Package: {MOD}\nChange Node: F{i}\n"
+        "Change Category: Function\nChange Condition: Remove\nChange Message: m"
+        for i, (a, b) in enumerate(pairs)
+    )
+    assert len(parsed) == 2 * len({pair for pair in pairs if None not in pair})
 
 
 class TestCompliance:

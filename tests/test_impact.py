@@ -13,7 +13,7 @@ import impact_reference as reference
 import semverdiff.impact as impact_module
 from oracles import textual_search_oracle
 from conftest import write_module, write_tree
-from semverdiff.parser import GoSyntaxError
+from semverdiff.parser import GoSyntaxError, _candidates_re
 from test_parser import _HOSTILE, _SOURCES, _mutants, _reference_tokens
 from semverdiff.diff import ChangeRecord, diff_surfaces
 from semverdiff.impact import (
@@ -437,6 +437,17 @@ class TestSelectorScan:
     @pytest.mark.parametrize("src", ["1x.Y", "0b12x.Y", "1.e5x.Y", "1e+5.x.Y", "1.i1.e5p1.Y", "x /* a.b */ .Y", "x /**/ /* c.d */ .Y"])
     def test_identifiers_after_numbers_and_comments(self, src):
         assert [member for _base, member, _line in _scan(src)] == ["Y"]
+
+    def test_a_word_that_is_one_number_token_is_no_candidate(self):
+        candidates = _candidates_re(frozenset({"Foo"})).finditer
+        text = "x := 0x137 + 1e5 + 0b101 + 1x + Foo + 0x1g + 1.e5x + 1.0x5 + 1e+0x5\n"
+        # A number may have started before a word after "." or an exponent's
+        # sign: 1.0x5 lexes as 1.0 and x5.
+        assert [m.group() for m in candidates(text)] == ["1x", "Foo", "0x1g", "0x5", "1e", "0x5"]
+        assert _scanned(text) == _reference_occurrences(text)
+        hexes = "var _ = []int{" + ", ".join(f"0x{k:x}" for k in range(10_000)) + "}\n"
+        assert [m.group() for m in candidates(hexes)] == []
+        assert _scanned(hexes) == _reference_occurrences(hexes)
 
     def test_bare_scan_takes_only_the_names_asked(self):
         text = "package p\n\nvar _ = Foo(Bar, x.Foo, 1Foo, 1.e5Foo, a...Foo, \"Foo\")\n"

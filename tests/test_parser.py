@@ -1755,10 +1755,16 @@ class TestAgainstTheReferenceLexer:
             _assert_check_agrees_with_lexer(src)
 
 
+# _BODY_RE as it was while it scanned only text _check_lexable accepted: a
+# run of any characters that start no literal and are no brace.
+_REFERENCE_BODY_RE = re.compile(rf"(?:[^{{}}\"'`/]++|{parser_module._LITERAL}|/(?!\*))*+")
+
+
 def _reference_skip_body(text: str, pos: int) -> int:
-    """_skip_body as it was before it matched nested groups: one match of
-    _BODY_RE and one turn of the loop per brace."""
-    match = parser_module._BODY_RE.match
+    """_skip_body as it was before it matched nested groups and found
+    lexical errors: one match of _REFERENCE_BODY_RE and one turn of the loop
+    per brace, and -1 wherever a match ends at no brace."""
+    match = _REFERENCE_BODY_RE.match
     depth = 1
     while True:
         end = match(text, pos).end()
@@ -1775,18 +1781,35 @@ def _reference_skip_body(text: str, pos: int) -> int:
 
 
 def _assert_skips_as_before(text: str, pos: int = 0) -> None:
-    assert parser_module._skip_body(text, pos) == _reference_skip_body(text, pos), (text[:200], pos)
+    """_skip_body against the reference, on text that holds no NUL and is
+    all ASCII: where _check_lexable rejects the text the reference skips, or
+    all of the text after pos if the reference finds no end, _skip_body
+    raises that error, at its line in the whole text; elsewhere it ends
+    where the reference ends."""
+    end = _reference_skip_body(text, pos)
+    try:
+        _check_lexable(text[pos:end] if end >= 0 else text[pos:])
+    except GoSyntaxError as exc:
+        error = f"GoSyntaxError: line {exc.line + text.count(chr(10), 0, pos)}: {exc.message}"
+        assert _outcome(lambda t: parser_module._skip_body(t, pos), text) == error, (text[:200], pos)
+    else:
+        assert parser_module._skip_body(text, pos) == end, (text[:200], pos)
 
 
-class _CountingMatch:
-    """A stand-in for a compiled pattern that counts its match calls."""
+class _RecordingPattern:
+    """A stand-in for a compiled pattern that records the arguments of each
+    match and findall call, with the pattern's name, in calls."""
 
-    def __init__(self, pattern: re.Pattern):
-        self.pattern, self.calls = pattern, 0
+    def __init__(self, pattern: re.Pattern, name: str, calls: list):
+        self.pattern, self.name, self.calls = pattern, name, calls
 
     def match(self, *args):
-        self.calls += 1
+        self.calls.append((self.name, args))
         return self.pattern.match(*args)
+
+    def findall(self, *args):
+        self.calls.append((self.name, args))
+        return self.pattern.findall(*args)
 
 
 # Text that holds braces a body skip must not count: one of each literal kind.
@@ -1821,13 +1844,13 @@ class TestSkipBody:
                     except GoSyntaxError:  # the corpus plants invalid files
                         pass
         assert len(bodies) > 1000
-        counting = _CountingMatch(parser_module._SKIP_RE)
-        monkeypatch.setattr(parser_module, "_SKIP_RE", counting)
+        calls = []
+        monkeypatch.setattr(parser_module, "_SKIP_RE", _RecordingPattern(parser_module._SKIP_RE, "_SKIP_RE", calls))
         for text, pos in bodies:
             _assert_skips_as_before(text, pos)
         # The generated bodies nest no deeper than the pattern does, so each
         # is skipped in one match.
-        assert counting.calls == len(bodies)
+        assert len(calls) == len(bodies)
 
     @pytest.mark.parametrize("levels", [_NESTING - 1, _NESTING, _NESTING + 1, 50_000])
     def test_nesting_around_the_pattern_depth(self, levels):
@@ -2343,3 +2366,168 @@ class TestChunkBound:
                 tracemalloc.stop()
         cold, warm = peaks
         assert warm < 2 * cold, (warm, cold)
+
+
+def _checked_first_parse(src: str):
+    """parse_go_file without a memo, as it was while tokenize checked the
+    whole file for lexical errors before anything was parsed: then the
+    header was parsed, each chunk after it was lexed by one _lex call, which
+    finds no lexical error in text the check accepts, and the chunks were
+    parsed in order; a bracket error ended the walk and was raised only if
+    the chunks before it parsed."""
+    header = tokenize(src)
+    parser = _Parser(header, PKG)
+    gofile = parser.parse_file()
+    text = src.removeprefix("﻿")
+    chunks, error, pos = [], None, header.end
+    while pos < len(text):
+        try:
+            tokens, _holds = parser_module._lex(text, pos, parser_module._next_cut(text, pos))
+        except GoSyntaxError as exc:
+            error = exc
+            break
+        chunks.append((pos, tokens))
+        pos = tokens.end
+    for start, tokens in chunks:
+        try:
+            parser.read(tokens)
+            parser.parse_decls(gofile)
+        except GoSyntaxError as exc:
+            error, pos = exc, start
+            break
+    if error is not None:
+        raise GoSyntaxError(error.message, error.line + text.count("\n", 0, pos))
+    return gofile
+
+
+def _assert_as_checked_first(src: str, before: str | None = None) -> None:
+    """parse_go_file against _checked_first_parse: where _check_lexable
+    rejects the file, both raise its error at its line; elsewhere both give
+    the same GoFile, or the same syntax error at the same line. parse_go_file
+    runs without a memo, and with a memo that parsed before (by default src
+    itself) first, so that chunks hit."""
+    expected = _outcome(_checked_first_parse, src)
+    lexical = _outcome(_check_lexable, src.removeprefix("\ufeff"))
+    assert lexical is None or expected == lexical, src
+    memo = DeclMemo()
+    warm = lambda text: parse_go_file(text, PKG, memo=memo)  # noqa: E731
+    _outcome(warm, src if before is None else before)
+    memo.next_generation()
+    assert [_outcome(_parse, src), _outcome(warm, src)] == [expected] * 2, src
+
+
+# (source, error): a lexical error behind errors that a scan meets first, or
+# that only the check of the whole file finds.
+_LEXICAL_PRECEDENCE = {
+    "after-a-bracket-error": ("package p\n\nvar A = )\n\nvar B = @\n", "line 5: unexpected character '@'"),
+    "after-a-header-syntax-error": ("package p\n\nimport 5\n\nvar B = $\n", "line 5: unexpected character '$'"),
+    "after-a-header-bracket-error": ("package p\n\nimport ( ]\n\nvar B = @\n", "line 5: unexpected character '@'"),
+    "in-a-function-body": ("package p\n\nvar A 5\n\nfunc F() {\n\tx := `a\nb` @\n}\n", "line 7: unexpected character '@'"),
+    "nul-in-a-string": ('package p\n\nvar A 5\n\nconst B = "a\x00b"\n', "line 5: illegal character NUL"),
+    "nul-in-a-body-comment": ("package p\n\nvar A = )\n\nfunc F() { /* \x00 */ }\n", "line 5: illegal character NUL"),
+    "bom-mid-file": ('package p\n\nvar A 5\n\nvar B = "﻿"\n', "line 5: illegal byte order mark"),
+    "foreign-character-after-the-header": (
+        'package p\n\nimport "a/b"\n\nvar A = )\n\nvar x² int\n', "line 7: unexpected character '²'"
+    ),
+    "unterminated-comment-after-an-unclosed-paren": ("package p\n\nvar A = (\n\nvar B /* x\n", "line 5: comment not terminated"),
+}
+
+
+class TestLexicalErrorsInTheScans:
+    """parse_go_file finds lexical errors in its own scans of the header and
+    of each chunk it lexes, and checks the whole file only where the text is
+    not all ASCII or holds a NUL, or where a scan meets a bracket error."""
+
+    def test_fixture_sources(self):
+        for before, src in _fixture_pairs():
+            _assert_as_checked_first(src, before)
+
+    def test_the_scans_stop_at_each_ascii_character_the_lexer_rejects(self):
+        # The scans' run class lists the ASCII characters that the lexer
+        # takes outside a literal, and the scans take every non-ASCII one:
+        # text that holds one is checked first.
+        for char in map(chr, range(128)):
+            takes = parser_module._LEXABLE_RE.match(char).end() == 1 and char not in "{}"
+            assert (parser_module._BODY_RE.match(char).end() == 1) == takes, repr(char)
+            assert (parser_module._SKIP_RE.match(char).end() == 1) == takes, repr(char)
+        for char in "\u00e9\u00b2\u00b7\u00a0\ufeff":
+            assert parser_module._BODY_RE.match(char).end() == parser_module._SKIP_RE.match(char).end() == 1
+
+    def test_named_shapes(self):
+        for shape in sorted(_SHAPES):
+            _assert_as_checked_first(_SHAPES[shape])
+
+    @pytest.mark.parametrize("case", sorted(_LEXICAL_PRECEDENCE))
+    def test_a_lexical_error_outranks_every_syntax_error(self, case):
+        src, error = _LEXICAL_PRECEDENCE[case]
+        assert _outcome(_parse, src) == f"GoSyntaxError: {error}"
+        _assert_as_checked_first(src)
+
+    def test_a_lexical_error_in_a_miss_after_hits(self, monkeypatch):
+        before = "package p\n\nvar A int\n\nfunc F() {\n\tg()\n}\n\n"
+        src = before + "var B = )\n\nvar C = `\n"
+        memo = DeclMemo()
+        parse_go_file(before, PKG, memo=memo)
+        memo.next_generation()
+        lexed = []
+        monkeypatch.setattr(parser_module, "_lex", _spy(parser_module._lex, lexed))
+        with pytest.raises(GoSyntaxError, match=r"^line 11: raw string literal not terminated$"):
+            parse_go_file(src, PKG, memo=memo)
+        assert [args[1] for args in lexed] == [0, src.index("var B")]
+        _assert_as_checked_first(src, before)
+
+    def test_generated_files_of_every_workload(self, generated_sources):
+        for workload in WORKLOADS:
+            # Each file after the neighbouring version of its module, where
+            # some chunks hit and others miss.
+            for before, src in _generated_pairs(generated_sources[workload]):
+                if before is not src:
+                    _assert_as_checked_first(src, before)
+
+    def test_seeded_mutants(self):
+        rng = random.Random(23)
+        sources = _SOURCES + [_SHAPES[shape] for shape in sorted(_SHAPES)]
+        for _ in range(10_000):
+            src = original = rng.choice(sources)
+            for _ in range(rng.randint(1, 4)):
+                at = rng.randint(0, len(src))
+                src = src[:at] + rng.choice(_HEADER_FRAGMENTS) + src[at:]
+            _assert_as_checked_first(src, original)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mutants())
+    def test_hostile_mutants(self, src):
+        _assert_as_checked_first(src)
+
+    def test_a_warm_parse_scans_only_the_header(self, monkeypatch):
+        src = 'package p\n\nimport "a/b"\n\nfunc F() {\n\ts := "}"\n\tif x { g(`{`) }\n}\n\n// T is.\ntype T struct{ A int }\n'
+        memo = DeclMemo()
+        cold = parse_go_file(src, PKG, memo=memo)
+        memo.next_generation()
+        names = ("_TOKEN_RE", "_BODY_RE", "_SKIP_RE", "_LEXABLE_RE", "_ASCII_LEXABLE_RE")
+        scans = []
+        for name in names:
+            monkeypatch.setattr(parser_module, name, _RecordingPattern(getattr(parser_module, name), name, scans))
+        checked = []
+        monkeypatch.setattr(parser_module, "_check_lexable", _spy(parser_module._check_lexable, checked))
+        warm = parse_go_file(src, PKG, memo=memo)
+        assert warm == cold and warm.funcs[0] is cold.funcs[0]
+        header_end = src.index("func")
+        assert checked == [] and scans
+        assert {name for name, _args in scans} == {"_TOKEN_RE", "_BODY_RE"}
+        assert all(args[1] == 0 and args[2] == header_end for _name, args in scans), scans
+
+    def test_the_whole_file_is_checked_only_where_the_scans_cannot_tell(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(parser_module, "_check_lexable", _spy(parser_module._check_lexable, checked))
+        cases = [
+            ("package p\n\nfunc F() { x() }\n", 0),  # ASCII: the scans find every lexical error
+            ("package p\n\nvar é int\n", 1),  # not ASCII: a word character Go does not take
+            ('package p\n\nconst C = "\x00"\n', 1),  # a NUL, which no scan looks for inside a literal
+            ("package p\n\nvar A = )\n", 1),  # a bracket error, which a lexical error after it outranks
+        ]
+        for src, checks in cases:
+            checked.clear()
+            _outcome(_parse, src)
+            assert len(checked) == checks, src
+

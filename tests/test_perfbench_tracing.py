@@ -25,11 +25,12 @@ def test_every_traced_entry_point_exists(monkeypatch):
 
 
 def test_lexing_goes_through_the_traced_names(monkeypatch):
-    """Declaration parsing and import binding each check the file and lex
-    its header through one `parser.tokenize` call on the text, and matching
-    finds selectors through one `impact.tokenize` call, so the traced run
-    reports them as lexing and not as parse, bind or match time. Declaration
-    parsing lexes each chunk after the header under the traced parse."""
+    """Import binding checks the file and lexes its header through one
+    `parser.tokenize` call on the text, and matching finds selectors through
+    one `impact.tokenize` call, so the traced run reports them as lexing and
+    not as bind or match time. Declaration parsing makes no `parser.tokenize`
+    call: it lexes its header and each chunk after it, finding lexical errors
+    as it goes, under the traced parse."""
     calls = []
 
     def spy_on(real):
@@ -44,8 +45,7 @@ def test_lexing_goes_through_the_traced_names(monkeypatch):
     src = fx.CLIENTS["client-default"]["main.go"]
 
     parser.parse_go_file(src, "example.com/client")
-    assert calls == [(1, {})]
-    calls.clear()
+    assert calls == []
     binding = impact.bind_imports(src, "main.go")
     assert calls == [(1, {})]
     calls.clear()
@@ -55,10 +55,9 @@ def test_lexing_goes_through_the_traced_names(monkeypatch):
 
 def test_memo_hits_stay_under_the_traced_parse(monkeypatch, tmp_path):
     """Declarations are looked up in the memo inside
-    `surface.parse_go_file`, which calls `parser.tokenize` once per file,
-    so a hit counts as parse time, `parser.tokenize.calls_per_file` stays
-    1.0, and a module whose declarations all hit is parsed without parsing
-    any of them."""
+    `surface.parse_go_file`, which makes no `parser.tokenize` call, so a hit
+    counts as parse time, and a module whose declarations all hit is parsed
+    without parsing any of them."""
     files = {**fx.LIBRARY_OLD, "b.go": "package brklib\n\nconst C = 1\n", "sub/s.go": "package sub\n\nvar V struct{ A int }\n"}
     write_module(tmp_path, "example.com/lib", files)
     surface.extract_surface(tmp_path, "example.com/lib")
@@ -77,7 +76,7 @@ def test_memo_hits_stay_under_the_traced_parse(monkeypatch, tmp_path):
     monkeypatch.setattr(parser._Parser, "_parse_decl", spy_on(parser._Parser._parse_decl, decls))
     surface.extract_surface(tmp_path, "example.com/lib")
     sources = sorted(files.values())
-    assert sorted(parses) == sorted(lexes) == sources
+    assert sorted(parses) == sources and lexes == []
     assert decls == []
     # Every declaration hit: none is left in the previous generation.
     assert surface._DECLS.previous and not any(surface._DECLS.previous.values())
