@@ -359,7 +359,7 @@ def analyze_corpus(root: str | Path, *, include_prerelease: bool = False) -> Cor
 # -- statistics ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LevelStats:
     label: str
     total: int
@@ -480,7 +480,7 @@ def condition_table(upgrades: list[tuple[list[ChangeRecord], list[ClientUsage]]]
     return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeSeriesPoint:
     year: int
     month: int

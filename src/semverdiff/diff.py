@@ -100,7 +100,7 @@ CATALOGUE: tuple[tuple[str, str], ...] = (
 ADD_CONDITION = "Add"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChangeRecord:
     module: str
     from_version: str | None
@@ -113,7 +113,7 @@ class ChangeRecord:
     message: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComplianceVerdict:
     upgrade_level: UpgradeLevel
     breaking_count: int

@@ -1,9 +1,13 @@
 """Structural model of Go type expressions, and their rendering for messages.
 
-Types are frozen dataclasses; two types are the same type iff they are `==`,
-and the differ decides every change that way. Renderings are deterministic
-and fully qualified (named types carry their package import path); they make
-up change messages and the surface document, and decide nothing.
+Types are slotted frozen dataclasses, with no instance dict; two types are
+the same type iff they are `==`, and the differ decides every change that
+way, never by identity. So the parser may share one instance of a type
+between the places it stands: within a file it builds each leaf type, a
+Named without type arguments or a TypeParamRef, once. Renderings are
+deterministic and fully qualified (named types carry their package import
+path); they make up change messages and the surface document, and decide
+nothing.
 
 On the types the parser builds, render equality coincides with structural
 equality, with a single exception: a type parameter that shadows a
@@ -31,30 +35,30 @@ def is_exported(identifier: str) -> bool:
     return bool(identifier) and unicodedata.category(identifier[0]) == "Lu"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Basic:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Array:
     # Non-literal lengths (named constants, expressions) are kept as spelled.
     length: int | str
     elem: "TypeExpr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Slice:
     elem: "TypeExpr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Map:
     key: "TypeExpr"
     value: "TypeExpr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldDef:
     name: str
     type: "TypeExpr"
@@ -63,24 +67,24 @@ class FieldDef:
     exported: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Struct:
     fields: tuple[FieldDef, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MethodSig:
     name: str
     sig: "Func"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnionTerm:
     type: "TypeExpr"
     tilde: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interface:
     methods: tuple[MethodSig, ...] = ()
     embeds: tuple[UnionTerm, ...] = ()
@@ -90,24 +94,24 @@ class Interface:
         return any(not is_exported(m.name) for m in self.methods)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pointer:
     base: "TypeExpr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Chan:
     direction: str  # "send", "recv", or "both"
     elem: "TypeExpr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeParamDef:
     name: str
     constraint: "TypeExpr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Func:
     params: tuple["TypeExpr", ...] = ()
     results: tuple["TypeExpr", ...] = ()
@@ -115,14 +119,14 @@ class Func:
     type_params: tuple[TypeParamDef, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Named:
     package: str
     name: str
     args: tuple["TypeExpr", ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeParamRef:
     name: str
 

@@ -32,7 +32,7 @@ logger = logging.getLogger(__name__)
 tokenize = _goparser.find_selectors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BreakingNode:
     package: str
     key: str
@@ -54,7 +54,7 @@ class ImportBinding:
         return set(self.bindings.values()) | self.dot_imports
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClientUsage:
     client_module: str
     client_version: str | None

@@ -16,7 +16,7 @@ class MalformedManifest(ValueError):
     """The manifest cannot be parsed; the module version is invalid."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Requirement:
     path: str
     version: str
@@ -31,7 +31,7 @@ class ModuleManifest:
     opaque_directives: list[str] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DependencyEdge:
     source_path: str
     source_version: SemanticVersion

@@ -49,7 +49,9 @@ bracket error in one is raised only if the chunks before it parse, so errors
 come in source order across chunks. The specs (Decl) are immutable and are
 the surface's objects themselves, so a chunk the memo finds gives the very
 spec objects it gave before, and a surface built from them shares them with
-the surface it was first parsed for.
+the surface it was first parsed for. Within a file, the parser builds each
+leaf type once: a Named without type arguments and a TypeParamRef are one
+object wherever they stand.
 
 A function body is skipped with one regex match over its brace groups nested
 up to _SKIP_NESTING deep; a loop counts only the braces past that depth and
@@ -62,7 +64,7 @@ import re
 import string
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Collection, Iterator
 
 from .gotypes import (
@@ -139,16 +141,29 @@ _OPERATORS = (
     "+ - * / % & | ^ < > = ! : ; , . ~ ( ) [ ] { }"
 ).split()
 
-# One token after blanks and at most one line comment: an identifier, a
-# newline, a block comment, a literal, a number or an operator; a comment is
-# tried before "/" and a number before ".". Where only blanks or a line
-# comment are left before the end of the text scanned, the group matches "".
+# The punctuation that starts no longer token: no operator or number starts
+# with one of these.
+_PUNCTUATION = "( ) [ ] { } , ;".split()
+
+# One token after blanks and at most one line comment: a bracket, "," or ";",
+# an identifier, a newline, a block comment, a literal, a number or an
+# operator; a comment is tried before "/" and a number before ".". An ASCII
+# identifier that no non-ASCII character follows is matched with an explicit
+# class, which sre tests faster than \w, and any other by _IDENT. Where only
+# blanks or a line comment are left before the end of the text scanned, the
+# group matches "".
 _TOKEN_RE = re.compile(
-    rf"[ \t\r]*(?:{_COMMENT_LINE})?({_IDENT}|\n|{_COMMENT_BLOCK}|{_RAW_STRING}|{_STRING}|{_RUNE}|{_NUMBER}"
-    rf"|{'|'.join(map(re.escape, _OPERATORS))}|\Z)"
+    rf"[ \t\r]*(?:{_COMMENT_LINE})?([{re.escape(''.join(_PUNCTUATION))}]|[A-Za-z_][0-9A-Za-z_]*+(?![^\x00-\x7f])"
+    rf"|{_IDENT}|\n|{_COMMENT_BLOCK}|{_RAW_STRING}|{_STRING}|{_RUNE}|{_NUMBER}"
+    rf"|{'|'.join(re.escape(op) for op in _OPERATORS if op not in _PUNCTUATION)}|\Z)"
 )
 _IDENT_RE = re.compile(_IDENT)
 _INT_RE = re.compile(_INT)
+
+# The ASCII characters other than letters, digits, "_", braces and "/" that
+# the lexer takes outside a literal: blanks, newlines and the characters of
+# operators.
+_RUN_CHARS = r" \t\r\n+\-*%&|^<>=!:;,.()\[\]~"
 
 # The alternatives of lexable text up to the next brace: a run of characters
 # that start no literal, are no brace and are taken by the lexer outside a
@@ -170,7 +185,7 @@ _INT_RE = re.compile(_INT)
 # it took about 10 ms longer to compile (2 vCPU x86_64, Python 3.11). Their
 # repeats are possessive, so sre keeps no backtracking state for them and one
 # match may run over a whole file.
-_BODY_RUN = rf"[0-9A-Za-z_ \t\r\n+\-*%&|^<>=!:;,.()\[\]~]++|{_LITERAL}|/(?!\*)|[^\x00-\x7f]++"
+_BODY_RUN = rf"[0-9A-Za-z_{_RUN_CHARS}]++|{_LITERAL}|/(?!\*)|[^\x00-\x7f]++"
 _BODY_RE = re.compile(rf"(?:{_BODY_RUN})*+")
 _LITERAL_RE = re.compile(_LITERAL)
 # How deep _SKIP_RE nests brace groups, by the count of regex calls and the
@@ -191,7 +206,7 @@ _SKIP_RE = re.compile(_skip_pattern)
 # The text the lexer accepts: the same alternatives, with every character the
 # lexer accepts outside a literal in the run class. A match ends where the
 # lexer would fail: a "/*" that never ends is no "/", as in go/scanner.
-_LEXABLE_RE = re.compile(rf"(?:[\w \t\r\n+\-*%&|^<>=!:;,.()\[\]{{}}~]++|{_LITERAL}|/(?!\*))*+")
+_LEXABLE_RE = re.compile(rf"(?:[\w{_RUN_CHARS}{{}}]++|{_LITERAL}|/(?!\*))*+")
 # A string or rune as go/scanner delimits it, before it checks the escapes
 # and, in a rune, the number of characters: a backslash escapes any character.
 _DELIMITED_RE = {quote: re.compile(rf"{quote}(?:[^{quote}\\\n]|\\.)*+{quote}") for quote in "\"'"}
@@ -209,9 +224,11 @@ _UNTERMINATED = {
 # Go's numbers take only ASCII digits, and its identifiers only letters, "_"
 # and, after the first character, decimal digits. In a file that is not all
 # ASCII, this ends a match at each non-ASCII word character outside literals
-# as well, so that the token around it can be checked. On ASCII text it
-# matches what _LEXABLE_RE matches, and faster, so it checks that text alone.
-_ASCII_LEXABLE_RE = re.compile(_LEXABLE_RE.pattern, re.ASCII)
+# as well, so that the token around it can be checked. Its word class is
+# spelled out, as in _BODY_RUN, which sre tests faster than \w. On ASCII text
+# it matches what _LEXABLE_RE matches, and faster, so it checks that text
+# alone.
+_ASCII_LEXABLE_RE = re.compile(rf"(?:[0-9A-Za-z_{_RUN_CHARS}{{}}]++|{_LITERAL}|/(?!\*))*+")
 # The ASCII characters that may stand inside a number or an identifier. The
 # token around a non-ASCII character is lexed from the last character before
 # it that is none of these.
@@ -725,7 +742,7 @@ def _literal_end(text: str, pos: int) -> int:
     return m.end() if m else pos + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImportSpec:
     path: str
     alias: str | None = None
@@ -741,8 +758,10 @@ class Decl:
     spec gives what the surface and the differ read: kind, key, type,
     const_value, receiver and type_params. These are class attributes and
     properties, not fields, so a spec's repr and equality are its fields'.
+    The specs are slotted, and so is this base: a spec has no instance dict.
     """
 
+    __slots__ = ()
     const_value = None
     receiver = None
     type_params = ()
@@ -752,7 +771,7 @@ class Decl:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstSpec(Decl):
     name: str
     type: TypeExpr
@@ -764,14 +783,14 @@ class ConstSpec(Decl):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VarSpec(Decl):
     name: str
     type: TypeExpr
     kind = "var"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeSpec(Decl):
     name: str
     type: TypeExpr
@@ -780,7 +799,7 @@ class TypeSpec(Decl):
     kind = "type"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FuncDecl(Decl):
     name: str
     sig: Func
@@ -794,9 +813,8 @@ class FuncDecl(Decl):
     def type(self) -> Func:
         return self.sig
 
-    @cached_property
+    @property
     def key(self) -> str:
-        # Cached on the spec, so a method found in the memo costs no new key.
         return self.name if self.receiver is None else f"{self.receiver}.{self.name}"
 
 
@@ -879,6 +897,11 @@ class _Parser:
         self.package_path = package_path
         self.import_map: dict[str, str] = {}
         self.depth = 0  # type nesting of the type being parsed
+        # The file's one instance of each leaf type met so far: a Named
+        # without type arguments by (package, name), a TypeParamRef by name.
+        # Types are immutable and nothing decides by their identity, so equal
+        # leaves share one object, which is cheaper to keep than many.
+        self.leaves: dict[tuple[str, str] | str, Named | TypeParamRef] = {}
         self.read(tokens)
 
     def read(self, tokens: _Tokens) -> None:
@@ -1173,7 +1196,7 @@ class _Parser:
                 if second == "{":
                     return self._resolve_name(first, frozenset())
                 if end - start >= 4 and second == "." and _is_ident(toks[start + 2]) and toks[start + 3] == "{":
-                    return Named(self.import_map.get(first, first), toks[start + 2])
+                    return self._named(self.import_map.get(first, first), toks[start + 2])
             if first in ("[", "map", "chan"):
                 self.i = start
                 expr = self._parse_type(frozenset())
@@ -1387,8 +1410,19 @@ class _Parser:
 
     def _resolve_name(self, name: str, tparams: frozenset[str]) -> TypeExpr:
         if name in tparams:
-            return TypeParamRef(name)
-        return _BASICS.get(name) or Named(self.package_path, name)
+            t = self.leaves.get(name)
+            if t is None:
+                t = self.leaves[name] = TypeParamRef(name)
+            return t
+        return _BASICS.get(name) or self._named(self.package_path, name)
+
+    def _named(self, package: str, name: str) -> Named:
+        """The file's one Named for package and name, without type arguments."""
+        key = (package, name)
+        t = self.leaves.get(key)
+        if t is None:
+            t = self.leaves[key] = Named(package, name)
+        return t
 
     def _parse_type(self, tparams: frozenset[str]) -> TypeExpr:
         """Parse a type, one level of nesting deeper. After a GoSyntaxError
@@ -1417,7 +1451,7 @@ class _Parser:
                 for _ in self._items("["):
                     args.append(self._parse_type(tparams))
             if package is not None:
-                return Named(package, name, tuple(args))
+                return Named(package, name, tuple(args)) if args else self._named(package, name)
             base = self._resolve_name(name, tparams)
             if args and isinstance(base, Named):
                 return Named(base.package, base.name, tuple(args))

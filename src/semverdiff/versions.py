@@ -48,7 +48,7 @@ class UpgradeLevel(Enum):
 NON_MAJOR_LEVELS = frozenset({UpgradeLevel.MINOR, UpgradeLevel.PATCH})
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class SemanticVersion:
     major: int = field(compare=False)
     minor: int = field(compare=False)

@@ -22,6 +22,7 @@ import catalogue_fixtures
 import impact_fixtures
 import planted_corpus
 import structure_reference
+from test_object_model import assert_shares_leaves, leaf_types
 from semverdiff.gotypes import (
     Array,
     Basic,
@@ -1753,6 +1754,93 @@ class TestAgainstTheReferenceLexer:
                 src = src[:at] + rng.choice(_HEADER_FRAGMENTS) + src[at:]
             _assert_as_before(src)
             _assert_check_agrees_with_lexer(src)
+
+
+class TestSharedLeaves:
+    """Within one parsed file, equal leaf types are one object."""
+
+    def test_generated_files_of_every_workload(self, generated_sources):
+        shared = defaultdict(int)  # leaves that are not the first of their value in their file
+        for workload in WORKLOADS:
+            for src in sorted(set(generated_sources[workload].values())):
+                try:
+                    gofile = parse_go_file(src, PKG)
+                except GoSyntaxError:
+                    continue
+                shared[workload] += len(leaf_types(gofile)) - len(assert_shares_leaves(gofile))
+        assert min(shared.values()) > 0 and sum(shared.values()) > 10_000, shared
+
+
+# _TOKEN_RE as it was before it tried brackets, "," and ";" first and ASCII
+# identifiers through an explicit class, and _ASCII_LEXABLE_RE as it was
+# before its word class was spelled out: _LEXABLE_RE under re.ASCII.
+_REFERENCE_TOKEN_PATTERN_RE = re.compile(
+    rf"[ \t\r]*(?:{parser_module._COMMENT_LINE})?({parser_module._IDENT}|\n|{parser_module._COMMENT_BLOCK}"
+    rf"|{parser_module._RAW_STRING}|{parser_module._STRING}|{parser_module._RUNE}|{parser_module._NUMBER}"
+    rf"|{'|'.join(map(re.escape, parser_module._OPERATORS))}|\Z)"
+)
+_REFERENCE_ASCII_LEXABLE_RE = re.compile(
+    rf"(?:[\w \t\r\n+\-*%&|^<>=!:;,.()\[\]{{}}~]++|{parser_module._LITERAL}|/(?!\*))*+", re.ASCII
+)
+
+# Identifiers at the edge of ASCII: a non-ASCII letter, digit or other
+# character right after an ASCII identifier, or starting one.
+_IDENTIFIER_EDGES = (
+    "xé", "é", "x²", "²x", "abcé d", "abc·def", "_é", "a1٣", "xⅧ",
+    "abc→d", "f(xé, y)", "a.bé[0]", "x y", "T{é: 1}", "éé abc", "xéyéz",
+    "if xé {", "aéb.c", "a﻿b", "ab\x00c", "x /* é */ y", 'x "é" y', "x // é\ny",
+)
+_PATTERN_ALPHABET = "ab_Z09 \t\n(){}[],;.:=+-*/<>&|^!~%\"'`\\é²·٣Ⅷ ﻿\x00@$#?"
+
+
+def _assert_patterns_as_before(text: str, every_position: bool = False) -> None:
+    """The token pattern finds the same tokens as the reference, and the
+    ASCII check ends where the reference ends, from the start or, on a short
+    text, from every position; _foreign_character, which runs the ASCII check
+    up to each word character it must lex, finds the same offset."""
+    assert parser_module._TOKEN_RE.findall(text) == _REFERENCE_TOKEN_PATTERN_RE.findall(text), text[:200]
+    new, old = parser_module._ASCII_LEXABLE_RE.match, _REFERENCE_ASCII_LEXABLE_RE.match
+    for pos in range(len(text) + 1) if every_position else (0,):
+        assert new(text, pos).end() == old(text, pos).end(), (text[:200], pos)
+        tok, ref = parser_module._TOKEN_RE.match(text, pos), _REFERENCE_TOKEN_PATTERN_RE.match(text, pos)
+        assert (tok and (tok.group(1), tok.end())) == (ref and (ref.group(1), ref.end())), (text[:200], pos)
+    if not text.isascii():
+        end = parser_module._LEXABLE_RE.match(text).end()
+        found = parser_module._foreign_character(text, end)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(parser_module, "_ASCII_LEXABLE_RE", _REFERENCE_ASCII_LEXABLE_RE)
+            mp.setattr(parser_module, "_TOKEN_RE", _REFERENCE_TOKEN_PATTERN_RE)
+            assert found == parser_module._foreign_character(text, end), text[:200]
+
+
+class TestTokenPatterns:
+    """_TOKEN_RE and _ASCII_LEXABLE_RE match as the patterns they replaced."""
+
+    def test_identifier_edges(self):
+        for text in _IDENTIFIER_EDGES:
+            _assert_patterns_as_before(text, every_position=True)
+            _assert_patterns_as_before(f"package p\n\nvar {text}\n", every_position=True)
+
+    def test_fixture_sources(self):
+        shapes = [_SHAPES[shape] for shape in sorted(_SHAPES)]
+        for src in _SOURCES + shapes + [src for src, _error in _LEXICAL_PRECEDENCE.values()]:
+            _assert_patterns_as_before(src)
+
+    def test_generated_files_of_every_workload(self, generated_sources):
+        for workload in WORKLOADS:
+            for src in sorted(set(generated_sources[workload].values())):
+                _assert_patterns_as_before(src)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet=_PATTERN_ALPHABET, max_size=40))
+    def test_fragments(self, text):
+        _assert_patterns_as_before(text, every_position=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_mutants(), st.sampled_from(_IDENTIFIER_EDGES))
+    def test_mutants_with_identifier_edges(self, src, edge):
+        at = len(src) // 2
+        _assert_patterns_as_before(src[:at] + edge + src[at:])
 
 
 # _BODY_RE as it was while it scanned only text _check_lexable accepted: a
