@@ -445,38 +445,25 @@ def condition_table(upgrades: list[tuple[list[ChangeRecord], list[ClientUsage]]]
     total_u = sum(u_counts.values())
     total_a = sum(len(s) for s in pair_sets.values())
 
-    rows = []
-    for idx, (category, condition) in enumerate(CATALOGUE, start=1):
-        key = (category, condition)
-        b, u, a = b_counts[key], u_counts[key], len(pair_sets[key])
-        rows.append(
-            {
-                "index": idx,
-                "category": category,
-                "condition": condition,
-                "breaking": b,
-                "breaking_pct": percent_display(b, total_b),
-                "usage": u,
-                "usage_pct": percent_display(u, total_u),
-                "usage_per_breaking_pct": percent_display(u, b),
-                "affected": a,
-                "affected_pct": percent_display(a, total_a),
-            }
-        )
-    rows.append(
-        {
-            "index": len(CATALOGUE) + 1,
-            "category": "Total",
-            "condition": "",
-            "breaking": total_b,
-            "breaking_pct": percent_display(total_b, total_b),
-            "usage": total_u,
-            "usage_pct": percent_display(total_u, total_u),
-            "usage_per_breaking_pct": percent_display(total_u, total_b),
-            "affected": total_a,
-            "affected_pct": percent_display(total_a, total_a),
+    def row(index: int, category: str, condition: str, b: int, u: int, a: int) -> dict:
+        return {
+            "index": index,
+            "category": category,
+            "condition": condition,
+            "breaking": b,
+            "breaking_pct": percent_display(b, total_b),
+            "usage": u,
+            "usage_pct": percent_display(u, total_u),
+            "usage_per_breaking_pct": percent_display(u, b),
+            "affected": a,
+            "affected_pct": percent_display(a, total_a),
         }
-    )
+
+    rows = [
+        row(idx, *key, b_counts[key], u_counts[key], len(pair_sets[key]))
+        for idx, key in enumerate(CATALOGUE, start=1)
+    ]
+    rows.append(row(len(CATALOGUE) + 1, "Total", "", total_b, total_u, total_a))
     return rows
 
 

@@ -217,8 +217,8 @@ class _PackageDiffer:
             # A generic type keeps its type parameters on the object, a
             # generic function on its signature.
             self._diff_type_params(key, old.type.type_params, new.type.type_params)
-        elif category == "Basic (Const)" and (old.const_value or "") != (new.const_value or ""):
-            self.emit(key, category, "Value Change", f"{old.const_value} -> {new.const_value}")
+        elif category == "Basic (Const)" and (old.value or "") != (new.value or ""):
+            self.emit(key, category, "Value Change", f"{old.value} -> {new.value}")
 
     def _diff_type_params(self, key: str, old: tuple[TypeParamDef, ...], new: tuple[TypeParamDef, ...]) -> None:
         if len(new) < len(old):

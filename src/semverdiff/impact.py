@@ -22,7 +22,7 @@ from . import parser as _goparser
 from .diff import ChangeRecord
 from .manifest import MANIFEST_NAME, MalformedManifest, parse_manifest
 from .parser import GoSyntaxError
-from .surface import ApiSurface, ParseFailure
+from .surface import ApiSurface, ParseFailure, go_build_ignores
 
 logger = logging.getLogger(__name__)
 
@@ -43,10 +43,12 @@ class BreakingNode:
 
 @dataclass
 class ImportBinding:
-    file: str
+    """A file's imports by what they bring into its scope: a name bound to a
+    package path, or a dot-imported package's names. A blank import brings
+    nothing."""
+
     bindings: dict[str, str] = field(default_factory=dict)
     dot_imports: set[str] = field(default_factory=set)
-    blank_imports: set[str] = field(default_factory=set)
 
     @property
     def package_paths(self) -> set[str]:
@@ -113,25 +115,22 @@ def collect_breaking_nodes(
 def bind_imports(source_file: str, file: str = "") -> ImportBinding:
     """Extract the import bindings of one source file.
 
-    The default alias is the last path segment; explicit aliases are honored;
-    "." imports land in dot_imports and "_" imports in blank_imports. The
-    whole file is checked for lexical errors, so one anywhere in it is a
-    ParseFailure; only the import header is lexed.
+    Each import binds the name ImportSpec.binds gives, as the parser's
+    import map does; "." imports land in dot_imports, and "_" imports are
+    dropped. The whole file is checked for lexical errors, so one anywhere
+    in it is a ParseFailure; only the import header is lexed.
     """
     try:
         imports = _goparser.parse_imports(source_file)
     except GoSyntaxError as exc:
         raise ParseFailure(f"{file or '<source>'}: {exc}") from exc
 
-    binding = ImportBinding(file=file)
+    binding = ImportBinding()
     for spec in imports:
-        if spec.blank:
-            binding.blank_imports.add(spec.path)
-        elif spec.dot:
+        if spec.name == ".":
             binding.dot_imports.add(spec.path)
-        else:
-            alias = spec.alias if spec.alias else spec.path.rsplit("/", 1)[-1]
-            binding.bindings[alias] = spec.path
+        elif (name := spec.binds) is not None:
+            binding.bindings[name] = spec.path
     return binding
 
 
@@ -179,11 +178,6 @@ def _match_file(
     return usages
 
 
-# Directories go build leaves out of a module's packages, besides those whose
-# names start with "." or "_", which it leaves out as it does such files.
-_IGNORED_DIRS = frozenset({"vendor", "testdata"})
-
-
 def scan_client(
     client_root: str | Path,
     nodes: list[BreakingNode],
@@ -206,9 +200,9 @@ def scan_client(
 
     usages: list[ClientUsage] = []
     for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = sorted(d for d in dirnames if d not in _IGNORED_DIRS and d[0] not in "._")
+        dirnames[:] = sorted(d for d in dirnames if not go_build_ignores(d))
         for fn in sorted(filenames):
-            if not fn.endswith(".go") or fn[0] in "._":
+            if not fn.endswith(".go") or go_build_ignores(fn):
                 continue
             path = Path(dirpath) / fn
             rel_file = path.relative_to(root).as_posix()

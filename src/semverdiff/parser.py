@@ -23,12 +23,15 @@ strings inserts semicolons, drops comments and tracks brackets, so that the
 body of each top-level function is skipped to its closing brace without
 building tokens. A closing bracket that does not match outside function
 bodies is a syntax error, as in Go. Lines are kept only for error messages.
-Import binding parses the header's package clause and imports. find_selectors
-finds the selectors of a file, and then bare_identifiers the identifiers that
-are no members, in the source text itself, for scans that need no tokens: one
-regex built from the lexer's sub-patterns confirms that each candidate lies
-outside every literal, and the lexer lexes only the few words that may hold
-a number. The parser itself only covers
+Import binding parses the header's package clause and imports; each import
+is an ImportSpec of its path and its name (None, ".", "_" or an alias), as in
+go/ast, and ImportSpec.binds is the one home of the rule for the name an
+import binds, which the parser's import map and impact's bindings both use.
+find_selectors finds the selectors of a file, and then bare_identifiers the
+identifiers that are no members, in the source text itself, for scans that
+need no tokens: one regex built from the lexer's sub-patterns confirms that
+each candidate lies outside every literal, and the lexer lexes only the few
+words that may hold a number. The parser itself only covers
 what an API surface needs: the package clause, imports, and top-level
 const/var/type/func declarations, including generic type parameters. One
 parser with one cursor reads each file: parameter, type-argument and
@@ -46,12 +49,14 @@ is raised by the walk, before any syntax error; where a scan meets a bracket
 that does not match, the whole file is checked first, since a lexical error
 after it outranks it. The chunks are parsed in order after the walk, and a
 bracket error in one is raised only if the chunks before it parse, so errors
-come in source order across chunks. The specs (Decl) are immutable and are
-the surface's objects themselves, so a chunk the memo finds gives the very
-spec objects it gave before, and a surface built from them shares them with
-the surface it was first parsed for. Within a file, the parser builds each
-leaf type once: a Named without type arguments and a TypeParamRef are one
-object wherever they stand.
+come in source order across chunks. A GoFile holds its specs (Decl) in one
+list in source order, as go/ast's File.Decls holds declarations, and a chunk
+the memo finds adds its stored tuple of specs to that list. The specs are
+immutable and are the surface's objects themselves, so a chunk found gives
+the very spec objects it gave before, and a surface built from them shares
+them with the surface it was first parsed for. Within a file, the parser
+builds each leaf type once: a Named without type arguments and a
+TypeParamRef are one object wherever they stand.
 
 A function body is skipped with one regex match over its brace groups nested
 up to _SKIP_NESTING deep; a loop counts only the braces past that depth and
@@ -744,10 +749,19 @@ def _literal_end(text: str, pos: int) -> int:
 
 @dataclass(frozen=True, slots=True)
 class ImportSpec:
+    """An import, as go/ast holds it: its path, and its name, which is None,
+    ".", "_" or an alias."""
+
     path: str
-    alias: str | None = None
-    dot: bool = False
-    blank: bool = False
+    name: str | None = None
+
+    @property
+    def binds(self) -> str | None:
+        """The identifier the import binds in its file, or None for a dot or
+        blank import: the alias, or else the path's last element."""
+        if self.name is None:
+            return self.path.rsplit("/", 1)[-1]
+        return None if self.name in (".", "_") else self.name
 
 
 class Decl:
@@ -755,14 +769,14 @@ class Decl:
 
     An exported spec is the surface's object itself, so a spec the memo finds
     is one object in every surface that holds it. Besides its fields, each
-    spec gives what the surface and the differ read: kind, key, type,
-    const_value, receiver and type_params. These are class attributes and
-    properties, not fields, so a spec's repr and equality are its fields'.
+    spec gives what the surface and the differ read: kind, key, type, value,
+    receiver and type_params. Those that are not fields of a spec are class
+    attributes and properties, so a spec's repr and equality are its fields'.
     The specs are slotted, and so is this base: a spec has no instance dict.
     """
 
     __slots__ = ()
-    const_value = None
+    value = None
     receiver = None
     type_params = ()
 
@@ -777,10 +791,6 @@ class ConstSpec(Decl):
     type: TypeExpr
     value: str | None
     kind = "const"
-
-    @property
-    def const_value(self) -> str | None:
-        return self.value
 
 
 @dataclass(frozen=True, slots=True)
@@ -802,16 +812,12 @@ class TypeSpec(Decl):
 @dataclass(frozen=True, slots=True)
 class FuncDecl(Decl):
     name: str
-    sig: Func
+    type: Func
     receiver: str | None = None
 
     @property
     def kind(self) -> str:
         return "func" if self.receiver is None else "method"
-
-    @property
-    def type(self) -> Func:
-        return self.sig
 
     @property
     def key(self) -> str:
@@ -822,10 +828,7 @@ class FuncDecl(Decl):
 class GoFile:
     package_name: str
     imports: list[ImportSpec] = field(default_factory=list)
-    consts: list[ConstSpec] = field(default_factory=list)
-    vars: list[VarSpec] = field(default_factory=list)
-    types: list[TypeSpec] = field(default_factory=list)
-    funcs: list[FuncDecl] = field(default_factory=list)
+    decls: list[Decl] = field(default_factory=list)  # in source order
 
 
 # Deepest type nesting (pointers, slices, maps, funcs, structs, generic
@@ -1059,27 +1062,19 @@ class _Parser:
     # -- imports -----------------------------------------------------------
 
     def _parse_one_import(self, gofile: GoFile) -> None:
-        alias: str | None = None
-        dot = blank = False
-        tok = self.toks[self.i]
-        if _is_ident(tok):
-            if tok == "_":
-                blank = True
-            else:
-                alias = tok
+        name: str | None = self.toks[self.i]
+        if name == "." or _is_ident(name):
             self.i += 1
-        elif tok == ".":
-            dot = True
-            self.i += 1
+        else:
+            name = None
         tok = self.toks[self.i]
         if tok[:1] not in _STRING_QUOTES:
             raise self._error(f"expected import path string, found {tok!r}")
-        path = _unquote(tok)
+        spec = ImportSpec(_unquote(tok), name)
         self.i += 1
-        gofile.imports.append(ImportSpec(path=path, alias=alias, dot=dot, blank=blank))
-        if not dot and not blank:
-            local = alias if alias else path.rsplit("/", 1)[-1]
-            self.import_map[local] = path
+        gofile.imports.append(spec)
+        if (local := spec.binds) is not None:
+            self.import_map[local] = spec.path
 
     # -- import/const/var/type ---------------------------------------------
 
@@ -1129,10 +1124,10 @@ class _Parser:
             if kw == "const":
                 spelled = spelled_values[idx] if idx < len(spelled_values) else None
                 ctype = declared if declared is not None else _infer_const_type(self.toks[start:end])
-                gofile.consts.append(ConstSpec(name=name, type=ctype, value=spelled))
+                gofile.decls.append(ConstSpec(name=name, type=ctype, value=spelled))
             else:
                 vtype = declared if declared is not None else self._infer_var_type(start, end)
-                gofile.vars.append(VarSpec(name=name, type=vtype))
+                gofile.decls.append(VarSpec(name=name, type=vtype))
         return (declared, spelled_values) if kw == "const" else None
 
     def _collect_expr_list(self, in_block: bool) -> list[tuple[int, int]]:
@@ -1219,7 +1214,7 @@ class _Parser:
             self.i += 1
         tparams = frozenset(tp.name for tp in type_params)
         expr = self._parse_type(tparams)
-        gofile.types.append(TypeSpec(name=name, type=expr, type_params=type_params, alias=alias))
+        gofile.decls.append(TypeSpec(name=name, type=expr, type_params=type_params, alias=alias))
 
     def _looks_like_type_params(self) -> bool:
         # Disambiguates `type A[T any] ...` from `type A [N]Elem`, as go/parser
@@ -1283,7 +1278,7 @@ class _Parser:
         sig = Func(params=params, results=results, variadic=variadic, type_params=type_params)
         if self.toks[self.i] == "{":  # the lexer keeps only the braces of a body
             self.i += 2
-        gofile.funcs.append(FuncDecl(name=name, sig=sig, receiver=receiver))
+        gofile.decls.append(FuncDecl(name=name, type=sig, receiver=receiver))
 
     def _parse_receiver(self) -> tuple[str, list[str]]:
         """Parse (name *Base[P, Q]), returning the base type name and the
@@ -1696,9 +1691,11 @@ def parse_go_file(text: str, package_path: str = "", *, memo: DeclMemo | None = 
     table, previous = memo.tables((package_path, text[:pos])) if memo else ({}, {})
     # Every chunk is looked up, and lexed if the memo lacks it, before any is
     # parsed: parsing each chunk right after lexing it made a cold parse
-    # slower (by about 8 % on the check-decls benchmark files, 2 vCPU x86_64,
-    # Python 3.11). A bracket error ends the walk and is raised only if the
-    # chunks before it parse, so errors come in source order.
+    # slower, by 19 % in the median of 10 alternating rounds and in every
+    # round, on the old side of the seed-7 check-decls pairs (37 files,
+    # 2.1 MB), with the collector paused as extract_surface pauses it (2 vCPU
+    # x86_64, Python 3.11). A bracket error ends the walk and is raised only
+    # if the chunks before it parse, so errors come in source order.
     chunks = []  # (start, specs found, tokens lexed, key if it holds)
     error = None
     while pos < len(text):
@@ -1724,14 +1721,12 @@ def parse_go_file(text: str, package_path: str = "", *, memo: DeclMemo | None = 
         pos = tokens.end
     parser = _Parser(header, package_path)
     gofile = parser.parse_file()
-    consts, vars_, types, funcs = gofile.consts, gofile.vars, gofile.types, gofile.funcs
-    add = {ConstSpec: consts.append, VarSpec: vars_.append, TypeSpec: types.append, FuncDecl: funcs.append}
+    decls = gofile.decls
     for start, hit, tokens, key in chunks:
         if hit is not None:
-            for spec in hit:
-                add[spec.__class__](spec)
+            decls += hit
             continue
-        c, v, t, f = len(consts), len(vars_), len(types), len(funcs)
+        n = len(decls)
         try:
             parser.read(tokens)
             parser.parse_decls(gofile)
@@ -1739,7 +1734,7 @@ def parse_go_file(text: str, package_path: str = "", *, memo: DeclMemo | None = 
             error, pos = exc, start
             break
         if key is not None:
-            table[key] = (*consts[c:], *vars_[v:], *types[t:], *funcs[f:])
+            table[key] = tuple(decls[n:])
     if error is not None:
         raise GoSyntaxError(error.message, error.line + text.count("\n", 0, pos)) from None
     return gofile

@@ -1,12 +1,16 @@
 """Exported API surface extraction for one module version.
 
-Walks the module tree (minus filtered layout directories and nested modules),
-parses every non-test .go file at declaration level, and keeps the exported
-objects: top-level names, methods of exported named types, and the structural
-types behind them. A declaration unchanged since the previous extraction is
-neither lexed nor parsed again: parse_go_file, walking the file chunk by
-chunk, finds it by its text in a memo that holds the declarations of the
-previous extraction and the current one, and its specs are reused.
+Walks the module tree, leaving out what go build leaves out (testdata/,
+vendor/, and every directory and file whose name starts with "." or "_", as
+scan_client does too), filtered layout directories and nested modules, and
+following no directory symlink. It parses every non-test .go file at
+declaration level and keeps the exported objects, the first declaration of
+each key in file and source order: top-level names, methods of exported
+named types, and the structural types behind them. A declaration unchanged
+since the previous extraction is neither lexed nor parsed again:
+parse_go_file, walking the file chunk by chunk, finds it by its text in a
+memo that holds the declarations of the previous extraction and the current
+one, and its specs are reused.
 
 The surface's objects are the parser's exported specs themselves (Decl), not
 copies: a declaration the memo finds is one Python object in the old and the
@@ -25,7 +29,6 @@ import json
 import logging
 import os
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import Iterator
 
@@ -75,6 +78,13 @@ def filter_layout(package_dir_relative: str, extra: frozenset[str] | set[str] = 
     return any(seg in banned for seg in segments)
 
 
+def go_build_ignores(name: str) -> bool:
+    """Whether go build leaves out the directory or file of this name in a
+    module tree: testdata/ and vendor/, and every name that starts with "."
+    or "_"."""
+    return name[0] in "._" or name in ("testdata", "vendor")
+
+
 @dataclass
 class PackageSurface:
     import_path: str
@@ -92,7 +102,7 @@ class ApiSurface:
 def _objects_from_file(gofile: GoFile) -> Iterator[Decl]:
     """The exported specs of a file: top-level names, and methods of exported
     receivers."""
-    for spec in chain(gofile.consts, gofile.vars, gofile.types, gofile.funcs):
+    for spec in gofile.decls:
         if is_exported(spec.name) and (spec.receiver is None or is_exported(spec.receiver)):
             yield spec
 
@@ -130,14 +140,14 @@ def extract_surface(
             keep = []
             for d in sorted(dirnames):
                 sub_rel = d if rel == "." else f"{rel}/{d}"
-                if filter_layout(sub_rel, banned):
+                if go_build_ignores(d) or filter_layout(sub_rel, banned):
                     continue
                 if (Path(dirpath) / d / "go.mod").is_file():
                     continue  # nested module
                 keep.append(d)
             dirnames[:] = keep
             for fn in sorted(filenames):
-                if fn.endswith(".go") and not fn.endswith("_test.go"):
+                if fn.endswith(".go") and not fn.endswith("_test.go") and not go_build_ignores(fn):
                     files.append((rel, Path(dirpath) / fn))
         if not files:
             raise NoSourceFiles(f"no source files under {root}")
@@ -185,7 +195,7 @@ def surface_to_dict(surface: ApiSurface) -> dict:
                 },
             }
             if obj.kind == "const":
-                entry["value"] = obj.const_value
+                entry["value"] = obj.value
             if obj.receiver is not None:
                 entry["receiver"] = obj.receiver
             if obj.type_params:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,14 @@ def write_module(root: Path, module_path: str, files: dict[str, str]) -> Path:
     if "go.mod" not in files:
         (root / "go.mod").write_text(f"module {module_path}\n\ngo 1.19\n", encoding="utf-8")
     return write_tree(root, files)
+
+
+def symlink_or_skip(target: str, link: Path, directory: bool = False) -> None:
+    """Make link point to target, or skip the test where symlinks cannot be made."""
+    try:
+        os.symlink(target, link, target_is_directory=directory)
+    except (AttributeError, NotImplementedError, OSError) as exc:
+        pytest.skip(f"cannot make a symlink: {exc}")
 
 
 def materialize_fixture(base: Path, fixture: CatalogueFixture) -> tuple[Path, Path]:

@@ -12,8 +12,9 @@ import impact_fixtures as fx
 import impact_reference as reference
 import semverdiff.impact as impact_module
 from oracles import textual_search_oracle
-from conftest import write_module, write_tree
-from semverdiff.parser import GoSyntaxError, _candidates_re
+from conftest import symlink_or_skip, write_module, write_tree
+from semverdiff.gotypes import Named
+from semverdiff.parser import GoSyntaxError, _candidates_re, _Parser, parse_go_file, tokenize
 from test_parser import _HOSTILE, _SOURCES, _mutants, _reference_tokens
 from semverdiff.diff import ChangeRecord, diff_surfaces
 from semverdiff.impact import (
@@ -113,8 +114,35 @@ class TestBindImports:
         src = 'package main\n\nimport (\n\t. "example.com/lib"\n\t_ "example.com/side"\n)\n'
         b = bind_imports(src)
         assert b.dot_imports == {"example.com/lib"}
-        assert b.blank_imports == {"example.com/side"}
+        # A blank import binds no name and exposes no package.
+        assert b.bindings == {}
         assert b.package_paths == {"example.com/lib"}
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from((None, ".", "_", "a", "lib", "x")),
+                st.sampled_from(("a", "lib", "x/a", "example.com/lib", "example.com/x/b", "c/go-yaml", "gopkg.in/yaml.v3")),
+            ),
+            max_size=6,
+        ),
+        st.booleans(),
+    )
+    def test_bindings_are_the_import_map_the_parser_resolves_by(self, imports, grouped):
+        specs = [f'{name} "{path}"' if name else f'"{path}"' for name, path in imports]
+        if grouped:
+            header = "import (\n" + "".join(f"\t{spec}\n" for spec in specs) + ")\n"
+        else:
+            header = "".join(f"import {spec}\n" for spec in specs)
+        bindings = bind_imports(f"package main\n\n{header}").bindings
+        # Each name that can qualify a type, and one that no import binds.
+        names = sorted(name for name in bindings if name.isidentifier()) + ["unbound"]
+        src = f"package main\n\n{header}\n" + "".join(f"var V{i} {name}.T\n" for i, name in enumerate(names))
+        parser = _Parser(tokenize(src), "example.com/main")
+        parser.parse_imports()
+        assert parser.import_map == bindings
+        gofile = parse_go_file(src, "example.com/main")
+        assert [spec.type for spec in gofile.decls] == [Named(bindings.get(name, name), "T") for name in names]
 
     def test_parse_failure(self):
         with pytest.raises(ParseFailure):
@@ -207,6 +235,18 @@ class TestScanClient:
         (usage,) = scan_client(root, nodes, report=report)
         assert (usage.file, usage.line, usage.qualified_name) == ("c.go", 6, "brklib.OldThing")
         assert (report.scanned, report.skipped, report.failed) == (["c.go"], [], [])
+
+    def test_a_directory_symlink_loop_is_not_followed_and_a_symlinked_file_is_read(self, tmp_path):
+        nodes = collect_breaking_nodes([_record()])
+        src = 'package main\n\nimport "example.com/brklib"\n\nfunc main() {\n\tbrklib.OldThing()\n}\n'
+        root = write_tree(tmp_path / "client", {"c.go": src, "a/a.go": src})
+        write_tree(tmp_path / "elsewhere", {"x.go": src})
+        symlink_or_skip("..", root / "a" / "up", directory=True)
+        symlink_or_skip("../elsewhere/x.go", root / "link.go")
+        report = ScanReport()
+        usages = scan_client(root, nodes, report=report)
+        assert [(u.file, u.line) for u in usages] == [("c.go", 6), ("link.go", 6), ("a/a.go", 6)]
+        assert (report.scanned, report.skipped, report.failed) == (["c.go", "link.go", "a/a.go"], [], [])
 
     def test_unaffected_importing_client(self, library_pair, client_roots):
         old, new = library_pair
@@ -524,7 +564,7 @@ def _match_cases(draw) -> tuple[str, ImportBinding, list[ChangeRecord], ApiSurfa
     packages = st.sampled_from(_POOL_PACKAGES)
     bindings = draw(st.dictionaries(st.sampled_from(_POOL_ALIASES), packages, min_size=1, max_size=4))
     dots = draw(st.sets(packages, max_size=4))
-    binding = ImportBinding(file="c.go", bindings=bindings, dot_imports=dots)
+    binding = ImportBinding(bindings=bindings, dot_imports=dots)
     record = st.tuples(packages, st.sampled_from(_POOL_KEYS + ("",)), st.sampled_from(_POOL_KINDS), st.sampled_from((True, True, False)))
     records = [
         _record(package=package, node=key, category=category, condition=condition, breaking=breaking)
@@ -612,7 +652,7 @@ class TestAgainstTheReference:
         record = _record(node="Foo")
         nodes = [BreakingNode(pkg, key, "Function", "Remove", record) for pkg in packages for key in ("Foo", "T.M")]
         text = "package main\n\nfunc main() {\n\tvar t T\n\tFoo()\n\tt.M()\n}\n"
-        binding = ImportBinding(file="main.go", dot_imports=set(packages))
+        binding = ImportBinding(dot_imports=set(packages))
         usages = impact_module._match_file("main.go", text, binding, _by_package(nodes), "example.com/c", None)
         assert [(u.line, u.qualified_name, u.node.package) for u in usages] == [
             (line, name, pkg) for line, name in ((5, "Foo"), (6, "T.M")) for pkg in packages

@@ -65,7 +65,7 @@ SAMPLES = {
     Func: _FUNC,
     Named: Named(PKG, "G", (TypeParamRef("K"), Basic("int"))),
     TypeParamRef: TypeParamRef("K"),
-    ImportSpec: ImportSpec("a/b", "x", False, False),
+    ImportSpec: ImportSpec("a/b", "x"),
     ConstSpec: ConstSpec("C", Basic("untyped"), "1 << 3"),
     VarSpec: VarSpec("V", Named(PKG, "T")),
     TypeSpec: TypeSpec("G", Struct(), (TypeParamDef("K", Basic("any")),), False),
@@ -150,16 +150,15 @@ def test_decl_defaults_and_keys():
     method = FuncDecl("M", Func(), "T")
     assert (func.key, func.kind, func.receiver) == ("F", "func", None)
     assert (method.key, method.kind, method.receiver) == ("T.M", "method", "T")
-    assert method.type is method.sig
     const = ConstSpec("C", Basic("int"), "1")
-    assert (const.key, const.kind, const.const_value, const.type_params) == ("C", "const", "1", ())
+    assert (const.key, const.kind, const.value, const.type_params) == ("C", "const", "1", ())
     var = VarSpec("V", Basic("int"))
-    assert (var.key, var.kind, var.const_value, var.receiver) == ("V", "var", None, None)
+    assert (var.key, var.kind, var.value, var.receiver) == ("V", "var", None, None)
     assert TypeSpec("T", Struct()).type_params == ()
     # The class attributes a spec gives are not fields: repr and equality are
     # the fields' alone.
     assert repr(var) == "VarSpec(name='V', type=Basic(name='int'))"
-    assert [f.name for f in dataclasses.fields(FuncDecl)] == ["name", "sig", "receiver"]
+    assert [f.name for f in dataclasses.fields(FuncDecl)] == ["name", "type", "receiver"]
 
 
 _SHARING = """package lib
@@ -213,8 +212,7 @@ def _walk(value):
 
 
 def leaf_types(gofile) -> list:
-    specs = [*gofile.consts, *gofile.vars, *gofile.types, *gofile.funcs]
-    return [t for t in _walk(specs) if isinstance(t, TypeParamRef) or isinstance(t, Named) and not t.args]
+    return [t for t in _walk(gofile.decls) if isinstance(t, TypeParamRef) or isinstance(t, Named) and not t.args]
 
 
 def assert_shares_leaves(gofile) -> set:
@@ -243,13 +241,13 @@ def test_two_parses_give_equal_specs():
     for a, b in zip(leaf_types(first), leaf_types(second)):
         assert a == b and a is not b
     # A Named with type arguments is built where it stands.
-    generic = [t for t in _walk(first.types) if isinstance(t, Named) and t.args]
+    generic = [t for t in _walk([d for d in first.decls if isinstance(d, TypeSpec)]) if isinstance(t, Named) and t.args]
     assert generic == [Named("a/y", "Z", (TypeParamRef("K"),))]
 
 
 def test_parsed_function_and_method_keys():
     gofile = parse_go_file(_SHARING, PKG)
-    assert [(f.name, f.receiver, f.key, f.kind) for f in gofile.funcs] == [
+    assert [(f.name, f.receiver, f.key, f.kind) for f in gofile.decls if isinstance(f, FuncDecl)] == [
         ("Get", "Pair", "Pair.Get", "method"),
         ("New", None, "New", "func"),
     ]

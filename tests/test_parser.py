@@ -50,9 +50,13 @@ from semverdiff.parser import (
     GO_KEYWORDS,
     MAX_TYPE_NESTING,
     PREDECLARED_TYPES,
+    ConstSpec,
     DeclMemo,
+    FuncDecl,
     GoSyntaxError,
     ImportSpec,
+    TypeSpec,
+    VarSpec,
     _check_lexable,
     _Parser,
     _Tokens,
@@ -69,11 +73,11 @@ WORKLOADS = ("check-bodies", "check-decls", "impact-clients", "corpus-report")
 
 
 def _first_type(src: str):
-    return parse_go_file(src, PKG).types[0].type
+    return parse_go_file(src, PKG).decls[0].type
 
 
 def _first_func(src: str):
-    return parse_go_file(src, PKG).funcs[0]
+    return parse_go_file(src, PKG).decls[0]
 
 
 class TestTokenizer:
@@ -104,7 +108,7 @@ class TestTokenizer:
     def test_identifier_that_python_would_not_take(self):
         # U+037A is a letter (Lm) to Go, but no identifier to Python.
         src = "package p\n\nvar x\u0663, \u037a int\n"
-        assert [v.name for v in parse_go_file(src, PKG).vars] == ["x\u0663", "\u037a"]
+        assert [v.name for v in parse_go_file(src, PKG).decls] == ["x\u0663", "\u037a"]
         _assert_as_before(src)
 
     def test_a_token_is_its_text(self):
@@ -127,21 +131,21 @@ class TestDeclarations:
             "func G() {}\n"
         )
         f = parse_go_file(src, PKG)
-        assert [fn.name for fn in f.funcs] == ["F", "G"]
+        assert [fn.name for fn in f.decls] == ["F", "G"]
 
     def test_function_without_body(self):
         f = parse_go_file("package lib\n\nfunc Abs(x float64) float64\n", PKG)
-        assert f.funcs[0].name == "Abs"
+        assert f.decls[0].name == "Abs"
 
     def test_method_receiver(self):
         fn = _first_func("package lib\n\nfunc (t *Tree) Walk(depth int) {}\n")
         assert fn.receiver == "Tree"
-        assert render_type_expr(fn.sig) == "func(int)"
+        assert render_type_expr(fn.type) == "func(int)"
 
     def test_generic_receiver(self):
         fn = _first_func("package lib\n\nfunc (l *List[T]) Push(v T) {}\n")
         assert fn.receiver == "List"
-        assert render_type_expr(fn.sig) == "func(T)"
+        assert render_type_expr(fn.type) == "func(T)"
 
     def test_unnamed_receiver(self):
         fn = _first_func("package lib\n\nfunc (Tree) Leaf() bool { return true }\n")
@@ -175,25 +179,25 @@ class TestDeclarations:
     def test_const_block_iota_repetition(self):
         src = "package lib\n\nconst (\n\tA Kind = iota\n\tB\n\tC\n)\n"
         f = parse_go_file(src, PKG)
-        assert [(c.name, c.value) for c in f.consts] == [("A", "iota"), ("B", "iota"), ("C", "iota")]
-        assert all(c.type == Named(PKG, "Kind") for c in f.consts)
+        assert [(c.name, c.value) for c in f.decls] == [("A", "iota"), ("B", "iota"), ("C", "iota")]
+        assert all(c.type == Named(PKG, "Kind") for c in f.decls)
 
     def test_const_untyped_inference(self):
         f = parse_go_file('package lib\n\nconst S = "x"\nconst N = 42\nconst F = 1.5\n', PKG)
-        assert [c.type.name for c in f.consts] == ["untyped string", "untyped int", "untyped float"]
+        assert [c.type.name for c in f.decls] == ["untyped string", "untyped int", "untyped float"]
 
     def test_multi_name_spec(self):
         f = parse_go_file("package lib\n\nconst X, Y int = 1, 2\n", PKG)
-        assert [(c.name, c.value) for c in f.consts] == [("X", "1"), ("Y", "2")]
+        assert [(c.name, c.value) for c in f.decls] == [("X", "1"), ("Y", "2")]
 
     def test_var_func_literal_inference(self):
         f = parse_go_file("package lib\n\nvar H = func(x int) error { return nil }\n", PKG)
-        assert render_type_expr(f.vars[0].type) == "func(int) error"
+        assert render_type_expr(f.decls[0].type) == "func(int) error"
 
     def test_var_composite_inference(self):
         f = parse_go_file("package lib\n\nvar P = Point{1, 2}\nvar Q = &Point{}\n", PKG)
-        assert f.vars[0].type == Named(PKG, "Point")
-        assert f.vars[1].type == Pointer(Named(PKG, "Point"))
+        assert f.decls[0].type == Named(PKG, "Point")
+        assert f.decls[1].type == Pointer(Named(PKG, "Point"))
 
     @pytest.mark.parametrize(
         "value,expect",
@@ -208,7 +212,7 @@ class TestDeclarations:
     )
     def test_var_type_inference(self, value, expect):
         src = f'package lib\n\nimport "example.com/pkg"\n\nvar X = {value}\n'
-        assert parse_go_file(src, PKG).vars[0].type == expect
+        assert parse_go_file(src, PKG).decls[0].type == expect
 
     @pytest.mark.parametrize(
         "group,kw,token",
@@ -235,7 +239,7 @@ class TestDeclarations:
 
     def test_type_alias(self):
         f = parse_go_file('package lib\n\nimport "io"\n\ntype R = io.Reader\n', PKG)
-        spec = f.types[0]
+        spec = f.decls[0]
         assert spec.alias
         assert spec.type == Named("io", "Reader")
 
@@ -246,12 +250,12 @@ class TestDeclarations:
             "var A pb.Message\nvar B grpc.ClientConn\n"
         )
         f = parse_go_file(src, PKG)
-        assert f.vars[0].type == Named("example.com/dep/protobuf", "Message")
-        assert f.vars[1].type == Named("google.golang.org/grpc", "ClientConn")
+        assert f.decls[0].type == Named("example.com/dep/protobuf", "Message")
+        assert f.decls[1].type == Named("google.golang.org/grpc", "ClientConn")
 
     def test_unresolvable_qualifier_renders_as_written(self):
         f = parse_go_file("package lib\n\nvar X mystery.Thing\n", PKG)
-        assert render_type_expr(f.vars[0].type) == "mystery.Thing"
+        assert render_type_expr(f.decls[0].type) == "mystery.Thing"
 
 
 class TestTypeExpressions:
@@ -276,27 +280,27 @@ class TestTypeExpressions:
 
     def test_named_params_share_type(self):
         fn = _first_func("package lib\n\nfunc F(a, b int, c string) {}\n")
-        assert render_type_expr(fn.sig) == "func(int, int, string)"
+        assert render_type_expr(fn.type) == "func(int, int, string)"
 
     def test_unnamed_qualified_params(self):
         src = 'package lib\n\nimport "io"\n\nfunc F(io.Reader, io.Writer) {}\n'
         fn = _first_func(src)
-        assert render_type_expr(fn.sig) == "func(io.Reader, io.Writer)"
+        assert render_type_expr(fn.type) == "func(io.Reader, io.Writer)"
 
     def test_named_result_params(self):
         fn = _first_func("package lib\n\nfunc F() (n int, err error) { return }\n")
-        assert render_type_expr(fn.sig) == "func() (int, error)"
+        assert render_type_expr(fn.type) == "func() (int, error)"
 
     def test_variadic_named_param(self):
         fn = _first_func("package lib\n\nfunc F(prefix string, parts ...[]byte) {}\n")
-        assert fn.sig.variadic
-        assert render_type_expr(fn.sig) == "func(string, ...[]byte)"
+        assert fn.type.variadic
+        assert render_type_expr(fn.type) == "func(string, ...[]byte)"
 
     def test_variadic_only_on_the_final_parameter(self):
         with pytest.raises(GoSyntaxError, match="can only use ... with final parameter"):
             parse_go_file("package lib\n\nfunc F(...int, string) {}\n", PKG)
         fn = _first_func("package lib\n\nfunc F(a string, b ...int,) {}\n")
-        assert render_type_expr(fn.sig) == "func(string, ...int)"
+        assert render_type_expr(fn.type) == "func(string, ...int)"
 
     @pytest.mark.parametrize("params", ["a, b int, c", "a int, string", "a int, []string", "io.Reader, r int"])
     def test_mixed_named_and_unnamed_parameters_are_rejected(self, params):
@@ -314,7 +318,7 @@ class TestTypeExpressions:
             with pytest.raises(GoSyntaxError, match=r"^line 3: cannot use \.\.\. in result list$"):
                 parse_go_file(f"package lib\n\nfunc F() {results}\n", PKG)
         fn = _first_func("package lib\n\nfunc F(a ...int) (b []int) { return }\n")
-        assert render_type_expr(fn.sig) == "func(...int) []int"
+        assert render_type_expr(fn.type) == "func(...int) []int"
 
     def test_interface_methods_need_a_separator(self):
         with pytest.raises(GoSyntaxError, match=r"^line 3: unexpected 'B' after interface element$"):
@@ -363,32 +367,32 @@ class TestTypeExpressions:
 
     def test_generic_type_declaration(self):
         f = parse_go_file("package lib\n\ntype Pair[K comparable, V any] struct {\n\tKey K\n\tVal V\n}\n", PKG)
-        spec = f.types[0]
+        spec = f.decls[0]
         assert [tp.name for tp in spec.type_params] == ["K", "V"]
         assert render_type_expr(spec.type_params[0].constraint) == "comparable"
 
     def test_grouped_type_params(self):
         f = parse_go_file("package lib\n\nfunc F[K, V any](k K, v V) {}\n", PKG)
-        tps = f.funcs[0].sig.type_params
+        tps = f.decls[0].type.type_params
         assert [(tp.name, render_type_expr(tp.constraint)) for tp in tps] == [("K", "any"), ("V", "any")]
 
     def test_union_constraint_is_canonical_interface(self):
         f = parse_go_file("package lib\n\nfunc F[T int | string](x T) {}\n", PKG)
-        constraint = f.funcs[0].sig.type_params[0].constraint
+        constraint = f.decls[0].type.type_params[0].constraint
         assert render_type_expr(constraint) == "interface{int; string}"
 
     def test_generic_instantiation_as_param(self):
         f = parse_go_file("package lib\n\ntype List[T any] struct{}\n\nfunc F(l List[int]) {}\n", PKG)
-        fn = f.funcs[0]
-        assert render_type_expr(fn.sig, PKG) == "func(List[int])"
+        fn = f.decls[1]
+        assert render_type_expr(fn.type, PKG) == "func(List[int])"
 
     def test_type_param_with_slice_constraint_is_generic(self):
-        spec = parse_go_file("package lib\n\ntype A[T []int] struct{ X T }\n", PKG).types[0]
+        spec = parse_go_file("package lib\n\ntype A[T []int] struct{ X T }\n", PKG).decls[0]
         assert spec.type_params == (TypeParamDef("T", Slice(Basic("int"))),)
         assert spec.type == Struct((FieldDef("X", TypeParamRef("T"), None, False, True),))
 
     def test_type_param_with_pointer_constraint_and_trailing_comma_is_generic(self):
-        spec = parse_go_file("package lib\n\ntype A[T *int,] struct{}\n", PKG).types[0]
+        spec = parse_go_file("package lib\n\ntype A[T *int,] struct{}\n", PKG).decls[0]
         assert spec.type_params == (TypeParamDef("T", Pointer(Basic("int"))),)
         assert spec.type == Struct(())
 
@@ -403,7 +407,7 @@ class TestTypeExpressions:
         ],
     )
     def test_type_param_with_a_type_element_after_star_or_paren_is_generic(self, constraint, expect):
-        spec = parse_go_file(f"package lib\n\ntype A[T {constraint}] struct{{}}\n", PKG).types[0]
+        spec = parse_go_file(f"package lib\n\ntype A[T {constraint}] struct{{}}\n", PKG).decls[0]
         assert spec.type_params == (TypeParamDef("T", expect),)
         assert spec.type == Struct(())
 
@@ -717,7 +721,7 @@ def _spec_types(sources, memo: DeclMemo | None = None) -> set:
             gofile = parse_go_file(src, PKG, memo=memo)
         except GoSyntaxError:
             continue
-        for spec in (*gofile.consts, *gofile.vars, *gofile.types, *gofile.funcs):
+        for spec in gofile.decls:
             types.add(spec.type)
             types.update(tp.constraint for tp in spec.type_params)
     return types
@@ -811,7 +815,7 @@ class TestComparability:
 
     def test_named_resolution(self):
         f = parse_go_file("package lib\n\ntype Inner []int\n\ntype T struct{ A Inner }\n", PKG)
-        types = {spec.name: spec.type for spec in f.types}
+        types = {spec.name: spec.type for spec in f.decls}
 
         def resolve(named):
             return types.get(named.name) if named.package == PKG else None
@@ -856,9 +860,9 @@ class TestNestingLimit:
             parse_go_file(f"package lib\n\ntype T {_nested(shape, MAX_TYPE_NESTING + 1)}\n", PKG)
 
     def test_address_of_chain_in_var_initializer(self):
-        shallow = parse_go_file("package lib\n\nvar V = & T{}\n", PKG).vars[0].type
+        shallow = parse_go_file("package lib\n\nvar V = & T{}\n", PKG).decls[0].type
         assert shallow == Pointer(Named(PKG, "T"))
-        deep = parse_go_file("package lib\n\nvar V = " + "& " * 5000 + "T{}\n", PKG).vars[0].type
+        deep = parse_go_file("package lib\n\nvar V = " + "& " * 5000 + "T{}\n", PKG).decls[0].type
         assert deep == Basic("untyped")
 
 
@@ -1232,7 +1236,8 @@ _SHAPES = {
 }
 
 
-# One [sha256(input), sha256(repr(GoFile))] row per input the parser accepts.
+# One [sha256(input), sha256(repr of its GoFile)] row per input the parser
+# accepts, the repr in the form _four_list_repr gives.
 GOLDEN_PARSES = Path(__file__).resolve().parent / "golden" / "parse_outcomes.ndjson"
 
 
@@ -1253,6 +1258,31 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _four_list_repr(gofile) -> str:
+    """The repr of a GoFile in the form the golden file was written in: each
+    import as (path, alias, dot, blank), one list of specs per kind, and a
+    FuncDecl's type named sig. So the golden rows pin that one list of specs
+    in source order holds what the four lists held, in each kind's order."""
+
+    def spec(s) -> str:
+        if isinstance(s, FuncDecl):
+            return f"FuncDecl(name={s.name!r}, sig={s.type!r}, receiver={s.receiver!r})"
+        return repr(s)
+
+    def import_(s) -> str:
+        alias = None if s.name in (None, ".", "_") else s.name
+        return f"ImportSpec(path={s.path!r}, alias={alias!r}, dot={s.name == '.'}, blank={s.name == '_'})"
+
+    imports = ", ".join(map(import_, gofile.imports))
+    consts, vars_, types, funcs = (
+        ", ".join(spec(s) for s in gofile.decls if isinstance(s, kind)) for kind in (ConstSpec, VarSpec, TypeSpec, FuncDecl)
+    )
+    return (
+        f"GoFile(package_name={gofile.package_name!r}, imports=[{imports}], consts=[{consts}], "
+        f"vars=[{vars_}], types=[{types}], funcs=[{funcs}])"
+    )
+
+
 def _parse_rows() -> dict[str, str]:
     """sha256 of each accepted input -> sha256 of the repr of its GoFile."""
     rows = {}
@@ -1261,7 +1291,7 @@ def _parse_rows() -> dict[str, str]:
             gofile = parse_go_file(src, PKG)
         except GoSyntaxError:
             continue
-        rows[_sha256(src)] = _sha256(repr(gofile))
+        rows[_sha256(src)] = _sha256(_four_list_repr(gofile))
     return rows
 
 
@@ -1349,7 +1379,8 @@ class TestSkipBodies:
         src = "package p\n\nvar X = func() { ( }\n\nfunc F() {}\n"
         with pytest.raises(GoSyntaxError, match=r"^line 3: expected '\)', found '}'$"):
             parse_go_file(src, PKG)
-        assert [f.name for f in parse_go_file(src.replace("( }", "() }"), PKG).funcs] == ["F"]
+        gofile = parse_go_file(src.replace("( }", "() }"), PKG)
+        assert [(spec.kind, spec.name) for spec in gofile.decls] == [("var", "X"), ("func", "F")]
 
     def test_misnested_file_with_a_body_lexing_error_names_its_line(self):
         # The ")" makes the file misnested, so the body is never skipped.
@@ -1417,7 +1448,7 @@ class TestImportsOnly:
         assert str(_Parser(header, "")._error("end", len(header) - 1)) == "line 8: end"
         lexed = []
         monkeypatch.setattr(parser_module, "_lex", _spy(parser_module._lex, lexed))
-        assert parse_imports(src) == [ImportSpec("a/b"), ImportSpec("c/d", alias="c")]
+        assert parse_imports(src) == [ImportSpec("a/b"), ImportSpec("c/d", "c")]
         assert [args[1] for args in lexed] == [0]
 
     @pytest.mark.parametrize(
@@ -1454,7 +1485,7 @@ class TestImportsOnly:
     def test_file_of_imports_only(self):
         src = 'package p\n\nimport (\n\t"a/b"\n\tc "c/d"\n)\nimport . "e"\nimport _ `f`\n'
         assert parse_imports(src) == [
-            ImportSpec("a/b"), ImportSpec("c/d", alias="c"), ImportSpec("e", dot=True), ImportSpec("f", blank=True),
+            ImportSpec("a/b"), ImportSpec("c/d", "c"), ImportSpec("e", "."), ImportSpec("f", "_"),
         ]
         header = tokenize(src)
         assert header == [t.text for t in _reference_tokens(src)] and header.end == len(src)
@@ -1504,7 +1535,7 @@ class TestImportsOnly:
         # One scan runs over the body's 32,000 lines; the declaration after
         # it is found, and an error after them is at its line.
         gofile = parse_go_file(src, PKG)
-        assert [f.name for f in gofile.funcs] == ["F"] and [v.name for v in gofile.vars] == ["V"]
+        assert [(spec.kind, spec.name) for spec in gofile.decls] == [("func", "F"), ("var", "V")]
         bad = src.replace("\t}\n}\n", "\t}\n@}\n")
         line = bad.count("\n", 0, bad.index("@")) + 1
         assert line > 32_000
@@ -2029,12 +2060,12 @@ class TestStringValues:
 
     @pytest.mark.parametrize("literal", [r"'\''", "'\"'", r"'\x41'", r"'\377'", r"'\u00e9'", "'é'", r'"\""', '"\'"', r'"\a\b\f\n\r\t\v\\"'])
     def test_literal_go_accepts(self, literal):
-        assert parse_go_file(f"package p\n\nconst A = {literal}\n", PKG).consts[0].value == literal
+        assert parse_go_file(f"package p\n\nconst A = {literal}\n", PKG).decls[0].value == literal
 
     def test_import_path_is_unquoted(self):
         src = 'package lib\n\nimport "a\\x2fb"\n\nvar V b.T\n'
         assert parse_imports(src) == [ImportSpec("a/b")]
-        assert parse_go_file(src, PKG).vars[0].type == Named("a/b", "T")
+        assert parse_go_file(src, PKG).decls[0].type == Named("a/b", "T")
         with pytest.raises(GoSyntaxError, match=r"^line 3: unknown escape sequence '\\\\o'$"):
             parse_imports('package lib\n\nimport "a\\ob"\n')
 
@@ -2074,7 +2105,7 @@ class TestCodePointEscapes:
         src = template.replace("D", _ESCAPE_DECLS[decl]).replace("E", escape)
         gofile = _parse(src)
         if place != "function-body":
-            assert gofile.consts + gofile.vars, src
+            assert any(spec.kind in ("const", "var") for spec in gofile.decls), src
         _assert_as_before(src)
         _assert_check_agrees_with_lexer(src)
 
@@ -2285,7 +2316,7 @@ class TestDeclMemo:
         memo.next_generation()
         second = parse_go_file(src, PKG, memo=memo)
         assert second == first
-        assert second.types[0] is first.types[0] and second.funcs[0] is first.funcs[0]
+        assert len(second.decls) == 2 and all(s is f for s, f in zip(second.decls, first.decls))
 
     def test_same_declaration_under_another_package_path_gives_no_hit(self):
         src = "package p\n\ntype T struct{ U }\n"
@@ -2293,8 +2324,8 @@ class TestDeclMemo:
         a = parse_go_file(src, "example.com/a", memo=memo)
         b = parse_go_file(src, "example.com/b", memo=memo)
         assert b == parse_go_file(src, "example.com/b")
-        assert b.types[0] is not a.types[0]
-        assert b.types[0].type.fields[0].type == Named("example.com/b", "U")
+        assert b.decls[0] is not a.decls[0]
+        assert b.decls[0].type.fields[0].type == Named("example.com/b", "U")
 
     def test_same_alias_bound_to_another_import_path_gives_no_hit(self):
         src = 'package p\n\nimport x "a/x"\n\nvar V x.T\n'
@@ -2302,7 +2333,7 @@ class TestDeclMemo:
         memo = DeclMemo()
         a = parse_go_file(src, PKG, memo=memo)
         b = parse_go_file(other, PKG, memo=memo)
-        assert (a.vars[0].type, b.vars[0].type) == (Named("a/x", "T"), Named("b/x", "T"))
+        assert (a.decls[0].type, b.decls[0].type) == (Named("a/x", "T"), Named("b/x", "T"))
         assert b == parse_go_file(other, PKG)
 
     def test_an_import_after_a_declaration_is_a_syntax_error(self):
@@ -2341,10 +2372,8 @@ class TestDeclMemo:
         memo.next_generation()
         warm = parse_go_file(src, PKG, memo=memo)
         assert warm == cold == parse_go_file(src, PKG)
-        assert [c.name for c in warm.consts] == ["A", "B", "C", "D"]
-        assert [f.name for f in warm.funcs] == ["F", "M", "G"]
-        for kind in ("consts", "vars", "types", "funcs"):
-            assert all(a is b for a, b in zip(getattr(warm, kind), getattr(cold, kind))), kind
+        assert [spec.name for spec in warm.decls] == ["A", "V", "T", "F", "B", "C", "W", "X", "M", "U", "S", "G", "D"]
+        assert all(a is b for a, b in zip(warm.decls, cold.decls))
 
     def test_a_declaration_that_raises_is_not_stored(self):
         memo = DeclMemo()
@@ -2372,13 +2401,13 @@ class TestDeclMemo:
     def test_an_edited_doc_comment_misses_only_the_declaration_before_it(self):
         src = "package p\n\nvar A int\n\n// F does x.\nfunc F() {}\n\nvar B int\n"
         warm, cold = _warm_and_cold(src, src.replace("does x", "does y"))
-        assert warm.vars[0] is not cold.vars[0]
-        assert warm.funcs[0] is cold.funcs[0] and warm.vars[1] is cold.vars[1]
+        assert warm.decls[0] is not cold.decls[0]
+        assert warm.decls[1] is cold.decls[1] and warm.decls[2] is cold.decls[2]
 
     def test_an_edited_body_misses_only_its_own_chunk(self):
         src = "package p\n\nfunc F() int {\n\treturn 1\n}\n\nfunc G() {}\n"
         warm, cold = _warm_and_cold(src, src.replace("return 1", "x := 2\n\treturn x"))
-        assert warm.funcs[0] == cold.funcs[0] and warm.funcs[1] is cold.funcs[1]
+        assert warm.decls[0] == cold.decls[0] and warm.decls[1] is cold.decls[1]
 
     def test_a_chunk_found_is_neither_lexed_nor_parsed(self, monkeypatch):
         src = "package p\n\nimport \"a/x\"\n\nvar V x.T\n\nfunc F() {\n\tg()\n}\n\ntype T struct{ A int }\n"
@@ -2398,7 +2427,7 @@ class TestDeclMemo:
         warm = parse_go_file(src, PKG, memo=memo)
         assert [args[1] for args in lexed] == [0] and parsed == [] and scanned == []
         assert warm == cold
-        assert warm.vars[0] is cold.vars[0] and warm.funcs[0] is cold.funcs[0] and warm.types[0] is cold.types[0]
+        assert len(warm.decls) == 3 and all(w is c for w, c in zip(warm.decls, cold.decls))
 
 
 def _bound_source(lines: int) -> str:
@@ -2599,7 +2628,7 @@ class TestLexicalErrorsInTheScans:
         checked = []
         monkeypatch.setattr(parser_module, "_check_lexable", _spy(parser_module._check_lexable, checked))
         warm = parse_go_file(src, PKG, memo=memo)
-        assert warm == cold and warm.funcs[0] is cold.funcs[0]
+        assert warm == cold and warm.decls[0] is cold.decls[0]
         header_end = src.index("func")
         assert checked == [] and scans
         assert {name for name, _args in scans} == {"_TOKEN_RE", "_BODY_RE"}

@@ -6,17 +6,20 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import write_module
+from conftest import symlink_or_skip, write_module
+from semverdiff.diff import diff_surfaces
 from semverdiff.surface import (
     FILTERED_LAYOUT_DIRS,
     SurfaceEmpty,
     extract_surface,
     filter_layout,
+    go_build_ignores,
     is_exported,
     surface_to_dict,
     surface_to_json,
 )
 from semverdiff import surface as surface_module
+from semverdiff.gotypes import Func
 from semverdiff.parser import ConstSpec, FuncDecl, parse_go_file
 from semverdiff.versions import parse_version
 
@@ -133,6 +136,45 @@ class TestExtractSurface:
         surface = extract_surface(tmp_path, MOD)
         assert list(surface.packages[MOD].objects) == ["Keep"]
 
+    def test_what_go_build_ignores_is_not_walked(self, tmp_path):
+        files = {"a.go": "package m\n\nfunc A() {}\n", "pkg/p.go": "package pkg\n\nfunc P() {}\n"}
+        for rel, name in [("_u.go", "U"), (".d.go", "D"), ("testdata/fix/f.go", "F"), ("_old/o.go", "O"), (".hidden/h.go", "H")]:
+            files[rel] = f"package m\n\nfunc {name}() {{}}\n"
+        write_module(tmp_path, "example.com/m", files)
+        surface = extract_surface(tmp_path, "example.com/m")
+        objects = {path: list(pkg.objects) for path, pkg in surface.packages.items()}
+        assert objects == {"example.com/m": ["A"], "example.com/m/pkg": ["P"]}
+
+    def test_an_edit_under_testdata_gives_no_record(self, tmp_path):
+        old = {"lib.go": "package lib\n\nfunc F() {}\n", "testdata/fix/f.go": "package fix\n\nfunc G(int) {}\n"}
+        new = {**old, "testdata/fix/f.go": "package fix\n\nfunc G(string) {}\n\nvar H int\n"}
+        write_module(tmp_path / "old", MOD, old)
+        write_module(tmp_path / "new", MOD, new)
+        assert diff_surfaces(extract_surface(tmp_path / "old", MOD), extract_surface(tmp_path / "new", MOD)) == []
+
+    @pytest.mark.parametrize(
+        "name,ignored",
+        [("testdata", True), ("vendor", True), (".git", True), ("_old", True), ("_u.go", True), (".d.go", True),
+         ("a.go", False), ("a_test.go", False), ("pkg", False), ("test", False), ("testdata2", False)],
+    )
+    def test_go_build_ignores(self, name, ignored):
+        assert go_build_ignores(name) is ignored
+
+    def test_a_directory_symlink_loop_is_not_followed(self, tmp_path):
+        write_module(tmp_path, MOD, {"lib.go": "package lib\n\nfunc A() {}\n", "a/a.go": "package a\n\nfunc B() {}\n"})
+        (tmp_path / "a" / "b").mkdir()
+        symlink_or_skip("..", tmp_path / "a" / "up", directory=True)  # the module root
+        symlink_or_skip("..", tmp_path / "a" / "b" / "up", directory=True)  # a/, which holds no go.mod
+        surface = extract_surface(tmp_path, MOD)
+        assert {path: list(pkg.objects) for path, pkg in surface.packages.items()} == {MOD: ["A"], f"{MOD}/a": ["B"]}
+
+    def test_a_symlinked_source_file_is_read(self, tmp_path):
+        write_module(tmp_path / "m", MOD, {"lib.go": "package lib\n\nfunc A() {}\n"})
+        (tmp_path / "elsewhere").mkdir()
+        (tmp_path / "elsewhere" / "x.go").write_text("package lib\n\nfunc X() {}\n", encoding="utf-8")
+        symlink_or_skip("../elsewhere/x.go", tmp_path / "m" / "link.go")
+        assert list(extract_surface(tmp_path / "m", MOD).packages[MOD].objects) == ["A", "X"]
+
     def test_build_constrained_files_unioned(self, tmp_path):
         write_module(
             tmp_path,
@@ -234,10 +276,36 @@ class TestSharedObjects:
     def test_an_object_is_its_spec(self, tmp_path):
         write_module(tmp_path, MOD, {"lib.go": "package lib\n\nconst C int = 1\n\nfunc (T) M() {}\n\ntype T int\n"})
         objects = extract_surface(tmp_path, MOD).packages[MOD].objects
-        assert isinstance(objects["C"], ConstSpec) and objects["C"].const_value == "1"
+        assert isinstance(objects["C"], ConstSpec) and objects["C"].value == "1"
         method = objects["T.M"]
         assert isinstance(method, FuncDecl) and (method.kind, method.key, method.receiver) == ("method", "T.M", "T")
-        assert method.type is method.sig and method.type_params == ()
+        assert isinstance(method.type, Func) and method.type_params == ()
+
+
+class TestOneNameDeclaredTwice:
+    """Invalid Go that declares one name under two kinds: the surface keeps
+    the first declaration in source order, files in name order, whether the
+    specs are parsed or found in the memo."""
+
+    def _objects(self, root):
+        surface_module._drop_declarations()
+        cold = extract_surface(root, MOD).packages[MOD].objects
+        warm = extract_surface(root, MOD).packages[MOD].objects
+        assert all(warm[key] is obj for key, obj in cold.items())  # every chunk found
+        return cold, warm
+
+    def test_within_one_file(self, tmp_path):
+        src = "package lib\n\nfunc X() {}\n\nconst X = 1\n\ntype Y int\n\nvar Y int\n\nvar Z int\n\nconst Z = 2\n"
+        write_module(tmp_path, MOD, {"lib.go": src})
+        for objects in self._objects(tmp_path):
+            assert {key: obj.kind for key, obj in objects.items()} == {"X": "func", "Y": "type", "Z": "var"}
+
+    def test_across_two_files(self, tmp_path):
+        a = "package lib\n\nfunc X() {}\n\nvar Y int\n"
+        b = "package lib\n\nconst X = 1\n\nconst Y = 2\n\ntype Y int\n"
+        write_module(tmp_path, MOD, {"a.go": a, "b.go": b})
+        for objects in self._objects(tmp_path):
+            assert {key: obj.kind for key, obj in objects.items()} == {"X": "func", "Y": "var"}
 
 
 class TestCollectorPause:
