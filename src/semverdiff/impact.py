@@ -8,29 +8,41 @@ identifiers are collected only when a breaking package is dot-imported, and
 only those with the name of a node of such a package or of its receiver.
 Through the file's import bindings, each match becomes one reference
 (package, name, line, label), and one lookup per reference finds its
-breaking node. No tokens are built, and no copy of the text is made.
+breaking node. No tokens are built, and no copy of the text is made:
+find_selectors and bare_identifiers match the lexer's sub-patterns, _in_code
+confirms that each candidate lies outside every literal, and the lexer lexes
+only the few words that may hold a number.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
+from typing import Collection, Iterator
 
-from . import parser as _goparser
 from .diff import ChangeRecord
+from .lexer import (
+    _COMMENT_BLOCK,
+    _COMMENT_LINE,
+    _IDENT,
+    _IDENT_RE,
+    _LITERAL_RE,
+    _NUMBER,
+    _RUNE,
+    _STRING,
+    GO_KEYWORDS,
+    GoSyntaxError,
+    _Lexer,
+)
 from .manifest import MANIFEST_NAME, MalformedManifest, parse_manifest
-from .parser import GoSyntaxError
+from .parser import parse_imports
 from .surface import ApiSurface, ParseFailure, go_build_ignores
 
 logger = logging.getLogger(__name__)
-
-# Matching entry point, kept as a module global so the short-circuit is
-# observable: skipped files must never reach it. It finds the selectors in
-# the text, and then, under a dot import, the bare identifiers.
-tokenize = _goparser.find_selectors
-
 
 @dataclass(frozen=True, slots=True)
 class BreakingNode:
@@ -121,7 +133,7 @@ def bind_imports(source_file: str, file: str = "") -> ImportBinding:
     in it is a ParseFailure; only the import header is lexed.
     """
     try:
-        imports = _goparser.parse_imports(source_file)
+        imports = parse_imports(source_file)
     except GoSyntaxError as exc:
         raise ParseFailure(f"{file or '<source>'}: {exc}") from exc
 
@@ -132,6 +144,186 @@ def bind_imports(source_file: str, file: str = "") -> ImportBinding:
         elif (name := spec.binds) is not None:
             binding.bindings[name] = spec.path
     return binding
+
+
+# Comments, strings, runes, raw strings and a "/" that starts none. A line
+# comment takes its newline, so a match that a limit cuts does not end in one.
+_NOT_CODE = rf"//[^\n]*+\n|{_COMMENT_BLOCK}|`[^`]*+`|{_STRING}|{_RUNE}|/(?![/*])"
+# The code between literals: a match from a point outside any literal ends at
+# the limit it is given only if the limit is outside every literal too.
+_CODE_RE = re.compile(rf"(?:[^\"'`/]++|{_NOT_CODE})*+")
+# The same, with the last run of word characters captured. The captured
+# alternative comes last: before the "/" alternatives, Python 3.11's sre
+# raises SystemError on the group's span when a match ends at "/".
+_LAST_WORD_RE = re.compile(rf"(?:[^\w\"'`/]++|{_NOT_CODE}|(\w++))*+")
+# A "." followed by blanks and a name, or by a comment, which may hide one.
+_DOT_RE = re.compile(rf"\.(?=[ \t\r\n]*+(?:({_IDENT})|/[/*]))")
+# Blanks and comments, then the name they may hide.
+_NAME_AFTER_RE = re.compile(rf"(?:[ \t\r\n]++|{_COMMENT_LINE}|{_COMMENT_BLOCK})*+({_IDENT})?")
+# What may stand between a selector's base and its ".": blanks and block
+# comments, none of them a newline, which would insert a ";".
+_SPACE_RE = re.compile(r"(?:[ \t\r]++|/\*[^\n]*?\*/)*+")
+
+
+class Selectors(list):
+    """(base, member, line of member) for each selector of a text, from
+    find_selectors, with what bare_identifiers reads: the text; the offset
+    of each name after a "." outside literals, with the "."'s offset
+    (members); and each "." right after a number or inside one, where the
+    lexer found no identifier before it (number_dots)."""
+
+    __slots__ = ("text", "members", "number_dots")
+
+    def bare_identifiers(self, names: Collection[str]) -> list[tuple[str, int]]:
+        """(name, line) for each identifier of the text in names that is not
+        a member: the token before it is no "." token.
+
+        One regex finds the candidates: each name in names at the end of a
+        word, and each word that starts with a digit and holds a letter (1x
+        lexes as 1 and x). A name that ends a longer word is a token only if
+        that word follows a "." of number_dots (1.e5x lexes as 1.e5 and x).
+        The lexer decides only for those, and for a "." before a name that
+        may be part of a number or of "...".
+        """
+        if not names:
+            return []
+        text, members, numbers = self.text, self.members, self.number_dots
+        lexer = _Lexer(text)
+        bares: list[tuple[str, int]] = []
+        line, counted = 1, 0
+        for m in _in_code(_candidates_re(frozenset(names)), text):
+            start, end = m.span()
+            word = _word_start(text, start)
+            exact = text[start].isdecimal() or word - 1 in numbers
+            if word < start and not exact:
+                continue  # the end of a longer identifier
+            dot = members.get(start) if word == start else None
+            if dot and (text[dot - 1] == "." or dot in numbers):
+                dot_start, _end, tok = lexer.token_at(dot)
+                if dot_start != dot or tok != ".":
+                    dot = None
+            if exact:
+                tok_start, tok_end, name = lexer.token_at(end - 1)
+                if tok_end != end or not _IDENT_RE.match(name):
+                    continue
+                if tok_start > word:  # after a number in the same word
+                    dot = None
+            else:
+                name = text[start:end]
+            if dot is not None or name not in names or name in GO_KEYWORDS:
+                continue
+            line += text.count("\n", counted, start)
+            counted = start
+            bares.append((name, line))
+        return bares
+
+
+@lru_cache(maxsize=32)
+def _candidates_re(names: frozenset[str]) -> re.Pattern:
+    """Each name in names at the end of a word, and each word that starts
+    with a digit and holds a letter, unless the word starts a number token
+    that ends where no word character follows (0x137, 1e5, 0b101): that
+    token holds the whole word. Where a "." or an exponent's sign stands
+    before the word, a number may have started before it (1.0x5 lexes as
+    1.0 and x5), so the word stays a candidate."""
+    alternatives = "|".join(sorted(map(re.escape, names), key=lambda name: (-len(name), name)))
+    # Tried only once the lookahead found the word's letter, so that digit
+    # words without one, the most common, cost no number match.
+    number = rf"(?:(?<=\.\d)|(?<=[eEpP][+-]\d)|(?<!(?={_NUMBER}(?!\w))\d))"
+    return re.compile(rf"\d(?<!\w\d)(?=[\d_]*+[^\W\d_]){number}\w*+|(?:{alternatives})(?!\w)")
+
+
+def find_selectors(text: str) -> Selectors:
+    """The selectors (base.member) of Go source the lexer accepts, found in
+    the text itself, with the semicolon-insertion rule kept.
+
+    A candidate is each "." followed by blanks or comments and a name that
+    _in_code confirms to lie outside every literal. Its base is the word just before it, past blanks
+    and block comments without a newline; only where a comment stands there
+    is the code since the last "." parsed again to find the word. The word
+    is an identifier token unless it starts with a digit or follows a "."
+    of number_dots (1.e5.x); only there the lexer decides.
+    """
+    selectors = Selectors()
+    selectors.text = text
+    members = selectors.members = {}
+    numbers = selectors.number_dots = set()
+    lexer = _Lexer(text)
+    line, counted = 1, 0
+    last = 0  # the last "." outside literals
+    for m in _in_code(_DOT_RE, text):
+        dot = m.start()
+        member = m.group(1)
+        if member is not None:
+            at = m.start(1)
+        else:
+            after = _NAME_AFTER_RE.match(text, dot + 1)
+            member, at = after.group(1), after.start(1)
+        since, last = last, dot
+        if member is None:
+            continue
+        members[at] = dot
+        end = dot
+        while end and text[end - 1] in " \t\r":
+            end -= 1
+        char = text[end - 1 : end]
+        if char.isalnum() or char == "_":
+            start = _word_start(text, end - 1)
+        elif char == "/":  # a comment may end there
+            start, end = _LAST_WORD_RE.match(text, since, dot).span(1)
+            if end < 0 or not _SPACE_RE.fullmatch(text, end, dot):
+                continue
+        else:
+            continue
+        if text[start].isdecimal() or start - 1 in numbers:
+            start, tok_end, base = lexer.token_at(end - 1)
+            if tok_end != end or not _IDENT_RE.match(base):
+                if end == dot:
+                    numbers.add(dot)
+                continue
+        else:
+            base = text[start:end]
+        if base in GO_KEYWORDS or member in GO_KEYWORDS:
+            continue
+        line += text.count("\n", counted, at)
+        counted = at
+        selectors.append((base, member, line))
+    return selectors
+
+
+def _word_start(text: str, pos: int) -> int:
+    """The start of the run of word characters that ends at pos."""
+    while pos and (text[pos - 1].isalnum() or text[pos - 1] == "_"):
+        pos -= 1
+    return pos
+
+
+def _in_code(pattern: re.Pattern, text: str) -> Iterator[re.Match]:
+    """The matches of pattern in text that start outside every literal.
+
+    One match of _CODE_RE, resumed where the last one stopped, confirms each
+    match; where a literal holds one, the search resumes past the literal.
+    """
+    code = _CODE_RE.match
+    pos = 0
+    while pos < len(text):
+        for m in pattern.finditer(text, pos):
+            start = m.start()
+            stop = code(text, pos, start).end()
+            if stop < start:  # a literal holds the match
+                literal = _LITERAL_RE.match(text, stop)
+                pos = literal.end() if literal else stop + 1  # none starts there only in text the lexer rejects
+                break
+            pos = start
+            yield m
+        else:
+            return
+
+
+# Matching entry point, kept as a module global so the short-circuit is
+# observable: skipped files must never reach it. It finds the selectors in
+# the text, and then, under a dot import, the bare identifiers.
+tokenize = find_selectors
 
 
 def _match_file(

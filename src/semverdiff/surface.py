@@ -33,7 +33,8 @@ from pathlib import Path
 from typing import Iterator
 
 from .gotypes import is_exported, render_type_expr, render_type_params, type_to_structure
-from .parser import Decl, DeclMemo, GoFile, GoSyntaxError, parse_go_file
+from .lexer import GoSyntaxError
+from .parser import Decl, DeclMemo, GoFile, parse_go_file
 from .versions import SemanticVersion
 
 logger = logging.getLogger(__name__)

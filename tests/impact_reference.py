@@ -11,7 +11,7 @@ import re
 
 from semverdiff.diff import ChangeRecord
 from semverdiff.impact import BreakingNode, ClientUsage, ImportBinding
-from semverdiff.parser import _IDENT, _LITERAL, _NUMBER, GO_KEYWORDS
+from semverdiff.lexer import _IDENT, _LITERAL, _NUMBER, GO_KEYWORDS
 from semverdiff.surface import ApiSurface
 
 # Each comment, string, rune, number and "..." token, split as the lexer

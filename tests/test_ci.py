@@ -1,12 +1,15 @@
-"""The CI workflow's benchmark gate runs every workload the benchmark declares."""
+"""The CI workflow's benchmark gate runs every workload the benchmark
+declares, and the package's modules keep their layers."""
 
 from __future__ import annotations
 
+import ast
 import json
 import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "semverdiff"
 
 
 def test_the_benchmark_gate_runs_every_workload_untraced_and_traced():
@@ -17,3 +20,29 @@ def test_the_benchmark_gate_runs_every_workload_untraced_and_traced():
     assert sorted(workloads.split()) == sorted(declared) and len(set(declared)) == len(declared)
     assert sorted(traces.split()) == ["0", "1"]
     assert '--workload "$workload"' in workflow and '--trace "$trace"' in workflow
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The semverdiff modules that the module at path imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module else [alias.name for alias in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("semverdiff."):
+            found.add(node.module.removeprefix("semverdiff."))
+        elif isinstance(node, ast.Import):
+            found.update(a.name.removeprefix("semverdiff.") for a in node.names if a.name.startswith("semverdiff."))
+    return found
+
+
+def test_module_layers():
+    """The lexer reads no other module, the parser reads only the lexer and
+    the type model, only the corpus pipeline and the front ends read impact,
+    and no module grows past 1,050 lines."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    imports = {path.stem: _package_imports(path) for path in modules}
+    assert imports["lexer"] == set()
+    assert imports["parser"] <= {"lexer", "gotypes"}
+    assert {name for name, imported in imports.items() if "impact" in imported} == {"corpus", "cli", "__init__"}
+    lines = {path.name: len(path.read_text(encoding="utf-8").splitlines()) for path in modules}
+    assert max(lines.values()) <= 1_050, lines

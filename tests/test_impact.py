@@ -14,7 +14,8 @@ import semverdiff.impact as impact_module
 from oracles import textual_search_oracle
 from conftest import symlink_or_skip, write_module, write_tree
 from semverdiff.gotypes import Named
-from semverdiff.parser import GoSyntaxError, _candidates_re, _Parser, parse_go_file, tokenize
+from semverdiff.lexer import GoSyntaxError, tokenize
+from semverdiff.parser import _Parser, parse_go_file
 from test_parser import _HOSTILE, _SOURCES, _mutants, _reference_tokens
 from semverdiff.diff import ChangeRecord, diff_surfaces
 from semverdiff.impact import (
@@ -22,6 +23,7 @@ from semverdiff.impact import (
     ClientUsage,
     ImportBinding,
     ScanReport,
+    _candidates_re,
     analyze_impact,
     bind_imports,
     collect_breaking_nodes,

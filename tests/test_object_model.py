@@ -86,7 +86,7 @@ def _frozen_dataclasses() -> set[type]:
     """Every frozen dataclass defined in the package's modules but cli, which
     defines none and needs click."""
     found = set()
-    for name in ("corpus", "diff", "gotypes", "impact", "manifest", "parser", "surface", "versions"):
+    for name in ("corpus", "diff", "gotypes", "impact", "lexer", "manifest", "parser", "surface", "versions"):
         module = importlib.import_module(f"semverdiff.{name}")
         for cls in vars(module).values():
             if (inspect.isclass(cls) and cls.__module__ == module.__name__

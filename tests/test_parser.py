@@ -46,26 +46,22 @@ from semverdiff.gotypes import (
     render_type_expr,
     type_to_structure,
 )
+from semverdiff.impact import find_selectors
+from semverdiff.lexer import GO_KEYWORDS, GoSyntaxError, _check_lexable, _Tokens, tokenize
 from semverdiff.parser import (
-    GO_KEYWORDS,
     MAX_TYPE_NESTING,
     PREDECLARED_TYPES,
     ConstSpec,
     DeclMemo,
     FuncDecl,
-    GoSyntaxError,
     ImportSpec,
     TypeSpec,
     VarSpec,
-    _check_lexable,
     _Parser,
-    _Tokens,
-    find_selectors,
     parse_go_file,
     parse_imports,
-    tokenize,
 )
-from semverdiff import parser as parser_module
+from semverdiff import lexer as lexer_module, parser as parser_module
 
 PKG = "example.com/lib"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -903,14 +899,14 @@ _REFERENCE_TOKEN_RE = re.compile(
     rf"""
       (?P<ws>[ \t\r]+)
     | (?P<newline>\n)
-    | (?P<comment_line>{parser_module._COMMENT_LINE})
-    | (?P<comment_block>{parser_module._COMMENT_BLOCK})
-    | (?P<raw_string>{parser_module._RAW_STRING})
+    | (?P<comment_line>{lexer_module._COMMENT_LINE})
+    | (?P<comment_block>{lexer_module._COMMENT_BLOCK})
+    | (?P<raw_string>{lexer_module._RAW_STRING})
     | (?P<string>"(?:[^"\\\n]|\\.)*+")
     | (?P<rune>'(?:[^'\\\n]|\\.)*+')
-    | (?P<float>{parser_module._FLOAT})
-    | (?P<int>{parser_module._INT})
-    | (?P<ident>{parser_module._IDENT})
+    | (?P<float>{lexer_module._FLOAT})
+    | (?P<int>{lexer_module._INT})
+    | (?P<ident>{lexer_module._IDENT})
     | (?P<open>[(\[{{])
     | (?P<close>[)\]}}])
     | (?P<op><<=|>>=|&\^=|\.\.\.|&&|\|\||<-|\+\+|--|==|!=|<=|>=|:=|\+=|-=|\*=|/=|%=|&=|\|=|\^=|<<|>>|&\^|[+\-*/%&|^<>=!:;,.~])
@@ -1060,7 +1056,7 @@ def _reference_lex(text: str, skip_bodies: bool) -> list[_Token]:
             ):
                 append(_Token("op", "{", line))
                 start = pos
-                pos = parser_module._skip_body(text, pos)
+                pos = lexer_module._skip_body(text, pos)
                 if pos < 0:
                     raise _Misnested  # unterminated body
                 line += text.count("\n", start, pos)
@@ -1110,7 +1106,7 @@ def _lexed(src: str) -> list[str]:
     text = src.removeprefix("\ufeff")
     texts, pos = tokens[:-1], tokens.end
     while pos < len(text):
-        chunk, _ = parser_module._lex(text, pos, parser_module._next_cut(text, pos))
+        chunk, _ = lexer_module._lex(text, pos, lexer_module._next_cut(text, pos))
         texts += chunk[:-1]
         pos = chunk.end
     return texts + [""]
@@ -1447,7 +1443,7 @@ class TestImportsOnly:
         assert header.end == src.index("func")
         assert str(_Parser(header, "")._error("end", len(header) - 1)) == "line 8: end"
         lexed = []
-        monkeypatch.setattr(parser_module, "_lex", _spy(parser_module._lex, lexed))
+        monkeypatch.setattr(lexer_module, "_lex", _spy(lexer_module._lex, lexed))
         assert parse_imports(src) == [ImportSpec("a/b"), ImportSpec("c/d", "c")]
         assert [args[1] for args in lexed] == [0]
 
@@ -1803,16 +1799,60 @@ class TestSharedLeaves:
 
 
 # _TOKEN_RE as it was before it tried brackets, "," and ";" first and ASCII
-# identifiers through an explicit class, and _ASCII_LEXABLE_RE as it was
-# before its word class was spelled out: _LEXABLE_RE under re.ASCII.
+# identifiers through an explicit class; _LEXABLE_RE, which took every word
+# character, as it was while a text that is not all ASCII was checked in two
+# passes (see _reference_lexical_end); and _ASCII_LEXABLE_RE as it was before
+# its word class was spelled out: _LEXABLE_RE under re.ASCII.
 _REFERENCE_TOKEN_PATTERN_RE = re.compile(
-    rf"[ \t\r]*(?:{parser_module._COMMENT_LINE})?({parser_module._IDENT}|\n|{parser_module._COMMENT_BLOCK}"
-    rf"|{parser_module._RAW_STRING}|{parser_module._STRING}|{parser_module._RUNE}|{parser_module._NUMBER}"
-    rf"|{'|'.join(map(re.escape, parser_module._OPERATORS))}|\Z)"
+    rf"[ \t\r]*(?:{lexer_module._COMMENT_LINE})?({lexer_module._IDENT}|\n|{lexer_module._COMMENT_BLOCK}"
+    rf"|{lexer_module._RAW_STRING}|{lexer_module._STRING}|{lexer_module._RUNE}|{lexer_module._NUMBER}"
+    rf"|{'|'.join(map(re.escape, lexer_module._OPERATORS))}|\Z)"
 )
-_REFERENCE_ASCII_LEXABLE_RE = re.compile(
-    rf"(?:[\w \t\r\n+\-*%&|^<>=!:;,.()\[\]{{}}~]++|{parser_module._LITERAL}|/(?!\*))*+", re.ASCII
+_REFERENCE_LEXABLE_RE = re.compile(
+    rf"(?:[\w \t\r\n+\-*%&|^<>=!:;,.()\[\]{{}}~]++|{lexer_module._LITERAL}|/(?!\*))*+"
 )
+_REFERENCE_ASCII_LEXABLE_RE = re.compile(_REFERENCE_LEXABLE_RE.pattern, re.ASCII)
+# The ASCII characters that may stand inside a number or an identifier.
+_REFERENCE_WORDISH = frozenset(string.ascii_letters + string.digits + "_.+-")
+
+
+def _reference_lexical_end(text: str) -> int:
+    """The offset of the first character outside literals where the lexer
+    fails, or the end of the text, as _check_lexable found it in two passes:
+    an ASCII text by _ASCII_LEXABLE_RE alone; any other up to where
+    _LEXABLE_RE ends, and before that at the first word character Go takes
+    in no token, lexed from the last character before it that is not
+    _REFERENCE_WORDISH."""
+    if text.isascii():
+        return lexer_module._ASCII_LEXABLE_RE.match(text).end()
+    end = _REFERENCE_LEXABLE_RE.match(text).end()
+    match, token = lexer_module._ASCII_LEXABLE_RE.match, lexer_module._TOKEN_RE.match
+    pos = 0
+    while (stop := match(text, pos, end).end()) < end:
+        start = stop
+        while start > pos and text[start - 1] in _REFERENCE_WORDISH:
+            start -= 1
+        while start <= stop or start < end and not text[start].isascii():
+            m = token(text, start, end)
+            tok, start = m.group(1), m.end()
+            if not tok.isascii() and (bad := lexer_module._foreign_offset(tok)) >= 0:
+                return m.start(1) + bad
+        pos = start
+    return end
+
+
+def _reference_check_lexable(text: str) -> None:
+    """_check_lexable as it was with two passes over a text that is not all
+    ASCII."""
+    size = len(text)
+    illegal = min(k for k in (text.find("\x00"), text.find("\ufeff"), size) if k >= 0)
+    end = _reference_lexical_end(text)
+    if end < illegal:
+        raise lexer_module._lexical_error(text, end)
+    if illegal < size:
+        what = "character NUL" if text[illegal] == "\x00" else "byte order mark"
+        raise GoSyntaxError(f"illegal {what}", text.count("\n", 0, illegal) + 1)
+
 
 # Identifiers at the edge of ASCII: a non-ASCII letter, digit or other
 # character right after an ASCII identifier, or starting one.
@@ -1828,20 +1868,21 @@ def _assert_patterns_as_before(text: str, every_position: bool = False) -> None:
     """The token pattern finds the same tokens as the reference, and the
     ASCII check ends where the reference ends, from the start or, on a short
     text, from every position; _foreign_character, which runs the ASCII check
-    up to each word character it must lex, finds the same offset."""
-    assert parser_module._TOKEN_RE.findall(text) == _REFERENCE_TOKEN_PATTERN_RE.findall(text), text[:200]
-    new, old = parser_module._ASCII_LEXABLE_RE.match, _REFERENCE_ASCII_LEXABLE_RE.match
+    up to each letter or digit it must lex, finds the offset the two passes
+    found, and the same offset with the reference patterns."""
+    assert lexer_module._TOKEN_RE.findall(text) == _REFERENCE_TOKEN_PATTERN_RE.findall(text), text[:200]
+    new, old = lexer_module._ASCII_LEXABLE_RE.match, _REFERENCE_ASCII_LEXABLE_RE.match
     for pos in range(len(text) + 1) if every_position else (0,):
         assert new(text, pos).end() == old(text, pos).end(), (text[:200], pos)
-        tok, ref = parser_module._TOKEN_RE.match(text, pos), _REFERENCE_TOKEN_PATTERN_RE.match(text, pos)
+        tok, ref = lexer_module._TOKEN_RE.match(text, pos), _REFERENCE_TOKEN_PATTERN_RE.match(text, pos)
         assert (tok and (tok.group(1), tok.end())) == (ref and (ref.group(1), ref.end())), (text[:200], pos)
     if not text.isascii():
-        end = parser_module._LEXABLE_RE.match(text).end()
-        found = parser_module._foreign_character(text, end)
+        found = lexer_module._foreign_character(text)
+        assert found == _reference_lexical_end(text), text[:200]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(parser_module, "_ASCII_LEXABLE_RE", _REFERENCE_ASCII_LEXABLE_RE)
-            mp.setattr(parser_module, "_TOKEN_RE", _REFERENCE_TOKEN_PATTERN_RE)
-            assert found == parser_module._foreign_character(text, end), text[:200]
+            mp.setattr(lexer_module, "_ASCII_LEXABLE_RE", _REFERENCE_ASCII_LEXABLE_RE)
+            mp.setattr(lexer_module, "_TOKEN_RE", _REFERENCE_TOKEN_PATTERN_RE)
+            assert found == lexer_module._foreign_character(text), text[:200]
 
 
 class TestTokenPatterns:
@@ -1874,9 +1915,73 @@ class TestTokenPatterns:
         _assert_patterns_as_before(src[:at] + edge + src[at:])
 
 
+
+def _assert_checks_as_before(text: str) -> None:
+    """_check_lexable, in one pass, finds the offset, message and line that
+    the two passes found."""
+    assert lexer_module._foreign_character(text) == _reference_lexical_end(text), text[:200]
+    assert _outcome(_check_lexable, text) == _outcome(_reference_check_lexable, text), text[:200]
+
+
+# Each stop of the one pass: a letter or digit Go takes, or not, in the token
+# around it, a character the lexer takes nowhere, a literal that never ends,
+# and the two characters illegal anywhere. Each gives its error, if any, at
+# line 3 of "package p\n\nvar <case>\n".
+_NON_ASCII_CASES = {
+    "xé": None,
+    "é": None,
+    "x²": "unexpected character '²'",
+    "abc·def": "unexpected character '·'",
+    "1.é": None,
+    "٣": "unexpected character '٣'",
+    "→": "unexpected character '→'",
+    '"é': "string literal not terminated",
+    "a\ufeffb": "illegal byte order mark",
+    "a\x00b": "illegal character NUL",
+}
+_NON_ASCII = "é²·٣Ⅷ\u00a0\ufeff→"
+
+
+class TestLexableInOnePass:
+    """_check_lexable scans a text that is not all ASCII once, as it scans
+    an ASCII text, and finds what the two passes found."""
+
+    @pytest.mark.parametrize("case", sorted(_NON_ASCII_CASES))
+    def test_named_cases(self, case):
+        src = f"package p\n\nvar {case}\n"
+        error = _NON_ASCII_CASES[case]
+        assert _outcome(_check_lexable, src) == (error and f"GoSyntaxError: line 3: {error}")
+        for text in (case, src, case + "\n" + src):
+            _assert_checks_as_before(text)
+
+    def test_fixture_sources(self):
+        for src in _SOURCES + [_SHAPES[shape] for shape in sorted(_SHAPES)]:
+            _assert_checks_as_before(src)
+
+    def test_generated_files_of_every_workload(self, generated_sources):
+        for workload in WORKLOADS:
+            for src in sorted(set(generated_sources[workload].values())):
+                _assert_checks_as_before(src)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mutants(), st.sampled_from(_IDENTIFIER_EDGES + tuple(_NON_ASCII_CASES)), st.floats(0, 1))
+    def test_mutants(self, src, edge, where):
+        _assert_checks_as_before(src)
+        at = int(len(src) * where)
+        _assert_checks_as_before(src[:at] + edge + src[at:])
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.text(alphabet=_PATTERN_ALPHABET, max_size=30),
+        st.sampled_from(_NON_ASCII),
+        st.text(alphabet=_PATTERN_ALPHABET, max_size=30),
+    )
+    def test_fragments(self, before, char, after):
+        _assert_checks_as_before(before + char + after)
+
 # _BODY_RE as it was while it scanned only text _check_lexable accepted: a
 # run of any characters that start no literal and are no brace.
-_REFERENCE_BODY_RE = re.compile(rf"(?:[^{{}}\"'`/]++|{parser_module._LITERAL}|/(?!\*))*+")
+_REFERENCE_BODY_RE = re.compile(rf"(?:[^{{}}\"'`/]++|{lexer_module._LITERAL}|/(?!\*))*+")
 
 
 def _reference_skip_body(text: str, pos: int) -> int:
@@ -1910,9 +2015,9 @@ def _assert_skips_as_before(text: str, pos: int = 0) -> None:
         _check_lexable(text[pos:end] if end >= 0 else text[pos:])
     except GoSyntaxError as exc:
         error = f"GoSyntaxError: line {exc.line + text.count(chr(10), 0, pos)}: {exc.message}"
-        assert _outcome(lambda t: parser_module._skip_body(t, pos), text) == error, (text[:200], pos)
+        assert _outcome(lambda t: lexer_module._skip_body(t, pos), text) == error, (text[:200], pos)
     else:
-        assert parser_module._skip_body(text, pos) == end, (text[:200], pos)
+        assert lexer_module._skip_body(text, pos) == end, (text[:200], pos)
 
 
 class _RecordingPattern:
@@ -1936,7 +2041,7 @@ _BRACED_LITERALS = ('"{"', '"}\\\\"', '"\\"}"', "`}\n{`", "'{'", "'}'", "// }\n"
 # Fragments of body text: braces, literals that hold braces, and text that
 # only looks like the start of a literal.
 _BODY_FRAGMENTS = _BRACED_LITERALS + ("{", "}", "{", "}", "x", " ", "\n", "a / b", "/", "*", "'", '"', "`")
-_NESTING = parser_module._SKIP_NESTING
+_NESTING = lexer_module._SKIP_NESTING
 
 
 def _nested_body(levels: int, inner: str = "x") -> str:
@@ -1948,14 +2053,14 @@ def _nested_body(levels: int, inner: str = "x") -> str:
 class TestSkipBody:
     def test_generated_function_bodies(self, generated_sources, monkeypatch):
         bodies = []
-        real = parser_module._skip_body
+        real = lexer_module._skip_body
 
         def recording(text, pos):
             bodies.append((text, pos))
             return real(text, pos)
 
         with monkeypatch.context() as patch:
-            patch.setattr(parser_module, "_skip_body", recording)
+            patch.setattr(lexer_module, "_skip_body", recording)
             for workload in WORKLOADS:
                 for src in sorted(set(generated_sources[workload].values())):
                     try:
@@ -1964,7 +2069,7 @@ class TestSkipBody:
                         pass
         assert len(bodies) > 1000
         calls = []
-        monkeypatch.setattr(parser_module, "_SKIP_RE", _RecordingPattern(parser_module._SKIP_RE, "_SKIP_RE", calls))
+        monkeypatch.setattr(lexer_module, "_SKIP_RE", _RecordingPattern(lexer_module._SKIP_RE, "_SKIP_RE", calls))
         for text, pos in bodies:
             _assert_skips_as_before(text, pos)
         # The generated bodies nest no deeper than the pattern does, so each
@@ -1982,12 +2087,12 @@ class TestSkipBody:
     def test_braces_in_literals(self, literal, levels):
         text = _nested_body(levels, literal)
         _assert_skips_as_before(text)
-        assert parser_module._skip_body(text, 0) == text.index("}\nfunc") + 1
+        assert lexer_module._skip_body(text, 0) == text.index("}\nfunc") + 1
 
     @pytest.mark.parametrize("levels", [0, _NESTING - 1, _NESTING, _NESTING + 1, 50_000])
     def test_unterminated_body(self, levels):
         for text in ("a {" * levels, "{" * (levels + 1) + "x }", "{" * levels + '"{"' + "}" * levels):
-            assert parser_module._skip_body(text, 0) == -1
+            assert lexer_module._skip_body(text, 0) == -1
             _assert_skips_as_before(text)
 
     def test_the_skip_starts_at_pos(self):
@@ -2414,7 +2519,7 @@ class TestDeclMemo:
         lexed, parsed, scanned = [], [], []
         monkeypatch.setattr(parser_module, "_lex", _spy(parser_module._lex, lexed))
         monkeypatch.setattr(_Parser, "_parse_decl", _spy(_Parser._parse_decl, parsed))
-        monkeypatch.setattr(parser_module, "_skip_body", _spy(parser_module._skip_body, scanned))
+        monkeypatch.setattr(lexer_module, "_skip_body", _spy(lexer_module._skip_body, scanned))
         memo = DeclMemo()
         cold = parse_go_file(src, PKG, memo=memo)
         assert [args[1] for args in lexed] == [0] + [src.index(kw) for kw in ("var", "func", "type")]
@@ -2499,7 +2604,7 @@ def _checked_first_parse(src: str):
     chunks, error, pos = [], None, header.end
     while pos < len(text):
         try:
-            tokens, _holds = parser_module._lex(text, pos, parser_module._next_cut(text, pos))
+            tokens, _holds = lexer_module._lex(text, pos, lexer_module._next_cut(text, pos))
         except GoSyntaxError as exc:
             error = exc
             break
@@ -2564,11 +2669,11 @@ class TestLexicalErrorsInTheScans:
         # takes outside a literal, and the scans take every non-ASCII one:
         # text that holds one is checked first.
         for char in map(chr, range(128)):
-            takes = parser_module._LEXABLE_RE.match(char).end() == 1 and char not in "{}"
-            assert (parser_module._BODY_RE.match(char).end() == 1) == takes, repr(char)
-            assert (parser_module._SKIP_RE.match(char).end() == 1) == takes, repr(char)
+            takes = _REFERENCE_LEXABLE_RE.match(char).end() == 1 and char not in "{}"
+            assert (lexer_module._BODY_RE.match(char).end() == 1) == takes, repr(char)
+            assert (lexer_module._SKIP_RE.match(char).end() == 1) == takes, repr(char)
         for char in "\u00e9\u00b2\u00b7\u00a0\ufeff":
-            assert parser_module._BODY_RE.match(char).end() == parser_module._SKIP_RE.match(char).end() == 1
+            assert lexer_module._BODY_RE.match(char).end() == lexer_module._SKIP_RE.match(char).end() == 1
 
     def test_named_shapes(self):
         for shape in sorted(_SHAPES):
@@ -2621,10 +2726,10 @@ class TestLexicalErrorsInTheScans:
         memo = DeclMemo()
         cold = parse_go_file(src, PKG, memo=memo)
         memo.next_generation()
-        names = ("_TOKEN_RE", "_BODY_RE", "_SKIP_RE", "_LEXABLE_RE", "_ASCII_LEXABLE_RE")
+        names = ("_TOKEN_RE", "_BODY_RE", "_SKIP_RE", "_ASCII_LEXABLE_RE")
         scans = []
         for name in names:
-            monkeypatch.setattr(parser_module, name, _RecordingPattern(getattr(parser_module, name), name, scans))
+            monkeypatch.setattr(lexer_module, name, _RecordingPattern(getattr(lexer_module, name), name, scans))
         checked = []
         monkeypatch.setattr(parser_module, "_check_lexable", _spy(parser_module._check_lexable, checked))
         warm = parse_go_file(src, PKG, memo=memo)
