@@ -28,7 +28,7 @@ from .gotypes import (
     Struct,
     TypeExpr,
     TypeParamDef,
-    is_comparable,
+    incomparable,
     is_exported,
     normalized_params,
     render_field,
@@ -170,6 +170,7 @@ class _PackageDiffer:
         self.pkg = old.import_path
         self.record = record
         self.records: list[ChangeRecord] = []
+        self.structs: list[str] = []  # the structs of both sides, whose comparability is compared last
 
     def emit(self, node: str, category: str, condition: str, message: str, breaking: bool = True) -> None:
         self.records.append(self.record(self.pkg, node, category, condition, breaking, message))
@@ -189,6 +190,7 @@ class _PackageDiffer:
             self.emit(key, category_of(obj), ADD_CONDITION, render_type_expr(obj.type, self.pkg), breaking=False)
         for key in sorted(old_keys & new_keys):
             self._diff_object(key, self.old.objects[key], self.new.objects[key])
+        self._diff_comparability()
         return self.records
 
     # -- object-level rules -------------------------------------------------
@@ -199,7 +201,7 @@ class _PackageDiffer:
             # One spec the memo found for both sides: only a struct's
             # comparability, which follows its package's other types, can change.
             if category == "Struct":
-                self._diff_comparability(key, old.type, new.type)
+                self.structs.append(key)
             return
         if category != category_of(new):
             self.emit(key, "Category Change", "Data Type Change", self.change(render_type_expr, old.type, new.type))
@@ -258,25 +260,18 @@ class _PackageDiffer:
                 self.emit(key, "Struct", "Field Name Change", self.change(render_field, of, candidate))
             else:
                 self.emit(key, "Struct", "Field Number Change", render_field(of, self.pkg))
-        self._diff_comparability(key, old, new)
+        self.structs.append(key)
 
-    def _diff_comparability(self, key: str, old: Struct, new: Struct) -> None:
-        old_cmp = is_comparable(old, self._resolver(self.old))
-        new_cmp = is_comparable(new, self._resolver(self.new))
-        if old_cmp != new_cmp:
-            direction = "comparable -> non-comparable" if old_cmp else "non-comparable -> comparable"
-            self.emit(key, "Struct", "Comparability Change", direction)
-
-    def _resolver(self, pkg: PackageSurface):
-        def resolve(named: Named):
-            if named.package != pkg.import_path:
-                return None
-            obj = pkg.objects.get(named.name)
-            if obj is not None and obj.kind == "type":
-                return obj.type
-            return None
-
-        return resolve
+    def _diff_comparability(self) -> None:
+        """A struct's comparability follows its package's other types, so
+        each side's types are resolved once, for all the structs."""
+        old_incomparable = _incomparable(self.old, self.structs)
+        new_incomparable = _incomparable(self.new, self.structs)
+        for key in self.structs:
+            old_cmp, new_cmp = key not in old_incomparable, key not in new_incomparable
+            if old_cmp != new_cmp:
+                direction = "comparable -> non-comparable" if old_cmp else "non-comparable -> comparable"
+                self.emit(key, "Struct", "Comparability Change", direction)
 
     def _diff_interface(self, key: str, old: Interface, new: Interface) -> None:
         old_exported = {m.name: m for m in old.methods if is_exported(m.name)}
@@ -306,6 +301,17 @@ class _PackageDiffer:
         if not old_has_unexported:
             for name in sorted(set(new_unexported) - old_unexported):
                 self.emit(key, "Interface", "Add Unexported Method", render_method(new_unexported[name], self.pkg))
+
+
+def _incomparable(pkg: PackageSurface, keys: list[str]) -> set[str]:
+    """The keys of pkg's objects whose values are not comparable, with pkg's
+    named types resolved."""
+
+    def resolve(named: Named) -> TypeExpr | None:
+        obj = pkg.objects.get(named.name) if named.package == pkg.import_path else None
+        return obj.type if obj is not None and obj.kind == "type" else None
+
+    return incomparable({key: pkg.objects[key].type for key in keys}, resolve)
 
 
 def diff_surfaces(old: ApiSurface, new: ApiSurface) -> list[ChangeRecord]:

@@ -27,7 +27,7 @@ import json
 import unicodedata
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cache
-from typing import Callable, Union
+from typing import Callable, Mapping, Union
 
 
 def is_exported(identifier: str) -> bool:
@@ -240,32 +240,51 @@ def normalized_params(f: Func) -> tuple[TypeExpr, ...]:
     return f.params
 
 
-def is_comparable(
-    t: TypeExpr,
-    resolve: Callable[[Named], TypeExpr | None] | None = None,
-    _seen: frozenset = frozenset(),
-) -> bool:
+def is_comparable(t: TypeExpr, resolve: Callable[[Named], TypeExpr | None] | None = None) -> bool:
     """Whether values of the type support equality comparison.
 
     Slices, maps, and funcs are non-comparable; arrays and structs inherit
     from their elements. Named types are resolved through `resolve` when
     possible and assumed comparable otherwise.
     """
-    if isinstance(t, (Slice, Map, Func)):
-        return False
-    if isinstance(t, Array):
-        return is_comparable(t.elem, resolve, _seen)
-    if isinstance(t, Struct):
-        return all(is_comparable(f.type, resolve, _seen) for f in t.fields)
-    if isinstance(t, Named):
-        if resolve is None or t in _seen:
-            return True
-        underlying = resolve(t)
-        if underlying is None:
-            return True
-        return is_comparable(underlying, resolve, _seen | {t})
-    # Basic, Pointer base, Chan, Interface, TypeParamRef are all comparable.
-    return True
+    return not incomparable({"": t}, resolve)
+
+
+def incomparable(types: Mapping[str, TypeExpr], resolve: Callable[[Named], TypeExpr | None] | None = None) -> set[str]:
+    """The keys of types whose types are not comparable (see is_comparable):
+    a slice, map or func is reached from them through array elements, struct
+    fields and the named types resolve resolves.
+
+    Each named type is resolved and walked once for all the types, and no
+    Python frame is spent per type, so long chains of named types cost
+    their length. A type that holds itself is comparable unless something
+    else in it is not.
+    """
+    holders: dict[Named, list] = {}  # each named type met, with the keys and named types that hold it
+    found = []  # the keys and named types that hold a slice, map or func themselves
+    todo: list[tuple] = list(types.items())
+    while todo:
+        key, t = todo.pop()
+        if isinstance(t, (Slice, Map, Func)):
+            found.append(key)
+        elif isinstance(t, Struct):
+            todo.extend([(key, f.type) for f in t.fields])
+        elif isinstance(t, Array):
+            todo.append((key, t.elem))
+        elif isinstance(t, Named) and resolve is not None:
+            if t not in holders:
+                holders[t] = []
+                if (underlying := resolve(t)) is not None:
+                    todo.append((t, underlying))
+            holders[t].append(key)
+        # Basic, Pointer base, Chan, Interface, TypeParamRef are all comparable.
+    reached = set(found)
+    while found:
+        for key in holders.get(found.pop(), ()):
+            if key not in reached:
+                reached.add(key)
+                found.append(key)
+    return {key for key in types if key in reached}
 
 
 def type_to_structure(t: TypeExpr) -> dict:

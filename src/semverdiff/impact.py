@@ -10,8 +10,9 @@ Through the file's import bindings, each match becomes one reference
 (package, name, line, label), and one lookup per reference finds its
 breaking node. No tokens are built, and no copy of the text is made:
 find_selectors and bare_identifiers match the lexer's sub-patterns, _in_code
-confirms that each candidate lies outside every literal, and the lexer lexes
-only the few words that may hold a number.
+confirms that each candidate lies outside every literal, and one rule,
+_identifier, finds the identifier that ends a word for both scans: the lexer
+lexes only the few words that may hold a number.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .lexer import (
     _IDENT,
     _IDENT_RE,
     _LITERAL_RE,
-    _NUMBER,
     _RUNE,
     _STRING,
     GO_KEYWORDS,
@@ -178,11 +178,10 @@ class Selectors(list):
         """(name, line) for each identifier of the text in names that is not
         a member: the token before it is no "." token.
 
-        One regex finds the candidates: each name in names at the end of a
-        word, and each word that starts with a digit and holds a letter (1x
-        lexes as 1 and x). A name that ends a longer word is a token only if
-        that word follows a "." of number_dots (1.e5x lexes as 1.e5 and x).
-        The lexer decides only for those, and for a "." before a name that
+        The candidates are the names in names at the end of a word; the
+        identifier that ends each word (see _identifier) counts if it is in
+        names, so 1e5x gives x, whichever name matched. The lexer decides
+        only for words a number may start, and for a "." before a name that
         may be part of a number or of "...".
         """
         if not names:
@@ -192,25 +191,18 @@ class Selectors(list):
         bares: list[tuple[str, int]] = []
         line, counted = 1, 0
         for m in _in_code(_candidates_re(frozenset(names)), text):
-            start, end = m.span()
-            word = _word_start(text, start)
-            exact = text[start].isdecimal() or word - 1 in numbers
-            if word < start and not exact:
-                continue  # the end of a longer identifier
-            dot = members.get(start) if word == start else None
+            word, end = _word_start(text, m.start()), m.end()
+            # The lexer is asked in increasing offsets: the "." before the word, then its end.
+            dot = members.get(word)
             if dot and (text[dot - 1] == "." or dot in numbers):
                 dot_start, _end, tok = lexer.token_at(dot)
                 if dot_start != dot or tok != ".":
                     dot = None
-            if exact:
-                tok_start, tok_end, name = lexer.token_at(end - 1)
-                if tok_end != end or not _IDENT_RE.match(name):
-                    continue
-                if tok_start > word:  # after a number in the same word
-                    dot = None
-            else:
-                name = text[start:end]
-            if dot is not None or name not in names or name in GO_KEYWORDS:
+            found = _identifier(text, lexer, numbers, word, end)
+            if found is None:
+                continue
+            start, name = found
+            if dot is not None and start == word or name not in names or name in GO_KEYWORDS:
                 continue
             line += text.count("\n", counted, start)
             counted = start
@@ -220,17 +212,26 @@ class Selectors(list):
 
 @lru_cache(maxsize=32)
 def _candidates_re(names: frozenset[str]) -> re.Pattern:
-    """Each name in names at the end of a word, and each word that starts
-    with a digit and holds a letter, unless the word starts a number token
-    that ends where no word character follows (0x137, 1e5, 0b101): that
-    token holds the whole word. Where a "." or an exponent's sign stands
-    before the word, a number may have started before it (1.0x5 lexes as
-    1.0 and x5), so the word stays a candidate."""
+    """Each name in names at the end of a word, the longest first."""
     alternatives = "|".join(sorted(map(re.escape, names), key=lambda name: (-len(name), name)))
-    # Tried only once the lookahead found the word's letter, so that digit
-    # words without one, the most common, cost no number match.
-    number = rf"(?:(?<=\.\d)|(?<=[eEpP][+-]\d)|(?<!(?={_NUMBER}(?!\w))\d))"
-    return re.compile(rf"\d(?<!\w\d)(?=[\d_]*+[^\W\d_]){number}\w*+|(?:{alternatives})(?!\w)")
+    return re.compile(rf"(?:{alternatives})(?!\w)")
+
+
+def _identifier(text: str, lexer: _Lexer, numbers: set[int], word: int, end: int) -> tuple[int, str] | None:
+    """(start, name) of the identifier token that ends the word text[word:end],
+    or None where a number ends it.
+
+    An identifier takes every word character after its first, so it ends its
+    word, and a word holds at most one. The word is that one token unless it
+    starts with a digit or follows a "." of numbers, where a number may hold
+    its start (1x, 1.e5x); only there the lexer decides.
+    """
+    if not (text[word].isdecimal() or word - 1 in numbers):
+        return word, text[word:end]
+    start, tok_end, name = lexer.token_at(end - 1)
+    if tok_end != end or not _IDENT_RE.match(name):
+        return None
+    return start, name
 
 
 def find_selectors(text: str) -> Selectors:
@@ -238,11 +239,10 @@ def find_selectors(text: str) -> Selectors:
     the text itself, with the semicolon-insertion rule kept.
 
     A candidate is each "." followed by blanks or comments and a name that
-    _in_code confirms to lie outside every literal. Its base is the word just before it, past blanks
-    and block comments without a newline; only where a comment stands there
-    is the code since the last "." parsed again to find the word. The word
-    is an identifier token unless it starts with a digit or follows a "."
-    of number_dots (1.e5.x); only there the lexer decides.
+    _in_code confirms to lie outside every literal. Its base is the
+    identifier (see _identifier) that ends the word just before it, past
+    blanks and block comments without a newline; only where a comment stands
+    there is the code since the last "." parsed again to find the word.
     """
     selectors = Selectors()
     selectors.text = text
@@ -275,14 +275,12 @@ def find_selectors(text: str) -> Selectors:
                 continue
         else:
             continue
-        if text[start].isdecimal() or start - 1 in numbers:
-            start, tok_end, base = lexer.token_at(end - 1)
-            if tok_end != end or not _IDENT_RE.match(base):
-                if end == dot:
-                    numbers.add(dot)
-                continue
-        else:
-            base = text[start:end]
+        found = _identifier(text, lexer, numbers, start, end)
+        if found is None:
+            if end == dot:
+                numbers.add(dot)
+            continue
+        base = found[1]
         if base in GO_KEYWORDS or member in GO_KEYWORDS:
             continue
         line += text.count("\n", counted, at)

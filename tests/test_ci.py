@@ -1,11 +1,13 @@
 """The CI workflow's benchmark gate runs every workload the benchmark
-declares, and the package's modules keep their layers."""
+declares, the package's modules keep their layers, and every source file
+compiles without a warning."""
 
 from __future__ import annotations
 
 import ast
 import json
 import re
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,3 +48,16 @@ def test_module_layers():
     assert {name for name, imported in imports.items() if "impact" in imported} == {"corpus", "cli", "__init__"}
     lines = {path.name: len(path.read_text(encoding="utf-8").splitlines()) for path in modules}
     assert max(lines.values()) <= 1_050, lines
+
+
+def test_every_source_compiles_without_a_warning():
+    """An invalid escape in a string literal, such as "\\d" outside a raw
+    string, warns at compile time (a DeprecationWarning on 3.11, a
+    SyntaxWarning from 3.12), and is an error here. compile() writes no
+    bytecode."""
+    paths = sorted(path for top in ("src", "tests", "perfbench") for path in (ROOT / top).rglob("*.py"))
+    assert len(paths) > 30
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for path in paths:
+            compile(path.read_text(encoding="utf-8"), str(path), "exec")

@@ -243,6 +243,22 @@ def test_struct_comparability_follows_an_in_package_field_type(tmp_path):
     ]
 
 
+def test_a_deep_chain_of_struct_types_is_walked_once(tmp_path):
+    # T0 holds T1, ..., T1999 holds T2000; only T2000's field changes.
+    chain = "package lib\n\n" + "".join(f"type T{k} struct{{ F T{k + 1} }}\n" for k in range(2000))
+    old_files = {"lib.go": chain + "type T2000 struct{ X int }\n"}
+    old, same = _surfaces(tmp_path / "same", old_files, old_files)
+    assert diff_surfaces(old, same) == []
+    old, new = _surfaces(tmp_path / "changed", old_files, {"lib.go": chain + "type T2000 struct{ X []int }\n"})
+    records = diff_surfaces(old, new)
+    comparability = [r for r in records if r.condition == "Comparability Change"]
+    assert sorted(r.node for r in comparability) == sorted(f"T{k}" for k in range(2001))
+    assert {(r.category, r.message) for r in comparability} == {("Struct", "comparable -> non-comparable")}
+    assert [(r.node, r.category, r.condition, r.message) for r in records if r not in comparability] == [
+        ("T2000", "Struct", "Field Type Change", "X int -> X []int"),
+    ]
+
+
 def test_tag_holding_a_backquote_is_not_mistaken_for_two_tags(tmp_path):
     old, new = _surfaces(
         tmp_path,

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import importlib
+import math
 import re
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -16,17 +18,17 @@ from conftest import symlink_or_skip, write_module, write_tree
 from semverdiff.gotypes import Named
 from semverdiff.lexer import GoSyntaxError, tokenize
 from semverdiff.parser import _Parser, parse_go_file
-from test_parser import _HOSTILE, _SOURCES, _mutants, _reference_tokens
+from lexer_reference import _HOSTILE, _SOURCES, _mutants, _reference_tokens
 from semverdiff.diff import ChangeRecord, diff_surfaces
 from semverdiff.impact import (
     BreakingNode,
     ClientUsage,
     ImportBinding,
     ScanReport,
-    _candidates_re,
     analyze_impact,
     bind_imports,
     collect_breaking_nodes,
+    find_selectors,
     scan_client,
 )
 from semverdiff.surface import ApiSurface, PackageSurface, ParseFailure, extract_surface
@@ -481,20 +483,19 @@ class TestSelectorScan:
         assert [member for _base, member, _line in _scan(src)] == ["Y"]
 
     def test_a_word_that_is_one_number_token_is_no_candidate(self):
-        candidates = _candidates_re(frozenset({"Foo"})).finditer
         text = "x := 0x137 + 1e5 + 0b101 + 1x + Foo + 0x1g + 1.e5x + 1.0x5 + 1e+0x5\n"
-        # A number may have started before a word after "." or an exponent's
-        # sign: 1.0x5 lexes as 1.0 and x5.
-        assert [m.group() for m in candidates(text)] == ["1x", "Foo", "0x1g", "0x5", "1e", "0x5"]
         assert _scanned(text) == _reference_occurrences(text)
         hexes = "var _ = []int{" + ", ".join(f"0x{k:x}" for k in range(10_000)) + "}\n"
-        assert [m.group() for m in candidates(hexes)] == []
         assert _scanned(hexes) == _reference_occurrences(hexes)
 
     def test_bare_scan_takes_only_the_names_asked(self):
         text = "package p\n\nvar _ = Foo(Bar, x.Foo, 1Foo, 1.e5Foo, a...Foo, \"Foo\")\n"
         assert impact_module.tokenize(text).bare_identifiers({"Foo"}) == [("Foo", 3)] * 4
         assert impact_module.tokenize(text).bare_identifiers(set()) == []
+        # Both names end the word 1e5x, which lexes as 1e5 and x: the
+        # candidate is e5x, the longer, but the identifier is x.
+        text = "package p\n\nvar _ = 1e5x + e5x\n"
+        assert impact_module.tokenize(text).bare_identifiers({"e5x", "x"}) == [("x", 3), ("e5x", 3)]
 
 
 @pytest.mark.parametrize("workload", ["impact-clients", "corpus-report"])
@@ -515,6 +516,52 @@ def test_scan_agrees_with_blanking_on_generated_files(workload, seed, tmp_path, 
         bares = reference._bare_identifiers(blanked)
         names = {name for name, _line in bares} | set(re.findall(r"\w+", text))
         assert selectors.bare_identifiers(names) == bares, path
+
+
+# Hostile inputs for the selector and bare-identifier scan, each built from
+# one unit repeated to about the given size: long chains of selectors and of
+# numbers the lexer must split, and literals and comments full of selectors.
+_SCAN_HOSTILE = {
+    "selector-chain": ("a.", 1_000_000),
+    "float-chain": ("1.e5.x", 1_000_000),
+    "number-dot-chain": ("1.e.x.", 250_000),
+    "block-comment": ("x.Y ", 2_000_000),
+    "raw-string": ("x.Y ", 2_000_000),
+    "comment-before-dot": ("x /* c */ .Y\n", 1_300_000),
+}
+
+
+def _scan_hostile(kind: str, size: int) -> str:
+    unit, _size = _SCAN_HOSTILE[kind]
+    body = unit * (size // len(unit))
+    if kind == "block-comment":
+        return f"/* {body} */\nx.Y\n"
+    if kind == "raw-string":
+        return f"var s = `{body}`\nx.Y\n"
+    return body
+
+
+class TestScanTime:
+    @pytest.mark.parametrize("kind", sorted(_SCAN_HOSTILE))
+    def test_time_grows_linearly(self, kind):
+        """Four times the input takes at most five times as long, selectors
+        and bare identifiers both, in one of three rounds that each time the
+        large and the small input one after the other. Times are this
+        process's CPU time, so that other processes count for less, and a
+        short scan is repeated until the small input takes a tenth of a
+        second. A scan that grows quadratically fails every round."""
+        size = _SCAN_HOSTILE[kind][1]
+        small, large = _scan_hostile(kind, size // 4), _scan_hostile(kind, size)
+        names = {"a", "x", "Y", "e", "e5"}
+
+        def cpu_time(text: str, repeats: int) -> float:
+            start = time.process_time()
+            for _ in range(repeats):
+                find_selectors(text).bare_identifiers(names)
+            return time.process_time() - start
+
+        repeats = max(1, math.ceil(0.1 / max(cpu_time(small, 1), 1e-3)))
+        assert any(cpu_time(large, repeats) <= 5 * cpu_time(small, repeats) for _ in range(3))
 
 
 # -- the matcher against the reference -----------------------------------------

@@ -3,17 +3,13 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
-import math
 import random
 import re
-import string
 from collections import defaultdict
 from dataclasses import replace
 import time
 import tracemalloc
-import unicodedata
 from pathlib import Path
-from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +18,27 @@ import catalogue_fixtures
 import impact_fixtures
 import planted_corpus
 import structure_reference
+from lexer_reference import (
+    _HEADER_FRAGMENTS,
+    _HOSTILE,
+    _LEXICAL_PRECEDENCE,
+    _REFERENCE_LEXABLE_RE,
+    _SHAPES,
+    _SOURCES,
+    PERFBENCH,
+    PKG,
+    WORKLOADS,
+    _as_tokens,
+    _assert_as_before,
+    _assert_check_agrees_with_lexer,
+    _lexed,
+    _mutants,
+    _outcome,
+    _parse,
+    _RecordingPattern,
+    _reference_tokens,
+    generated_sources,
+)
 from test_object_model import assert_shares_leaves, leaf_types
 from semverdiff.gotypes import (
     Array,
@@ -47,7 +64,7 @@ from semverdiff.gotypes import (
     type_to_structure,
 )
 from semverdiff.impact import find_selectors
-from semverdiff.lexer import GO_KEYWORDS, GoSyntaxError, _check_lexable, _Tokens, tokenize
+from semverdiff.lexer import GoSyntaxError, _check_lexable, _Tokens, tokenize
 from semverdiff.parser import (
     MAX_TYPE_NESTING,
     PREDECLARED_TYPES,
@@ -63,10 +80,6 @@ from semverdiff.parser import (
 )
 from semverdiff import lexer as lexer_module, parser as parser_module
 
-PKG = "example.com/lib"
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-WORKLOADS = ("check-bodies", "check-decls", "impact-clients", "corpus-report")
-
 
 def _first_type(src: str):
     return parse_go_file(src, PKG).decls[0].type
@@ -74,45 +87,6 @@ def _first_type(src: str):
 
 def _first_func(src: str):
     return parse_go_file(src, PKG).decls[0]
-
-
-class TestTokenizer:
-    def test_semicolon_insertion_after_identifier(self):
-        assert tokenize("a\nb") == ["a", ";", "b", ";", ""]
-
-    def test_no_semicolon_after_comma(self):
-        assert tokenize("f(a,\nb)") == ["f", "(", "a", ",", "b", ")", ";", ""]
-
-    def test_comments_are_skipped(self):
-        assert tokenize("// line comment\n/* block */ x") == ["x", ";", ""]
-
-    def test_strings_hide_comment_markers(self):
-        assert tokenize('s := "http://example.com"') == ["s", ":=", '"http://example.com"', ";", ""]
-
-    def test_raw_string_spans_lines(self):
-        src = "package p\n\nvar s = `line1\nline2`\nx"
-        assert _lexed(src)[-6:] == ["=", "`line1\nline2`", ";", "x", ";", ""]
-        with pytest.raises(GoSyntaxError, match=r"^line 5: unexpected token 'x' at top level$"):
-            parse_go_file(src, PKG)
-
-    def test_multiline_block_comment_inserts_semicolon(self):
-        assert tokenize("x /* spans\nlines */ y") == ["x", ";", "y", ";", ""]
-
-    def test_rune_with_escape(self):
-        assert tokenize(r"r := '\''") == ["r", ":=", r"'\''", ";", ""]
-
-    def test_identifier_that_python_would_not_take(self):
-        # U+037A is a letter (Lm) to Go, but no identifier to Python.
-        src = "package p\n\nvar x\u0663, \u037a int\n"
-        assert [v.name for v in parse_go_file(src, PKG).decls] == ["x\u0663", "\u037a"]
-        _assert_as_before(src)
-
-    def test_a_token_is_its_text(self):
-        src = "package p\nconst C = .5 + 1.e3i + 0x1p-2 + 0b1 &^= a...b // c\n"
-        assert _lexed(src) == [
-            "package", "p", ";", "const", "C", "=", ".5", "+", "1.e3i", "+", "0x1p-2", "+", "0b1", "&^=",
-            "a", "...", "b", ";", "",
-        ]
 
 
 class TestDeclarations:
@@ -862,267 +836,6 @@ class TestNestingLimit:
         assert deep == Basic("untyped")
 
 
-def _fixture_sources() -> list[str]:
-    """Every Go source of the catalogue, impact and planted-corpus fixtures."""
-    trees: list[dict[str, str]] = []
-    for fixture in catalogue_fixtures.FIXTURES:
-        trees += [fixture.old, fixture.new]
-    trees += [impact_fixtures.LIBRARY_OLD, impact_fixtures.LIBRARY_NEW, *impact_fixtures.CLIENTS.values()]
-    for module in planted_corpus.MODULES:
-        trees += [version.files for version in module.versions]
-    return [text for tree in trees for rel, text in sorted(tree.items()) if rel.endswith(".go")]
-
-
-_SOURCES = _fixture_sources()
-
-_HOSTILE = (
-    "@", "$", "\\", '"', "'", "`", "/*", "*/", "//", "{", "}", "(", ")", "[", "]",
-    "﻿", "func ", "struct", "interface", "\n", ";", "var V = func() { ", "const C = ",
-)
-
-
-# -- the reference lexer ----------------------------------------------------
-#
-# The lexer as it was while a token was a named tuple: one named-group match
-# per token, with its kind and line; bodies skipped only where the brackets
-# nest outside them, and the file lexed again in full where they do not. As in
-# go/scanner, a "/*" that never ends is an error, not the ops "/" and "*".
-
-
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-
-
-_REFERENCE_TOKEN_RE = re.compile(
-    rf"""
-      (?P<ws>[ \t\r]+)
-    | (?P<newline>\n)
-    | (?P<comment_line>{lexer_module._COMMENT_LINE})
-    | (?P<comment_block>{lexer_module._COMMENT_BLOCK})
-    | (?P<raw_string>{lexer_module._RAW_STRING})
-    | (?P<string>"(?:[^"\\\n]|\\.)*+")
-    | (?P<rune>'(?:[^'\\\n]|\\.)*+')
-    | (?P<float>{lexer_module._FLOAT})
-    | (?P<int>{lexer_module._INT})
-    | (?P<ident>{lexer_module._IDENT})
-    | (?P<open>[(\[{{])
-    | (?P<close>[)\]}}])
-    | (?P<op><<=|>>=|&\^=|\.\.\.|&&|\|\||<-|\+\+|--|==|!=|<=|>=|:=|\+=|-=|\*=|/=|%=|&=|\|=|\^=|<<|>>|&\^|[+\-*/%&|^<>=!:;,.~])
-    """,
-    re.VERBOSE,
-)
-_REFERENCE_CLOSERS = {"(": ")", "[": "]", "{": "}"}
-_REFERENCE_DECL_KEYWORDS = frozenset({"const", "import", "package", "type", "var"})
-
-
-class _Misnested(Exception):
-    """Brackets do not nest, so the lexer cannot tell what is top level."""
-
-
-def _reference_inserts_semi(tok: _Token) -> bool:
-    if tok.kind == "ident" or tok.kind in ("int", "float", "string", "raw_string", "rune"):
-        return True
-    if tok.kind == "keyword":
-        return tok.text in ("break", "continue", "fallthrough", "return")
-    return tok.kind == "op" and tok.text in (")", "]", "}", "++", "--")
-
-
-# go/scanner's messages for a string, raw string or rune that never ends.
-_REFERENCE_UNTERMINATED = {
-    '"': "string literal not terminated",
-    "`": "raw string literal not terminated",
-    "'": "rune literal not terminated",
-}
-
-
-def _reference_escape(body: str, i: int, quote: str) -> tuple[str, str | None]:
-    """The escape that starts with the backslash at body[i], and Go's error
-    for it, or None if Go defines it: a simple escape (with the literal's own
-    quote), three octal digits up to 255, \\x with 2 hex digits, or \\u or \\U
-    with 4 or 8 hex digits that name a Unicode code point (at most 10FFFF,
-    and no surrogate). An escape that is none of these is the backslash and
-    the character after it."""
-    kind = body[i + 1]
-    if kind in "01234567":
-        digits = body[i + 1 : i + 4]
-        if len(digits) == 3 and all(c in "01234567" for c in digits):
-            escape = body[i : i + 4]
-            return escape, None if int(digits, 8) <= 255 else f"unknown escape sequence {escape!r}"
-    elif kind in "xuU":
-        width = {"x": 2, "u": 4, "U": 8}[kind]
-        digits = body[i + 2 : i + 2 + width]
-        if len(digits) == width and all(c in string.hexdigits for c in digits):
-            escape, code = body[i : i + 2 + width], int(digits, 16)
-            if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
-                return escape, f"escape sequence {escape!r} is an invalid Unicode code point"
-            return escape, None
-    escape = body[i : i + 2]
-    return escape, None if kind in "abfnrtv\\" + quote else f"unknown escape sequence {escape!r}"
-
-
-def _reference_literal_error(value: str) -> str | None:
-    """The error in a string or rune the token regex delimited, walking it
-    one character or escape at a time: the first escape Go rejects, else a
-    rune that does not hold exactly one character."""
-    quote, body = value[0], value[1:-1]
-    chars = i = 0
-    while i < len(body):
-        if body[i] == "\\":
-            escape, error = _reference_escape(body, i, quote)
-            if error is not None:
-                return error
-            i += len(escape)
-        else:
-            i += 1
-        chars += 1
-    if quote == "'" and chars == 0:
-        return "empty rune literal or unescaped ' in rune literal"
-    if quote == "'" and chars > 1:
-        return "more than one character in rune literal"
-    return None
-
-
-def _reference_foreign(kind: str, value: str) -> str | None:
-    """The first character of a number or identifier that Go does not take
-    there: a number takes ASCII digits only, an identifier a letter or "_"
-    and then letters, "_" and decimal digits (Unicode categories L and Nd)."""
-    if kind in ("int", "float"):
-        return next((c for c in value if not c.isascii()), None)
-    if kind == "ident":
-        for i, c in enumerate(value):
-            category = unicodedata.category(c)
-            if not (c == "_" or category[0] == "L" or i and category == "Nd"):
-                return c
-    return None
-
-
-def _reference_lex(text: str, skip_bodies: bool) -> list[_Token]:
-    tokens: list[_Token] = []
-    append = tokens.append
-    match = _REFERENCE_TOKEN_RE.match
-    pos = 0
-    line = 1
-    size = len(text)
-    closers: list[str] = []
-    decl_start = 0
-    # A NUL or byte order mark is illegal even inside a token.
-    illegal = min(k for k in (text.find("\x00"), text.find("\ufeff"), size) if k >= 0)
-    while pos < size:
-        m = match(text, pos)
-        # A bad string or rune is an error at its start, before an illegal character in it.
-        bad_literal = m is not None and m.lastgroup in ("string", "rune") and _reference_literal_error(m.group())
-        if pos >= illegal or m is not None and m.end() > illegal and not bad_literal:
-            what = "character NUL" if text[illegal] == "\x00" else "byte order mark"
-            raise GoSyntaxError(f"illegal {what}", line + text.count("\n", pos, illegal))
-        if m is None:
-            raise GoSyntaxError(_REFERENCE_UNTERMINATED.get(text[pos], f"unexpected character {text[pos]!r}"), line)
-        if bad_literal:
-            raise GoSyntaxError(bad_literal, line)
-        kind = m.lastgroup or ""
-        if kind == "op" and text.startswith("/*", pos):  # go/scanner: no "/" starts a comment
-            raise GoSyntaxError("comment not terminated", line)
-        value = m.group()
-        foreign = _reference_foreign(kind, value)
-        if foreign is not None:
-            raise GoSyntaxError(f"unexpected character {foreign!r}", line)
-        pos = m.end()
-        if kind == "ws" or kind == "comment_line":
-            continue
-        if kind == "newline" or (kind == "comment_block" and "\n" in value):
-            if tokens and _reference_inserts_semi(tokens[-1]):
-                if not closers:
-                    decl_start = len(tokens) + 1
-                append(_Token("op", ";", line))
-            line += value.count("\n")
-            continue
-        if kind == "comment_block":
-            continue
-        if kind == "ident":
-            if value in GO_KEYWORDS:
-                kind = "keyword"
-                if skip_bodies and not closers and value in _REFERENCE_DECL_KEYWORDS:
-                    decl_start = len(tokens)
-        elif kind == "open":
-            kind = "op"
-            if (
-                skip_bodies
-                and value == "{"
-                and not closers
-                and decl_start < len(tokens)
-                and tokens[decl_start].text == "func"
-                and tokens[-1].text not in ("struct", "interface")
-            ):
-                append(_Token("op", "{", line))
-                start = pos
-                pos = lexer_module._skip_body(text, pos)
-                if pos < 0:
-                    raise _Misnested  # unterminated body
-                line += text.count("\n", start, pos)
-                append(_Token("op", "}", line))
-                continue
-            if skip_bodies:
-                closers.append(_REFERENCE_CLOSERS[value])
-        elif kind == "close":
-            kind = "op"
-            if skip_bodies and (not closers or closers.pop() != value):
-                raise _Misnested
-        elif kind == "op" and value == ";" and not closers:
-            decl_start = len(tokens) + 1
-        append(_Token(kind, value, line))
-        if "\n" in value:  # raw strings may span lines
-            line += value.count("\n")
-    if closers:
-        raise _Misnested
-    if tokens and _reference_inserts_semi(tokens[-1]):
-        append(_Token("op", ";", line))
-    append(_Token("eof", "", line))
-    return tokens
-
-
-def _reference_tokens(src: str, skip_bodies: bool = False) -> list[_Token]:
-    """The reference tokens of src, a leading byte order mark dropped. By
-    default every token, from the full lexer, which raises its own lexical
-    errors. With skip_bodies, function bodies are skipped, and a file whose
-    brackets do not nest raises _Misnested."""
-    return _reference_lex(src.removeprefix("\ufeff"), skip_bodies)
-
-
-def _as_tokens(reference: list[_Token]) -> _Tokens:
-    """Reference tokens as the lexer gives tokens: their texts, with the
-    index of the first token on each line after the first."""
-    tokens = _Tokens(t.text for t in reference)
-    tokens.lines = []
-    for k, tok in enumerate(reference):
-        tokens.lines += [k] * (tok.line - (reference[k - 1].line if k else 1))
-    return tokens
-
-
-def _lexed(src: str) -> list[str]:
-    """The token texts of the whole of src, as parse_go_file lexes them: the
-    header's from tokenize, then each chunk's from one _lex call."""
-    tokens = tokenize(src)
-    text = src.removeprefix("\ufeff")
-    texts, pos = tokens[:-1], tokens.end
-    while pos < len(text):
-        chunk, _ = lexer_module._lex(text, pos, lexer_module._next_cut(text, pos))
-        texts += chunk[:-1]
-        pos = chunk.end
-    return texts + [""]
-
-
-def _outcome(fn, src: str):
-    try:
-        return fn(src)
-    except GoSyntaxError as exc:
-        return f"GoSyntaxError: {exc}"
-
-
-def _parse(src: str):
-    return parse_go_file(src, PKG)
-
-
 def _spy(real, calls: list):
     """real, recording the positional arguments of each call in calls."""
 
@@ -1148,88 +861,6 @@ def _reference_imports(src: str):
     """parse_imports as it was before only the header was lexed: the whole
     file lexed, here by the reference lexer."""
     return _imports_of(_as_tokens(_reference_tokens(src)))
-
-
-def _assert_as_before(src: str) -> None:
-    """The lexer, parse_go_file and parse_imports against the reference lexer.
-
-    A lexical error is the reference's, everywhere. Where the brackets nest
-    outside function bodies, the header and the chunks lexed as
-    parse_go_file lexes them give the reference's token texts, and
-    parse_go_file what parsing the reference tokens gives, error strings and
-    their lines included; where they do not, parse_go_file raises.
-    parse_imports gives the imports of every file parse_go_file accepts, and
-    raises only the error parse_go_file raises, since it parses what
-    parse_go_file parses first. Only an input that some entry point rejects
-    is lexed in full by the reference: _check_lexable accepts what the full
-    lexer accepts (see _assert_check_agrees_with_lexer).
-    """
-    tokens = _outcome(_lexed, src)
-    parsed = _outcome(_parse, src)
-    imports = _outcome(parse_imports, src)
-    if isinstance(tokens, str) or isinstance(parsed, str) or isinstance(imports, str):
-        lexical_error = _outcome(_reference_tokens, src)
-        if isinstance(lexical_error, str):
-            assert tokens == parsed == imports == lexical_error, src
-            return
-    try:
-        skipped = _reference_tokens(src, skip_bodies=True)
-    except _Misnested:
-        assert isinstance(parsed, str), src
-    else:
-        assert tokens == [t.text for t in skipped], src
-        assert parsed == _outcome(lambda _: _Parser(_as_tokens(skipped), PKG).parse_file(), src), src
-    if isinstance(imports, str):
-        assert imports == parsed, src
-    elif not isinstance(parsed, str):
-        assert imports == parsed.imports, src
-
-
-@st.composite
-def _mutants(draw) -> str:
-    """A fixture source with a few hostile fragments inserted anywhere."""
-    src = draw(st.sampled_from(_SOURCES))
-    for _ in range(draw(st.integers(1, 4))):
-        at = draw(st.integers(0, len(src)))
-        src = src[:at] + draw(st.sampled_from(_HOSTILE)) + src[at:]
-    return src
-
-
-# Named shapes where the body skip could go wrong.
-_SHAPES = {
-    "brace-in-string": 'package p\n\nfunc F() string { return "}" }\n\nfunc G() {}\n',
-    "brace-in-rune": "package p\n\nfunc F() rune { return '}' }\n\nfunc G() {}\n",
-    "brace-in-raw-string": "package p\n\nfunc F() string {\n\treturn `}\n{`\n}\n\nfunc G() {}\n",
-    "brace-in-block-comment": "package p\n\nfunc F() { /* } */ }\n\nfunc G() {}\n",
-    "brace-in-line-comment": "package p\n\nfunc F() { // }\n}\n\nfunc G() {}\n",
-    "brace-pair-in-string": 'package p\n\nfunc F() { s := "} {" }\n',
-    "brace-pair-in-line-comment": "package p\n\nfunc F() { // } {\n}\n",
-    "brace-pair-in-block-comment": "package p\n\nfunc F() { /* } { */ }\n",
-    "quotes-in-comment": "package p\n\nfunc F() {\n\t// it's \"quoted\" `raw\n}\n",
-    "unterminated-block-comment": "package p\n\nfunc F() { x /* }\n\nfunc G() {}\n",
-    "struct-result": "package p\n\nfunc F() struct{X int} { return struct{X int}{} }\n",
-    "interface-result": "package p\n\nfunc F() interface{ M() } { return nil }\n",
-    "map-of-struct-result": "package p\n\nfunc F() map[string]struct{} { return nil }\n",
-    "func-result": "package p\n\nfunc F() func() int { return func() int { return 1 } }\n",
-    "method": "package p\n\ntype T struct{}\n\nfunc (t *T) M(x []int) (n int) { for range x { n++ }; return }\n",
-    "array-length-literal": "package p\n\nfunc F(x [len(T{1, 2})]int) {}\n",
-    "func-literal-var": "package p\n\nvar F = func() { x() }\n",
-    "func-literal-const": "package p\n\nconst C = func() { x }\n",
-    "decl-after-body": "package p\n\nfunc F() {} const C = func() { a }\n",
-    "decl-after-bodiless-func": "package p\n\nfunc F() int const C = func() { a }\n",
-    "two-bodies-one-line": "package p\n\nfunc F() { a } func G() { b }\n",
-    "extra-block-after-body": "package p\n\nfunc F() {} { x }\n",
-    "body-on-next-line": "package p\n\nfunc F()\n{\n}\n",
-    "unterminated-body": "package p\n\nfunc F() {\n\tx := 1\n",
-    "unterminated-string-in-body": 'package p\n\nfunc F() {\n\ts := "}\n}\n',
-    "body-lexing-error": "package p\n\nfunc F() {\n\tx := 1\n\ty := @\n}\n",
-    "misnested-paren": "package p\n\nfunc F() ) { x }\n",
-    "misnested-bracket": "package p\n\nfunc F(] { x }\n",
-    "misnested-brace": "package p\n\nfunc F() }{ x }\n",
-    "unclosed-paren": "package p\n\nvar x = (\n\nfunc F() { y }\n",
-    "bom": "﻿package p\n\nfunc F() { ﻿ }\n",
-    "misnested-before-body-lexing-error": "package p\n\nfunc F() ) {\n\tx := 1\n\ty := @\n}\n",
-}
 
 
 # One [sha256(input), sha256(repr of its GoFile)] row per input the parser
@@ -1385,17 +1016,6 @@ class TestSkipBodies:
 
     def test_brackets_are_ops(self):
         assert tokenize("f(a[0], T{})") == ["f", "(", "a", "[", "0", "]", ",", "T", "{", "}", ")", ";", ""]
-
-
-def _assert_check_agrees_with_lexer(src: str) -> None:
-    checked = _outcome(_check_lexable, src.removeprefix("\ufeff"))
-    lexed = _outcome(_reference_tokens, src)
-    assert checked == (lexed if isinstance(lexed, str) else None), src
-
-
-_HEADER_FRAGMENTS = _HOSTILE + (
-    "import ", "package ", "func", "type ", "var ", "const ", '"a/b"', "\ufeff", "\x00", "\u00e9",
-)
 
 
 @st.composite
@@ -1667,52 +1287,6 @@ class TestLongLiterals:
         assert peak < 8_000_000
 
 
-# Hostile inputs for the selector and bare-identifier scan, each built from
-# one unit repeated to about the given size: long chains of selectors and of
-# numbers the lexer must split, and literals and comments full of selectors.
-_SCAN_HOSTILE = {
-    "selector-chain": ("a.", 1_000_000),
-    "float-chain": ("1.e5.x", 1_000_000),
-    "number-dot-chain": ("1.e.x.", 250_000),
-    "block-comment": ("x.Y ", 2_000_000),
-    "raw-string": ("x.Y ", 2_000_000),
-    "comment-before-dot": ("x /* c */ .Y\n", 1_300_000),
-}
-
-
-def _scan_hostile(kind: str, size: int) -> str:
-    unit, _size = _SCAN_HOSTILE[kind]
-    body = unit * (size // len(unit))
-    if kind == "block-comment":
-        return f"/* {body} */\nx.Y\n"
-    if kind == "raw-string":
-        return f"var s = `{body}`\nx.Y\n"
-    return body
-
-
-class TestScanTime:
-    @pytest.mark.parametrize("kind", sorted(_SCAN_HOSTILE))
-    def test_time_grows_linearly(self, kind):
-        """Four times the input takes at most five times as long, selectors
-        and bare identifiers both, in one of three rounds that each time the
-        large and the small input one after the other. Times are this
-        process's CPU time, so that other processes count for less, and a
-        short scan is repeated until the small input takes a tenth of a
-        second. A scan that grows quadratically fails every round."""
-        size = _SCAN_HOSTILE[kind][1]
-        small, large = _scan_hostile(kind, size // 4), _scan_hostile(kind, size)
-        names = {"a", "x", "Y", "e", "e5"}
-
-        def cpu_time(text: str, repeats: int) -> float:
-            start = time.process_time()
-            for _ in range(repeats):
-                find_selectors(text).bare_identifiers(names)
-            return time.process_time() - start
-
-        repeats = max(1, math.ceil(0.1 / max(cpu_time(small, 1), 1e-3)))
-        assert any(cpu_time(large, repeats) <= 5 * cpu_time(small, repeats) for _ in range(3))
-
-
 # (source, error): errors after text that spans lines without tokens, or
 # whose line the lexer must count some other way than by newline tokens.
 _ERROR_LINES = {
@@ -1749,40 +1323,6 @@ class TestErrorLines:
         assert _outcome(parse_imports, src) == error == _outcome(_reference_imports, src)
 
 
-@pytest.fixture(scope="module")
-def generated_sources(tmp_path_factory) -> dict[str, dict[str, str]]:
-    """Each benchmark workload's seed-1 Go files: relative path -> source."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(str(PERFBENCH))
-        gen = importlib.import_module("gen")
-    out = {}
-    for workload in WORKLOADS:
-        root = tmp_path_factory.mktemp(workload)
-        gen.generate(workload, 1, root)
-        out[workload] = {path.relative_to(root).as_posix(): path.read_text(encoding="utf-8") for path in root.rglob("*.go")}
-    return out
-
-
-class TestAgainstTheReferenceLexer:
-    def test_generated_files_of_every_workload(self, generated_sources):
-        for workload in WORKLOADS:
-            sources = set(generated_sources[workload].values())
-            assert len(sources) > 50, workload
-            for src in sorted(sources):
-                _assert_as_before(src)
-
-    def test_seeded_mutants(self):
-        rng = random.Random(11)
-        sources = _SOURCES + [_SHAPES[shape] for shape in sorted(_SHAPES)]
-        for _ in range(30_000):
-            src = rng.choice(sources)
-            for _ in range(rng.randint(1, 4)):
-                at = rng.randint(0, len(src))
-                src = src[:at] + rng.choice(_HEADER_FRAGMENTS) + src[at:]
-            _assert_as_before(src)
-            _assert_check_agrees_with_lexer(src)
-
-
 class TestSharedLeaves:
     """Within one parsed file, equal leaf types are one object."""
 
@@ -1796,314 +1336,6 @@ class TestSharedLeaves:
                     continue
                 shared[workload] += len(leaf_types(gofile)) - len(assert_shares_leaves(gofile))
         assert min(shared.values()) > 0 and sum(shared.values()) > 10_000, shared
-
-
-# _TOKEN_RE as it was before it tried brackets, "," and ";" first and ASCII
-# identifiers through an explicit class; _LEXABLE_RE, which took every word
-# character, as it was while a text that is not all ASCII was checked in two
-# passes (see _reference_lexical_end); and _ASCII_LEXABLE_RE as it was before
-# its word class was spelled out: _LEXABLE_RE under re.ASCII.
-_REFERENCE_TOKEN_PATTERN_RE = re.compile(
-    rf"[ \t\r]*(?:{lexer_module._COMMENT_LINE})?({lexer_module._IDENT}|\n|{lexer_module._COMMENT_BLOCK}"
-    rf"|{lexer_module._RAW_STRING}|{lexer_module._STRING}|{lexer_module._RUNE}|{lexer_module._NUMBER}"
-    rf"|{'|'.join(map(re.escape, lexer_module._OPERATORS))}|\Z)"
-)
-_REFERENCE_LEXABLE_RE = re.compile(
-    rf"(?:[\w \t\r\n+\-*%&|^<>=!:;,.()\[\]{{}}~]++|{lexer_module._LITERAL}|/(?!\*))*+"
-)
-_REFERENCE_ASCII_LEXABLE_RE = re.compile(_REFERENCE_LEXABLE_RE.pattern, re.ASCII)
-# The ASCII characters that may stand inside a number or an identifier.
-_REFERENCE_WORDISH = frozenset(string.ascii_letters + string.digits + "_.+-")
-
-
-def _reference_lexical_end(text: str) -> int:
-    """The offset of the first character outside literals where the lexer
-    fails, or the end of the text, as _check_lexable found it in two passes:
-    an ASCII text by _ASCII_LEXABLE_RE alone; any other up to where
-    _LEXABLE_RE ends, and before that at the first word character Go takes
-    in no token, lexed from the last character before it that is not
-    _REFERENCE_WORDISH."""
-    if text.isascii():
-        return lexer_module._ASCII_LEXABLE_RE.match(text).end()
-    end = _REFERENCE_LEXABLE_RE.match(text).end()
-    match, token = lexer_module._ASCII_LEXABLE_RE.match, lexer_module._TOKEN_RE.match
-    pos = 0
-    while (stop := match(text, pos, end).end()) < end:
-        start = stop
-        while start > pos and text[start - 1] in _REFERENCE_WORDISH:
-            start -= 1
-        while start <= stop or start < end and not text[start].isascii():
-            m = token(text, start, end)
-            tok, start = m.group(1), m.end()
-            if not tok.isascii() and (bad := lexer_module._foreign_offset(tok)) >= 0:
-                return m.start(1) + bad
-        pos = start
-    return end
-
-
-def _reference_check_lexable(text: str) -> None:
-    """_check_lexable as it was with two passes over a text that is not all
-    ASCII."""
-    size = len(text)
-    illegal = min(k for k in (text.find("\x00"), text.find("\ufeff"), size) if k >= 0)
-    end = _reference_lexical_end(text)
-    if end < illegal:
-        raise lexer_module._lexical_error(text, end)
-    if illegal < size:
-        what = "character NUL" if text[illegal] == "\x00" else "byte order mark"
-        raise GoSyntaxError(f"illegal {what}", text.count("\n", 0, illegal) + 1)
-
-
-# Identifiers at the edge of ASCII: a non-ASCII letter, digit or other
-# character right after an ASCII identifier, or starting one.
-_IDENTIFIER_EDGES = (
-    "xé", "é", "x²", "²x", "abcé d", "abc·def", "_é", "a1٣", "xⅧ",
-    "abc→d", "f(xé, y)", "a.bé[0]", "x y", "T{é: 1}", "éé abc", "xéyéz",
-    "if xé {", "aéb.c", "a﻿b", "ab\x00c", "x /* é */ y", 'x "é" y', "x // é\ny",
-)
-_PATTERN_ALPHABET = "ab_Z09 \t\n(){}[],;.:=+-*/<>&|^!~%\"'`\\é²·٣Ⅷ ﻿\x00@$#?"
-
-
-def _assert_patterns_as_before(text: str, every_position: bool = False) -> None:
-    """The token pattern finds the same tokens as the reference, and the
-    ASCII check ends where the reference ends, from the start or, on a short
-    text, from every position; _foreign_character, which runs the ASCII check
-    up to each letter or digit it must lex, finds the offset the two passes
-    found, and the same offset with the reference patterns."""
-    assert lexer_module._TOKEN_RE.findall(text) == _REFERENCE_TOKEN_PATTERN_RE.findall(text), text[:200]
-    new, old = lexer_module._ASCII_LEXABLE_RE.match, _REFERENCE_ASCII_LEXABLE_RE.match
-    for pos in range(len(text) + 1) if every_position else (0,):
-        assert new(text, pos).end() == old(text, pos).end(), (text[:200], pos)
-        tok, ref = lexer_module._TOKEN_RE.match(text, pos), _REFERENCE_TOKEN_PATTERN_RE.match(text, pos)
-        assert (tok and (tok.group(1), tok.end())) == (ref and (ref.group(1), ref.end())), (text[:200], pos)
-    if not text.isascii():
-        found = lexer_module._foreign_character(text)
-        assert found == _reference_lexical_end(text), text[:200]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lexer_module, "_ASCII_LEXABLE_RE", _REFERENCE_ASCII_LEXABLE_RE)
-            mp.setattr(lexer_module, "_TOKEN_RE", _REFERENCE_TOKEN_PATTERN_RE)
-            assert found == lexer_module._foreign_character(text), text[:200]
-
-
-class TestTokenPatterns:
-    """_TOKEN_RE and _ASCII_LEXABLE_RE match as the patterns they replaced."""
-
-    def test_identifier_edges(self):
-        for text in _IDENTIFIER_EDGES:
-            _assert_patterns_as_before(text, every_position=True)
-            _assert_patterns_as_before(f"package p\n\nvar {text}\n", every_position=True)
-
-    def test_fixture_sources(self):
-        shapes = [_SHAPES[shape] for shape in sorted(_SHAPES)]
-        for src in _SOURCES + shapes + [src for src, _error in _LEXICAL_PRECEDENCE.values()]:
-            _assert_patterns_as_before(src)
-
-    def test_generated_files_of_every_workload(self, generated_sources):
-        for workload in WORKLOADS:
-            for src in sorted(set(generated_sources[workload].values())):
-                _assert_patterns_as_before(src)
-
-    @settings(max_examples=500, deadline=None)
-    @given(st.text(alphabet=_PATTERN_ALPHABET, max_size=40))
-    def test_fragments(self, text):
-        _assert_patterns_as_before(text, every_position=True)
-
-    @settings(max_examples=200, deadline=None)
-    @given(_mutants(), st.sampled_from(_IDENTIFIER_EDGES))
-    def test_mutants_with_identifier_edges(self, src, edge):
-        at = len(src) // 2
-        _assert_patterns_as_before(src[:at] + edge + src[at:])
-
-
-
-def _assert_checks_as_before(text: str) -> None:
-    """_check_lexable, in one pass, finds the offset, message and line that
-    the two passes found."""
-    assert lexer_module._foreign_character(text) == _reference_lexical_end(text), text[:200]
-    assert _outcome(_check_lexable, text) == _outcome(_reference_check_lexable, text), text[:200]
-
-
-# Each stop of the one pass: a letter or digit Go takes, or not, in the token
-# around it, a character the lexer takes nowhere, a literal that never ends,
-# and the two characters illegal anywhere. Each gives its error, if any, at
-# line 3 of "package p\n\nvar <case>\n".
-_NON_ASCII_CASES = {
-    "xé": None,
-    "é": None,
-    "x²": "unexpected character '²'",
-    "abc·def": "unexpected character '·'",
-    "1.é": None,
-    "٣": "unexpected character '٣'",
-    "→": "unexpected character '→'",
-    '"é': "string literal not terminated",
-    "a\ufeffb": "illegal byte order mark",
-    "a\x00b": "illegal character NUL",
-}
-_NON_ASCII = "é²·٣Ⅷ\u00a0\ufeff→"
-
-
-class TestLexableInOnePass:
-    """_check_lexable scans a text that is not all ASCII once, as it scans
-    an ASCII text, and finds what the two passes found."""
-
-    @pytest.mark.parametrize("case", sorted(_NON_ASCII_CASES))
-    def test_named_cases(self, case):
-        src = f"package p\n\nvar {case}\n"
-        error = _NON_ASCII_CASES[case]
-        assert _outcome(_check_lexable, src) == (error and f"GoSyntaxError: line 3: {error}")
-        for text in (case, src, case + "\n" + src):
-            _assert_checks_as_before(text)
-
-    def test_fixture_sources(self):
-        for src in _SOURCES + [_SHAPES[shape] for shape in sorted(_SHAPES)]:
-            _assert_checks_as_before(src)
-
-    def test_generated_files_of_every_workload(self, generated_sources):
-        for workload in WORKLOADS:
-            for src in sorted(set(generated_sources[workload].values())):
-                _assert_checks_as_before(src)
-
-    @settings(max_examples=300, deadline=None)
-    @given(_mutants(), st.sampled_from(_IDENTIFIER_EDGES + tuple(_NON_ASCII_CASES)), st.floats(0, 1))
-    def test_mutants(self, src, edge, where):
-        _assert_checks_as_before(src)
-        at = int(len(src) * where)
-        _assert_checks_as_before(src[:at] + edge + src[at:])
-
-    @settings(max_examples=500, deadline=None)
-    @given(
-        st.text(alphabet=_PATTERN_ALPHABET, max_size=30),
-        st.sampled_from(_NON_ASCII),
-        st.text(alphabet=_PATTERN_ALPHABET, max_size=30),
-    )
-    def test_fragments(self, before, char, after):
-        _assert_checks_as_before(before + char + after)
-
-# _BODY_RE as it was while it scanned only text _check_lexable accepted: a
-# run of any characters that start no literal and are no brace.
-_REFERENCE_BODY_RE = re.compile(rf"(?:[^{{}}\"'`/]++|{lexer_module._LITERAL}|/(?!\*))*+")
-
-
-def _reference_skip_body(text: str, pos: int) -> int:
-    """_skip_body as it was before it matched nested groups and found
-    lexical errors: one match of _REFERENCE_BODY_RE and one turn of the loop
-    per brace, and -1 wherever a match ends at no brace."""
-    match = _REFERENCE_BODY_RE.match
-    depth = 1
-    while True:
-        end = match(text, pos).end()
-        char = text[end : end + 1]
-        if char == "{":
-            depth += 1
-        elif char == "}":
-            depth -= 1
-            if depth == 0:
-                return end + 1
-        else:
-            return -1
-        pos = end + 1
-
-
-def _assert_skips_as_before(text: str, pos: int = 0) -> None:
-    """_skip_body against the reference, on text that holds no NUL and is
-    all ASCII: where _check_lexable rejects the text the reference skips, or
-    all of the text after pos if the reference finds no end, _skip_body
-    raises that error, at its line in the whole text; elsewhere it ends
-    where the reference ends."""
-    end = _reference_skip_body(text, pos)
-    try:
-        _check_lexable(text[pos:end] if end >= 0 else text[pos:])
-    except GoSyntaxError as exc:
-        error = f"GoSyntaxError: line {exc.line + text.count(chr(10), 0, pos)}: {exc.message}"
-        assert _outcome(lambda t: lexer_module._skip_body(t, pos), text) == error, (text[:200], pos)
-    else:
-        assert lexer_module._skip_body(text, pos) == end, (text[:200], pos)
-
-
-class _RecordingPattern:
-    """A stand-in for a compiled pattern that records the arguments of each
-    match and findall call, with the pattern's name, in calls."""
-
-    def __init__(self, pattern: re.Pattern, name: str, calls: list):
-        self.pattern, self.name, self.calls = pattern, name, calls
-
-    def match(self, *args):
-        self.calls.append((self.name, args))
-        return self.pattern.match(*args)
-
-    def findall(self, *args):
-        self.calls.append((self.name, args))
-        return self.pattern.findall(*args)
-
-
-# Text that holds braces a body skip must not count: one of each literal kind.
-_BRACED_LITERALS = ('"{"', '"}\\\\"', '"\\"}"', "`}\n{`", "'{'", "'}'", "// }\n", "/* { */", "/* }\n} */")
-# Fragments of body text: braces, literals that hold braces, and text that
-# only looks like the start of a literal.
-_BODY_FRAGMENTS = _BRACED_LITERALS + ("{", "}", "{", "}", "x", " ", "\n", "a / b", "/", "*", "'", '"', "`")
-_NESTING = lexer_module._SKIP_NESTING
-
-
-def _nested_body(levels: int, inner: str = "x") -> str:
-    """The text after a body's "{": groups nested levels deep around inner,
-    with text between the braces, and the body's closing "}"."""
-    return "a {" * levels + inner + "} b" * levels + "}\nfunc G() {}\n"
-
-
-class TestSkipBody:
-    def test_generated_function_bodies(self, generated_sources, monkeypatch):
-        bodies = []
-        real = lexer_module._skip_body
-
-        def recording(text, pos):
-            bodies.append((text, pos))
-            return real(text, pos)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(lexer_module, "_skip_body", recording)
-            for workload in WORKLOADS:
-                for src in sorted(set(generated_sources[workload].values())):
-                    try:
-                        parse_go_file(src, PKG)
-                    except GoSyntaxError:  # the corpus plants invalid files
-                        pass
-        assert len(bodies) > 1000
-        calls = []
-        monkeypatch.setattr(lexer_module, "_SKIP_RE", _RecordingPattern(lexer_module._SKIP_RE, "_SKIP_RE", calls))
-        for text, pos in bodies:
-            _assert_skips_as_before(text, pos)
-        # The generated bodies nest no deeper than the pattern does, so each
-        # is skipped in one match.
-        assert len(calls) == len(bodies)
-
-    @pytest.mark.parametrize("levels", [_NESTING - 1, _NESTING, _NESTING + 1, 50_000])
-    def test_nesting_around_the_pattern_depth(self, levels):
-        _assert_skips_as_before(_nested_body(levels))
-        _assert_skips_as_before("{}" * levels + "}")
-        _assert_skips_as_before("{" * levels + "}" * levels + "{" * levels + "}" * levels + "}")
-
-    @pytest.mark.parametrize("literal", _BRACED_LITERALS)
-    @pytest.mark.parametrize("levels", range(_NESTING + 2))
-    def test_braces_in_literals(self, literal, levels):
-        text = _nested_body(levels, literal)
-        _assert_skips_as_before(text)
-        assert lexer_module._skip_body(text, 0) == text.index("}\nfunc") + 1
-
-    @pytest.mark.parametrize("levels", [0, _NESTING - 1, _NESTING, _NESTING + 1, 50_000])
-    def test_unterminated_body(self, levels):
-        for text in ("a {" * levels, "{" * (levels + 1) + "x }", "{" * levels + '"{"' + "}" * levels):
-            assert lexer_module._skip_body(text, 0) == -1
-            _assert_skips_as_before(text)
-
-    def test_the_skip_starts_at_pos(self):
-        text = "func F() {\n\tif x { y() }\n}\nfunc G() { { { { } } } }\n"
-        for pos in range(len(text) + 1):
-            _assert_skips_as_before(text, pos)
-
-    @settings(max_examples=1000, deadline=None)
-    @given(st.lists(st.sampled_from(_BODY_FRAGMENTS), max_size=40))
-    def test_fragments(self, fragments):
-        _assert_skips_as_before("".join(fragments))
 
 
 def _tag(literal: str) -> str | None:
@@ -2636,23 +1868,6 @@ def _assert_as_checked_first(src: str, before: str | None = None) -> None:
     _outcome(warm, src if before is None else before)
     memo.next_generation()
     assert [_outcome(_parse, src), _outcome(warm, src)] == [expected] * 2, src
-
-
-# (source, error): a lexical error behind errors that a scan meets first, or
-# that only the check of the whole file finds.
-_LEXICAL_PRECEDENCE = {
-    "after-a-bracket-error": ("package p\n\nvar A = )\n\nvar B = @\n", "line 5: unexpected character '@'"),
-    "after-a-header-syntax-error": ("package p\n\nimport 5\n\nvar B = $\n", "line 5: unexpected character '$'"),
-    "after-a-header-bracket-error": ("package p\n\nimport ( ]\n\nvar B = @\n", "line 5: unexpected character '@'"),
-    "in-a-function-body": ("package p\n\nvar A 5\n\nfunc F() {\n\tx := `a\nb` @\n}\n", "line 7: unexpected character '@'"),
-    "nul-in-a-string": ('package p\n\nvar A 5\n\nconst B = "a\x00b"\n', "line 5: illegal character NUL"),
-    "nul-in-a-body-comment": ("package p\n\nvar A = )\n\nfunc F() { /* \x00 */ }\n", "line 5: illegal character NUL"),
-    "bom-mid-file": ('package p\n\nvar A 5\n\nvar B = "﻿"\n', "line 5: illegal byte order mark"),
-    "foreign-character-after-the-header": (
-        'package p\n\nimport "a/b"\n\nvar A = )\n\nvar x² int\n', "line 7: unexpected character '²'"
-    ),
-    "unterminated-comment-after-an-unclosed-paren": ("package p\n\nvar A = (\n\nvar B /* x\n", "line 5: comment not terminated"),
-}
 
 
 class TestLexicalErrorsInTheScans:
