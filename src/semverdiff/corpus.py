@@ -11,13 +11,14 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import re
 from dataclasses import dataclass, field
 from datetime import date
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 from .diff import CATALOGUE, ChangeRecord, diff_surfaces
-from .impact import ClientUsage, analyze_impact
+from .impact import ClientCheckout, ClientUsage, analyze_impact
 from .manifest import (
     MANIFEST_NAME,
     MalformedManifest,
@@ -39,6 +40,9 @@ from .versions import (
 logger = logging.getLogger(__name__)
 
 META_NAME = "meta.json"
+# The one form of meta.json's released_at: date.fromisoformat also takes
+# 20200101 and week dates such as 2020-W01-1.
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 class LayoutError(ValueError):
@@ -106,8 +110,14 @@ def _load_entry(module_dir_id: str, version_dir: Path) -> CorpusEntry:
     else:
         try:
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
-            module_path = str(meta["module_path"])
-            released_at = date.fromisoformat(str(meta["released_at"]))
+            if not isinstance(meta["module_path"], str):
+                raise TypeError(f"module_path {meta['module_path']!r} is not a string")
+            module_path = meta["module_path"]
+            released = meta["released_at"]
+            day = date.fromisoformat(released)
+            if not _DATE_RE.fullmatch(released):
+                raise ValueError(f"released_at {released!r} is not in the form YYYY-MM-DD")
+            released_at = day
         except (OSError, ValueError, KeyError, TypeError) as exc:
             logger.warning("bad metadata in %s: %s", meta_path, exc)
             invalid_reason = "bad metadata"
@@ -292,7 +302,10 @@ def analyze_corpus(root: str | Path, *, include_prerelease: bool = False) -> Cor
     Upgrades are the consecutive valid version pairs of every TPL module.
     Pre-release/build upgrades are skipped unless include_prerelease is set;
     impact analysis runs for breaking non-major upgrades against the clients
-    that require the exact pre-upgrade version.
+    that require the exact pre-upgrade version. Every upgrade is diffed
+    first; then each client checkout is scanned once per run: it is walked,
+    read and import-bound on its first scan, matched against every breaking
+    upgrade that pins it, and dropped before the next client is read.
     """
     entries = ingest_corpus(root)
     surfaces = validate_corpus(entries)
@@ -301,10 +314,10 @@ def analyze_corpus(root: str | Path, *, include_prerelease: bool = False) -> Cor
 
     tpl_modules = {m for (m, _v), role in graph.roles.items() if role["tpl"]}
     entry_by_key = {e.node_key: e for e in entries if e.is_valid}
-    clients_of: dict[tuple[str, str], list[CorpusEntry]] = {}
+    clients_of: dict[tuple[str, str], list[tuple[str, str]]] = {}
     for src, dst in graph.edges:
         if src in entry_by_key:
-            clients_of.setdefault(dst, []).append(entry_by_key[src])
+            clients_of.setdefault(dst, []).append(src)
 
     by_module: dict[str, dict[SemanticVersion, CorpusEntry]] = {}
     for e in entries:
@@ -312,6 +325,7 @@ def analyze_corpus(root: str | Path, *, include_prerelease: bool = False) -> Cor
             by_module.setdefault(e.module_path, {}).setdefault(e.version, e)
 
     upgrades: list[UpgradeAnalysis] = []
+    pinned_by: dict[tuple[str, str], list[UpgradeAnalysis]] = {}  # client key -> breaking upgrades to scan
     for module_path in sorted(by_module):
         if module_path not in tpl_modules:
             continue
@@ -322,34 +336,34 @@ def analyze_corpus(root: str | Path, *, include_prerelease: bool = False) -> Cor
                 continue
             from_entry = versioned[v_from]
             to_entry = versioned[v_to]
-            old_surface = surfaces[from_entry.node_key]
-            new_surface = surfaces[to_entry.node_key]
-            records = diff_surfaces(old_surface, new_surface)
-
-            usages: list[ClientUsage] = []
-            if level in NON_MAJOR_LEVELS and any(r.breaking for r in records):
-                client_entries = sorted(
-                    clients_of.get(from_entry.node_key, ()),
-                    key=lambda e: e.node_key,
-                )
-                if client_entries:
-                    result = analyze_impact(
-                        records,
-                        [e.checkout_dir for e in client_entries],
-                        old_surface=old_surface,
-                        client_ids=[(e.module_path, e.version_raw) for e in client_entries],
-                    )
-                    usages = result.usages
-            upgrades.append(
-                UpgradeAnalysis(
-                    module_path=module_path,
-                    from_entry=from_entry,
-                    to_entry=to_entry,
-                    level=level,
-                    records=records,
-                    usages=usages,
-                )
+            records = diff_surfaces(surfaces[from_entry.node_key], surfaces[to_entry.node_key])
+            upgrade = UpgradeAnalysis(
+                module_path=module_path,
+                from_entry=from_entry,
+                to_entry=to_entry,
+                level=level,
+                records=records,
             )
+            upgrades.append(upgrade)
+            if level in NON_MAJOR_LEVELS and upgrade.breaking:
+                for client_key in clients_of.get(from_entry.node_key, ()):
+                    pinned_by.setdefault(client_key, []).append(upgrade)
+
+    # The scans read only the old surfaces of their upgrades; the rest are freed.
+    surfaces = {u.from_entry.node_key: surfaces[u.from_entry.node_key] for ups in pinned_by.values() for u in ups}
+    # Clients in key order give each upgrade's usages in the order of one
+    # scan of its clients sorted by key.
+    for client_key in sorted(pinned_by):
+        client = entry_by_key[client_key]
+        checkout = ClientCheckout(client.checkout_dir)
+        for upgrade in pinned_by[client_key]:
+            result = analyze_impact(
+                upgrade.records,
+                [checkout],
+                old_surface=surfaces[upgrade.from_entry.node_key],
+                client_ids=[(client.module_path, client.version_raw)],
+            )
+            upgrade.usages.extend(result.usages)
 
     return CorpusAnalysis(
         entries=entries, graph=graph, upgrades=upgrades, include_prerelease=include_prerelease

@@ -1,14 +1,16 @@
 """Client-side impact analysis for a library's breaking changes.
 
+A client checkout is walked, read and import-bound once (ClientCheckout),
+and every breaking upgrade it is scanned for is matched against that read.
 Files whose imports are disjoint from the breaking packages are skipped
 without being scanned. In each surviving file, selectors (alias.Name,
-x.Method) are found in the source text itself, outside its comments,
-strings, runes and numbers, with the semicolon-insertion rule kept; bare
-identifiers are collected only when a breaking package is dot-imported, and
-only those with the name of a node of such a package or of its receiver.
-Through the file's import bindings, each match becomes one reference
-(package, name, line, label), and one lookup per reference finds its
-breaking node. No tokens are built, and no copy of the text is made:
+x.Method) are found once, on the file's first match, in the source text
+itself, outside its comments, strings, runes and numbers, with the
+semicolon-insertion rule kept; bare identifiers are collected only when a
+breaking package is dot-imported, and only those with the name of a node of
+such a package or of its receiver. Through the file's import bindings, each
+match becomes one reference (package, name, line, label), and one lookup per
+reference finds its breaking node. No tokens are built, and no copy of the text is made:
 find_selectors and bare_identifiers match the lexer's sub-patterns, _in_code
 confirms that each candidate lies outside every literal, and one rule,
 _identifier, finds the identifier that ends a word for both scans: the lexer
@@ -21,7 +23,7 @@ import logging
 import os
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Collection, Iterator
 
@@ -324,15 +326,65 @@ def _in_code(pattern: re.Pattern, text: str) -> Iterator[re.Match]:
 tokenize = find_selectors
 
 
+@dataclass(slots=True)
+class ClientFile:
+    """One .go file of a client checkout, read and bound once: its text and
+    import binding, or no binding where it failed to read, decode or lex.
+    Its selectors are found on its first match and kept for the next."""
+
+    rel_file: str
+    text: str = ""
+    binding: ImportBinding | None = None
+    selectors: Selectors | None = None
+
+
+def read_client(root: Path) -> Iterator[ClientFile]:
+    """Each .go file of a client checkout in walk order, read and bound; a
+    file that fails is logged and given without a binding.
+
+    As go build does, the walk leaves out vendor/ and testdata/ directories,
+    and the directories and files whose names start with "." or "_";
+    _test.go files are read.
+    """
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = sorted(d for d in dirnames if not go_build_ignores(d))
+        for fn in sorted(filenames):
+            if not fn.endswith(".go") or go_build_ignores(fn):
+                continue
+            path = Path(dirpath) / fn
+            rel_file = path.relative_to(root).as_posix()
+            try:
+                text = path.read_text(encoding="utf-8")
+                binding = bind_imports(text, rel_file)
+            except (OSError, UnicodeDecodeError, ParseFailure) as exc:
+                logger.warning("skipping client file %s: %s", path, exc)
+                yield ClientFile(rel_file)
+            else:
+                yield ClientFile(rel_file, text, binding)
+
+
+@dataclass
+class ClientCheckout:
+    """A client checkout whose files are read on its first scan and shared by
+    every later one, so the breaking upgrades that pin a client are all
+    matched against one read of it."""
+
+    root: Path
+
+    @cached_property
+    def files(self) -> list[ClientFile]:
+        return list(read_client(self.root))
+
+
 def _match_file(
-    rel_file: str,
-    text: str,
-    binding: ImportBinding,
+    file: ClientFile,
     nodes_by_package: dict[str, dict[str, BreakingNode]],
     client_module: str,
     client_version: str | None,
 ) -> list[ClientUsage]:
-    selectors = tokenize(text)
+    if file.selectors is None:
+        file.selectors = tokenize(file.text)
+    selectors, binding = file.selectors, file.binding
     alias_packages = {alias: pkg for alias, pkg in binding.bindings.items() if pkg in nodes_by_package}
     dot_packages = sorted(binding.dot_imports & nodes_by_package.keys())
 
@@ -363,13 +415,13 @@ def _match_file(
     for pkg, name, line, label in refs:
         node = nodes_by_package[pkg].get(name)
         if node is not None:
-            usages.append(ClientUsage(client_module, client_version, rel_file, line, label, node))
+            usages.append(ClientUsage(client_module, client_version, file.rel_file, line, label, node))
     usages.sort(key=lambda u: (u.line, u.qualified_name, u.node.key, u.node.package))
     return usages
 
 
 def scan_client(
-    client_root: str | Path,
+    client_root: str | Path | ClientCheckout,
     nodes: list[BreakingNode],
     client_module: str = "",
     client_version: str | None = None,
@@ -377,42 +429,29 @@ def scan_client(
 ) -> list[ClientUsage]:
     """Find usages of breaking nodes in one client checkout.
 
+    A checkout given by its root is read file by file (see read_client); a
+    ClientCheckout is read on its first scan and shared by every later one,
+    so a client scanned for several upgrades is walked, read and bound once.
     Stage 1 skips every file whose imported package paths are disjoint from
-    the breaking packages; only surviving files are scanned and matched.
-    As go build does, the walk leaves out vendor/ and testdata/ directories,
-    and the directories and files whose names start with "." or "_";
-    _test.go files are scanned.
+    the breaking packages; only surviving files are scanned and matched, and
+    each file's selectors are found once, on its first match.
     """
-    root = Path(client_root)
     nodes_by_package: dict[str, dict[str, BreakingNode]] = {}
     for node in nodes:
         nodes_by_package.setdefault(node.package, {})[node.key] = node
 
+    if report is None:
+        report = ScanReport()
     usages: list[ClientUsage] = []
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = sorted(d for d in dirnames if not go_build_ignores(d))
-        for fn in sorted(filenames):
-            if not fn.endswith(".go") or go_build_ignores(fn):
-                continue
-            path = Path(dirpath) / fn
-            rel_file = path.relative_to(root).as_posix()
-            try:
-                text = path.read_text(encoding="utf-8")
-                binding = bind_imports(text, rel_file)
-            except (OSError, UnicodeDecodeError, ParseFailure) as exc:
-                logger.warning("skipping client file %s: %s", path, exc)
-                if report is not None:
-                    report.failed.append(rel_file)
-                continue
-            if binding.package_paths.isdisjoint(nodes_by_package):
-                if report is not None:
-                    report.skipped.append(rel_file)
-                continue
-            if report is not None:
-                report.scanned.append(rel_file)
-            usages.extend(
-                _match_file(rel_file, text, binding, nodes_by_package, client_module, client_version)
-            )
+    files = client_root.files if isinstance(client_root, ClientCheckout) else read_client(Path(client_root))
+    for file in files:
+        if file.binding is None:
+            report.failed.append(file.rel_file)
+        elif file.binding.package_paths.isdisjoint(nodes_by_package):
+            report.skipped.append(file.rel_file)
+        else:
+            report.scanned.append(file.rel_file)
+            usages.extend(_match_file(file, nodes_by_package, client_module, client_version))
     return usages
 
 
@@ -428,24 +467,25 @@ def _client_identity(root: Path) -> str:
 
 def analyze_impact(
     library_records: list[ChangeRecord],
-    clients: list[str | Path],
+    clients: list[str | Path | ClientCheckout],
     old_surface: ApiSurface | None = None,
     client_ids: list[tuple[str, str | None]] | None = None,
 ) -> ImpactResult:
-    """Run the client scan for every client root and concatenate the results."""
+    """Run the client scan for every client, given by its root or as a
+    ClientCheckout that other scans share, and concatenate the results."""
     nodes = collect_breaking_nodes(library_records, old_surface)
     result = ImpactResult(usages=[], nodes=nodes)
     if not nodes:
         return result
-    for idx, client_root in enumerate(clients):
-        root = Path(client_root)
+    for idx, client in enumerate(clients):
         if client_ids is not None and idx < len(client_ids):
             module, version = client_ids[idx]
         else:
+            root = client.root if isinstance(client, ClientCheckout) else Path(client)
             module, version = _client_identity(root), None
         report = ScanReport()
         result.usages.extend(
-            scan_client(root, nodes, client_module=module, client_version=version, report=report)
+            scan_client(client, nodes, client_module=module, client_version=version, report=report)
         )
         result.reports.append(report)
     return result

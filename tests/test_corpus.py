@@ -78,7 +78,18 @@ class TestIngest:
 
     @pytest.mark.parametrize(
         "meta",
-        ["{not json", json.dumps({"version": "v1.0.0"}), json.dumps({"module_path": "example.com/c", "released_at": "spring"})],
+        [
+            "{not json",
+            json.dumps({"version": "v1.0.0"}),
+            json.dumps({"module_path": "example.com/c", "released_at": "spring"}),
+            # Only JSON strings, and released_at only as YYYY-MM-DD, which
+            # date.fromisoformat alone does not enforce.
+            json.dumps({"module_path": "example.com/c", "released_at": 20200101}),
+            json.dumps({"module_path": "example.com/c", "released_at": "20200101"}),
+            json.dumps({"module_path": "example.com/c", "released_at": "2020-W01-1"}),
+            json.dumps({"module_path": 7, "released_at": "2020-01-01"}),
+            json.dumps({"module_path": None, "released_at": "2020-01-01"}),
+        ],
     )
     def test_bad_metadata(self, tmp_path, meta):
         root = _mini_corpus(tmp_path)

@@ -22,6 +22,7 @@ from lexer_reference import _HOSTILE, _SOURCES, _mutants, _reference_tokens
 from semverdiff.diff import ChangeRecord, diff_surfaces
 from semverdiff.impact import (
     BreakingNode,
+    ClientFile,
     ClientUsage,
     ImportBinding,
     ScanReport,
@@ -583,9 +584,9 @@ def _nodes(records: list[ChangeRecord], old_surface: ApiSurface | None) -> list[
 
 def _assert_match_agrees(rel_file: str, text: str, binding: ImportBinding, nodes: list[BreakingNode]) -> list[ClientUsage]:
     """The file's usages, after checking that the reference gives the same list."""
-    args = (rel_file, text, binding, _by_package(nodes), "example.com/client", "v1.0.0")
-    usages = impact_module._match_file(*args)
-    assert usages == reference._match_file(*args), text
+    args = (_by_package(nodes), "example.com/client", "v1.0.0")
+    usages = impact_module._match_file(ClientFile(rel_file, text, binding), *args)
+    assert usages == reference._match_file(rel_file, text, binding, *args), text
     return usages
 
 
@@ -702,7 +703,7 @@ class TestAgainstTheReference:
         nodes = [BreakingNode(pkg, key, "Function", "Remove", record) for pkg in packages for key in ("Foo", "T.M")]
         text = "package main\n\nfunc main() {\n\tvar t T\n\tFoo()\n\tt.M()\n}\n"
         binding = ImportBinding(dot_imports=set(packages))
-        usages = impact_module._match_file("main.go", text, binding, _by_package(nodes), "example.com/c", None)
+        usages = impact_module._match_file(ClientFile("main.go", text, binding), _by_package(nodes), "example.com/c", None)
         assert [(u.line, u.qualified_name, u.node.package) for u in usages] == [
             (line, name, pkg) for line, name in ((5, "Foo"), (6, "T.M")) for pkg in packages
         ]

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import impact_fixtures as fx
 from conftest import write_module
-from semverdiff import impact, parser, surface
+from semverdiff import corpus, impact, parser, surface
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -49,7 +50,7 @@ def test_lexing_goes_through_the_traced_names(monkeypatch):
     binding = impact.bind_imports(src, "main.go")
     assert calls == [(1, {})]
     calls.clear()
-    impact._match_file("main.go", src, binding, {}, "example.com/client", None)
+    impact._match_file(impact.ClientFile("main.go", src, binding), {}, "example.com/client", None)
     assert calls == [(1, {})]
 
 
@@ -80,3 +81,34 @@ def test_memo_hits_stay_under_the_traced_parse(monkeypatch, tmp_path):
     assert decls == []
     # Every declaration hit: none is left in the previous generation.
     assert surface._DECLS.previous and not any(surface._DECLS.previous.values())
+
+
+def test_report_calls_every_corpus_and_impact_traced_name(monkeypatch, planted_root, tmp_path):
+    """`report` on the planted corpus calls each corpus- and impact-side name
+    the traced run wraps, so none is left imported but dead with a span that
+    reads 0. The one exception, `impact.parse_manifest`, names a client that
+    comes with no id, which only the `impact` command does."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    calls = Counter()
+
+    def spy_on(real, name):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return spy
+
+    names = set()
+    for namespace, attr, _span, _count in tracing.PATCHES:
+        if namespace in (corpus, impact):
+            name = f"{namespace.__name__}.{attr}"
+            names.add(name)
+            monkeypatch.setattr(namespace, attr, spy_on(getattr(namespace, attr), name))
+    analysis = corpus.analyze_corpus(planted_root)
+    corpus.write_reports(analysis, tmp_path)
+    assert set(calls) == names - {"semverdiff.impact.parse_manifest"}
+
+    calls.clear()
+    impact.analyze_impact([r for u in analysis.upgrades for r in u.records], [planted_root / "clientB" / "v1.0.0"])
+    assert calls["semverdiff.impact.parse_manifest"] == 1
