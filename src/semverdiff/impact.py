@@ -1,7 +1,8 @@
 """Client-side impact analysis for a library's breaking changes.
 
-A client checkout is walked, read and import-bound once (ClientCheckout),
-and every breaking upgrade it is scanned for is matched against that read.
+A client checkout is walked (by surface.walk_go_files, the walker surface
+extraction uses too), read and import-bound once (ClientCheckout), and
+every breaking upgrade it is scanned for is matched against that read.
 Files whose imports are disjoint from the breaking packages are skipped
 without being scanned. In each surviving file, selectors (alias.Name,
 x.Method) are found once, on the file's first match, in the source text
@@ -11,16 +12,17 @@ breaking package is dot-imported, and only those with the name of a node of
 such a package or of its receiver. Through the file's import bindings, each
 match becomes one reference (package, name, line, label), and one lookup per
 reference finds its breaking node. No tokens are built, and no copy of the text is made:
-find_selectors and bare_identifiers match the lexer's sub-patterns, _in_code
-confirms that each candidate lies outside every literal, and one rule,
-_identifier, finds the identifier that ends a word for both scans: the lexer
-lexes only the few words that may hold a number.
+find_selectors and bare_identifiers match the lexer's sub-patterns; one
+resumed match skips the code and literals up to each "." find_selectors
+takes, _in_code confirms that each candidate of the bare scan lies outside
+every literal, and one rule, _identifier, finds the identifier that ends a
+word for both scans: the lexer lexes only the few words that may hold a
+number.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -33,6 +35,7 @@ from .lexer import (
     _COMMENT_LINE,
     _IDENT,
     _IDENT_RE,
+    _LITERAL,
     _LITERAL_RE,
     _RUNE,
     _STRING,
@@ -42,7 +45,7 @@ from .lexer import (
 )
 from .manifest import MANIFEST_NAME, MalformedManifest, parse_manifest
 from .parser import parse_imports
-from .surface import ApiSurface, ParseFailure, go_build_ignores
+from .surface import ApiSurface, ParseFailure, walk_go_files
 
 logger = logging.getLogger(__name__)
 
@@ -158,8 +161,13 @@ _CODE_RE = re.compile(rf"(?:[^\"'`/]++|{_NOT_CODE})*+")
 # alternative comes last: before the "/" alternatives, Python 3.11's sre
 # raises SystemError on the group's span when a match ends at "/".
 _LAST_WORD_RE = re.compile(rf"(?:[^\w\"'`/]++|{_NOT_CODE}|(\w++))*+")
-# A "." followed by blanks and a name, or by a comment, which may hide one.
-_DOT_RE = re.compile(rf"\.(?=[ \t\r\n]*+(?:({_IDENT})|/[/*]))")
+# Code and literals up to the next "." followed by blanks and a name, which
+# is captured, or by a comment, which may hide one. A quote or "/" that starts
+# no literal, which only text the lexer rejects holds, is code.
+_NEXT_DOT_RE = re.compile(
+    rf"(?:[^\"'`/.]++|{_LITERAL}|\.(?![ \t\r\n]*+(?:[^\W\d]|/[/*]))|[\"'`/])*+"
+    rf"\.(?=[ \t\r\n]*+(?:({_IDENT})|/[/*]))"
+)
 # Blanks and comments, then the name they may hide.
 _NAME_AFTER_RE = re.compile(rf"(?:[ \t\r\n]++|{_COMMENT_LINE}|{_COMMENT_BLOCK})*+({_IDENT})?")
 # What may stand between a selector's base and its ".": blanks and block
@@ -240,11 +248,13 @@ def find_selectors(text: str) -> Selectors:
     """The selectors (base.member) of Go source the lexer accepts, found in
     the text itself, with the semicolon-insertion rule kept.
 
-    A candidate is each "." followed by blanks or comments and a name that
-    _in_code confirms to lie outside every literal. Its base is the
-    identifier (see _identifier) that ends the word just before it, past
-    blanks and block comments without a newline; only where a comment stands
-    there is the code since the last "." parsed again to find the word.
+    A candidate is each "." outside every literal that is followed by
+    blanks or comments and a name: one match of _NEXT_DOT_RE, resumed past
+    the last candidate, skips the code and literals up to the next one. Its
+    base is the identifier (see _identifier) that ends the word just before
+    it, past blanks and block comments without a newline; only where a
+    comment stands there is the code since the last candidate parsed again
+    to find the word.
     """
     selectors = Selectors()
     selectors.text = text
@@ -252,9 +262,12 @@ def find_selectors(text: str) -> Selectors:
     numbers = selectors.number_dots = set()
     lexer = _Lexer(text)
     line, counted = 1, 0
-    last = 0  # the last "." outside literals
-    for m in _in_code(_DOT_RE, text):
-        dot = m.start()
+    last = 0  # the last candidate
+    next_dot = _NEXT_DOT_RE.match
+    pos = 0
+    while m := next_dot(text, pos):
+        pos = m.end()
+        dot = pos - 1
         member = m.group(1)
         if member is not None:
             at = m.start(1)
@@ -342,25 +355,21 @@ def read_client(root: Path) -> Iterator[ClientFile]:
     """Each .go file of a client checkout in walk order, read and bound; a
     file that fails is logged and given without a binding.
 
-    As go build does, the walk leaves out vendor/ and testdata/ directories,
-    and the directories and files whose names start with "." or "_";
-    _test.go files are read.
+    The walk (see walk_go_files) leaves out what go build leaves out:
+    vendor/ and testdata/ directories, and the directories and files whose
+    names start with "." or "_"; _test.go files are read.
     """
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = sorted(d for d in dirnames if not go_build_ignores(d))
-        for fn in sorted(filenames):
-            if not fn.endswith(".go") or go_build_ignores(fn):
-                continue
-            path = Path(dirpath) / fn
-            rel_file = path.relative_to(root).as_posix()
-            try:
-                text = path.read_text(encoding="utf-8")
-                binding = bind_imports(text, rel_file)
-            except (OSError, UnicodeDecodeError, ParseFailure) as exc:
-                logger.warning("skipping client file %s: %s", path, exc)
-                yield ClientFile(rel_file)
-            else:
-                yield ClientFile(rel_file, text, binding)
+    for _rel_dir, rel_file, path in walk_go_files(root):
+        try:
+            with open(path, encoding="utf-8") as source:
+                text = source.read()
+            binding = bind_imports(text, rel_file)
+        except (OSError, UnicodeDecodeError, ParseFailure) as exc:
+            # Named as os.walk's Path(dirpath) / name named it, "./" dropped.
+            logger.warning("skipping client file %s: %s", Path(path), exc)
+            yield ClientFile(rel_file)
+        else:
+            yield ClientFile(rel_file, text, binding)
 
 
 @dataclass

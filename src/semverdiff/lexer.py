@@ -46,13 +46,16 @@ GO_KEYWORDS = frozenset(
 
 
 # Sub-patterns the token, body and scan regexes share: inside the first
-# five a brace is text, not a bracket. A string is unrolled and possessive,
-# so sre keeps no backtracking state for its characters or escapes. A string
+# five a brace is text, not a bracket. A block comment and a string are
+# unrolled and possessive, so sre keeps no backtracking state for their
+# characters or escapes: a block comment takes each run of characters other
+# than "*" with one class and each run of "*" with another, where a lazy
+# (?s:.*?)\*/ would try "*/" at every character. A string
 # and a rune take only the escapes Go defines, each with its own quote, and a
 # rune holds one character or escape. A \u or \U escape must name a Unicode
 # code point: at most 10FFFF, and no surrogate (D800 to DFFF).
 _COMMENT_LINE = r"//[^\n]*"
-_COMMENT_BLOCK = r"/\*(?s:.*?)\*/"
+_COMMENT_BLOCK = r"/\*[^*]*+\*++(?:[^/*][^*]*+\*++)*+/"
 _RAW_STRING = r"`[^`]*`"
 _ESCAPE = (
     r"\\(?:[abfnrtv\\%s]|[0-3][0-7]{2}|x[0-9a-fA-F]{2}|u(?![dD][89a-fA-F])[0-9a-fA-F]{4}"
@@ -82,15 +85,16 @@ _OPERATORS = (
 _PUNCTUATION = "( ) [ ] { } , ;".split()
 
 # One token after blanks and at most one line comment: a bracket, "," or ";",
-# an identifier, a newline, a block comment, a literal, a number or an
-# operator; a comment is tried before "/" and a number before ".". An ASCII
+# an ASCII identifier, a newline, any other identifier, a block comment, a
+# literal, a number or an operator; a comment is tried before "/" and a number before ".". The
+# blanks are taken possessively: no token starts with one. An ASCII
 # identifier that no non-ASCII character follows is matched with an explicit
 # class, which sre tests faster than \w, and any other by _IDENT. Where only
 # blanks or a line comment are left before the end of the text scanned, the
 # group matches "".
 _TOKEN_RE = re.compile(
-    rf"[ \t\r]*(?:{_COMMENT_LINE})?([{re.escape(''.join(_PUNCTUATION))}]|[A-Za-z_][0-9A-Za-z_]*+(?![^\x00-\x7f])"
-    rf"|{_IDENT}|\n|{_COMMENT_BLOCK}|{_RAW_STRING}|{_STRING}|{_RUNE}|{_NUMBER}"
+    rf"[ \t\r]*+(?:{_COMMENT_LINE})?([{re.escape(''.join(_PUNCTUATION))}]|[A-Za-z_][0-9A-Za-z_]*+(?![^\x00-\x7f])"
+    rf"|\n|{_IDENT}|{_COMMENT_BLOCK}|{_RAW_STRING}|{_STRING}|{_RUNE}|{_NUMBER}"
     rf"|{'|'.join(re.escape(op) for op in _OPERATORS if op not in _PUNCTUATION)}|\Z)"
 )
 _IDENT_RE = re.compile(_IDENT)
@@ -120,7 +124,9 @@ _RUN_CHARS = r" \t\r\n+\-*%&|^<>=!:;,.()\[\]~"
 # times as long with the class negated, and with \x80-\U0010ffff in the class
 # it took about 10 ms longer to compile (2 vCPU x86_64, Python 3.11). Their
 # repeats are possessive, so sre keeps no backtracking state for them and one
-# match may run over a whole file.
+# match may run over a whole file. A block comment is an alternative of its
+# own, unrolled (see _COMMENT_BLOCK): it never backtracks, and one cut by the
+# limit fails to match, so the match ends at its "/*" as at a cut raw string.
 _BODY_RUN = rf"[0-9A-Za-z_{_RUN_CHARS}]++|{_LITERAL}|/(?!\*)|[^\x00-\x7f]++"
 _BODY_RE = re.compile(rf"(?:{_BODY_RUN})*+")
 _LITERAL_RE = re.compile(_LITERAL)
@@ -171,8 +177,10 @@ _DECL_KEYWORDS = frozenset({"const", "import", "package", "type", "var"})
 # Keywords that start every top-level declaration after the imports.
 _HEADER_END_KEYWORDS = frozenset({"const", "func", "type", "var"})
 # A candidate cut between top-level declarations: a newline followed by one
-# of those keywords at column 0.
-_CUT_RE = re.compile(rf"\n(?=(?:{'|'.join(sorted(_HEADER_END_KEYWORDS))})\b)")
+# of those keywords at column 0. The match takes the keyword rather than
+# looking ahead at it, which sre searches faster; the cut is just after the
+# newline (see _next_cut).
+_CUT_RE = re.compile(rf"\n(?:{'|'.join(sorted(_HEADER_END_KEYWORDS))})\b")
 # The tokens after which a newline inserts no semicolon: all operators and
 # keywords but these. After an identifier or a literal, it does.
 _SEMI_AFTER = frozenset({")", "]", "}", "++", "--", "break", "continue", "fallthrough", "return"})
@@ -330,7 +338,7 @@ def _lex(text: str, pos: int, cut: int) -> tuple[_Tokens, bool]:
 def _next_cut(text: str, pos: int) -> int:
     """The first candidate cut after pos, or the end of the text."""
     m = _CUT_RE.search(text, pos)
-    return m.end() if m else len(text)
+    return m.start() + 1 if m else len(text)
 
 
 def _bracket_error(expected: str, tok: str, line: int) -> GoSyntaxError:

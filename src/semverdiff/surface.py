@@ -1,9 +1,10 @@
 """Exported API surface extraction for one module version.
 
-Walks the module tree, leaving out what go build leaves out (testdata/,
-vendor/, and every directory and file whose name starts with "." or "_", as
-scan_client does too), filtered layout directories and nested modules, and
-following no directory symlink. It parses every non-test .go file at
+Walks the module tree with walk_go_files, the one walker, which the client
+scan uses too: it leaves out what go build leaves out (testdata/, vendor/,
+and every directory and file whose name starts with "." or "_") and follows
+no directory symlink, and extraction prunes filtered layout directories and
+nested modules besides. It parses every non-test .go file at
 declaration level and keeps the exported objects, the first declaration of
 each key in file and source order: top-level names, methods of exported
 named types, and the structural types behind them. A declaration unchanged
@@ -30,7 +31,8 @@ import logging
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from operator import attrgetter
+from typing import Callable, Iterator
 
 from .gotypes import is_exported, render_type_expr, render_type_params, type_to_structure
 from .lexer import GoSyntaxError
@@ -86,6 +88,46 @@ def go_build_ignores(name: str) -> bool:
     return name[0] in "._" or name in ("testdata", "vendor")
 
 
+def walk_go_files(
+    root: str | os.PathLike[str], prune: Callable[[str, str], bool] | None = None
+) -> Iterator[tuple[str, str, str]]:
+    """(rel_dir, rel_file, path) of each .go file under root, in os.walk's
+    top-down order: a directory's files by name, then each of its
+    subdirectories by name. rel_dir is "." at the root, and path is root
+    joined with rel_file.
+
+    What go_build_ignores names is left out, and so is every directory for
+    which prune(rel_dir, path) is true. A symlink to a directory is not
+    followed; any other entry that is no directory, a broken symlink
+    included, is a file. A directory that cannot be listed is skipped, as
+    os.walk skips it. No Path is built.
+    """
+    stack = [(".", os.fspath(root))]
+    while stack:
+        rel_dir, dir_path = stack.pop()
+        try:
+            with os.scandir(dir_path) as listing:
+                entries = sorted(listing, key=attrgetter("name"))
+        except OSError:
+            continue
+        prefix = "" if rel_dir == "." else f"{rel_dir}/"
+        subdirs = []
+        for entry in entries:
+            name = entry.name
+            if go_build_ignores(name):
+                continue
+            try:
+                is_dir = entry.is_dir()
+            except OSError:  # as os.walk: an entry that cannot be stat'ed is a file
+                is_dir = False
+            if not is_dir:
+                if name.endswith(".go"):
+                    yield rel_dir, prefix + name, entry.path
+            elif not entry.is_symlink() and not (prune is not None and prune(prefix + name, entry.path)):
+                subdirs.append((prefix + name, entry.path))
+        stack += reversed(subdirs)
+
+
 @dataclass
 class PackageSurface:
     import_path: str
@@ -135,34 +177,25 @@ def extract_surface(
     try:
         root = Path(module_root)
         banned = set(extra_excluded_dirs)
-        files: list[tuple[str, Path]] = []
-        for dirpath, dirnames, filenames in os.walk(root):
-            rel = Path(dirpath).relative_to(root).as_posix()
-            keep = []
-            for d in sorted(dirnames):
-                sub_rel = d if rel == "." else f"{rel}/{d}"
-                if go_build_ignores(d) or filter_layout(sub_rel, banned):
-                    continue
-                if (Path(dirpath) / d / "go.mod").is_file():
-                    continue  # nested module
-                keep.append(d)
-            dirnames[:] = keep
-            for fn in sorted(filenames):
-                if fn.endswith(".go") and not fn.endswith("_test.go") and not go_build_ignores(fn):
-                    files.append((rel, Path(dirpath) / fn))
+
+        def prune(rel_dir: str, path: str) -> bool:
+            return filter_layout(rel_dir, banned) or os.path.isfile(os.path.join(path, "go.mod"))  # a nested module
+
+        files = [file for file in walk_go_files(root, prune) if not file[1].endswith("_test.go")]
         if not files:
             raise NoSourceFiles(f"no source files under {root}")
 
         _DECLS.next_generation()  # after the walk, so a tree without sources keeps the memo as it is
         surface = ApiSurface(module_path=module_path, version=version)
         parsed_count = 0
-        for rel_dir, path in files:
-            rel_file = path.name if rel_dir == "." else f"{rel_dir}/{path.name}"
+        for rel_dir, rel_file, path in files:
             pkg_path = _package_path(module_path, rel_dir)
             try:
-                gofile = parse_go_file(path.read_text(encoding="utf-8"), pkg_path, memo=_DECLS)
+                with open(path, encoding="utf-8") as source:
+                    text = source.read()
+                gofile = parse_go_file(text, pkg_path, memo=_DECLS)
             except (OSError, UnicodeDecodeError, GoSyntaxError) as exc:
-                logger.warning("parse failure in %s: %s", rel_file, exc)
+                logger.warning("parse failure in %s: %s", path, exc)
                 surface.parse_failures.append((rel_file, str(exc) or "parse failure"))
                 continue
             parsed_count += 1

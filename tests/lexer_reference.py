@@ -74,6 +74,22 @@ _HOSTILE = (
 # go/scanner, a "/*" that never ends is an error, not the ops "/" and "*".
 
 
+# _COMMENT_BLOCK and _CUT_RE as they were before the block comment was
+# unrolled and the cut regex consumed its keyword, and the literal pattern and
+# _next_cut built on them; the reference patterns below use them.
+_REFERENCE_COMMENT_BLOCK = r"/\*(?s:.*?)\*/"
+_REFERENCE_LITERAL = (
+    f"{lexer_module._COMMENT_LINE}|{_REFERENCE_COMMENT_BLOCK}|{lexer_module._RAW_STRING}"
+    f"|{lexer_module._STRING}|{lexer_module._RUNE}"
+)
+_REFERENCE_CUT_RE = re.compile(rf"\n(?=(?:{'|'.join(sorted(lexer_module._HEADER_END_KEYWORDS))})\b)")
+
+
+def _reference_next_cut(text: str, pos: int) -> int:
+    m = _REFERENCE_CUT_RE.search(text, pos)
+    return m.end() if m else len(text)
+
+
 class _Token(NamedTuple):
     kind: str
     text: str
@@ -85,7 +101,7 @@ _REFERENCE_TOKEN_RE = re.compile(
       (?P<ws>[ \t\r]+)
     | (?P<newline>\n)
     | (?P<comment_line>{lexer_module._COMMENT_LINE})
-    | (?P<comment_block>{lexer_module._COMMENT_BLOCK})
+    | (?P<comment_block>{_REFERENCE_COMMENT_BLOCK})
     | (?P<raw_string>{lexer_module._RAW_STRING})
     | (?P<string>"(?:[^"\\\n]|\\.)*+")
     | (?P<rune>'(?:[^'\\\n]|\\.)*+')
@@ -402,7 +418,7 @@ _HEADER_FRAGMENTS = _HOSTILE + (
 # _LEXABLE_RE as it was while it took every word character, and a text that
 # is not all ASCII was checked in two passes.
 _REFERENCE_LEXABLE_RE = re.compile(
-    rf"(?:[\w \t\r\n+\-*%&|^<>=!:;,.()\[\]{{}}~]++|{lexer_module._LITERAL}|/(?!\*))*+"
+    rf"(?:[\w \t\r\n+\-*%&|^<>=!:;,.()\[\]{{}}~]++|{_REFERENCE_LITERAL}|/(?!\*))*+"
 )
 
 

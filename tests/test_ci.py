@@ -1,6 +1,6 @@
 """The CI workflow's benchmark gate runs every workload the benchmark
-declares, the package's modules keep their layers, and every source file
-compiles without a warning."""
+declares, the package's modules keep their layers and walk trees with one
+walker, and every source file compiles without a warning."""
 
 from __future__ import annotations
 
@@ -48,6 +48,19 @@ def test_module_layers():
     assert {name for name, imported in imports.items() if "impact" in imported} == {"corpus", "cli", "__init__"}
     lines = {path.name: len(path.read_text(encoding="utf-8").splitlines()) for path in modules}
     assert max(lines.values()) <= 1_050, lines
+
+
+def test_one_tree_walker():
+    """No module walks a tree with os.walk: surface.walk_go_files is the one
+    walker, for module surfaces and client checkouts alike."""
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "walk" and isinstance(node.value, ast.Name) and node.value.id == "os":
+                calls.append((path.name, node.lineno))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os" and any(a.name == "walk" for a in node.names):
+                calls.append((path.name, node.lineno))
+    assert calls == []
 
 
 def test_every_source_compiles_without_a_warning():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import logging
 import shutil
 from collections import Counter
 
@@ -219,6 +220,21 @@ class TestValidate:
         entries = ingest_corpus(root)
         validate_corpus(entries)
         assert all(e.is_valid for e in entries)
+
+    def test_a_parse_failure_is_logged_with_the_path_of_its_version(self, tmp_path, caplog):
+        """Two versions' broken.go give two distinct lines, while each
+        surface keeps the file's path relative to its checkout."""
+        root = _mini_corpus(tmp_path)
+        for tag in ("v1.0.0", "v1.1.0"):
+            (root / "mod-b" / tag / "broken.go").write_text("package modb\n\nvar X = @\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger=surface_module.__name__):
+            surfaces = validate_corpus(ingest_corpus(root))
+        assert [r.getMessage() for r in caplog.records] == [
+            f"parse failure in {tmp_path}/corpus/mod-b/v1.0.0/broken.go: line 3: unexpected character '@'",
+            f"parse failure in {tmp_path}/corpus/mod-b/v1.1.0/broken.go: line 3: unexpected character '@'",
+        ]
+        failures = [s.parse_failures for key, s in sorted(surfaces.items()) if key[0] == "example.com/b"]
+        assert failures == [[("broken.go", "line 3: unexpected character '@'")]] * 2
 
 
 class TestGraph:

@@ -13,7 +13,6 @@ import json
 import logging
 from collections import Counter
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -121,12 +120,12 @@ def test_each_client_checkout_is_walked_bound_and_lexed_once(corpus, planted_roo
     lexed: Counter = Counter()
     scans: Counter = Counter()
     looked_for: dict[Path, set[str]] = {}
-    real_walk, real_bind = impact_module.os.walk, impact_module.bind_imports
+    real_walk, real_bind = impact_module.walk_go_files, impact_module.bind_imports
     real_tokenize, real_scan = impact_module.tokenize, impact_module.scan_client
 
-    def walk(top):
+    def walk(top, *args):
         walked.append(Path(top))
-        return real_walk(top)
+        return real_walk(top, *args)
 
     def bind(text, file=""):
         binds[(walked[-1], file)] += 1
@@ -143,7 +142,7 @@ def test_each_client_checkout_is_walked_bound_and_lexed_once(corpus, planted_roo
         looked_for.setdefault(client.root, set()).update(node.package for node in nodes)
         return real_scan(client, nodes, *args, **kwargs)
 
-    monkeypatch.setattr(impact_module, "os", SimpleNamespace(walk=walk))
+    monkeypatch.setattr(impact_module, "walk_go_files", walk)
     monkeypatch.setattr(impact_module, "bind_imports", bind)
     monkeypatch.setattr(impact_module, "tokenize", tokenize)
     monkeypatch.setattr(impact_module, "scan_client", scan)

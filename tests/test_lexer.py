@@ -9,12 +9,14 @@ import re
 import string
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lexer_reference import (
     _HEADER_FRAGMENTS,
     _LEXICAL_PRECEDENCE,
+    _REFERENCE_COMMENT_BLOCK,
     _REFERENCE_LEXABLE_RE,
+    _REFERENCE_LITERAL,
     _SHAPES,
     _SOURCES,
     PKG,
@@ -25,6 +27,7 @@ from lexer_reference import (
     _mutants,
     _outcome,
     _RecordingPattern,
+    _reference_next_cut,
     generated_sources,
 )
 from semverdiff import lexer as lexer_module
@@ -91,12 +94,14 @@ class TestAgainstTheReferenceLexer:
             _assert_check_agrees_with_lexer(src)
 
 
-# _TOKEN_RE as it was before it tried brackets, "," and ";" first and ASCII
-# identifiers through an explicit class; and _ASCII_LEXABLE_RE as it was
+# _TOKEN_RE as it was before it tried brackets, "," and ";" first, ASCII
+# identifiers through an explicit class and a newline before any other
+# identifier, took its leading blanks possessively and unrolled its block
+# comment; and _ASCII_LEXABLE_RE as it was
 # before its word class was spelled out: _LEXABLE_RE (_REFERENCE_LEXABLE_RE,
 # see _reference_lexical_end) under re.ASCII.
 _REFERENCE_TOKEN_PATTERN_RE = re.compile(
-    rf"[ \t\r]*(?:{lexer_module._COMMENT_LINE})?({lexer_module._IDENT}|\n|{lexer_module._COMMENT_BLOCK}"
+    rf"[ \t\r]*(?:{lexer_module._COMMENT_LINE})?({lexer_module._IDENT}|\n|{_REFERENCE_COMMENT_BLOCK}"
     rf"|{lexer_module._RAW_STRING}|{lexer_module._STRING}|{lexer_module._RUNE}|{lexer_module._NUMBER}"
     rf"|{'|'.join(map(re.escape, lexer_module._OPERATORS))}|\Z)"
 )
@@ -204,6 +209,50 @@ class TestTokenPatterns:
         _assert_patterns_as_before(src[:at] + edge + src[at:])
 
 
+# The patterns _COMMENT_BLOCK feeds, each against itself built on the
+# reference block comment: every match ends where it did.
+_BLOCK_COMMENT_USERS = ("_LITERAL_RE", "_TOKEN_RE", "_BODY_RE", "_SKIP_RE", "_ASCII_LEXABLE_RE")
+
+
+class TestUnrolledPatterns:
+    """The unrolled block comment and the cut regex that consumes its keyword
+    against the forms they replaced."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from(["/", "*", "a", "\n", "`", '"', "/*", "*/", "**"]), max_size=10).map("".join))
+    @example("/**/*/")
+    @example("/* a */ b */")
+    @example('"/*" `*/` */')
+    def test_block_comment_matches_end_as_before(self, text):
+        """Over strings of "/", "*", "a", newlines, "`" and '"', drawn in
+        runs that make comment ends likely, from every start, up to the
+        end and up to every limit."""
+        pairs = [(re.compile(lexer_module._COMMENT_BLOCK), re.compile(_REFERENCE_COMMENT_BLOCK))]
+        for name in _BLOCK_COMMENT_USERS:
+            new = getattr(lexer_module, name).pattern
+            assert lexer_module._COMMENT_BLOCK in new, name
+            pairs.append((re.compile(new), re.compile(new.replace(lexer_module._COMMENT_BLOCK, _REFERENCE_COMMENT_BLOCK))))
+        for new, old in pairs:
+            for pos in range(len(text) + 1):
+                for args in [(text, pos)] + [(text, pos, endpos) for endpos in range(pos, len(text))]:
+                    m, ref = new.match(*args), old.match(*args)
+                    assert (m and m.end()) == (ref and ref.end()), (new.pattern[:60], args)
+
+    @pytest.mark.parametrize(
+        "text, cut",
+        [
+            ("\nfuncX", 6),  # no keyword: the text ends
+            ("\nfunc(", 1),
+            ("package p\nvar", 10),  # a keyword at the end of the text
+            ("/*\nfunc */\nconst", 3),  # the cut is blind to comments
+        ],
+    )
+    def test_next_cut_agrees_with_the_lookahead_form(self, text, cut):
+        assert lexer_module._next_cut(text, 0) == cut
+        for pos in range(len(text) + 1):
+            assert lexer_module._next_cut(text, pos) == _reference_next_cut(text, pos), pos
+
+
 
 def _assert_checks_as_before(text: str) -> None:
     """_check_lexable, in one pass, finds the offset, message and line that
@@ -270,7 +319,7 @@ class TestLexableInOnePass:
 
 # _BODY_RE as it was while it scanned only text _check_lexable accepted: a
 # run of any characters that start no literal and are no brace.
-_REFERENCE_BODY_RE = re.compile(rf"(?:[^{{}}\"'`/]++|{lexer_module._LITERAL}|/(?!\*))*+")
+_REFERENCE_BODY_RE = re.compile(rf"(?:[^{{}}\"'`/]++|{_REFERENCE_LITERAL}|/(?!\*))*+")
 
 
 def _reference_skip_body(text: str, pos: int) -> int:
