@@ -355,14 +355,9 @@ def analyze_corpus(root: str | Path, *, include_prerelease: bool = False) -> Cor
     # scan of its clients sorted by key.
     for client_key in sorted(pinned_by):
         client = entry_by_key[client_key]
-        checkout = ClientCheckout(client.checkout_dir)
+        checkout = ClientCheckout(client.checkout_dir, client.module_path, client.version_raw)
         for upgrade in pinned_by[client_key]:
-            result = analyze_impact(
-                upgrade.records,
-                [checkout],
-                old_surface=surfaces[upgrade.from_entry.node_key],
-                client_ids=[(client.module_path, client.version_raw)],
-            )
+            result = analyze_impact(upgrade.records, [checkout], old_surface=surfaces[upgrade.from_entry.node_key])
             upgrade.usages.extend(result.usages)
 
     return CorpusAnalysis(

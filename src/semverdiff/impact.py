@@ -1,8 +1,10 @@
 """Client-side impact analysis for a library's breaking changes.
 
-A client checkout is walked (by surface.walk_go_files, the walker surface
-extraction uses too), read and import-bound once (ClientCheckout), and
-every breaking upgrade it is scanned for is matched against that read.
+A client is scanned as a ClientCheckout, named by its module and version,
+which is walked (by surface.walk_go_files, the walker surface extraction
+uses too), read and import-bound on its first scan; every breaking upgrade
+it is scanned for is matched against that read. analyze_impact makes each
+client given by its root into one, and drops it after its scan.
 Files whose imports are disjoint from the breaking packages are skipped
 without being scanned. In each surviving file, selectors (alias.Name,
 x.Method) are found once, on the file's first match, in the source text
@@ -23,6 +25,7 @@ number.
 from __future__ import annotations
 
 import logging
+import os
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -45,7 +48,7 @@ from .lexer import (
 )
 from .manifest import MANIFEST_NAME, MalformedManifest, parse_manifest
 from .parser import parse_imports
-from .surface import ApiSurface, ParseFailure, walk_go_files
+from .surface import ApiSurface, ParseFailure, read_go_file, walk_go_files
 
 logger = logging.getLogger(__name__)
 
@@ -351,38 +354,30 @@ class ClientFile:
     selectors: Selectors | None = None
 
 
-def read_client(root: Path) -> Iterator[ClientFile]:
-    """Each .go file of a client checkout in walk order, read and bound; a
-    file that fails is logged and given without a binding.
-
-    The walk (see walk_go_files) leaves out what go build leaves out:
-    vendor/ and testdata/ directories, and the directories and files whose
-    names start with "." or "_"; _test.go files are read.
-    """
-    for _rel_dir, rel_file, path in walk_go_files(root):
-        try:
-            with open(path, encoding="utf-8") as source:
-                text = source.read()
-            binding = bind_imports(text, rel_file)
-        except (OSError, UnicodeDecodeError, ParseFailure) as exc:
-            # Named as os.walk's Path(dirpath) / name named it, "./" dropped.
-            logger.warning("skipping client file %s: %s", Path(path), exc)
-            yield ClientFile(rel_file)
-        else:
-            yield ClientFile(rel_file, text, binding)
-
-
 @dataclass
 class ClientCheckout:
-    """A client checkout whose files are read on its first scan and shared by
-    every later one, so the breaking upgrades that pin a client are all
-    matched against one read of it."""
+    """A client checkout, named by its module and version. Its .go files, in
+    walk order (what go build leaves out is left out; _test.go files are
+    read), are read and bound on its first scan and shared by every later
+    one, so the breaking upgrades that pin a client are all matched against
+    one read of it. A file that fails is logged and kept without a binding."""
 
     root: Path
+    module: str = ""
+    version: str | None = None
 
     @cached_property
     def files(self) -> list[ClientFile]:
-        return list(read_client(self.root))
+        files = []
+        for _rel_dir, rel_file, path in walk_go_files(self.root):
+            try:
+                text = read_go_file(path)
+                files.append(ClientFile(rel_file, text, bind_imports(text, rel_file)))
+            except (OSError, UnicodeDecodeError, ParseFailure) as exc:
+                # Named as os.walk's Path(dirpath) / name named it, "./" dropped.
+                logger.warning("skipping client file %s: %s", Path(path), exc)
+                files.append(ClientFile(rel_file))
+        return files
 
 
 def _match_file(
@@ -430,16 +425,12 @@ def _match_file(
 
 
 def scan_client(
-    client_root: str | Path | ClientCheckout,
-    nodes: list[BreakingNode],
-    client_module: str = "",
-    client_version: str | None = None,
-    report: ScanReport | None = None,
+    client: ClientCheckout, nodes: list[BreakingNode], report: ScanReport | None = None
 ) -> list[ClientUsage]:
-    """Find usages of breaking nodes in one client checkout.
+    """Find usages of breaking nodes in one client checkout, each named by
+    the checkout's module and version.
 
-    A checkout given by its root is read file by file (see read_client); a
-    ClientCheckout is read on its first scan and shared by every later one,
+    The checkout is read on its first scan and shared by every later one,
     so a client scanned for several upgrades is walked, read and bound once.
     Stage 1 skips every file whose imported package paths are disjoint from
     the breaking packages; only surviving files are scanned and matched, and
@@ -452,50 +443,47 @@ def scan_client(
     if report is None:
         report = ScanReport()
     usages: list[ClientUsage] = []
-    files = client_root.files if isinstance(client_root, ClientCheckout) else read_client(Path(client_root))
-    for file in files:
+    for file in client.files:
         if file.binding is None:
             report.failed.append(file.rel_file)
         elif file.binding.package_paths.isdisjoint(nodes_by_package):
             report.skipped.append(file.rel_file)
         else:
             report.scanned.append(file.rel_file)
-            usages.extend(_match_file(file, nodes_by_package, client_module, client_version))
+            usages.extend(_match_file(file, nodes_by_package, client.module, client.version))
     return usages
 
 
 def _client_identity(root: Path) -> str:
+    """The module path of the client's go.mod, or else the last element of
+    the root's absolute path, so "." names a directory; no symlink is resolved."""
     manifest_path = root / MANIFEST_NAME
     if manifest_path.is_file():
         try:
             return parse_manifest(manifest_path.read_text(encoding="utf-8")).module_path
         except (OSError, UnicodeDecodeError, MalformedManifest):
             pass
-    return root.name
+    return os.path.basename(os.path.abspath(root))
 
 
 def analyze_impact(
     library_records: list[ChangeRecord],
     clients: list[str | Path | ClientCheckout],
     old_surface: ApiSurface | None = None,
-    client_ids: list[tuple[str, str | None]] | None = None,
 ) -> ImpactResult:
-    """Run the client scan for every client, given by its root or as a
-    ClientCheckout that other scans share, and concatenate the results."""
+    """Run the client scan for every client and concatenate the results. A
+    client given by its root is scanned as a ClientCheckout named by
+    _client_identity, with no version, which is dropped after its scan."""
     nodes = collect_breaking_nodes(library_records, old_surface)
     result = ImpactResult(usages=[], nodes=nodes)
     if not nodes:
         return result
-    for idx, client in enumerate(clients):
-        if client_ids is not None and idx < len(client_ids):
-            module, version = client_ids[idx]
-        else:
-            root = client.root if isinstance(client, ClientCheckout) else Path(client)
-            module, version = _client_identity(root), None
+    for client in clients:
+        if not isinstance(client, ClientCheckout):
+            root = Path(client)
+            client = ClientCheckout(root, _client_identity(root))
         report = ScanReport()
-        result.usages.extend(
-            scan_client(client, nodes, client_module=module, client_version=version, report=report)
-        )
+        result.usages.extend(scan_client(client, nodes, report))
         result.reports.append(report)
     return result
 

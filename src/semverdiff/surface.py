@@ -25,10 +25,12 @@ during an extraction sees the collector paused too.
 
 from __future__ import annotations
 
+import errno
 import gc
 import json
 import logging
 import os
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 from operator import attrgetter
@@ -128,6 +130,16 @@ def walk_go_files(
         stack += reversed(subdirs)
 
 
+def read_go_file(path: str) -> str:
+    """The text of the .go file at path, as open(path, encoding="utf-8")
+    reads it. A path that is not a regular file once symlinks are followed,
+    such as a FIFO or a device, is an OSError and is never opened."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise OSError(errno.EINVAL, "not a regular file", path)
+    with open(path, encoding="utf-8") as source:
+        return source.read()
+
+
 @dataclass
 class PackageSurface:
     import_path: str
@@ -191,9 +203,7 @@ def extract_surface(
         for rel_dir, rel_file, path in files:
             pkg_path = _package_path(module_path, rel_dir)
             try:
-                with open(path, encoding="utf-8") as source:
-                    text = source.read()
-                gofile = parse_go_file(text, pkg_path, memo=_DECLS)
+                gofile = parse_go_file(read_go_file(path), pkg_path, memo=_DECLS)
             except (OSError, UnicodeDecodeError, GoSyntaxError) as exc:
                 logger.warning("parse failure in %s: %s", path, exc)
                 surface.parse_failures.append((rel_file, str(exc) or "parse failure"))

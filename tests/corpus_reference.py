@@ -1,9 +1,9 @@
 """Reference corpus analysis: one impact scan per breaking upgrade.
 
 `analyze_corpus` as it ran before client checkouts were shared: each
-breaking non-major upgrade calls `analyze_impact` on the paths of the
-clients that pin its old version, so each call walks, reads, binds and
-scans those clients again. The tests compare the shared-scan pipeline with
+breaking non-major upgrade calls `analyze_impact` on a new
+`ClientCheckout` of each client that pins its old version, named by its
+entry, so each call walks, reads, binds and scans those clients again. The tests compare the shared-scan pipeline with
 it, usage lists and report files alike.
 """
 
@@ -20,7 +20,7 @@ from semverdiff.corpus import (
     validate_corpus,
 )
 from semverdiff.diff import diff_surfaces
-from semverdiff.impact import analyze_impact
+from semverdiff.impact import ClientCheckout, analyze_impact
 from semverdiff.surface import _drop_declarations
 from semverdiff.versions import NON_MAJOR_LEVELS, UpgradeLevel, classify_upgrade, sort_and_pair
 
@@ -61,9 +61,8 @@ def analyze_corpus(root: str | Path, *, include_prerelease: bool = False) -> Cor
                 if client_entries:
                     usages = analyze_impact(
                         records,
-                        [e.checkout_dir for e in client_entries],
+                        [ClientCheckout(e.checkout_dir, e.module_path, e.version_raw) for e in client_entries],
                         old_surface=old_surface,
-                        client_ids=[(e.module_path, e.version_raw) for e in client_entries],
                     ).usages
             upgrades.append(UpgradeAnalysis(module_path, from_entry, to_entry, level, records, usages))
 

@@ -32,7 +32,7 @@ from semverdiff.diff import (
     diff_surfaces,
     records_to_text,
 )
-from semverdiff.impact import ScanReport, analyze_impact, collect_breaking_nodes, scan_client
+from semverdiff.impact import ClientCheckout, ScanReport, analyze_impact, collect_breaking_nodes, scan_client
 from semverdiff.surface import FILTERED_LAYOUT_DIRS, extract_surface
 from semverdiff.versions import (
     SemanticVersion,
@@ -272,7 +272,7 @@ def test_impact_oracle_equivalence(tmp_path, monkeypatch):
     monkeypatch.setattr(impact_module, "tokenize", spy)
     for name in impact_fx.SKIPPED_CLIENTS:
         report = ScanReport()
-        assert scan_client(client_roots[name], nodes, report=report) == []
+        assert scan_client(ClientCheckout(client_roots[name]), nodes, report=report) == []
         assert report.scanned == []
         assert report.skipped == ["main.go"]
     assert calls == []

@@ -1,6 +1,7 @@
 """The CI workflow's benchmark gate runs every workload the benchmark
-declares, the package's modules keep their layers and walk trees with one
-walker, and every source file compiles without a warning."""
+declares, the package's modules keep their layers, walk trees with one
+walker and read files with one reader, and every source file compiles
+without a warning."""
 
 from __future__ import annotations
 
@@ -61,6 +62,41 @@ def test_one_tree_walker():
             elif isinstance(node, ast.ImportFrom) and node.module == "os" and any(a.name == "walk" for a in node.names):
                 calls.append((path.name, node.lineno))
     assert calls == []
+
+
+def _file_openers(tree: ast.AST) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each reference to the builtin open, or
+    to open in io, builtins, os or codecs, in a module's tree."""
+    found = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Name) and node.id == "open":
+            found.append((function, node.lineno))
+        elif isinstance(node, ast.Attribute) and node.attr == "open" and isinstance(node.value, ast.Name):
+            if node.value.id in ("io", "builtins", "os", "codecs"):
+                found.append((function, node.lineno))
+        elif isinstance(node, ast.ImportFrom) and any(a.name == "open" for a in node.names):
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_one_file_reader():
+    """No module opens a file with the builtin open but surface.read_go_file,
+    the one reader of .go files, which refuses what is not a regular file.
+    Path.open, which the report writers call, is a method, and is allowed."""
+    openers = {
+        path.name: [function for function, _line in _file_openers(ast.parse(path.read_text(encoding="utf-8")))]
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: functions for name, functions in openers.items() if functions} == {"surface.py": ["read_go_file"]}
+    assert _file_openers(ast.parse("def f(p):\n    p.open('w')\n")) == []
+    assert _file_openers(ast.parse("import io\ndef g(p):\n    return io.open(p)\nh = open\n")) == [("g", 3), ("<module>", 4)]
 
 
 def test_every_source_compiles_without_a_warning():

@@ -330,6 +330,23 @@ class TestImpact:
         assert code == 1
         assert out == "example.com/client-default main.go:6 brklib.OldThing (Function/Remove)\n"
 
+    @pytest.mark.parametrize("cwd, given", [("app-dir", "."), ("app-dir/sub", "..")])
+    def test_a_client_given_as_a_relative_directory_without_go_mod_is_named_by_it(
+        self, impact_layout, tmp_path, monkeypatch, capsys, cwd, given
+    ):
+        lib_root, _clients = impact_layout
+        write_tree(tmp_path / "app-dir", {"main.go": fx.CLIENTS["client-default"]["main.go"], "sub/notes.txt": ""})
+        monkeypatch.chdir(tmp_path / cwd)
+        args = ["impact", "--library", str(lib_root), "--upgrade", "v1.0.0..v1.1.0", "--clients", given]
+        code, out, _ = run_cli(args, capsys)
+        assert (code, out) == (
+            1,
+            '{"client": "app-dir", "file": "main.go", "line": 6, "name": "brklib.OldThing", '
+            '"package": "example.com/brklib", "condition": "Remove"}\n',
+        )
+        code, out, _ = run_cli(args + ["--format", "text"], capsys)
+        assert (code, out) == (1, "app-dir main.go:6 brklib.OldThing (Function/Remove)\n")
+
     def test_missing_version_checkout_is_usage_error(self, impact_layout, capsys):
         lib_root, clients = impact_layout
         args = ["impact", "--library", str(lib_root), "--upgrade", "v1.0.0..v1.2.0"]

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import importlib
+import logging
 import math
 import re
 import time
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from lexer_reference import _HOSTILE, _SOURCES, _mutants, _reference_tokens
 from semverdiff.diff import ChangeRecord, diff_surfaces
 from semverdiff.impact import (
     BreakingNode,
+    ClientCheckout,
     ClientFile,
     ClientUsage,
     ImportBinding,
@@ -171,7 +174,7 @@ class TestScanClient:
         records = diff_surfaces(old, new)
         nodes = collect_breaking_nodes(records, old_surface=old)
         for name, root in client_roots.items():
-            usages = scan_client(root, nodes, client_module=name)
+            usages = scan_client(ClientCheckout(root, name), nodes)
             got = sorted((u.file, u.line, u.qualified_name, u.node.key) for u in usages)
             assert got == textual_search_oracle(root, nodes), name
 
@@ -179,7 +182,7 @@ class TestScanClient:
         old, new = library_pair
         nodes = collect_breaking_nodes(diff_surfaces(old, new), old_surface=old)
         report = ScanReport()
-        usages = scan_client(client_roots["client-none"], nodes, report=report)
+        usages = scan_client(ClientCheckout(client_roots["client-none"]), nodes, report=report)
         assert usages == []
         assert report.scanned == []
         assert report.skipped == ["main.go"]
@@ -188,7 +191,7 @@ class TestScanClient:
         old, new = library_pair
         nodes = collect_breaking_nodes(diff_surfaces(old, new), old_surface=old)
         report = ScanReport()
-        assert scan_client(client_roots["client-blank"], nodes, report=report) == []
+        assert scan_client(ClientCheckout(client_roots["client-blank"]), nodes, report=report) == []
         assert report.skipped == ["main.go"]
 
     def test_skipped_files_never_tokenized(self, library_pair, client_roots, monkeypatch):
@@ -203,9 +206,9 @@ class TestScanClient:
 
         monkeypatch.setattr(impact_module, "tokenize", spy)
         for name in fx.SKIPPED_CLIENTS:
-            scan_client(client_roots[name], nodes)
+            scan_client(ClientCheckout(client_roots[name]), nodes)
         assert calls == []
-        scan_client(client_roots["client-default"], nodes)
+        scan_client(ClientCheckout(client_roots["client-default"]), nodes)
         assert len(calls) == 1
 
     def test_file_with_lexing_error_is_neither_scanned_nor_skipped(self, tmp_path, library_pair):
@@ -216,7 +219,7 @@ class TestScanClient:
             {"bad.go": _BODY_LEXING_ERROR, "good.go": fx.CLIENTS["client-default"]["main.go"]},
         )
         report = ScanReport()
-        usages = scan_client(root, nodes, report=report)
+        usages = scan_client(ClientCheckout(root), nodes, report=report)
         assert report.scanned == ["good.go"]
         assert report.skipped == []
         assert report.failed == ["bad.go"]
@@ -227,7 +230,7 @@ class TestScanClient:
         src = 'package main\n\nimport "example.com/brklib"\n\nfunc main() {\n\tbrklib.OldThing()\n}\n'
         root = write_tree(tmp_path / "client", {"c.go": src, "testdata/t.go": src, "vendor/x/x.go": src})
         report = ScanReport()
-        (usage,) = scan_client(root, nodes, report=report)
+        (usage,) = scan_client(ClientCheckout(root), nodes, report=report)
         assert (usage.file, usage.line, usage.qualified_name) == ("c.go", 6, "brklib.OldThing")
         assert (report.scanned, report.skipped, report.failed) == (["c.go"], [], [])
 
@@ -237,7 +240,7 @@ class TestScanClient:
         files = {"c.go": src, "_x.go": src, ".y.go": src, "_old/o.go": src, ".hidden/h.go": src}
         root = write_tree(tmp_path / "client", files)
         report = ScanReport()
-        (usage,) = scan_client(root, nodes, report=report)
+        (usage,) = scan_client(ClientCheckout(root), nodes, report=report)
         assert (usage.file, usage.line, usage.qualified_name) == ("c.go", 6, "brklib.OldThing")
         assert (report.scanned, report.skipped, report.failed) == (["c.go"], [], [])
 
@@ -249,7 +252,7 @@ class TestScanClient:
         symlink_or_skip("..", root / "a" / "up", directory=True)
         symlink_or_skip("../elsewhere/x.go", root / "link.go")
         report = ScanReport()
-        usages = scan_client(root, nodes, report=report)
+        usages = scan_client(ClientCheckout(root), nodes, report=report)
         assert [(u.file, u.line) for u in usages] == [("c.go", 6), ("link.go", 6), ("a/a.go", 6)]
         assert (report.scanned, report.skipped, report.failed) == (["c.go", "link.go", "a/a.go"], [], [])
 
@@ -257,7 +260,7 @@ class TestScanClient:
         old, new = library_pair
         nodes = collect_breaking_nodes(diff_surfaces(old, new), old_surface=old)
         report = ScanReport()
-        assert scan_client(client_roots["client-unaffected"], nodes, report=report) == []
+        assert scan_client(ClientCheckout(client_roots["client-unaffected"]), nodes, report=report) == []
         assert report.scanned == ["main.go"]
 
     def test_method_node_requires_type_witness(self, tmp_path, library_pair):
@@ -292,15 +295,15 @@ class TestScanClient:
                 )
             },
         )
-        (usage,) = scan_client(with_witness, nodes)
+        (usage,) = scan_client(ClientCheckout(with_witness), nodes)
         assert usage.qualified_name == "brklib.Conn.Close"
         assert usage.line == 7
-        assert scan_client(without_witness, nodes) == []
+        assert scan_client(ClientCheckout(without_witness), nodes) == []
 
     def test_usage_lines_are_accurate(self, library_pair, client_roots):
         old, new = library_pair
         nodes = collect_breaking_nodes(diff_surfaces(old, new), old_surface=old)
-        (usage,) = scan_client(client_roots["client-aliased"], nodes)
+        (usage,) = scan_client(ClientCheckout(client_roots["client-aliased"]), nodes)
         assert usage.file == "main.go"
         assert usage.line == 6
         assert usage.qualified_name == "bl.DoWork"
@@ -332,6 +335,75 @@ class TestAnalyzeImpact:
         assert [(u.client_module, u.client_version, u.qualified_name) for u in result.usages] == [
             ("app-dir", None, "brklib.OldThing")
         ]
+
+    def test_each_client_given_by_its_root_is_dropped_before_the_next_is_walked(
+        self, library_pair, client_roots, monkeypatch
+    ):
+        old, new = library_pair
+        made: list[weakref.ref] = []
+        alive_at_walks: list[list[bool]] = []
+        real_walk = impact_module.walk_go_files
+
+        class Tracked(ClientCheckout):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(weakref.ref(self))
+
+        def walk(top, *args):
+            alive_at_walks.append([ref() is not None for ref in made])
+            return real_walk(top, *args)
+
+        monkeypatch.setattr(impact_module, "ClientCheckout", Tracked)
+        monkeypatch.setattr(impact_module, "walk_go_files", walk)
+        roots = [client_roots[n] for n in sorted(fx.CLIENTS)]
+        result = analyze_impact(diff_surfaces(old, new), roots, old_surface=old)
+        assert alive_at_walks == [[False] * k + [True] for k in range(len(roots))]
+        assert len(result.usages) == 3
+
+    @staticmethod
+    def _scan_as_given(records, clients, old_surface, caplog) -> tuple[list, list, list[str]]:
+        """Usages, scan reports and client log lines of one analyze_impact call."""
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger=impact_module.__name__):
+            result = analyze_impact(records, clients, old_surface=old_surface)
+        return result.usages, result.reports, [r.getMessage() for r in caplog.records]
+
+    def test_roots_scan_as_checkouts_named_by_hand(self, library_pair, client_roots, tmp_path, caplog):
+        old, new = library_pair
+        records = diff_surfaces(old, new)
+        broken = write_tree(
+            tmp_path / "client-broken",
+            {"bad.go": _BODY_LEXING_ERROR, "good.go": fx.CLIENTS["client-default"]["main.go"]},
+        )
+        names = sorted(fx.CLIENTS)
+        roots = [client_roots[n] for n in names] + [broken]
+        checkouts = [ClientCheckout(client_roots[n], f"example.com/{n}") for n in names]
+        checkouts.append(ClientCheckout(broken, "client-broken"))
+        given_roots = self._scan_as_given(records, roots, old, caplog)
+        assert given_roots == self._scan_as_given(records, checkouts, old, caplog)
+        usages, reports, lines = given_roots
+        assert [(u.client_module, u.file, u.qualified_name) for u in usages][-1] == ("client-broken", "good.go", "brklib.OldThing")
+        assert reports[-1] == ScanReport(scanned=["good.go"], failed=["bad.go"])
+        assert lines == [f"skipping client file {broken / 'bad.go'}: bad.go: line 6: unexpected character '@'"]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_generated_roots_scan_as_checkouts_named_by_hand(self, seed, tmp_path, monkeypatch, caplog):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        gen = importlib.import_module("gen")
+        truth = gen.generate("impact-clients", seed, tmp_path)
+        found = 0
+        for op in truth["ops"]:
+            module = (tmp_path / op["lib_old"] / "go.mod").read_text(encoding="utf-8").split()[1]
+            old = extract_surface(tmp_path / op["lib_old"], module, parse_version(op["from"]))
+            records = diff_surfaces(old, extract_surface(tmp_path / op["lib_new"], module, parse_version(op["to"])))
+            roots = [tmp_path / client for client in op["clients"]]
+            checkouts = [
+                ClientCheckout(root, (root / "go.mod").read_text(encoding="utf-8").split()[1]) for root in roots
+            ]
+            given_roots = self._scan_as_given(records, roots, old, caplog)
+            assert given_roots == self._scan_as_given(records, checkouts, old, caplog)
+            found += len(given_roots[0])
+        assert found == sum(len(op["usages"]) for op in truth["ops"]) > 0
 
     def test_zero_breaking_records(self, client_roots):
         result = analyze_impact([], [client_roots["client-default"]])

@@ -2,22 +2,28 @@
 (walk_reference): on trees with what go build ignores, filtered layout
 directories, a nested module, test files and symlinks, extract_surface and
 the client scan walk the same files in the same order and give the same
-surfaces, scan reports, usages and client log lines."""
+surfaces, scan reports, usages and client log lines. The one file reader
+(read_go_file) reads regular files, through symlinks too, and refuses FIFOs
+and devices without opening them."""
 
 from __future__ import annotations
 
+import json
 import logging
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import semverdiff
 import semverdiff.surface as surface_module
 import walk_reference as reference
 from conftest import write_tree
 from semverdiff.diff import ChangeRecord
-from semverdiff.impact import BreakingNode, ClientCheckout, ScanReport, read_client, scan_client
-from semverdiff.surface import NoSourceFiles, extract_surface, surface_to_dict, walk_go_files
+from semverdiff.impact import BreakingNode, ClientCheckout, ScanReport, scan_client
+from semverdiff.surface import NoSourceFiles, extract_surface, read_go_file, surface_to_dict, walk_go_files
 
 MOD = "example.com/m"
 EXTRA = ("extra",)
@@ -112,7 +118,7 @@ def _nodes() -> list[BreakingNode]:
 def test_client_walk_scan_and_log_as_before(tree, tmp_path, caplog):
     root = _tree(tmp_path, tree)
     with caplog.at_level(logging.WARNING, logger="semverdiff.impact"):
-        got = list(read_client(root))
+        got = ClientCheckout(root).files
         got_lines = [r.getMessage() for r in caplog.records]
         caplog.clear()
         want = list(reference.read_client(root))
@@ -123,10 +129,10 @@ def test_client_walk_scan_and_log_as_before(tree, tmp_path, caplog):
 
     reports, usages = [], []
     for files in (got, want):
-        checkout = ClientCheckout(root)
+        checkout = ClientCheckout(root, "example.com/c")
         checkout.files = files  # the read to share, as the checkout's first scan would keep it
         reports.append(ScanReport())
-        usages.append(scan_client(checkout, _nodes(), "example.com/c", None, reports[-1]))
+        usages.append(scan_client(checkout, _nodes(), reports[-1]))
     assert reports[0] == reports[1] and usages[0] == usages[1]
     assert usages[0] and reports[0].scanned
 
@@ -136,7 +142,7 @@ def test_what_each_walk_finds_in_the_trees(tmp_path):
     roots = {name: _tree(tmp_path / str(i), name) for i, name in enumerate(sorted(TREES))}
     assert [f for _d, f, _p in walk_go_files(roots["symlinks"])] == ["a.go", "link.go", "real/r.go"]
     failed = ScanReport()
-    scan_client(roots["broken symlinks and loops"], _nodes(), report=failed)
+    scan_client(ClientCheckout(roots["broken symlinks and loops"]), _nodes(), report=failed)
     assert failed.failed == ["dangling.go", "loop.go"] and failed.scanned == ["a.go", "sub/s.go"]
     surface = extract_surface(roots["layout and nested module"], MOD, extra_excluded_dirs=EXTRA)
     assert set(surface.packages) == {MOD, f"{MOD}/pkg"}
@@ -152,3 +158,77 @@ def test_a_root_that_cannot_be_listed_yields_nothing(tmp_path):
     assert list(walk_go_files(tmp_path / "missing")) == []
     with pytest.raises(NoSourceFiles):
         extract_surface(tmp_path / "missing", MOD)
+
+
+def test_read_go_file_follows_symlinks_to_regular_files_only(tmp_path):
+    write_tree(tmp_path, {"a.go": "package a\r\n"})
+    os.symlink(tmp_path / "a.go", tmp_path / "link.go")
+    os.symlink(tmp_path / "missing.go", tmp_path / "dangling.go")
+    os.symlink(os.devnull, tmp_path / "null.go")
+    assert read_go_file(str(tmp_path / "link.go")) == "package a\n"  # newlines translated, as open() reads
+    with pytest.raises(FileNotFoundError):
+        read_go_file(str(tmp_path / "dangling.go"))
+    null = str(tmp_path / "null.go")
+    with pytest.raises(OSError) as refused:
+        read_go_file(null)
+    assert str(refused.value) == f"[Errno 22] not a regular file: '{null}'"
+
+
+# Extracts the surface of argv[1] and scans the client argv[2]; the log lines
+# go to stderr, one message a line.
+_READ_SPECIAL_FILES = """
+import json, sys
+from semverdiff.diff import ChangeRecord
+from semverdiff.impact import BreakingNode, ClientCheckout, ScanReport, scan_client
+from semverdiff.surface import extract_surface
+
+surface = extract_surface(sys.argv[1], "example.com/m")
+record = ChangeRecord("example.com/lib", "v1.0.0", "v1.1.0", "example.com/lib", "Old", "Function", "Remove", True, "")
+report = ScanReport()
+usages = scan_client(ClientCheckout(sys.argv[2]), [BreakingNode("example.com/lib", "Old", "Function", "Remove", record)], report)
+print(json.dumps({
+    "objects": {path: sorted(pkg.objects) for path, pkg in surface.packages.items()},
+    "parse_failures": surface.parse_failures,
+    "report": [report.scanned, report.skipped, report.failed],
+    "usages": [(u.file, u.line) for u in usages],
+}))
+"""
+
+
+def test_fifos_and_devices_are_refused_under_a_module_and_a_client(tmp_path):
+    """A FIFO, a symlink to it and a symlink to the null device, each named
+    x.go, are failures of their surface and their client, logged as any
+    unreadable file is. They run in a process of their own, which a timeout
+    stops if a FIFO is opened: the open would block for ever."""
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("no FIFOs on this platform")
+    roots = {}
+    for kind in ("module", "client"):
+        root = roots[kind] = write_tree(tmp_path / kind, {"a.go": _code("A")})
+        os.mkfifo(root / "b.go")
+        os.symlink(root / "b.go", root / "c.go")
+        os.symlink(os.devnull, root / "null.go")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(semverdiff.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    command = [sys.executable, "-c", _READ_SPECIAL_FILES, str(roots["module"]), str(roots["client"])]
+    proc = subprocess.run(command, capture_output=True, text=True, env=env, timeout=60, check=True)
+
+    mod, client = roots["module"], roots["client"]
+    assert json.loads(proc.stdout) == {
+        "objects": {"example.com/m": ["A"]},
+        "parse_failures": [
+            ["b.go", f"[Errno 22] not a regular file: '{mod}/b.go'"],
+            ["c.go", f"[Errno 22] not a regular file: '{mod}/c.go'"],
+            ["null.go", f"[Errno 22] not a regular file: '{mod}/null.go'"],
+        ],
+        "report": [["a.go"], [], ["b.go", "c.go", "null.go"]],
+        "usages": [["a.go", 5]],
+    }
+    assert proc.stderr.splitlines() == [
+        f"parse failure in {mod}/b.go: [Errno 22] not a regular file: '{mod}/b.go'",
+        f"parse failure in {mod}/c.go: [Errno 22] not a regular file: '{mod}/c.go'",
+        f"parse failure in {mod}/null.go: [Errno 22] not a regular file: '{mod}/null.go'",
+        f"skipping client file {client}/b.go: [Errno 22] not a regular file: '{client}/b.go'",
+        f"skipping client file {client}/c.go: [Errno 22] not a regular file: '{client}/c.go'",
+        f"skipping client file {client}/null.go: [Errno 22] not a regular file: '{client}/null.go'",
+    ]
